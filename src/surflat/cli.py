@@ -25,8 +25,8 @@ from .errors import (ConfigError, InvalidJetError, RangeError,
 from .jets import DualJet, Jet
 from .lagrangian import ModelParams, el_check
 from .linear import (GreensChoice, RankOneModifier, greens_apply,
-                     greens_residual, linear_residual, scalar_solution,
-                     wave_solution)
+                     greens_residual, linear_residual, scalar_diag,
+                     scalar_solution, wave_solution)
 from .perturb import build_hierarchy, family_taylor_I, taylor_oracle_I
 from .slayer import MAX_FAMILY_ORDER, greens_dependence_check, slayer_sweep
 from .space import Region, Window, past_region
@@ -37,6 +37,9 @@ WAVE_KINDS = ("right_mover", "left_mover")
 
 # suites whose identities assume the balanced volume coupling
 NU_SENSITIVE = ("slayer-sweep", "perturb-verify", "greens-dependence")
+# suites that apply a scalar Green's operator
+GREENS_SUITES = ("greens-verify", "slayer-sweep", "perturb-verify",
+                 "greens-dependence")
 
 CSV_COLUMNS = ("suite", "slice_t", "quantity", "value", "reference",
                "residual", "tolerance", "pass")
@@ -301,6 +304,13 @@ def _validate(data: dict, suite: str) -> ExperimentConfig:
             f"nu={params.nu} breaks the volume balance that {suite} relies "
             f"on (balanced value {params.balanced_nu}); set force_nu to run "
             f"anyway")
+    if (suite in GREENS_SUITES
+            and abs(scalar_diag(params)) <= 2.0 * params.lambda_i):
+        raise ConfigError(
+            f"nu={params.nu} makes the scalar symbol "
+            f"{scalar_diag(params)} + {2.0 * params.lambda_i} cos(omega) "
+            f"vanish at some frequency, so {suite} has no scalar Green's "
+            f"operator")
 
     wsec = _section(data, "window")
     _expect_keys(wsec, "window", set(DEFAULT_CONFIG["window"]))
@@ -453,7 +463,7 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
                 choice = GreensChoice(vector_kind=vk, scalar_kind=sk)
                 outs[(vk, sk)] = greens_apply(choice, w, p, window,
                                               edge_check=False)
-                res = greens_residual(choice, w, p, window, edge_check=False)
+                res = greens_residual(outs[(vk, sk)], w, p, window)
                 rows.append(Row("greens-verify", None,
                                 f"defect[{vk},{sk},draw={draw:02d}]",
                                 res, 0.0, cfg.tolerances["greens"]))
@@ -521,16 +531,16 @@ def _run_greens_dependence(cfg: ExperimentConfig) -> list:
     direction = scalar_solution(2.0 ** window.t_min, p, window,
                                 decay="future")
     omega = past_region(window, 0)
-    rows = []
-    for k in range(cfg.modifiers):
+    kernels = []
+    for _ in range(cfg.modifiers):
         probe = DualJet(window, 0.05 * rng.standard_normal(window.shape),
                         0.05 * rng.standard_normal(window.shape))
-        kernel = RankOneModifier(probe, direction)
-        lhs, rhs = greens_dependence_check(cfg.u, cfg.v, omega, kernel, p,
-                                           window, choices=cfg.greens)
-        rows.append(Row("greens-dependence", None, f"identity[k={k}]",
-                        lhs, rhs, cfg.tolerances["dependence"]))
-    return rows
+        kernels.append(RankOneModifier(probe, direction))
+    pairs = greens_dependence_check(cfg.u, cfg.v, omega, kernels, p, window,
+                                    choices=cfg.greens)
+    return [Row("greens-dependence", None, f"identity[k={k}]", lhs, rhs,
+                cfg.tolerances["dependence"])
+            for k, (lhs, rhs) in enumerate(pairs)]
 
 
 SUITES = {

@@ -9,9 +9,23 @@ The derivative del_{slot, jet} acts on the interaction as multiplication by
 the jet's scalar weight at the slot's point plus the jet's angle value times
 the angular partial at that slot. Slot derivatives commute, and a jet sitting
 inside another derivative is never differentiated, so a product of slot
-derivatives expands into a finite sum of mixed angular derivatives weighted by
-field values. The engine below performs that expansion with arrays over the
-whole window at once, one stencil offset at a time.
+derivatives expands into a finite sum of angular derivatives weighted by
+field values.
+
+The interaction depends on the two angles only through their difference
+phi_x - phi_y, so the angular partial at slot 1 is the derivative D in that
+difference and the one at slot 2 is -D. A signed factor s1 del_1 + s2 del_2
+with a jet therefore acts as base + slope D, with base = s1 a(x) + s2 a(y)
+and slope = s1 phi(x) - s2 phi(y), and a product of factors is a polynomial
+in D: truncated Taylor arithmetic in one variable (Griewank and Walther,
+Evaluating Derivatives, 2nd ed., ch. 13). Its coefficient fields c_0..c_ell
+contract against the derivatives g_n = D^n of the interaction on the base
+configuration, one stencil offset at a time. stencil_contraction evaluates
+the series on the block of sites whose offset partner lies in the window,
+and delta_ell_field contracts one series against both g_n (scalar part) and
+g_(n+1) (angular part); pair_product_sum evaluates it at the interface sites
+of a region only. The pointwise nabla_L and delta_ell keep the (kx, ky)
+expansion in the two angles as an independent check of this engine.
 """
 
 from __future__ import annotations
@@ -169,68 +183,88 @@ def nabla_L(derivs: Sequence[PointDeriv], x: LatticePoint, y: LatticePoint,
     return total
 
 
-# --- vectorized expansion over a window ---
+# --- the D-series engine ---
 
-def slot_factor_maps(window: Window, factors, offset):
-    """Expansion of a product of signed slot derivatives at one offset.
+def slot_factor_maps(factors, x_sites, y_sites):
+    """D-series of a product of signed slot derivatives.
 
-    factors is a sequence of (jet, s1, s2) triples, each standing for the
-    operator s1 * del_1 + s2 * del_2 applied with that jet. The return value
-    maps (kx, ky) to the coefficient field of the mixed angular derivative of
-    that order, where slot 2 is evaluated at y = x + offset. Shifted fields
-    are zero-filled, so contributions at sites whose offset partner leaves the
-    window must be masked off by the caller.
+    factors is a non-empty sequence of (jet, s1, s2) triples, each standing
+    for the operator s1 * del_1 + s2 * del_2 applied with that jet. Slot 1
+    sits at the sites x_sites selects from the jets' fields, slot 2 at the
+    partner sites y_sites selects; both are numpy indices of equal shape
+    (slices of a block or arrays of site indices). Each factor acts on the
+    interaction as base + slope * D, where D is the derivative in the angle
+    difference phi_x - phi_y, base = s1 a(x) + s2 a(y) and
+    slope = s1 phi(x) - s2 phi(y). The return value is the list c_0..c_ell
+    of coefficient fields of D^0..D^ell in the product.
     """
-    dt, dx = offset
-    maps: dict[tuple[int, int], np.ndarray] = {
-        (0, 0): np.ones(window.shape)}
+    coeffs: list[np.ndarray] = []
     for (jet, s1, s2) in factors:
-        a_y = window.shifted(jet.a, dt, dx)
-        phi_y = window.shifted(jet.u_phi, dt, dx)
-        base = s1 * jet.a + s2 * a_y
-        new: dict[tuple[int, int], np.ndarray] = {}
-
-        def acc(key, arr):
-            if key in new:
-                new[key] += arr
-            else:
-                new[key] = arr
-
-        for (kx, ky), coeff in maps.items():
-            acc((kx, ky), coeff * base)
-            if s1 != 0.0:
-                acc((kx + 1, ky), coeff * (s1 * jet.u_phi))
-            if s2 != 0.0:
-                acc((kx, ky + 1), coeff * (s2 * phi_y))
-        maps = new
-    return maps
+        base = _signed_sum(s1, jet.a[x_sites], s2, jet.a[y_sites])
+        slope = _signed_sum(s1, jet.u_phi[x_sites], -s2, jet.u_phi[y_sites])
+        if not coeffs:
+            coeffs = [base, slope]
+            continue
+        grown = [coeffs[0] * base]
+        for n in range(1, len(coeffs)):
+            grown.append(coeffs[n] * base + coeffs[n - 1] * slope)
+        grown.append(coeffs[-1] * slope)
+        coeffs = grown
+    return coeffs
 
 
-def stencil_contraction(p: ModelParams, window: Window, factors,
-                        *, phi_extra: int = 0,
-                        offsets=STENCIL_OFFSETS):
-    """Field of the stencil-summed slot-derivative product.
+def _signed_sum(s1: float, x: np.ndarray, s2: float, y: np.ndarray):
+    # an unused slot is skipped, so its partner sites are never read; equal
+    # or opposite signs, the only ones in use, take one multiply
+    if s2 == 0.0:
+        return s1 * x
+    if s1 == 0.0:
+        return s2 * y
+    if s2 == s1:
+        return s1 * (x + y)
+    if s2 == -s1:
+        return s1 * (x - y)
+    return s1 * x + s2 * y
 
-    Returns sum over y in the windowed configuration of the product of the
-    signed slot derivatives applied to the interaction, as a field over x.
-    With phi_extra = 1 an additional angular derivative acts at slot 1, which
-    yields the angular component of dual-jet valued operators.
+
+def _contract(coeffs, table, offset, shift: int):
+    """Sum of c_n times the (n + shift)-th angular derivative at offset.
+
+    The interaction enters at base offset x - y = -offset (the stencil data
+    is even, so this only matters for bookkeeping). Vanishing derivatives,
+    such as every odd order on the base configuration, are skipped.
+    """
+    idx = STENCIL_OFFSETS.index((-offset[0], -offset[1]))
+    total = None
+    for n, coeff in enumerate(coeffs):
+        d = table[(n + shift, 0)][idx]
+        if d != 0.0:
+            term = coeff * d
+            total = term if total is None else total + term
+    return total
+
+
+def stencil_contraction(p: ModelParams, window: Window, factors):
+    """Scalar and angular fields of the stencil-summed slot-derivative product.
+
+    Returns (scalar, angular). scalar is the sum over y in the windowed
+    configuration of the product of the signed slot derivatives applied to
+    the interaction, as a field over x; angular is the same sum with one
+    more angular derivative at slot 1, the angular component of dual-jet
+    valued operators. Both contract one D-series per offset, evaluated on
+    the block of sites whose partner lies in the window.
     """
     table = stencil_deriv_table(p)
-    out = window.zeros()
-    for offset in offsets:
-        valid = window.valid_shift_mask(*offset)
-        maps = slot_factor_maps(window, factors, offset)
-        # the base offset entering the interaction is x - y = -offset; the
-        # stencil data is even, so this only matters for bookkeeping
-        idx = STENCIL_OFFSETS.index((-offset[0], -offset[1]))
-        contrib = window.zeros()
-        for (kx, ky), coeff in sorted(maps.items()):
-            d = table[(kx + phi_extra, ky)][idx]
-            if d != 0.0:
-                contrib += coeff * d
-        out += np.where(valid, contrib, 0.0)
-    return out
+    scalar = window.zeros()
+    angular = window.zeros()
+    for offset in STENCIL_OFFSETS:
+        x_block, y_block = window.shift_blocks(*offset)
+        coeffs = slot_factor_maps(factors, x_block, y_block)
+        for out, shift in ((scalar, 0), (angular, 1)):
+            contrib = _contract(coeffs, table, offset, shift)
+            if contrib is not None:
+                out[x_block] += contrib
+    return scalar, angular
 
 
 def pair_product_sum(p: ModelParams, omega: Region, factors) -> float:
@@ -238,23 +272,20 @@ def pair_product_sum(p: ModelParams, omega: Region, factors) -> float:
 
     factors is a sequence of (jet, s1, s2) triples as in slot_factor_maps;
     the product is applied to the interaction and summed over the pairs
-    enumerated by stencil_pairs(omega), using the per-offset masks directly.
+    enumerated by stencil_pairs(omega). The D-series is evaluated at the
+    masked interface sites only.
     """
-    window = omega.window
     table = stencil_deriv_table(p)
-    masks = pair_masks(omega)
     total = 0.0
-    for offset, mask in masks.items():
-        if not mask.any():
+    for (dt, dx), mask in pair_masks(omega).items():
+        # the sites of np.nonzero(mask), which is far slower on a 2-D mask
+        ix, jx = np.unravel_index(np.flatnonzero(mask), mask.shape)
+        if ix.size == 0:
             continue
-        maps = slot_factor_maps(window, factors, offset)
-        idx = STENCIL_OFFSETS.index((-offset[0], -offset[1]))
-        acc = window.zeros()
-        for (kx, ky), coeff in sorted(maps.items()):
-            d = table[(kx, ky)][idx]
-            if d != 0.0:
-                acc += coeff * d
-        total += float(acc[mask].sum())
+        coeffs = slot_factor_maps(factors, (ix, jx), (ix + dt, jx + dx))
+        acc = _contract(coeffs, table, (dt, dx), 0)
+        if acc is not None:
+            total += float(acc.sum())
     return total
 
 
@@ -291,8 +322,7 @@ def delta_ell_field(ell_order: int, jets: Sequence[Jet], p: ModelParams,
     """
     _check_variation_inputs(ell_order, jets, window)
     factors = [(jet, 1.0, 1.0) for jet in jets]
-    scalar = stencil_contraction(p, window, factors)
-    phi = stencil_contraction(p, window, factors, phi_extra=1)
+    scalar, phi = stencil_contraction(p, window, factors)
     weights = np.ones(window.shape)
     for jet in jets:
         weights = weights * jet.a

@@ -11,7 +11,9 @@ to an exact float zero there when it should.
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,13 +155,15 @@ def lag_phi_deriv(p: ModelParams, x: LatticePoint, y: LatticePoint,
     return val if ky % 2 == 0 else -val
 
 
+@functools.lru_cache(maxsize=32)
 def stencil_deriv_table(p: ModelParams,
                         max_order: int = DEFAULT_MAX_PHI_ORDER):
-    """On-lattice derivative table.
+    """On-lattice derivative table, built once per (p, max_order).
 
-    Returns a dict mapping (kx, ky) with kx + ky <= max_order to a length-5
-    float array over STENCIL_OFFSETS, holding the angular derivative of the
-    interaction at base offset (dt, dx) with both angles at zero.
+    Returns a read-only mapping from (kx, ky) with kx + ky <= max_order to a
+    read-only length-5 float array over STENCIL_OFFSETS, holding the angular
+    derivative of the interaction at base offset (dt, dx) with both angles
+    at zero. The result is cached and shared by every caller.
     """
     origin = LatticePoint(0, 0)
     table = {}
@@ -169,8 +173,9 @@ def stencil_deriv_table(p: ModelParams,
                 lag_phi_deriv(p, LatticePoint(dt, dx), origin, kx, ky,
                               max_order)
                 for (dt, dx) in STENCIL_OFFSETS])
+            row.flags.writeable = False
             table[(kx, ky)] = row
-    return table
+    return types.MappingProxyType(table)
 
 
 def _require_margin(window: Window, t: int, x: int):

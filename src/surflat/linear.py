@@ -172,9 +172,13 @@ class GreensChoice:
                 f"{self.scalar_kind!r}")
 
 
-def _scalar_diag(p: ModelParams) -> float:
-    # interior diagonal of the linearized scalar operator; the counterterm
-    # shifts it away from lambda_a whenever nu is unbalanced
+def scalar_diag(p: ModelParams) -> float:
+    """Interior diagonal of the linearized scalar operator.
+
+    The counterterm shifts it away from lambda_a whenever nu is unbalanced.
+    The scalar symbol scalar_diag + 2 lambda_i cos(omega) vanishes at some
+    frequency exactly when |scalar_diag| <= 2 lambda_i.
+    """
     return p.lambda_a + 0.5 * (p.balanced_nu - p.nu)
 
 
@@ -182,7 +186,7 @@ def _scalar_green_banded(b: np.ndarray, p: ModelParams) -> np.ndarray:
     n_t = b.shape[0]
     bands = np.zeros((3, n_t))
     bands[0, 1:] = p.lambda_i
-    bands[1, :] = _scalar_diag(p)
+    bands[1, :] = scalar_diag(p)
     bands[2, :-1] = p.lambda_i
     return solve_banded((1, 1), bands, -b)
 
@@ -190,7 +194,7 @@ def _scalar_green_banded(b: np.ndarray, p: ModelParams) -> np.ndarray:
 def _scalar_green_frequency(b: np.ndarray, p: ModelParams) -> np.ndarray:
     n_t = b.shape[0]
     omega = 2.0 * np.pi * np.arange(n_t // 2 + 1) / n_t
-    symbol = _scalar_diag(p) + 2.0 * p.lambda_i * np.cos(omega)
+    symbol = scalar_diag(p) + 2.0 * p.lambda_i * np.cos(omega)
     if np.any(np.abs(symbol) < 1e-12):
         raise InvalidJetError("scalar symbol vanishes at a lattice frequency")
     hat = np.fft.rfft(b, axis=0)
@@ -268,10 +272,15 @@ def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams,
     return result
 
 
-def greens_residual(choice: GreensChoice, w: DualJet, p: ModelParams,
-                    window: Window, **kwargs) -> float:
-    """Largest interior residual of the defining Green's property."""
-    out = greens_apply(choice, w, p, window, **kwargs)
+def greens_residual(out: Jet, w: DualJet, p: ModelParams,
+                    window: Window) -> float:
+    """Largest interior residual of the defining Green's property.
+
+    out is the Green's operator already applied to w; the residual is how
+    far the linearized operator applied to out is from minus w.
+    """
+    if w.window != window:
+        raise RangeError("dual jet window does not match the given window")
     dual = delta_op_field(out, p, window)
     inner = window.interior_mask()
     res_b = np.abs(dual.b + w.b)[inner].max()

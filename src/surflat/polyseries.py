@@ -2,9 +2,9 @@
 
 Monomials of total degree at most cap are enumerated once per ring; a
 polynomial batch is a (n_monomials, width) float array, one column per site
-or pair. Multiplication is a single scatter-add over precomputed index
-triples, and exp of a constant-free polynomial terminates after cap steps by
-nilpotency of the truncation ideal.
+or pair. Multiplication sums products over precomputed index triples,
+round by round, and exp of a constant-free polynomial terminates after cap
+steps by nilpotency of the truncation ideal.
 """
 
 from __future__ import annotations
@@ -30,29 +30,38 @@ def _monomials(n_vars: int, cap: int):
 
 @dataclass(frozen=True, eq=False)
 class PolyRing:
-    """Truncated polynomial ring in n_vars variables, total degree <= cap."""
+    """Truncated polynomial ring in n_vars variables, total degree <= cap.
+
+    The product table is split into rounds: round r holds, as index arrays
+    (i, j, k), the r-th triple with monomial i times monomial j equal to
+    monomial k, for every k that has one. mul adds the rounds in order, so
+    each output coefficient sums its products one after another in table
+    order, as a scatter-add over the table would.
+    """
 
     n_vars: int
     cap: int
     monomials: tuple
     index: dict
-    mul_table: np.ndarray
+    rounds: tuple
 
     @classmethod
     def create(cls, n_vars: int, cap: int) -> "PolyRing":
         monomials = _monomials(n_vars, cap)
         index = {m: i for i, m in enumerate(monomials)}
-        triples = []
+        by_output = [[] for _ in monomials]
         for i, mi in enumerate(monomials):
-            if sum(mi) > cap:
-                continue
             for j, mj in enumerate(monomials):
                 if sum(mi) + sum(mj) > cap:
                     continue
                 mk = tuple(a + b for a, b in zip(mi, mj))
-                triples.append((i, j, index[mk]))
-        return cls(n_vars, cap, monomials, index,
-                   np.array(triples, dtype=np.intp))
+                by_output[index[mk]].append((i, j, index[mk]))
+        rounds = []
+        for r in range(max(len(t) for t in by_output)):
+            triples = np.array([t[r] for t in by_output if len(t) > r],
+                               dtype=np.intp)
+            rounds.append(tuple(triples.T))
+        return cls(n_vars, cap, monomials, index, tuple(rounds))
 
     def zeros(self, width: int) -> np.ndarray:
         return np.zeros((len(self.monomials), width))
@@ -67,9 +76,12 @@ class PolyRing:
         return poly[self.index[tuple(exps)]]
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = self.zeros(a.shape[1])
-        i, j, k = self.mul_table.T
-        np.add.at(out, k, a[i] * b[j])
+        # every monomial k is k times 1, so the first round covers all k in
+        # order; adding to 0.0 gives exact zeros the sign of a zeroed start
+        i, j, _ = self.rounds[0]
+        out = 0.0 + a[i] * b[j]
+        for i, j, k in self.rounds[1:]:
+            out[k] += a[i] * b[j]
         return out
 
     def power(self, a: np.ndarray, n: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -139,29 +140,35 @@ def i_m(u: Jet, v: Jet, omega: Region, m: int, choices: GreensChoice,
 
 
 def greens_dependence_check(u: Jet, v: Jet, omega: Region,
-                            kernel: RankOneModifier, p: ModelParams,
-                            window: Window,
+                            kernels: Sequence[RankOneModifier],
+                            p: ModelParams, window: Window,
                             choices: GreensChoice | None = None
-                            ) -> tuple[float, float]:
-    """How the second-order balance shifts under a Green's-kernel change.
+                            ) -> list[tuple[float, float]]:
+    """How the second-order balance shifts under Green's-kernel changes.
 
-    lhs evaluates the order-2 family derivative with the kernel modifier
-    installed minus the plain evaluation; rhs is twice the first-order
-    balance of the modifier applied to the second variation of (u, v). The
-    two agree exactly: only the mixed second-order coefficient feels the
-    modified kernel, and the first-order balance is linear.
+    Returns one (lhs, rhs) pair per kernel. lhs evaluates the order-2 family
+    derivative with the kernel modifier installed minus the plain
+    evaluation; rhs is twice the first-order balance of the modifier applied
+    to the second variation of (u, v). The two agree exactly: only the mixed
+    second-order coefficient feels the modified kernel, and the first-order
+    balance is linear. The plain evaluation and the second variation do not
+    depend on the kernel, so they are computed once; every modified value
+    goes through its own hierarchy build.
     """
     base = choices if choices is not None else GreensChoice()
     if base.kernel_modifier is not None:
         raise InvalidJetError(
-            "pass the kernel through the dedicated argument, not inside the "
+            "pass the kernels through the dedicated argument, not inside the "
             "baseline choices")
-    modified = dataclasses.replace(base, kernel_modifier=kernel)
-    lhs = (i_m(u, v, omega, 2, modified, p, window)
-           - i_m(u, v, omega, 2, base, p, window))
-    moved = kernel.apply(delta_ell_field(2, [u, v], p, window))
-    surface, volume = i1(moved, omega, p, window)
-    return lhs, 2.0 * (surface - volume)
+    plain = i_m(u, v, omega, 2, base, p, window)
+    d2 = delta_ell_field(2, [u, v], p, window)
+    out = []
+    for kernel in kernels:
+        modified = dataclasses.replace(base, kernel_modifier=kernel)
+        lhs = i_m(u, v, omega, 2, modified, p, window) - plain
+        surface, volume = i1(kernel.apply(d2), omega, p, window)
+        out.append((lhs, 2.0 * (surface - volume)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -72,20 +72,26 @@ class Window:
             mask[margin:n_t - margin, margin:n_x - margin] = True
         return mask
 
+    def shift_blocks(self, dt: int, dx: int):
+        """Index blocks (x_block, y_block) of a (dt, dx) shift.
+
+        x_block selects the sites whose (dt, dx)-neighbor lies in the window,
+        y_block those neighbors, in matching order; both are tuples of
+        slices, so indexing an array with them gives views.
+        """
+        n_t, n_x = self.shape
+        x_block = (slice(max(0, -dt), min(n_t, n_t - dt)),
+                   slice(max(0, -dx), min(n_x, n_x - dx)))
+        y_block = (slice(max(0, dt), n_t + min(0, dt)),
+                   slice(max(0, dx), n_x + min(0, dx)))
+        return x_block, y_block
+
     def shifted(self, arr: np.ndarray, dt: int, dx: int) -> np.ndarray:
         """Array whose value at (t, x) is arr at (t + dt, x + dx), zero-filled."""
         out = np.zeros_like(arr)
-        n_t, n_x = arr.shape
-        t_dst = slice(max(0, -dt), min(n_t, n_t - dt))
-        x_dst = slice(max(0, -dx), min(n_x, n_x - dx))
-        t_src = slice(max(0, dt), n_t + min(0, dt))
-        x_src = slice(max(0, dx), n_x + min(0, dx))
-        out[t_dst, x_dst] = arr[t_src, x_src]
+        x_block, y_block = self.shift_blocks(dt, dx)
+        out[x_block] = arr[y_block]
         return out
-
-    def valid_shift_mask(self, dt: int, dx: int) -> np.ndarray:
-        """Boolean mask of sites whose (dt, dx)-neighbor lies in the window."""
-        return self.shifted(np.ones(self.shape, dtype=bool), dt, dx)
 
 
 @dataclass(frozen=True, eq=False)

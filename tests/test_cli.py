@@ -107,6 +107,25 @@ def test_nu_override_forced_runs_and_fails(tmp_path):
     assert summary["fail_count"] > 0
 
 
+@pytest.mark.parametrize("scalar_kind", ["banded_solve", "frequency"])
+@pytest.mark.parametrize("suite", ["greens-verify", "slayer-sweep",
+                                   "perturb-verify", "greens-dependence"])
+def test_vanishing_scalar_symbol_rejected(tmp_path, capsys, suite,
+                                          scalar_kind):
+    # nu = 28 zeroes the scalar diagonal lambda_a + (balanced_nu - nu) / 2,
+    # so the symbol vanishes at frequency pi / 2 and no Green's operator
+    # exists; that is a config error, not a LinAlgError traceback
+    code = main([suite, "--out", str(tmp_path / "x"),
+                 "--override", "model.nu=28",
+                 "--override", "force_nu=true",
+                 "--override", f"greens.scalar_kind={scalar_kind}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "scalar symbol" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_balanced_nu_spelled_out_is_not_an_override(tmp_path):
     code, _ = run_cli(tmp_path, "perturb-verify",
                       "--override", "model.nu=18")

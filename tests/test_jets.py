@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
-                     UnsupportedOrderError, Window)
+                     Region, UnsupportedOrderError, Window, past_region,
+                     stencil_pairs)
 from surflat.jets import (DualValue, Jet, PointDeriv, delta_ell,
-                          delta_ell_field, delta_op, delta_op_field, nabla_L)
+                          delta_ell_field, delta_op, delta_op_field, nabla_L,
+                          pair_product_sum)
 
 P = ModelParams()
 W = Window(-4, 4, -4, 4)
@@ -24,17 +26,37 @@ def random_jet(seed, window=W, zero_scalar=False):
 
 
 def brute_delta_ell(ell_order, jets, x, p, window):
-    """Oracle: expand the slot products through nabla_L point by point."""
+    """Oracle: expand the slot products through nabla_L point by point.
+
+    Partners outside the window are dropped, as in the windowed
+    configuration; the angular component takes one more slot-1 derivative
+    along a unit angle.
+    """
+    unit_angle = Jet(window, window.zeros(), np.ones(window.shape))
     scalar = 0.0
+    phi = 0.0
     for (dt, dx) in [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]:
+        if not window.contains(x.t + dt, x.x + dx):
+            continue
         y = pt(x.t + dt, x.x + dx)
         for slots in itertools.product((1, 2), repeat=ell_order):
             derivs = [PointDeriv(s, jet) for s, jet in zip(slots, jets)]
             scalar += nabla_L(derivs, x, y, p)
+            phi += nabla_L(derivs + [PointDeriv(1, unit_angle)], x, y, p)
     counter = 0.5 * p.nu
     for jet in jets:
         counter *= jet.a_at(x)
-    return (scalar - counter) / math.factorial(ell_order)
+    scale = 1.0 / math.factorial(ell_order)
+    return DualValue(scale * (scalar - counter), scale * phi)
+
+
+def edge_sites(window, margin):
+    """Corners and edge midpoints of the frame `margin` sites inside."""
+    ts = (window.t_min + margin, (window.t_min + window.t_max) // 2,
+          window.t_max - margin)
+    xs = (window.x_min + margin, (window.x_min + window.x_max) // 2,
+          window.x_max - margin)
+    return [(t, x) for t in ts for x in xs if t != ts[1] or x != xs[1]]
 
 
 # --- nabla_L ---
@@ -117,10 +139,11 @@ def test_delta_ell_matches_brute_force(order):
     for (t, x) in [(0, 0), (-1, 2)]:
         got = delta_ell(order, jets, pt(t, x), P, W)
         want = brute_delta_ell(order, jets, pt(t, x), P, W)
-        assert got.scalar == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert got.scalar == pytest.approx(want.scalar, rel=1e-12, abs=1e-12)
+        assert got.phi == pytest.approx(want.phi, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_delta_ell_field_matches_point(order):
     jets = [random_jet(20 + k) for k in range(order)]
     dual = delta_ell_field(order, jets, P, W)
@@ -129,6 +152,66 @@ def test_delta_ell_field_matches_point(order):
         i, j = W.index(t, x)
         assert dual.b[i, j] == pytest.approx(point.scalar, rel=1e-12, abs=1e-13)
         assert dual.w_phi[i, j] == pytest.approx(point.phi, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_delta_ell_field_matches_oracles_on_wide_window(order):
+    # a non-square window: sites next to every edge against the pointwise
+    # variation, and sites on the frame, whose stencil the window clips,
+    # against the nabla_L expansion over the in-window partners
+    wide = Window(-7, 7, -10, 16)
+    jets = [random_jet(80 + k, wide) for k in range(order)]
+    dual = delta_ell_field(order, jets, P, wide)
+    for (t, x) in edge_sites(wide, 1):
+        point = delta_ell(order, jets, pt(t, x), P, wide)
+        i, j = wide.index(t, x)
+        assert dual.b[i, j] == pytest.approx(point.scalar, rel=1e-12,
+                                             abs=1e-12)
+        assert dual.w_phi[i, j] == pytest.approx(point.phi, rel=1e-12,
+                                                 abs=1e-12)
+    for (t, x) in edge_sites(wide, 0):
+        want = brute_delta_ell(order, jets, pt(t, x), P, wide)
+        i, j = wide.index(t, x)
+        assert dual.b[i, j] == pytest.approx(want.scalar, rel=1e-12,
+                                             abs=1e-12)
+        assert dual.w_phi[i, j] == pytest.approx(want.phi, rel=1e-12,
+                                                 abs=1e-12)
+
+
+SIGNS = ((1.0, -1.0), (1.0, 0.0), (0.0, 1.0))
+
+
+def brute_pair_sum(omega, factors, p):
+    """Oracle: expand each signed factor into slot derivatives per pair."""
+    total = 0.0
+    for (x, y) in stencil_pairs(omega):
+        for slots in itertools.product((1, 2), repeat=len(factors)):
+            weight = 1.0
+            for s, (_, s1, s2) in zip(slots, factors):
+                weight *= s1 if s == 1 else s2
+            if weight == 0.0:
+                continue
+            derivs = [PointDeriv(s, jet)
+                      for s, (jet, _, _) in zip(slots, factors)]
+            total += weight * nabla_L(derivs, x, y, p)
+    return total
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("first", range(len(SIGNS)))
+def test_pair_product_sum_matches_nabla_sum(order, first):
+    # the first factor carries SIGNS[first]; later ones cycle through the
+    # other sign pairs so that mixed products are covered too
+    wide = Window(-7, 7, -10, 16)
+    regions = [past_region(wide, 1),
+               Region.from_box(wide, -7, -3, 2, 8)]  # touches the bottom
+    jets = [random_jet(90 + k, wide) for k in range(order)]
+    factors = [(jet, *SIGNS[(first + k) % len(SIGNS)])
+               for k, jet in enumerate(jets)]
+    for omega in regions:
+        got = pair_product_sum(P, omega, factors)
+        want = brute_pair_sum(omega, factors, P)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_delta_ell_symmetric_in_jets():

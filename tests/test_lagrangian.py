@@ -120,6 +120,19 @@ def test_phi_deriv_exact_zeros_on_base():
             assert lag_phi_deriv(P, pt(*offset), pt(0, 0), kx, ky) == 0.0
 
 
+def test_phi_deriv_table_is_cached_and_read_only():
+    table = stencil_deriv_table(P)
+    assert stencil_deriv_table(P) is table
+    assert stencil_deriv_table(ModelParams()) is table
+    for row in table.values():
+        assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        table[(2, 0)][0] = 7.0
+    with pytest.raises(TypeError):
+        table[(2, 0)] = np.zeros(5)
+    assert stencil_deriv_table(ModelParams(delta=2.0)) is not table
+
+
 def test_phi_deriv_table_on_base():
     table = stencil_deriv_table(P)
     offsets = list(STENCIL_OFFSETS)

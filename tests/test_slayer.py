@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from surflat import slayer
 from surflat.errors import InvalidJetError, RangeError, UnsupportedOrderError
 from surflat.jets import DualJet, Jet, delta_ell_field
 from surflat.lagrangian import ModelParams
@@ -262,8 +263,8 @@ def test_i_m_small_for_solution_pairs(movers):
 def test_greens_dependence_zero_kernel(movers):
     u, v = movers
     kernel = RankOneModifier(DualJet.zero(TALL), right_mover(TALL, 0, 5, 0.1))
-    lhs, rhs = greens_dependence_check(u, v, past_region(TALL, 0), kernel,
-                                       PARAMS, TALL)
+    [(lhs, rhs)] = greens_dependence_check(u, v, past_region(TALL, 0),
+                                           [kernel], PARAMS, TALL)
     assert lhs == 0.0
     assert rhs == 0.0
 
@@ -276,8 +277,8 @@ def test_greens_dependence_wave_direction_drops_out(movers):
     probe = DualJet(TALL, rng.standard_normal(TALL.shape),
                     rng.standard_normal(TALL.shape))
     kernel = RankOneModifier(probe, right_mover(TALL, 1, 5, 0.3))
-    lhs, rhs = greens_dependence_check(u, v, past_region(TALL, 0), kernel,
-                                       PARAMS, TALL)
+    [(lhs, rhs)] = greens_dependence_check(u, v, past_region(TALL, 0),
+                                           [kernel], PARAMS, TALL)
     assert lhs == 0.0
     assert rhs == 0.0
 
@@ -295,9 +296,39 @@ def test_greens_dependence_identity(movers, seed):
                                 decay="future")
     kernel = RankOneModifier(probe, direction)
     omega = past_region(TALL, 0)
-    lhs, rhs = greens_dependence_check(u, v, omega, kernel, PARAMS, TALL)
+    [(lhs, rhs)] = greens_dependence_check(u, v, omega, [kernel], PARAMS,
+                                           TALL)
     assert abs(lhs - rhs) <= 1e-10
     assert abs(lhs) > 1e-6  # the modifier actually moves the value
+
+
+def test_greens_dependence_builds_the_plain_hierarchy_once(movers,
+                                                          monkeypatch):
+    # one plain build per call and one build per kernel, and each kernel's
+    # pair equals what a call with that kernel alone returns
+    u, v = movers
+    rng = np.random.default_rng(13)
+    direction = scalar_solution(2.0 ** TALL.t_min, PARAMS, TALL,
+                                decay="future")
+    kernels = [RankOneModifier(
+        DualJet(TALL, 0.05 * rng.standard_normal(TALL.shape),
+                0.05 * rng.standard_normal(TALL.shape)), direction)
+        for _ in range(3)]
+    omega = past_region(TALL, 0)
+    builds = []
+    real_build = slayer.build_hierarchy
+
+    def counting_build(*args, **kwargs):
+        builds.append(args[3])
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(slayer, "build_hierarchy", counting_build)
+    pairs = greens_dependence_check(u, v, omega, kernels, PARAMS, TALL)
+    assert len(builds) == 1 + len(kernels)
+    assert sum(c.kernel_modifier is None for c in builds) == 1
+    for kernel, pair in zip(kernels, pairs):
+        assert greens_dependence_check(u, v, omega, [kernel], PARAMS,
+                                       TALL) == [pair]
 
 
 def test_greens_dependence_zero_scalar_direction_has_no_volume(movers):
@@ -316,8 +347,8 @@ def test_greens_dependence_rejects_preinstalled_kernel(movers):
     kernel = RankOneModifier(DualJet.zero(TALL), right_mover(TALL, 0, 5, 0.1))
     base = GreensChoice(kernel_modifier=kernel)
     with pytest.raises(InvalidJetError):
-        greens_dependence_check(u, v, past_region(TALL, 0), kernel, PARAMS,
-                                TALL, choices=base)
+        greens_dependence_check(u, v, past_region(TALL, 0), [kernel],
+                                PARAMS, TALL, choices=base)
 
 
 # --- sweep report ---
