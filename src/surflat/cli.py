@@ -562,10 +562,39 @@ SUITE_HELP = {
 }
 
 
+def _open_new(path: pathlib.Path, newline=None):
+    # Opening a file that already holds data with "w" truncates it in place,
+    # and on some filesystems (ext4 mounted with online discard, for one)
+    # that open alone stalls for tens of milliseconds; removing the old file
+    # and creating a new one does not.
+    path.unlink(missing_ok=True)
+    return open(path, "w", newline=newline)
+
+
+def _check_out_dir(out_dir):
+    """Reject an output location that cannot take the two report files.
+
+    Runs before the suite, so a bad --out costs nothing and writes nothing.
+    """
+    out_dir = pathlib.Path(out_dir)
+    for node in (out_dir, *out_dir.parents):
+        if node.exists():
+            if not node.is_dir():
+                raise ConfigError(f"--out {out_dir}: {node} is not a "
+                                  f"directory")
+            break
+    for name in ("report.csv", "summary.json"):
+        target = out_dir / name
+        if (target.exists() and not target.is_symlink()
+                and not target.is_file()):
+            raise ConfigError(f"--out {out_dir}: {target} exists and is "
+                              f"not a regular file")
+
+
 def write_report(out_dir, suite: str, rows) -> dict:
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.csv", "w", newline="") as fh:
+    with _open_new(out_dir / "report.csv", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in rows:
@@ -585,7 +614,7 @@ def write_report(out_dir, suite: str, rows) -> dict:
         "fail_count": sum(not r.passed for r in rows),
         "max_residual": max(r.residual for r in rows),
     }
-    with open(out_dir / "summary.json", "w") as fh:
+    with _open_new(out_dir / "summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
@@ -615,13 +644,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out_dir(args.out)
         cfg = load_config(args.config, args.override, args.seed, args.suite)
         rows = SUITES[args.suite](cfg)
     except (ConfigError, InvalidJetError, RangeError, TruncationError,
             UnsupportedOrderError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    summary = write_report(args.out, args.suite, rows)
+    try:
+        summary = write_report(args.out, args.suite, rows)
+    except OSError as exc:
+        print(f"invalid configuration: cannot write the report: {exc}",
+              file=sys.stderr)
+        return 2
     print(f"{args.suite}: {summary['pass_count']} passed, "
           f"{summary['fail_count']} failed, "
           f"max residual {summary['max_residual']:.3e}")

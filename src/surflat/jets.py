@@ -1,9 +1,8 @@
 """Jet spaces and the linearized operators built from slot derivatives.
 
 A Jet is a linearized variation of the configuration: a scalar weight field a
-and an angle field u_phi over a window, plus an inert constant component kept
-only so that its irrelevance is visible in the API. A DualJet pairs a scalar
-density b with an angular density w_phi; operator outputs live there.
+and an angle field u_phi over a window. A DualJet pairs a scalar density b
+with an angular density w_phi; operator outputs live there.
 
 The derivative del_{slot, jet} acts on the interaction as multiplication by
 the jet's scalar weight at the slot's point plus the jet's angle value times
@@ -56,16 +55,11 @@ def _as_field(window: Window, values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Jet:
-    """A linearized variation (a, u_phi) over a window.
-
-    The constant component is carried along untouched; every operator in this
-    package ignores it, and the test space pins it to (0, 0).
-    """
+    """A linearized variation (a, u_phi) over a window."""
 
     window: Window
     a: np.ndarray
     u_phi: np.ndarray
-    const: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         object.__setattr__(self, "a", _as_field(self.window, self.a))
@@ -81,25 +75,19 @@ class Jet:
     def phi_at(self, point: LatticePoint) -> float:
         return float(self.u_phi[self.window.index(point.t, point.x)])
 
-    def is_test(self) -> bool:
-        return self.const == (0.0, 0.0)
-
     def has_zero_scalar(self) -> bool:
         return not self.a.any()
 
     def __add__(self, other: "Jet") -> "Jet":
         if other.window != self.window:
             raise RangeError("jet windows differ")
-        return Jet(self.window, self.a + other.a, self.u_phi + other.u_phi,
-                   (self.const[0] + other.const[0],
-                    self.const[1] + other.const[1]))
+        return Jet(self.window, self.a + other.a, self.u_phi + other.u_phi)
 
     def __sub__(self, other: "Jet") -> "Jet":
         return self + (-1.0) * other
 
     def __rmul__(self, c: float) -> "Jet":
-        return Jet(self.window, c * self.a, c * self.u_phi,
-                   (c * self.const[0], c * self.const[1]))
+        return Jet(self.window, c * self.a, c * self.u_phi)
 
 
 @dataclass(frozen=True, eq=False)

@@ -230,8 +230,7 @@ def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams,
     The output jet satisfies: linearized operator applied to it equals minus
     the input, exactly on the window interior. The scalar part is solved
     columnwise; the wave part is stepped from two zero inflow rows (the first
-    two rows for the retarded kind, the last two for the advanced kind). The
-    constant component of the output is pinned to zero.
+    two rows for the retarded kind, the last two for the advanced kind).
 
     With edge_check enabled, the scalar output must vanish on the full window
     frame (its kernel decays, so a hot frame means the source sits too close

@@ -71,11 +71,11 @@ def build_hierarchy(u: Jet, v: Jet, order: int, choices: GreensChoice,
                     p: ModelParams, window: Window) -> Hierarchy:
     """Construct the perturbation hierarchy seeded by two solutions.
 
-    u enters at s^1, v at t^1. Both must belong to the test space, share the
-    window, and solve the linearized equation on the window interior to
-    within the residual tolerance. For each total degree up to `order`, the
-    source of a coefficient is assembled from multilinear variations of the
-    lower coefficients and pushed through the chosen Green's operator. The
+    u enters at s^1, v at t^1. Both must share the window and solve the
+    linearized equation on the window interior to within the residual
+    tolerance. For each total degree up to `order`, the source of a
+    coefficient is assembled from multilinear variations of the lower
+    coefficients and pushed through the chosen Green's operator. The
     Green's applications run with the boundary check disabled: hierarchy
     fields legitimately fill light cones out to the window boundary, and the
     surface-layer regularity of the constructed family is a consequence of
@@ -87,10 +87,6 @@ def build_hierarchy(u: Jet, v: Jet, order: int, choices: GreensChoice,
     for name, jet in (("u", u), ("v", v)):
         if jet.window != window:
             raise RangeError(f"jet {name} lives on a different window")
-        if not jet.is_test():
-            raise InvalidJetError(
-                f"jet {name} carries a constant component; the hierarchy is "
-                f"built over the test space")
         interior = Region(window, window.interior_mask())
         res = linear_residual(jet, interior, p, window)
         if res > RESIDUAL_TOLERANCE:

@@ -98,12 +98,21 @@ def symm_bilinear(u: Jet, v: Jet, omega: Region, greens: GreensChoice,
                 f"assumes it vanishes (use the hierarchy path instead)")
     d2 = delta_ell_field(2, [u, v], p, window)
     s = greens_apply(greens, d2, p, window, edge_check=edge_check).a
+    surface, volume = _symm_surface_volume(u, v, s, omega, p, window)
+    return surface, volume, s
+
+
+def _symm_surface_volume(u: Jet, v: Jet, s: np.ndarray, omega: Region,
+                         p: ModelParams, window: Window
+                         ) -> tuple[float, float]:
+    # the two sides of the symmetric form's volume identity, given its
+    # Green field s
     s_jet = Jet(window, s, np.zeros(window.shape))
     surface = (pair_product_sum(p, omega, [(u, 1.0, 0.0), (v, 1.0, 0.0)])
                - pair_product_sum(p, omega, [(u, 0.0, 1.0), (v, 0.0, 1.0)])
                + 2.0 * pair_product_sum(p, omega, [(s_jet, 1.0, -1.0)]))
     volume = p.nu * float(s[omega.mask].sum())
-    return surface, volume, s
+    return surface, volume
 
 
 def symm_closed_form(u: Jet, v: Jet, s: np.ndarray, t: int, p: ModelParams,
@@ -235,21 +244,14 @@ def slayer_sweep(u: Jet, v: Jet, slices, greens: GreensChoice,
     depend on the cut, so it is computed once.
     """
     probe = scalar_probe if scalar_probe is not None else u
-    first = True
+    s = None
     rows = []
     for t in slices:
         omega = past_region(window, t)
-        if first:
+        if s is None:
             surf, vol, s = symm_bilinear(u, v, omega, greens, p, window)
-            first = False
         else:
-            surf = (pair_product_sum(p, omega, [(u, 1.0, 0.0), (v, 1.0, 0.0)])
-                    - pair_product_sum(p, omega,
-                                       [(u, 0.0, 1.0), (v, 0.0, 1.0)])
-                    + 2.0 * pair_product_sum(
-                        p, omega, [(Jet(window, s, np.zeros(window.shape)),
-                                    1.0, -1.0)]))
-            vol = p.nu * float(s[omega.mask].sum())
+            surf, vol = _symm_surface_volume(u, v, s, omega, p, window)
         i1_s, i1_v = i1(probe, omega, p, window)
         rows.append(SliceValues(
             slice_t=t,

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from surflat import cli
 from surflat.cli import (CSV_COLUMNS, DEFAULT_CONFIG, Row, _apply_override,
-                         _parse_jet_spec, load_config, main)
+                         _parse_jet_spec, load_config, main, write_report)
 from surflat.errors import ConfigError
 
 
@@ -199,6 +200,120 @@ def test_malformed_override(tmp_path, capsys):
                  "--override", "model.nu"])
     assert code == 2
     assert "key=value" in capsys.readouterr().err
+
+
+# --- exit code 2: unusable output location ---
+
+def _suite_must_not_run(cfg):
+    raise AssertionError("the suite ran before --out was checked")
+
+
+def test_out_that_is_a_file_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli.SUITES, "solve-linear", _suite_must_not_run)
+    target = tmp_path / "taken"
+    target.write_text("keep me")
+    for out in (target, target / "sub"):
+        code = main(["solve-linear", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert "not a directory" in err
+        assert "Traceback" not in err
+    assert target.read_text() == "keep me"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+@pytest.mark.parametrize("name", ["report.csv", "summary.json"])
+def test_report_file_that_is_a_directory_rejected(tmp_path, capsys,
+                                                  monkeypatch, name):
+    monkeypatch.setitem(cli.SUITES, "solve-linear", _suite_must_not_run)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code = main(["solve-linear", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err
+    assert "not a regular file" in err
+    assert "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == [name]
+    assert not any((out / name).iterdir())
+
+
+# --- report writing ---
+
+REPORT_ROWS = [Row("demo", None, "a", 1e-12, 0.0, 1e-10),
+               Row("demo", 3, "b", 2.0, 2.0 + 1e-12, 1e-10),
+               Row("demo", -1, "c", 1.0, 0.0, 1e-10)]
+
+
+def test_write_report_replaces_longer_old_files(tmp_path):
+    fresh = tmp_path / "fresh"
+    write_report(fresh, "demo", REPORT_ROWS)
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    for name in ("report.csv", "summary.json"):
+        old = (fresh / name).read_bytes()
+        (stale / name).write_bytes(old + b"stale tail\n" * 500)
+    summary = write_report(stale, "demo", REPORT_ROWS)
+    assert summary == {"suite": "demo", "pass_count": 2, "fail_count": 1,
+                       "max_residual": 1.0}
+    assert sorted(p.name for p in stale.iterdir()) == ["report.csv",
+                                                      "summary.json"]
+    for name in ("report.csv", "summary.json"):
+        assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_write_report_twice_is_byte_identical(tmp_path):
+    out = tmp_path / "out"
+    write_report(out, "demo", REPORT_ROWS)
+    first = {n: (out / n).read_bytes() for n in ("report.csv",
+                                                 "summary.json")}
+    write_report(out, "demo", REPORT_ROWS)
+    assert {n: (out / n).read_bytes() for n in first} == first
+    assert sorted(p.name for p in out.iterdir()) == sorted(first)
+    assert first["report.csv"].startswith(b"suite,slice_t,")
+    assert first["summary.json"].endswith(b"}\n")
+
+
+# --- all six suites on a window larger than the default ---
+
+W80 = ["--override", "window.t_min=-80", "--override", "window.t_max=80",
+       "--override", "window.x_min=-80", "--override", "window.x_max=80"]
+ALL_SUITES = ["check-el", "solve-linear", "greens-verify", "slayer-sweep",
+              "perturb-verify", "greens-dependence"]
+# the symplectic spread has no floor: among exact zeros one cut rounds to
+# 2.8e-17 at W=80 and the spread reads 1.0 (ROADMAP item 4)
+KNOWN_W80_FAILURES = {("slayer-sweep", "sympl_relative_spread")}
+
+
+@pytest.fixture(scope="module")
+def w80_reports(tmp_path_factory):
+    root = tmp_path_factory.mktemp("w80")
+    reports = {}
+    for suite in ALL_SUITES:
+        code = main([suite, "--out", str(root / suite), *W80])
+        rows, summary = read_report(root / suite)
+        reports[suite] = (code, rows, summary)
+    return reports
+
+
+@pytest.mark.parametrize("suite", ALL_SUITES)
+def test_all_suites_at_w80(w80_reports, suite):
+    code, rows, summary = w80_reports[suite]
+    assert rows[0] == list(CSV_COLUMNS)
+    assert len(rows) > 1
+    failed = {(r[0], r[2]) for r in rows[1:] if r[-1] != "true"}
+    assert failed <= KNOWN_W80_FAILURES
+    assert summary["fail_count"] == len(failed)
+    assert code == (0 if not failed else 1)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the symplectic "
+                   "spread has no floor and reads 1.0 at W=80")
+def test_sympl_relative_spread_at_w80(w80_reports):
+    _, rows, _ = w80_reports["slayer-sweep"]
+    (row,) = [r for r in rows[1:] if r[2] == "sympl_relative_spread"]
+    assert row[-1] == "true"
 
 
 # --- config assembly ---

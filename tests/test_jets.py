@@ -233,15 +233,6 @@ def test_delta_ell_multilinear():
     assert left.phi == pytest.approx(a1.phi + c * a2.phi, rel=1e-12, abs=1e-13)
 
 
-def test_const_component_is_inert():
-    u = random_jet(50)
-    shifted = Jet(W, u.a, u.u_phi, const=(2.5, -1.0))
-    assert not shifted.is_test()
-    a = delta_ell(2, [u, u], pt(0, 0), P, W)
-    b = delta_ell(2, [shifted, shifted], pt(0, 0), P, W)
-    assert a == b
-
-
 def test_delta_ell_validation():
     u = random_jet(60)
     with pytest.raises(UnsupportedOrderError):

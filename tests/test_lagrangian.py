@@ -208,3 +208,43 @@ def test_el_check_report():
     assert report.min_sampled >= 0.0
     assert report.max_sample_deviation <= 1e-12
     assert report.reference[math.pi] == pytest.approx(4.0)
+
+
+def pointwise_el(p, w, phis):
+    # oracle: the pointwise ell at every interior site, one call per site
+    sites = [(t, x) for t in range(w.t_min + 1, w.t_max)
+             for x in range(w.x_min + 1, w.x_max)]
+    max_abs_base = max(abs(ell(p, pt(t, x), w)) for t, x in sites)
+    sampled = {phi: min(ell(p, pt(t, x, phi), w) for t, x in sites)
+               for phi in phis}
+    return max_abs_base, sampled
+
+
+@pytest.mark.parametrize("p, w", [
+    (P, Window(-40, 40, -40, 40)),
+    (P, Window(-3, 7, -12, 5)),
+    (P, Window(0, 2, 0, 2)),
+    (ModelParams(nu=0.0), Window(-6, 6, -4, 9)),
+    # couplings for which summing the five offsets in another order changes
+    # the last bit at some of the sampled angles
+    (ModelParams(lambda_a=7.5, lambda_i=3.1, delta=1.55, nu=11.0),
+     Window(-2, 5, -1, 1)),
+], ids=["default-81x81", "off-centre", "minimal-3x3", "nu-0", "coupled"])
+def test_el_check_equals_pointwise_oracle(p, w):
+    phis = (0.0, 0.3, -1.1, math.pi / 4, -math.pi / 2, math.pi, 2.5)
+    report = el_check(p, w, phi_samples=phis)
+    max_abs_base, sampled = pointwise_el(p, w, phis)
+    # bitwise, not approximate: the whole-interior sum runs in the same
+    # order as ell
+    assert report.max_abs_base == max_abs_base
+    assert type(report.max_abs_base) is float
+    assert list(report.sampled) == list(phis)
+    for phi in phis:
+        assert report.sampled[phi] == sampled[phi]
+        assert type(report.sampled[phi]) is float
+
+
+def test_el_check_needs_an_interior():
+    for w in (Window(0, 1, -5, 5), Window(-5, 5, 3, 4)):
+        with pytest.raises(RangeError):
+            el_check(P, w)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -155,9 +154,6 @@ def test_build_rejects_bad_inputs(seeds):
         build_hierarchy(u, v, 5, CHOICE, PARAMS, WIN)
     with pytest.raises(UnsupportedOrderError):
         build_hierarchy(u, v, 0, CHOICE, PARAMS, WIN)
-    tainted = dataclasses.replace(u, const=(1.0, 0.0))
-    with pytest.raises(InvalidJetError):
-        build_hierarchy(tainted, v, 2, CHOICE, PARAMS, WIN)
     bump = Jet(WIN, np.zeros(WIN.shape), np.zeros(WIN.shape))
     bump.u_phi[10, 10] = 1.0
     with pytest.raises(InvalidJetError):
