@@ -5,9 +5,9 @@ from .errors import (ConfigError, InvalidJetError, RangeError,
                      TruncationError, UnsupportedOrderError)
 from .space import (LatticePoint, NEIGHBOR_OFFSETS, Region, STENCIL_OFFSETS,
                     Window, past_region, stencil_pairs)
-from .lagrangian import (DEFAULT_MAX_PHI_ORDER, ELReport, ModelParams,
-                         angular_well, el_check, ell, lag_phi_deriv,
-                         lag_value, stencil_deriv_table)
+from .lagrangian import (MAX_ORDER, ELReport, ModelParams, angular_well,
+                         el_check, ell, lag_phi_deriv, lag_value,
+                         stencil_deriv_table)
 from .jets import (DualJet, Jet, delta_ell, delta_ell_field, delta_op,
                    delta_op_field, pair_product_sum, region_product_sum)
 from .linear import (EDGE_TOLERANCE, GreensChoice, RESIDUAL_TOLERANCE,
@@ -25,7 +25,7 @@ __all__ = [
     "UnsupportedOrderError",
     "LatticePoint", "NEIGHBOR_OFFSETS", "Region", "STENCIL_OFFSETS",
     "Window", "past_region", "stencil_pairs",
-    "DEFAULT_MAX_PHI_ORDER", "ELReport", "ModelParams", "angular_well",
+    "MAX_ORDER", "ELReport", "ModelParams", "angular_well",
     "el_check", "ell", "lag_phi_deriv", "lag_value", "stencil_deriv_table",
     "DualJet", "Jet", "delta_ell", "delta_ell_field", "delta_op",
     "delta_op_field", "pair_product_sum", "region_product_sum",

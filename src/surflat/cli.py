@@ -23,12 +23,12 @@ import numpy as np
 from .errors import (ConfigError, InvalidJetError, RangeError,
                      TruncationError, UnsupportedOrderError)
 from .jets import DualJet, Jet
-from .lagrangian import ModelParams, el_check
+from .lagrangian import MAX_ORDER, ModelParams, el_check
 from .linear import (GreensChoice, RankOneModifier, greens_apply,
                      greens_residual, linear_residual, scalar_diag,
                      scalar_solution, wave_solution)
 from .perturb import build_hierarchy, family_taylor_I, taylor_oracle_I
-from .slayer import MAX_FAMILY_ORDER, greens_dependence_check, slayer_sweep
+from .slayer import greens_dependence_check, slayer_sweep
 from .space import Region, Window, past_region
 
 JET_KINDS = ("right_mover", "left_mover", "scalar_mode", "bump")
@@ -40,6 +40,9 @@ NU_SENSITIVE = ("slayer-sweep", "perturb-verify", "greens-dependence")
 # suites that apply a scalar Green's operator
 GREENS_SUITES = ("greens-verify", "slayer-sweep", "perturb-verify",
                  "greens-dependence")
+
+# magnitude bound on every real-valued config number (see _as_float)
+NUMBER_LIMIT = 1e6
 
 CSV_COLUMNS = ("suite", "slice_t", "quantity", "value", "reference",
                "residual", "tolerance", "pass")
@@ -121,8 +124,15 @@ def _as_int(value, where: str) -> int:
 
 
 def _as_float(value, where: str) -> float:
+    # JSON parsing lets NaN, Infinity and integers too large for a float
+    # through. The suites multiply up to MAX_ORDER + 1 configured numbers
+    # (jet amplitudes in the hierarchy, couplings in the scalar symbol), so a
+    # bound far above any meaningful setting keeps every such product finite.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    if not abs(value) <= NUMBER_LIMIT:  # also false for NaN
+        raise ConfigError(f"{where} must be a finite number of magnitude at "
+                          f"most {NUMBER_LIMIT:g}, got {value!r}")
     return float(value)
 
 
@@ -248,6 +258,9 @@ def _apply_override(data: dict, text: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except ValueError as exc:
+        # an integer literal beyond the interpreter's digit limit
+        raise ConfigError(f"override {key!r}: {exc}") from None
     node = data
     parts = key.split(".")
     for part in parts[:-1]:
@@ -264,11 +277,11 @@ def load_config(path, overrides, seed, suite: str) -> ExperimentConfig:
     if path is not None:
         try:
             text = pathlib.Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         try:
             incoming = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") \
                 from None
         if not isinstance(incoming, dict):
@@ -326,9 +339,9 @@ def _validate(data: dict, suite: str) -> ExperimentConfig:
             f"window {window} has no interior site on some axis")
 
     order = _as_int(data["order"], "order")
-    if not 1 <= order <= MAX_FAMILY_ORDER:
+    if not 1 <= order <= MAX_ORDER:
         raise ConfigError(
-            f"order must lie in 1..{MAX_FAMILY_ORDER}, got {order}")
+            f"order must lie in 1..{MAX_ORDER}, got {order}")
 
     jsec = _section(data, "jets")
     _expect_keys(jsec, "jets", {"u", "v"}, {"probe"})

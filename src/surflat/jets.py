@@ -36,11 +36,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidJetError, RangeError, UnsupportedOrderError
-from .lagrangian import ModelParams, lag_phi_deriv, stencil_deriv_table
+from .lagrangian import (MAX_ORDER, ModelParams, lag_phi_deriv,
+                         stencil_deriv_table)
 from .space import (LatticePoint, Region, STENCIL_OFFSETS, Window,
                     pair_masks)
-
-MAX_VARIATION_ORDER = 4
 
 
 def _as_field(window: Window, values) -> np.ndarray:
@@ -105,16 +104,6 @@ class DualJet:
     @classmethod
     def zero(cls, window: Window) -> "DualJet":
         return cls(window, window.zeros(), window.zeros())
-
-    def b_at(self, point: LatticePoint) -> float:
-        return float(self.b[self.window.index(point.t, point.x)])
-
-    def phi_at(self, point: LatticePoint) -> float:
-        return float(self.w_phi[self.window.index(point.t, point.x)])
-
-    def max_abs(self) -> float:
-        return max(float(np.abs(self.b).max()),
-                   float(np.abs(self.w_phi).max()))
 
     def __add__(self, other: "DualJet") -> "DualJet":
         if other.window != self.window:
@@ -287,9 +276,9 @@ def region_product_sum(omega: Region, jets: Sequence[Jet]) -> float:
 
 def _check_variation_inputs(ell_order: int, jets: Sequence[Jet],
                             window: Window):
-    if ell_order < 1 or ell_order > MAX_VARIATION_ORDER:
+    if ell_order < 1 or ell_order > MAX_ORDER:
         raise UnsupportedOrderError(
-            f"variation order {ell_order} outside 1..{MAX_VARIATION_ORDER}")
+            f"variation order {ell_order} outside 1..{MAX_ORDER}")
     if len(jets) != ell_order:
         raise InvalidJetError(
             f"expected {ell_order} jets, got {len(jets)}")

@@ -21,7 +21,9 @@ import numpy as np
 from .errors import RangeError, UnsupportedOrderError
 from .space import LatticePoint, STENCIL_OFFSETS, Window
 
-DEFAULT_MAX_PHI_ORDER = 6
+# Truncation order of the perturbation family: the highest order of the
+# field-equation variations, the hierarchy and the family integrals.
+MAX_ORDER = 4
 
 DEFAULT_PHI_SAMPLES = (0.0, math.pi / 4, -math.pi / 4,
                        math.pi / 2, -math.pi / 2, math.pi)
@@ -123,15 +125,14 @@ def lag_value(p: ModelParams, x: LatticePoint, y: LatticePoint) -> float:
 
 
 def lag_phi_deriv(p: ModelParams, x: LatticePoint, y: LatticePoint,
-                  kx: int, ky: int,
-                  max_order: int = DEFAULT_MAX_PHI_ORDER) -> float:
+                  kx: int, ky: int) -> float:
     """Mixed angular derivative of the interaction.
 
     Parameters
     ----------
     kx, ky : int
-        Orders of the derivatives in the angles of x and y. The total order
-        kx + ky must not exceed max_order.
+        Nonnegative orders of the derivatives in the angles of x and y. The
+        closed form holds at every order.
 
     Returns
     -------
@@ -141,10 +142,6 @@ def lag_phi_deriv(p: ModelParams, x: LatticePoint, y: LatticePoint,
     if kx < 0 or ky < 0:
         raise UnsupportedOrderError(f"negative derivative order ({kx}, {ky})")
     n = kx + ky
-    if n > max_order:
-        raise UnsupportedOrderError(
-            f"angular derivative order {n} exceeds the configured maximum "
-            f"{max_order}")
     if n == 0:
         return lag_value(p, x, y)
     center, _, pattern = stencil_weights(x.t - y.t, x.x - y.x)
@@ -156,22 +153,22 @@ def lag_phi_deriv(p: ModelParams, x: LatticePoint, y: LatticePoint,
 
 
 @functools.lru_cache(maxsize=32)
-def stencil_deriv_table(p: ModelParams,
-                        max_order: int = DEFAULT_MAX_PHI_ORDER):
-    """On-lattice derivative table, built once per (p, max_order).
+def stencil_deriv_table(p: ModelParams):
+    """On-lattice derivative table, built once per p.
 
-    Returns a read-only mapping from (kx, ky) with kx + ky <= max_order to a
-    read-only length-5 float array over STENCIL_OFFSETS, holding the angular
-    derivative of the interaction at base offset (dt, dx) with both angles
-    at zero. The result is cached and shared by every caller.
+    Returns a read-only mapping from (kx, ky) with kx + ky <= MAX_ORDER + 1
+    to a read-only length-5 float array over STENCIL_OFFSETS, holding the
+    angular derivative of the interaction at base offset (dt, dx) with both
+    angles at zero. The extra order is the angular component of an order
+    MAX_ORDER variation. The result is cached and shared by every caller.
     """
     origin = LatticePoint(0, 0)
+    top = MAX_ORDER + 1
     table = {}
-    for kx in range(max_order + 1):
-        for ky in range(max_order + 1 - kx):
+    for kx in range(top + 1):
+        for ky in range(top + 1 - kx):
             row = np.array([
-                lag_phi_deriv(p, LatticePoint(dt, dx), origin, kx, ky,
-                              max_order)
+                lag_phi_deriv(p, LatticePoint(dt, dx), origin, kx, ky)
                 for (dt, dx) in STENCIL_OFFSETS])
             row.flags.writeable = False
             table[(kx, ky)] = row

@@ -223,8 +223,7 @@ def _vector_green(w_phi: np.ndarray, kind: str) -> np.ndarray:
 
 
 def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams,
-                 window: Window, *, edge_check: bool = True,
-                 edge_tol: float = EDGE_TOLERANCE) -> Jet:
+                 window: Window, *, edge_check: bool = True) -> Jet:
     """Apply the chosen Green's operator to a dual jet.
 
     The output jet satisfies: linearized operator applied to it equals minus
@@ -253,17 +252,17 @@ def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams,
         frame = np.ones(window.shape, dtype=bool)
         frame[1:-1, 1:-1] = False
         hot = float(np.abs(sb[frame]).max()) if frame.any() else 0.0
-        if hot > edge_tol:
+        if hot > EDGE_TOLERANCE:
             raise TruncationError(
                 f"scalar Green output reaches {hot:.3e} on the window frame "
-                f"(tolerance {edge_tol:.1e})")
+                f"(tolerance {EDGE_TOLERANCE:.1e})")
         inflow = w.w_phi[:2] if choice.vector_kind == "retarded" \
             else w.w_phi[-2:]
         src = float(np.abs(inflow).max())
-        if src > edge_tol:
+        if src > EDGE_TOLERANCE:
             raise TruncationError(
                 f"wave source reaches {src:.3e} on the {choice.vector_kind} "
-                f"inflow rows (tolerance {edge_tol:.1e})")
+                f"inflow rows (tolerance {EDGE_TOLERANCE:.1e})")
 
     result = Jet(window, sb, sv)
     if choice.kernel_modifier is not None:

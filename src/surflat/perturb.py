@@ -31,13 +31,11 @@ import numpy as np
 from .errors import (InvalidJetError, RangeError, UnsupportedOrderError)
 from .jets import (DualJet, Jet, delta_ell_field, pair_product_sum,
                    region_product_sum)
-from .lagrangian import ModelParams, stencil_deriv_table
+from .lagrangian import MAX_ORDER, ModelParams, stencil_deriv_table
 from .linear import (GreensChoice, RESIDUAL_TOLERANCE, greens_apply,
                      linear_residual)
 from .polyseries import PolyRing
 from .space import Region, STENCIL_OFFSETS, Window, pair_masks
-
-MAX_HIERARCHY_ORDER = 4
 
 
 def compositions(total: int, parts: int, minimum: int = 0):
@@ -81,9 +79,9 @@ def build_hierarchy(u: Jet, v: Jet, order: int, choices: GreensChoice,
     surface-layer regularity of the constructed family is a consequence of
     the finite interaction stencil rather than of decay at the boundary.
     """
-    if not 1 <= order <= MAX_HIERARCHY_ORDER:
+    if not 1 <= order <= MAX_ORDER:
         raise UnsupportedOrderError(
-            f"hierarchy order {order} outside 1..{MAX_HIERARCHY_ORDER}")
+            f"hierarchy order {order} outside 1..{MAX_ORDER}")
     for name, jet in (("u", u), ("v", v)):
         if jet.window != window:
             raise RangeError(f"jet {name} lives on a different window")

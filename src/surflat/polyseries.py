@@ -10,7 +10,6 @@ steps by nilpotency of the truncation ideal.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +69,6 @@ class PolyRing:
         out = self.zeros(width)
         out[0] = value
         return out
-
-    def coeff(self, poly: np.ndarray, exps) -> np.ndarray:
-        """Coefficient row of the given exponent tuple."""
-        return poly[self.index[tuple(exps)]]
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # every monomial k is k times 1, so the first round covers all k in

@@ -18,14 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidJetError, RangeError, UnsupportedOrderError
+from .errors import InvalidJetError, RangeError
 from .jets import Jet, delta_ell_field, pair_product_sum, region_product_sum
 from .lagrangian import ModelParams
 from .linear import GreensChoice, RankOneModifier, greens_apply
 from .perturb import build_hierarchy, family_taylor_I
 from .space import Region, Window, past_region
-
-MAX_FAMILY_ORDER = 3
 
 
 def _check_region(omega: Region, window: Window, *jets: Jet):
@@ -139,11 +137,8 @@ def i_m(u: Jet, v: Jet, omega: Region, m: int, choices: GreensChoice,
     Builds the perturbation hierarchy seeded by (u, v) up to order m and
     evaluates the combinatorial route at matching grading. The conservation
     theorem says the value vanishes for genuine solutions, up to window
-    truncation effects.
+    truncation effects. The hierarchy build rejects m outside 1..MAX_ORDER.
     """
-    if not 1 <= m <= MAX_FAMILY_ORDER:
-        raise UnsupportedOrderError(
-            f"family order {m} outside 1..{MAX_FAMILY_ORDER}")
     hier = build_hierarchy(u, v, m, choices, p, window)
     return family_taylor_I(hier, omega, m, m)
 

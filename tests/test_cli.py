@@ -1,11 +1,15 @@
 import csv
+import itertools
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from surflat import cli
+from surflat import MAX_ORDER, cli
 from surflat.cli import (CSV_COLUMNS, DEFAULT_CONFIG, Row, _apply_override,
                          _parse_jet_spec, load_config, main, write_report)
 from surflat.errors import ConfigError
@@ -15,6 +19,10 @@ def run_cli(tmp_path, *argv):
     out = tmp_path / "out"
     code = main([*argv, "--out", str(out)])
     return code, out
+
+
+ALL_SUITES = ["check-el", "solve-linear", "greens-verify", "slayer-sweep",
+              "perturb-verify", "greens-dependence"]
 
 
 def read_report(out):
@@ -202,6 +210,163 @@ def test_malformed_override(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite, override", [
+    ("slayer-sweep", "model.delta=NaN"),
+    ("perturb-verify", "model.delta=NaN"),
+    ("perturb-verify", "jets.u.amplitude=NaN"),
+    ("slayer-sweep", "jets.u.amplitude=-Infinity"),
+    ("check-el", "tolerances.el=NaN"),
+    ("check-el", "model.nu=Infinity"),
+    ("greens-verify", "model.lambda_a=1" + "0" * 400),
+    ("solve-linear", 'jets.u.profile={"0": NaN}'),
+    ("check-el", "model.lambda_a=1.3407807929942597e+154"),
+    ("greens-dependence", "jets.v.amplitude=1e300"),
+])
+def test_non_finite_numbers_rejected(tmp_path, capsys, suite, override):
+    # JSON parsing lets NaN and Infinity through; they used to reach the
+    # solvers (a traceback) or make every row fail (exit 1). Finite numbers
+    # large enough to overflow a product (lambda_a squared in the scalar
+    # roots, amplitude squared in the hierarchy) tracebacked too.
+    code = main([suite, "--out", str(tmp_path / "x"),
+                 "--override", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_non_finite_number_in_config_file_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": {"delta": NaN}}')
+    code = main(["slayer-sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "model.delta must be a finite number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("where", ["override", "file"])
+def test_overlong_integer_rejected(tmp_path, capsys, where):
+    # an integer literal past the interpreter's digit limit makes json
+    # raise a plain ValueError
+    huge = "1" + "0" * 5000
+    if where == "override":
+        argv = ["--override", f"seed={huge}"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"seed": {huge}}}')
+        argv = ["--config", str(cfg)]
+    code = main(["check-el", *argv, "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "digits" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_undecodable_config_file_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{")
+    code = main(["check-el", "--config", str(cfg),
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+# --- property: every override reaches the exit-code contract ---
+
+def _config_paths(node, prefix=""):
+    for key, val in node.items():
+        yield prefix + key
+        if isinstance(val, dict):
+            yield from _config_paths(val, prefix + key + ".")
+
+
+OVERRIDE_PATHS = sorted(_config_paths(DEFAULT_CONFIG)) + [
+    "jets.u.profile", "bogus", "model.bogus", "jets.u.bogus", "jets.w.kind",
+    "window.t_min.deep"]
+
+
+def _default_at(path):
+    node = DEFAULT_CONFIG
+    for part in path.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return "unknown"
+        node = node[part]
+    return node
+
+
+def _int_bounds(path):
+    # keeps every example within a W=60 window and a few draws
+    if path.startswith("window."):
+        return -60, 60
+    if path in ("draws", "modifiers"):
+        return -1, 3
+    if path.endswith(".width"):
+        return -1, 21
+    return -70, 70
+
+
+ANY_FLOAT = st.one_of(st.floats(-30.0, 30.0), st.floats(),
+                      st.sampled_from([math.nan, math.inf, -math.inf, 1e300]))
+SMALL_OBJECTS = st.dictionaries(
+    st.sampled_from(["kind", "center", "width", "amplitude", "0", "-2", "x"]),
+    st.one_of(st.none(), st.integers(-21, 21), ANY_FLOAT,
+              st.sampled_from(["left_mover", "bump"])),
+    max_size=3)
+
+
+def _override_values(path):
+    """Values shaped like the default at path, and a share of junk."""
+    lo, hi = _int_bounds(path)
+    default = _default_at(path)
+    if path.endswith(".profile") or isinstance(default, dict):
+        typed = SMALL_OBJECTS
+    elif isinstance(default, bool):
+        typed = st.booleans()
+    elif isinstance(default, int):
+        typed = st.integers(lo, hi)
+    elif isinstance(default, str):
+        typed = st.sampled_from(["right_mover", "left_mover", "scalar_mode",
+                                 "bump", "past", "future", "retarded",
+                                 "advanced", "banded_solve", "frequency"])
+    else:
+        typed = ANY_FLOAT
+    junk = st.one_of(st.none(), st.booleans(), st.integers(lo, hi),
+                     st.floats(), st.text(max_size=6), SMALL_OBJECTS)
+    return st.one_of(typed, typed, typed, junk)
+
+
+overrides = st.lists(
+    st.sampled_from(OVERRIDE_PATHS).flatmap(
+        lambda path: _override_values(path).map(
+            lambda value: f"{path}={json.dumps(value)}")),
+    min_size=1, max_size=2)
+RUN_IDS = itertools.count()
+
+
+@given(suite=st.sampled_from(ALL_SUITES), extra=overrides)
+@settings(max_examples=300, deadline=None)
+def test_random_overrides_reach_exit_contract(tmp_path_factory, suite,
+                                              extra):
+    out = tmp_path_factory.getbasetemp() / f"prop{next(RUN_IDS)}"
+    argv = [suite, "--out", str(out), "--override", "draws=2",
+            "--override", "modifiers=2"]
+    for text in extra:
+        argv += ["--override", text]
+    code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert not out.exists()
+    else:
+        assert sorted(p.name for p in out.iterdir()) == ["report.csv",
+                                                        "summary.json"]
+
+
 # --- exit code 2: unusable output location ---
 
 def _suite_must_not_run(cfg):
@@ -275,45 +440,93 @@ def test_write_report_twice_is_byte_identical(tmp_path):
     assert first["summary.json"].endswith(b"}\n")
 
 
-# --- all six suites on a window larger than the default ---
+# --- all six suites on windows larger than the default ---
 
-W80 = ["--override", "window.t_min=-80", "--override", "window.t_max=80",
-       "--override", "window.x_min=-80", "--override", "window.x_max=80"]
-ALL_SUITES = ["check-el", "solve-linear", "greens-verify", "slayer-sweep",
-              "perturb-verify", "greens-dependence"]
+def window_overrides(half):
+    return [arg for side in ("t", "x")
+            for arg in ("--override", f"window.{side}_min={-half}",
+                        "--override", f"window.{side}_max={half}")]
+
+
+WIDE_WINDOWS = [80, 160]
 # the symplectic spread has no floor: among exact zeros one cut rounds to
-# 2.8e-17 at W=80 and the spread reads 1.0 (ROADMAP item 4)
-KNOWN_W80_FAILURES = {("slayer-sweep", "sympl_relative_spread")}
+# 2.8e-17 at W=80 and W=160 and the spread reads 1.0 (ROADMAP item 4)
+KNOWN_WIDE_FAILURES = {("slayer-sweep", "sympl_relative_spread")}
 
 
 @pytest.fixture(scope="module")
-def w80_reports(tmp_path_factory):
-    root = tmp_path_factory.mktemp("w80")
-    reports = {}
-    for suite in ALL_SUITES:
-        code = main([suite, "--out", str(root / suite), *W80])
-        rows, summary = read_report(root / suite)
-        reports[suite] = (code, rows, summary)
-    return reports
+def wide_reports(tmp_path_factory):
+    """Reports of all six suites per window half-width, run once each."""
+    cache = {}
+
+    def run(half):
+        if half not in cache:
+            root = tmp_path_factory.mktemp(f"w{half}")
+            cache[half] = {}
+            for suite in ALL_SUITES:
+                code = main([suite, "--out", str(root / suite),
+                             *window_overrides(half)])
+                rows, summary = read_report(root / suite)
+                cache[half][suite] = (code, rows, summary)
+        return cache[half]
+    return run
 
 
-@pytest.mark.parametrize("suite", ALL_SUITES)
-def test_all_suites_at_w80(w80_reports, suite):
-    code, rows, summary = w80_reports[suite]
+def check_wide_report(code, rows, summary):
     assert rows[0] == list(CSV_COLUMNS)
     assert len(rows) > 1
     failed = {(r[0], r[2]) for r in rows[1:] if r[-1] != "true"}
-    assert failed <= KNOWN_W80_FAILURES
+    assert failed <= KNOWN_WIDE_FAILURES
     assert summary["fail_count"] == len(failed)
     assert code == (0 if not failed else 1)
 
 
+@pytest.mark.parametrize("suite", ALL_SUITES)
+def test_all_suites_at_w80(wide_reports, suite):
+    check_wide_report(*wide_reports(80)[suite])
+
+
+@pytest.mark.parametrize("suite", ALL_SUITES)
+def test_all_suites_at_w160(wide_reports, suite):
+    check_wide_report(*wide_reports(160)[suite])
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the symplectic "
-                   "spread has no floor and reads 1.0 at W=80")
-def test_sympl_relative_spread_at_w80(w80_reports):
-    _, rows, _ = w80_reports["slayer-sweep"]
+                   "spread has no floor and reads 1.0 at W=80 and W=160")
+@pytest.mark.parametrize("half", WIDE_WINDOWS)
+def test_sympl_relative_spread_at_wide_window(wide_reports, half):
+    _, rows, _ = wide_reports(half)["slayer-sweep"]
     (row,) = [r for r in rows[1:] if r[2] == "sympl_relative_spread"]
     assert row[-1] == "true"
+
+
+# --- the top truncation order through the CLI ---
+
+@pytest.mark.parametrize("half", [40, 80])
+def test_perturb_verify_at_top_order(tmp_path, half):
+    code, out = run_cli(tmp_path, "perturb-verify",
+                        "--override", f"order={MAX_ORDER}",
+                        *window_overrides(half))
+    assert code == 0
+    rows, _ = read_report(out)
+    values = {r[2]: float(r[3]) for r in rows[1:]}
+    m = MAX_ORDER
+    # by the grading, only p = m admits terms: both routes give exact zeros
+    for q in range(1, m):
+        for route in ("family", "oracle"):
+            assert values[f"{route}[m={m},p={q}]"] == 0.0
+    family = values[f"family[m={m},p={m}]"]
+    oracle = values[f"oracle[m={m},p={m}]"]
+    assert abs(family - oracle) <= DEFAULT_CONFIG["tolerances"]["family"]
+    assert all(r[-1] == "true" for r in rows[1:])
+
+
+def test_order_above_the_top_order_rejected(tmp_path, capsys):
+    code = main(["perturb-verify", "--out", str(tmp_path / "x"),
+                 "--override", f"order={MAX_ORDER + 1}"])
+    assert code == 2
+    assert f"1..{MAX_ORDER}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # --- config assembly ---

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surflat import (LatticePoint, ModelParams, RangeError,
+from surflat import (MAX_ORDER, LatticePoint, ModelParams, RangeError,
                      UnsupportedOrderError, Window, el_check, ell,
                      lag_phi_deriv, lag_value)
 from surflat.lagrangian import stencil_deriv_table
@@ -96,7 +96,8 @@ def symbolic_deriv(offset, kx, ky, phix_val, phiy_val):
 
 @pytest.mark.parametrize("offset", [(0, 0), (1, 0), (0, 1)])
 @pytest.mark.parametrize("kx,ky", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
-                                   (2, 1), (2, 2), (3, 1), (4, 0)])
+                                   (2, 1), (2, 2), (3, 1), (4, 0),
+                                   (5, 0), (3, 2), (1, 4)])
 def test_phi_deriv_matches_symbolic(offset, kx, ky):
     dt, dx = offset
     for (phix, phiy) in [(0.37, 0.0), (1.1, -0.4), (0.0, 0.0)]:
@@ -150,15 +151,18 @@ def test_phi_deriv_table_on_base():
     np.testing.assert_array_equal(table[(2, 2)], -f + 6.0 * P.delta * chi_b)
     np.testing.assert_array_equal(table[(3, 1)], f - 6.0 * P.delta * chi_b)
     assert offsets[2] == (0, 0)
+    # rows reach MAX_ORDER + 1, the angular component of the top variation
+    top = MAX_ORDER + 1
+    assert set(table) == {(kx, ky) for kx in range(top + 1)
+                          for ky in range(top + 1 - kx)}
+    np.testing.assert_array_equal(table[(5, 0)], np.zeros(5))
+    np.testing.assert_array_equal(table[(3, 2)], np.zeros(5))
 
 
 def test_phi_deriv_order_cap():
-    with pytest.raises(UnsupportedOrderError):
-        lag_phi_deriv(P, pt(0, 0), pt(0, 0), 4, 3)
+    # the closed form holds at every order; only negative orders are refused
     with pytest.raises(UnsupportedOrderError):
         lag_phi_deriv(P, pt(0, 0), pt(0, 0), -1, 0)
-    # a larger cap can be requested explicitly
-    assert lag_phi_deriv(P, pt(0, 0), pt(0, 0), 5, 3, max_order=8) is not None
 
 
 # --- the field equation functional ---

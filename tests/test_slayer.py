@@ -216,7 +216,7 @@ def test_i_m_order_bounds(movers):
     with pytest.raises(UnsupportedOrderError):
         i_m(u, v, omega, 0, CHOICE, PARAMS, TALL)
     with pytest.raises(UnsupportedOrderError):
-        i_m(u, v, omega, 4, CHOICE, PARAMS, TALL)
+        i_m(u, v, omega, 5, CHOICE, PARAMS, TALL)
 
 
 def test_i_m_first_order_reduces_to_i1(movers):
