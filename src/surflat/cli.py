@@ -43,6 +43,9 @@ GREENS_SUITES = ("greens-verify", "slayer-sweep", "perturb-verify",
 
 # magnitude bound on every real-valued config number (see _as_float)
 NUMBER_LIMIT = 1e6
+# largest window, in sites: 1001 x 1001, about ten times the 321 x 321
+# windows of the benchmark; checked before any field is allocated
+MAX_WINDOW_SITES = 1001 * 1001
 
 CSV_COLUMNS = ("suite", "slice_t", "quantity", "value", "reference",
                "residual", "tolerance", "pass")
@@ -337,6 +340,10 @@ def _validate(data: dict, suite: str) -> ExperimentConfig:
     if window.shape[0] < 3 or window.shape[1] < 3:
         raise ConfigError(
             f"window {window} has no interior site on some axis")
+    if window.shape[0] * window.shape[1] > MAX_WINDOW_SITES:
+        raise ConfigError(
+            f"window {window} has {window.shape[0] * window.shape[1]} sites, "
+            f"more than the limit of {MAX_WINDOW_SITES}")
 
     order = _as_int(data["order"], "order")
     if not 1 <= order <= MAX_ORDER:

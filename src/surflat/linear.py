@@ -280,7 +280,9 @@ def greens_residual(out: Jet, w: DualJet, p: ModelParams,
     if w.window != window:
         raise RangeError("dual jet window does not match the given window")
     dual = delta_op_field(out, p, window)
-    inner = window.interior_mask()
-    res_b = np.abs(dual.b + w.b)[inner].max()
-    res_phi = np.abs(dual.w_phi + w.w_phi)[inner].max()
-    return max(float(res_b), float(res_phi))
+    res = []
+    for field, source in ((dual.b, w.b), (dual.w_phi, w.w_phi)):
+        # in place: the operator output is a fresh array of this call
+        np.abs(np.add(field, source, out=field), out=field)
+        res.append(float(field[1:-1, 1:-1].max()))
+    return max(res)

@@ -98,7 +98,9 @@ def build_hierarchy(u: Jet, v: Jet, order: int, choices: GreensChoice,
             for ell in range(2, degree + 1):
                 for parts in _index_tuples(i, j, ell):
                     jets = [coeffs[key] for key in parts]
-                    source = source + delta_ell_field(ell, jets, p, window)
+                    term = delta_ell_field(ell, jets, p, window)
+                    np.add(source.b, term.b, out=source.b)
+                    np.add(source.w_phi, term.w_phi, out=source.w_phi)
             coeffs[(i, j)] = greens_apply(choices, source, p, window,
                                           edge_check=False)
     return Hierarchy(window, p, choices, order, coeffs)
@@ -174,9 +176,10 @@ def taylor_oracle_I(hier: Hierarchy, omega: Region, m: int,
         phi2[ring2.index[(i, j)]] = jet.u_phi.ravel()
 
     mfact = float(math.factorial(m - 1))
-    exp_c = ring2.exp(c2)
+    # the volume reads the exponential on the region's sites only
+    exp_c = ring2.exp(c2[:, omega.mask.ravel()])
     vol_coeff = exp_c[ring2.index[(1, m - 1)]]
-    volume = 0.5 * p.nu * mfact * float(vol_coeff[omega.mask.ravel()].sum())
+    volume = 0.5 * p.nu * mfact * float(vol_coeff.sum())
 
     # embeddings of the per-slot 2-variable polynomials into the 4-variable ring
     slot_x = np.array([ring4.index[(a, b, 0, 0)] for (a, b) in ring2.monomials])

@@ -160,6 +160,34 @@ def test_invalid_config_values(tmp_path, capsys, override, fragment):
     assert fragment in capsys.readouterr().err
 
 
+def _window_overrides(t_min, t_max, x_min, x_max):
+    return [f"window.t_min={t_min}", f"window.t_max={t_max}",
+            f"window.x_min={x_min}", f"window.x_max={x_max}"]
+
+
+@pytest.mark.parametrize("overrides", [
+    ["window.t_max=1000000000000"],
+    # one column of sites more than the largest square window allowed
+    _window_overrides(-500, 500, -500, 501),
+], ids=["t_max=1e12", "1001x1002"])
+def test_window_above_site_limit_rejected(tmp_path, capsys, overrides):
+    argv = ["check-el", "--out", str(tmp_path / "x")]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"limit of {cli.MAX_WINDOW_SITES}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_window_at_site_limit_accepted():
+    parsed = load_config(None, _window_overrides(-500, 500, -500, 500), None,
+                         "check-el")
+    assert parsed.window.shape == (1001, 1001)
+    assert math.prod(parsed.window.shape) == cli.MAX_WINDOW_SITES
+
+
 def test_bump_jet_rejected_for_hierarchy_suites(tmp_path, capsys):
     code = main(["perturb-verify", "--out", str(tmp_path / "x"),
                  "--override", "jets.u.kind=bump"])

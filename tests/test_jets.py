@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
                      stencil_pairs)
 from surflat.jets import (DualValue, Jet, PointDeriv, delta_ell,
                           delta_ell_field, delta_op, delta_op_field, nabla_L,
-                          pair_product_sum)
+                          pair_product_sum, series_workspace, slot_factor_maps,
+                          stencil_contraction, workspace_rows)
+from surflat.lagrangian import stencil_deriv_table
+from surflat.space import STENCIL_OFFSETS, pair_masks
 
 P = ModelParams()
 W = Window(-4, 4, -4, 4)
@@ -293,3 +297,207 @@ def test_delta_op_field_time_edges_use_clipped_stencil():
 def test_dual_value_named_fields():
     val = DualValue(1.0, 2.0)
     assert val.scalar == 1.0 and val.phi == 2.0
+
+
+# --- the workspace engine against the allocate-per-op engine ---
+#
+# The reference below is the engine as it was before the kernels got one
+# workspace per call: every numpy operation returns a fresh array. The
+# workspace engine performs the same operations on the same operands in the
+# same order, so every field must agree bit for bit, sign of zero included.
+
+def ref_signed_sum(s1, x, s2, y):
+    if s2 == 0.0:
+        return s1 * x
+    if s1 == 0.0:
+        return s2 * y
+    if s2 == s1:
+        return s1 * (x + y)
+    if s2 == -s1:
+        return s1 * (x - y)
+    return s1 * x + s2 * y
+
+
+def ref_slot_factor_maps(factors, x_sites, y_sites):
+    coeffs = []
+    for (jet, s1, s2) in factors:
+        base = ref_signed_sum(s1, jet.a[x_sites], s2, jet.a[y_sites])
+        slope = ref_signed_sum(s1, jet.u_phi[x_sites], -s2,
+                               jet.u_phi[y_sites])
+        if not coeffs:
+            coeffs = [base, slope]
+            continue
+        grown = [coeffs[0] * base]
+        for n in range(1, len(coeffs)):
+            grown.append(coeffs[n] * base + coeffs[n - 1] * slope)
+        grown.append(coeffs[-1] * slope)
+        coeffs = grown
+    return coeffs
+
+
+def ref_contract(coeffs, table, offset, shift):
+    idx = STENCIL_OFFSETS.index((-offset[0], -offset[1]))
+    total = None
+    for n, coeff in enumerate(coeffs):
+        d = table[(n + shift, 0)][idx]
+        if d != 0.0:
+            term = coeff * d
+            total = term if total is None else total + term
+    return total
+
+
+def ref_stencil_contraction(p, window, factors):
+    table = stencil_deriv_table(p)
+    scalar = window.zeros()
+    angular = window.zeros()
+    for offset in STENCIL_OFFSETS:
+        x_block, y_block = window.shift_blocks(*offset)
+        coeffs = ref_slot_factor_maps(factors, x_block, y_block)
+        for out, shift in ((scalar, 0), (angular, 1)):
+            contrib = ref_contract(coeffs, table, offset, shift)
+            if contrib is not None:
+                out[x_block] += contrib
+    return scalar, angular
+
+
+def ref_delta_ell_field(ell_order, jets, p, window):
+    factors = [(jet, 1.0, 1.0) for jet in jets]
+    scalar, phi = ref_stencil_contraction(p, window, factors)
+    weights = np.ones(window.shape)
+    for jet in jets:
+        weights = weights * jet.a
+    scale = 1.0 / math.factorial(ell_order)
+    return scale * (scalar - 0.5 * p.nu * weights), scale * phi
+
+
+def ref_pair_product_sum(p, omega, factors):
+    table = stencil_deriv_table(p)
+    total = 0.0
+    for (dt, dx), mask in pair_masks(omega).items():
+        ix, jx = np.unravel_index(np.flatnonzero(mask), mask.shape)
+        if ix.size == 0:
+            continue
+        coeffs = ref_slot_factor_maps(factors, (ix, jx), (ix + dt, jx + dx))
+        acc = ref_contract(coeffs, table, (dt, dx), 0)
+        if acc is not None:
+            total += float(acc.sum())
+    return total
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def signed_zero_jet(seed, window):
+    """Random jet with planted -0.0 and +0.0 entries in both fields."""
+    rng = np.random.default_rng(seed)
+    fields = []
+    for _ in range(2):
+        f = rng.normal(size=window.shape)
+        f[rng.random(window.shape) < 0.25] = -0.0
+        f[rng.random(window.shape) < 0.25] = 0.0
+        fields.append(f)
+    return Jet(window, *fields)
+
+
+PIN_WINDOWS = {"3x3": Window(-1, 1, -1, 1), "15x27": Window(-7, 7, -13, 13),
+               "41x41": Window(-20, 20, -20, 20)}
+PIN_SIGNS = ((1.0, 1.0), (1.0, -1.0), (1.0, 0.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("window", PIN_WINDOWS.values(), ids=PIN_WINDOWS)
+@pytest.mark.parametrize("signs", PIN_SIGNS, ids=str)
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_stencil_contraction_bitwise_pin(order, signs, window):
+    # the first factor carries the sign pattern; later ones cycle through
+    # all four, so mixed products are pinned as well
+    first = PIN_SIGNS.index(signs)
+    factors = [(signed_zero_jet(300 + k, window),
+                *PIN_SIGNS[(first + k) % len(PIN_SIGNS)])
+               for k in range(order)]
+    for got, want in zip(stencil_contraction(P, window, factors),
+                         ref_stencil_contraction(P, window, factors)):
+        assert_bitwise(got, want)
+    # the coefficient fields, where signed zeros survive, per offset
+    ws = series_workspace(order, window.shape[0] * window.shape[1])
+    planted = False
+    for offset in STENCIL_OFFSETS:
+        x_block, y_block = window.shift_blocks(*offset)
+        rows = workspace_rows(ws, window.zeros()[x_block].shape)
+        got = slot_factor_maps(factors, x_block, y_block, rows)
+        want = ref_slot_factor_maps(factors, x_block, y_block)
+        assert len(got) == len(want) == order + 1
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+            planted |= bool(np.any((w == 0.0) & np.signbit(w)))
+    assert planted
+
+
+@pytest.mark.parametrize("window", PIN_WINDOWS.values(), ids=PIN_WINDOWS)
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_delta_ell_field_bitwise_pin(order, window):
+    jets = [signed_zero_jet(400 + k, window) for k in range(order)]
+    # the same jet in every slot too: inputs that alias one another
+    for case in (jets, [jets[0]] * order):
+        dual = delta_ell_field(order, case, P, window)
+        want_b, want_phi = ref_delta_ell_field(order, case, P, window)
+        assert_bitwise(dual.b, want_b)
+        assert_bitwise(dual.w_phi, want_phi)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_pair_product_sum_bitwise_pin(order):
+    wide = PIN_WINDOWS["15x27"]
+    factors = [(signed_zero_jet(500 + k, wide), *PIN_SIGNS[k])
+               for k in range(order)]
+    for omega in (past_region(wide, 0), Region.from_box(wide, -7, -3, 2, 8)):
+        got = pair_product_sum(P, omega, factors)
+        want = ref_pair_product_sum(P, omega, factors)
+        assert got == want and math.copysign(1.0, got) == \
+            math.copysign(1.0, want)
+
+
+# --- inputs stay untouched, outputs own their memory ---
+
+def snapshot(jets):
+    return [(jet.a.tobytes(), jet.u_phi.tobytes()) for jet in jets]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_field_kernels_leave_inputs_unchanged(order):
+    wide = PIN_WINDOWS["15x27"]
+    jets = [signed_zero_jet(600 + k, wide) for k in range(order)]
+    before = snapshot(jets)
+    dual = delta_ell_field(order, jets, P, wide)
+    assert snapshot(jets) == before
+    factors = [(jet, *PIN_SIGNS[k]) for k, jet in enumerate(jets)]
+    scalar, angular = stencil_contraction(P, wide, factors)
+    assert snapshot(jets) == before
+    outputs = (dual.b, dual.w_phi, scalar, angular)
+    for out in outputs:
+        for jet in jets:
+            assert not np.shares_memory(out, jet.a)
+            assert not np.shares_memory(out, jet.u_phi)
+    for one, other in itertools.combinations(outputs, 2):
+        assert not np.shares_memory(one, other)
+
+
+def test_delta_ell_field_memory_budget():
+    # tracemalloc sees numpy's array buffers; at W=160 one field is 824 KB,
+    # so the peak counts fields: the two outputs plus one workspace of
+    # ell + 3 rows (ell + 4 beyond one factor) stays under ell + 7
+    wide = Window(-160, 160, -160, 160)
+    field = wide.zeros().nbytes
+    jets = [random_jet(700 + k, wide) for k in range(4)]
+    delta_ell_field(1, jets[:1], P, wide)  # builds the cached table
+    for order in range(1, 5):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            delta_ell_field(order, jets[:order], P, wide)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / field <= order + 7

@@ -186,6 +186,22 @@ def test_green_defining_residual(vector_kind, scalar_kind):
         assert res <= 1e-10
 
 
+def test_green_residual_reads_inputs_only():
+    # the residual is formed in place in the operator's fresh output: both
+    # inputs keep their bytes, and the value is the masked maximum
+    w = Window(-10, 10, -10, 10)
+    dual = random_dual(w, 6)
+    out = greens_apply(GreensChoice(), dual, P, w, edge_check=False)
+    arrays = (out.a, out.u_phi, dual.b, dual.w_phi)
+    before = [arr.tobytes() for arr in arrays]
+    res = greens_residual(out, dual, P, w)
+    assert [arr.tobytes() for arr in arrays] == before
+    op = delta_op_field(out, P, w)
+    inner = w.interior_mask()
+    assert res == max(float(np.abs(op.b + dual.b)[inner].max()),
+                      float(np.abs(op.w_phi + dual.w_phi)[inner].max()))
+
+
 def test_green_residual_with_unbalanced_nu():
     p = ModelParams(nu=10.0)
     w = Window(-10, 10, -10, 10)

@@ -190,3 +190,18 @@ def test_full_window_region_sees_volume_only(hier_mixed):
     assert math.isclose(got, expect, rel_tol=1e-12, abs_tol=1e-15)
     assert math.isclose(taylor_oracle_I(hier_mixed, omega, m, m), expect,
                         rel_tol=1e-12, abs_tol=1e-15)
+
+
+def test_hierarchy_and_oracle_leave_inputs_unchanged(seeds, hier_mixed):
+    def snapshot(jets):
+        return [(jet.a.tobytes(), jet.u_phi.tobytes()) for jet in jets]
+
+    before = snapshot(seeds)
+    built = build_hierarchy(*seeds, 3, CHOICE, PARAMS, WIN)
+    assert snapshot(seeds) == before
+    assert built.coeffs[(1, 0)] is seeds[0]
+    assert built.coeffs[(0, 1)] is seeds[1]
+    stored = snapshot(hier_mixed.coeffs.values())
+    for m in range(1, hier_mixed.order + 1):
+        taylor_oracle_I(hier_mixed, past_region(WIN, 0), m, m)
+    assert snapshot(hier_mixed.coeffs.values()) == stored
