@@ -19,6 +19,8 @@ import pathlib
 import sys
 
 import numpy as np
+# numpy 2 loads numpy.random on first use; load it with the package instead
+import numpy.random  # noqa: F401
 
 from .errors import (ConfigError, InvalidJetError, RangeError,
                      TruncationError, UnsupportedOrderError)

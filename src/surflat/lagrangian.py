@@ -210,11 +210,6 @@ class ELReport:
     def min_sampled(self) -> float:
         return min(self.sampled.values())
 
-    @property
-    def max_sample_deviation(self) -> float:
-        return max(abs(self.sampled[phi] - self.reference[phi])
-                   for phi in self.sampled)
-
 
 def _ell_field(p: ModelParams, interior_shape: tuple[int, int],
                phi: float) -> np.ndarray:

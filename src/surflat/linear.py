@@ -11,6 +11,10 @@ Two scalar back-ends are provided. The banded solve inverts the windowed
 three-term operator directly (zero values outside the window, which selects
 one particular inverse; any two inverses differ by a solution, and the kernel
 decays geometrically, so the choice washes out away from the time boundary).
+It is a numpy elimination of the constant tridiagonal matrix, vectorised
+over columns. Strict diagonal dominance makes pivoting unnecessary, and the
+sweep repeats LAPACK's dgtsv operation for operation, so it matches that
+routine bitwise.
 The frequency back-end divides by the symbol on the circle, i.e. inverts the
 periodized operator; it agrees with the banded solve up to a homogeneous
 correction carried in from the time boundary. The wave part is integrated as
@@ -19,11 +23,13 @@ a retarded or advanced stepping scheme with zero data on the inflow rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+# numpy 2 loads numpy.fft on first use; load it with the package instead
+import numpy.fft  # noqa: F401
 
 from .errors import InvalidJetError, RangeError, TruncationError
 from .jets import DualJet, Jet, delta_op_field
@@ -182,13 +188,47 @@ def scalar_diag(p: ModelParams) -> float:
     return p.lambda_a + 0.5 * (p.balanced_nu - p.nu)
 
 
+@functools.lru_cache(maxsize=8)
+def _elimination(n_t: int, lam: float, diag: float
+                 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # multipliers l_t = lam / d_t and pivots d_{t+1} = diag - l_t * lam of
+    # the matrix (lam, diag, lam), in dgtsv's order; no row is interchanged
+    # because dominance keeps every |d_t| above lam
+    mults, pivots = [], [diag]
+    for _ in range(n_t - 1):
+        mults.append(lam / pivots[-1])
+        pivots.append(diag - mults[-1] * lam)
+    return tuple(mults), tuple(pivots)
+
+
 def _scalar_green_banded(b: np.ndarray, p: ModelParams) -> np.ndarray:
+    lam, diag = p.lambda_i, scalar_diag(p)
+    if abs(diag) <= 2.0 * lam:
+        raise InvalidJetError(
+            f"scalar operator ({lam}, {diag}, {lam}) is not diagonally "
+            f"dominant, so its symbol vanishes at some frequency")
     n_t = b.shape[0]
-    bands = np.zeros((3, n_t))
-    bands[0, 1:] = p.lambda_i
-    bands[1, :] = scalar_diag(p)
-    bands[2, :-1] = p.lambda_i
-    return solve_banded((1, 1), bands, -b)
+    mults, pivots = _elimination(n_t, lam, diag)
+    x = np.negative(b)
+    # row views made once, outputs passed positionally: each row step is
+    # just its ufunc calls, with no temporary but the one scratch row
+    rows = list(x)
+    tmp = np.empty_like(rows[0])
+    for t in range(n_t - 1):
+        np.multiply(rows[t], mults[t], tmp)
+        np.subtract(rows[t + 1], tmp, rows[t + 1])
+    np.divide(rows[-1], pivots[-1], rows[-1])
+    for t in range(n_t - 2, -1, -1):
+        row = rows[t]
+        np.multiply(rows[t + 1], lam, tmp)
+        np.subtract(row, tmp, row)
+        if t + 2 < n_t:
+            # dgtsv subtracts its zero fill-in as well; that term decides
+            # the sign of zeros
+            np.multiply(rows[t + 2], 0.0, tmp)
+            np.subtract(row, tmp, row)
+        np.divide(row, pivots[t], row)
+    return x
 
 
 def _scalar_green_frequency(b: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -206,19 +246,18 @@ def _vector_green(w_phi: np.ndarray, kind: str) -> np.ndarray:
     if n_t < 3:
         raise RangeError("window too short in time for the wave stepping")
     sv = np.zeros_like(w_phi)
-
-    def side_sum(row):
-        out = np.zeros_like(row)
-        out[:-1] += row[1:]
-        out[1:] += row[:-1]
-        return out
-
-    if kind == "retarded":
-        for t in range(1, n_t - 1):
-            sv[t + 1] = side_sum(sv[t]) - sv[t - 1] - w_phi[t]
-    else:
-        for t in range(n_t - 2, 0, -1):
-            sv[t - 1] = side_sum(sv[t]) - sv[t + 1] - w_phi[t]
+    # rows in stepping order, with their views made once
+    step = 1 if kind == "retarded" else -1
+    rows, src = list(sv)[::step], list(w_phi)[::step]
+    heads = [row[:-1] for row in rows]
+    tails = [row[1:] for row in rows]
+    for t in range(1, n_t - 1):
+        # the new row starts at +0.0: (0 + right) + left - old - source
+        new = rows[t + 1]
+        np.add(heads[t + 1], tails[t], heads[t + 1])
+        np.add(tails[t + 1], heads[t], tails[t + 1])
+        np.subtract(new, rows[t - 1], new)
+        np.subtract(new, src[t], new)
     return sv
 
 

@@ -92,18 +92,24 @@ def build_hierarchy(u: Jet, v: Jet, order: int, choices: GreensChoice,
                 f"jet {name} is not a solution: interior residual {res:.3e}")
     coeffs = {(1, 0): u, (0, 1): v}
     for degree in range(2, order + 1):
-        for i in range(degree + 1):
-            j = degree - i
-            source = DualJet.zero(window)
-            for ell in range(2, degree + 1):
-                for parts in _index_tuples(i, j, ell):
-                    jets = [coeffs[key] for key in parts]
-                    term = delta_ell_field(ell, jets, p, window)
-                    np.add(source.b, term.b, out=source.b)
-                    np.add(source.w_phi, term.w_phi, out=source.w_phi)
-            coeffs[(i, j)] = greens_apply(choices, source, p, window,
-                                          edge_check=False)
+        _add_degree(coeffs, degree, choices, p, window)
     return Hierarchy(window, p, choices, order, coeffs)
+
+
+def _add_degree(coeffs: dict, degree: int, choices: GreensChoice,
+                p: ModelParams, window: Window):
+    # store the coefficients of one total degree, given all lower ones
+    for i in range(degree + 1):
+        j = degree - i
+        source = DualJet.zero(window)
+        for ell in range(2, degree + 1):
+            for parts in _index_tuples(i, j, ell):
+                jets = [coeffs[key] for key in parts]
+                term = delta_ell_field(ell, jets, p, window)
+                np.add(source.b, term.b, out=source.b)
+                np.add(source.w_phi, term.w_phi, out=source.w_phi)
+        coeffs[(i, j)] = greens_apply(choices, source, p, window,
+                                      edge_check=False)
 
 
 def _index_tuples(i: int, j: int, ell: int):
@@ -165,19 +171,20 @@ def taylor_oracle_I(hier: Hierarchy, omega: Region, m: int,
     window = hier.window
     p = hier.params
     cap = hier.order
-    n_sites = window.shape[0] * window.shape[1]
     ring2 = PolyRing.create(2, cap)
     ring4 = PolyRing.create(4, cap)
 
-    c2 = ring2.zeros(n_sites)
-    phi2 = ring2.zeros(n_sites)
-    for (i, j), jet in hier.coeffs.items():
-        c2[ring2.index[(i, j)]] = jet.a.ravel()
-        phi2[ring2.index[(i, j)]] = jet.u_phi.ravel()
+    def gather(name, cols):
+        # the series of one component ("a" or "u_phi") on the given flat
+        # sites only
+        out = ring2.zeros(cols.size)
+        for (i, j), jet in hier.coeffs.items():
+            out[ring2.index[(i, j)]] = getattr(jet, name).ravel()[cols]
+        return out
 
     mfact = float(math.factorial(m - 1))
     # the volume reads the exponential on the region's sites only
-    exp_c = ring2.exp(c2[:, omega.mask.ravel()])
+    exp_c = ring2.exp(gather("a", np.flatnonzero(omega.mask)))
     vol_coeff = exp_c[ring2.index[(1, m - 1)]]
     volume = 0.5 * p.nu * mfact * float(vol_coeff.sum())
 
@@ -196,15 +203,15 @@ def taylor_oracle_I(hier: Hierarchy, omega: Region, m: int,
         iy = ix + dt * n_x + dx
         width = ix.size
 
-        def embed(poly2, cols, rows):
+        def embed(name, cols, rows):
             out = ring4.zeros(width)
-            out[rows] = poly2[:, cols]
+            out[rows] = gather(name, cols)
             return out
 
-        cx = embed(c2, ix, slot_x)
-        cy = embed(c2, iy, slot_y)
-        phix = embed(phi2, ix, slot_x)
-        phiy = embed(phi2, iy, slot_y)
+        cx = embed("a", ix, slot_x)
+        cy = embed("a", iy, slot_y)
+        phix = embed("u_phi", ix, slot_x)
+        phiy = embed("u_phi", iy, slot_y)
 
         f_pair = ring4.exp(cx + cy)
         idx = STENCIL_OFFSETS.index((-dt, -dx))

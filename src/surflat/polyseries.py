@@ -79,12 +79,6 @@ class PolyRing:
             out[k] += a[i] * b[j]
         return out
 
-    def power(self, a: np.ndarray, n: int) -> np.ndarray:
-        out = self.constant(1.0, a.shape[1])
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
     def exp(self, a: np.ndarray) -> np.ndarray:
         if np.any(a[0] != 0.0):
             raise ValueError("exp needs a vanishing constant term")

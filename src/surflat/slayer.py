@@ -22,7 +22,8 @@ from .errors import InvalidJetError, RangeError
 from .jets import Jet, delta_ell_field, pair_product_sum, region_product_sum
 from .lagrangian import ModelParams
 from .linear import GreensChoice, RankOneModifier, greens_apply
-from .perturb import build_hierarchy, family_taylor_I
+from .perturb import (Hierarchy, _add_degree, build_hierarchy,
+                      family_taylor_I)
 from .space import Region, Window, past_region
 
 
@@ -156,20 +157,25 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
     to the second variation of (u, v). The two agree exactly: only the mixed
     second-order coefficient feels the modified kernel, and the first-order
     balance is linear. The plain evaluation and the second variation do not
-    depend on the kernel, so they are computed once; every modified value
-    goes through its own hierarchy build.
+    depend on the kernel, so they are computed once. Only the plain build
+    checks the seeds; each modified hierarchy adds degree 2 to the seeds
+    that build has accepted.
     """
     base = choices if choices is not None else GreensChoice()
     if base.kernel_modifier is not None:
         raise InvalidJetError(
             "pass the kernels through the dedicated argument, not inside the "
             "baseline choices")
-    plain = i_m(u, v, omega, 2, base, p, window)
+    hier = build_hierarchy(u, v, 2, base, p, window)
+    plain = family_taylor_I(hier, omega, 2, 2)
     d2 = delta_ell_field(2, [u, v], p, window)
     out = []
     for kernel in kernels:
         modified = dataclasses.replace(base, kernel_modifier=kernel)
-        lhs = i_m(u, v, omega, 2, modified, p, window) - plain
+        coeffs = {(1, 0): u, (0, 1): v}
+        _add_degree(coeffs, 2, modified, p, window)
+        lhs = family_taylor_I(Hierarchy(window, p, modified, 2, coeffs),
+                              omega, 2, 2) - plain
         surface, volume = i1(kernel.apply(d2), omega, p, window)
         out.append((lhs, 2.0 * (surface - volume)))
     return out

@@ -58,9 +58,6 @@ class Window:
     def t_coords(self) -> np.ndarray:
         return np.arange(self.t_min, self.t_max + 1)
 
-    def x_coords(self) -> np.ndarray:
-        return np.arange(self.x_min, self.x_max + 1)
-
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
 
@@ -117,13 +114,6 @@ class Region:
         i0, j0 = window.index(t_lo, x_lo)
         i1, j1 = window.index(t_hi, x_hi)
         mask[i0:i1 + 1, j0:j1 + 1] = True
-        return cls(window, mask)
-
-    @classmethod
-    def from_sites(cls, window: Window, sites) -> "Region":
-        mask = np.zeros(window.shape, dtype=bool)
-        for (t, x) in sites:
-            mask[window.index(t, x)] = True
         return cls(window, mask)
 
     def site_count(self) -> int:

@@ -60,12 +60,14 @@ def report(n, ok):
 
 def test_criterion_1_field_equation():
     rep = el_check(PARAMS, WIN)
+    deviation = max(abs(rep.sampled[phi] - rep.reference[phi])
+                    for phi in rep.sampled)
     ok = (rep.max_abs_base <= 1e-12 and rep.min_sampled >= 0.0
-          and rep.max_sample_deviation <= 1e-12)
+          and deviation <= 1e-12)
     report(1, ok)
     assert rep.max_abs_base <= 1e-12
     assert rep.min_sampled >= 0.0
-    assert rep.max_sample_deviation <= 1e-12
+    assert deviation <= 1e-12
 
 
 def test_criterion_2_green_defect():

@@ -264,7 +264,7 @@ def test_delta_two_closed_form_for_wave_pairs():
     # variation reduces to the signed stencil sum of the pointwise product
     rng = np.random.default_rng(8)
     t_coords = W.t_coords()[:, None]
-    x_coords = W.x_coords()[None, :]
+    x_coords = np.arange(W.x_min, W.x_max + 1)[None, :]
 
     def wave(seed):
         r = np.random.default_rng(seed)

@@ -1,11 +1,17 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
                      Region, TruncationError, Window)
 from surflat.jets import DualJet, Jet, delta_op, delta_op_field
-from surflat.linear import (GreensChoice, RankOneModifier, greens_apply,
-                            greens_residual, linear_residual, scalar_roots,
+from surflat.linear import (GreensChoice, RankOneModifier, _scalar_green_banded,
+                            _vector_green, greens_apply, greens_residual,
+                            linear_residual, scalar_diag, scalar_roots,
                             scalar_solution, wave_solution)
 
 P = ModelParams()
@@ -278,3 +284,103 @@ def test_greens_window_mismatch():
     dual = DualJet(other, other.zeros(), other.zeros())
     with pytest.raises(RangeError):
         greens_apply(GreensChoice(), dual, P, w)
+
+
+# --- the banded sweep and the in-place wave stepping ---
+
+def planted_source(n_t, n_x, seed):
+    """Random source with zero columns and planted signed zeros."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n_t, n_x))
+    b[:, 1::4] = 0.0
+    b[:, 2::4] = -0.0
+    b[:, 3::4] = np.where(rng.random((n_t, 1)) < 0.5, 0.0, -0.0)
+    b[rng.random((n_t, n_x)) < 0.1] = -0.0
+    return b
+
+
+def same_bits(x, y):
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x),
+                                                   np.signbit(y))
+
+
+# nu = 18 is balanced (diagonal 5), nu = 38 flips the diagonal to -5
+SIGNED_DIAGONALS = [ModelParams(), ModelParams(nu=38.0)]
+
+
+@pytest.mark.parametrize("n_t", [3, 81, 321])
+@pytest.mark.parametrize("p", SIGNED_DIAGONALS, ids=["diag+", "diag-"])
+def test_banded_sweep_matches_lapack_bitwise(n_t, p):
+    linalg = pytest.importorskip("scipy.linalg")
+    b = planted_source(n_t, 9, n_t)
+    bands = np.zeros((3, n_t))
+    bands[0, 1:] = p.lambda_i
+    bands[1, :] = scalar_diag(p)
+    bands[2, :-1] = p.lambda_i
+    expected = linalg.solve_banded((1, 1), bands, -b)
+    assert same_bits(_scalar_green_banded(b, p), expected)
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 3, 81, 321])
+@pytest.mark.parametrize("p", SIGNED_DIAGONALS + [ModelParams(nu=10.0)],
+                         ids=["diag+", "diag-", "diag9"])
+def test_banded_sweep_matches_dense_solve(n_t, p):
+    b = planted_source(n_t, 9, n_t + 1)
+    diag = scalar_diag(p)
+    dense = (np.diag(np.full(n_t, diag))
+             + np.diag(np.full(n_t - 1, p.lambda_i), 1)
+             + np.diag(np.full(n_t - 1, p.lambda_i), -1))
+    expected = np.linalg.solve(dense, -b)
+    np.testing.assert_allclose(_scalar_green_banded(b, p), expected,
+                               rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("nu", [20.0, 30.0, 36.0])
+def test_non_dominant_symbol_raises(nu):
+    # diagonals 4, -1 and -4 against 2 lambda_i = 4: the elimination would
+    # need pivoting, and the symbol vanishes at some frequency
+    p = ModelParams(nu=nu)
+    assert abs(scalar_diag(p)) <= 2.0 * p.lambda_i
+    w = Window(-6, 6, -3, 3)
+    with pytest.raises(InvalidJetError, match="not diagonally dominant"):
+        greens_apply(GreensChoice(), random_dual(w, 1), p, w,
+                     edge_check=False)
+
+
+def vector_green_reference(w_phi, kind):
+    # the stepping with a fresh row per step, as a pin for the in-place one
+    n_t = w_phi.shape[0]
+    sv = np.zeros_like(w_phi)
+
+    def side_sum(row):
+        out = np.zeros_like(row)
+        out[:-1] += row[1:]
+        out[1:] += row[:-1]
+        return out
+
+    if kind == "retarded":
+        for t in range(1, n_t - 1):
+            sv[t + 1] = side_sum(sv[t]) - sv[t - 1] - w_phi[t]
+    else:
+        for t in range(n_t - 2, 0, -1):
+            sv[t - 1] = side_sum(sv[t]) - sv[t + 1] - w_phi[t]
+    return sv
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (4, 2), (81, 81), (321, 41)])
+@pytest.mark.parametrize("kind", ["retarded", "advanced"])
+def test_vector_green_matches_reference_bitwise(shape, kind):
+    w_phi = planted_source(*shape, seed=sum(shape))
+    assert same_bits(_vector_green(w_phi, kind),
+                     vector_green_reference(w_phi, kind))
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, surflat.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -76,14 +76,6 @@ def test_exp_rejects_constant_term():
         ring.exp(a)
 
 
-def test_power_matches_repeated_mul():
-    ring = PolyRing.create(2, 4)
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(len(ring.monomials), 2))
-    np.testing.assert_allclose(ring.power(a, 3),
-                               ring.mul(a, ring.mul(a, a)))
-
-
 @given(st.integers(0, 100))
 @settings(max_examples=30, deadline=None)
 def test_mul_commutes(seed):

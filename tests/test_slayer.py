@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from surflat import slayer
+from surflat import perturb, slayer
 from surflat.errors import InvalidJetError, RangeError, UnsupportedOrderError
 from surflat.jets import DualJet, Jet, delta_ell_field
 from surflat.lagrangian import ModelParams
@@ -64,7 +64,7 @@ def test_i1_surface_exactly_zero_without_scalar(seed):
     u = random_phi_jet(SQUARE, rng)
     for omega in (past_region(SQUARE, 0),
                   Region.from_box(SQUARE, -3, 2, -4, 5),
-                  Region.from_sites(SQUARE, [(0, 0)])):
+                  Region.from_box(SQUARE, 0, 0, 0, 0)):
         surface, volume = i1(u, omega, PARAMS, SQUARE)
         assert surface == 0.0
         assert volume == 0.0
@@ -304,8 +304,9 @@ def test_greens_dependence_identity(movers, seed):
 
 def test_greens_dependence_builds_the_plain_hierarchy_once(movers,
                                                           monkeypatch):
-    # one plain build per call and one build per kernel, and each kernel's
-    # pair equals what a call with that kernel alone returns
+    # one checked plain build per call and one degree-2 rebuild per kernel;
+    # each kernel's pair equals what a call with that kernel alone returns,
+    # and its lhs is bitwise the difference of two full order-2 builds
     u, v = movers
     rng = np.random.default_rng(13)
     direction = scalar_solution(2.0 ** TALL.t_min, PARAMS, TALL,
@@ -315,20 +316,51 @@ def test_greens_dependence_builds_the_plain_hierarchy_once(movers,
                 0.05 * rng.standard_normal(TALL.shape)), direction)
         for _ in range(3)]
     omega = past_region(TALL, 0)
-    builds = []
+    builds, rebuilds, residuals = [], [], []
     real_build = slayer.build_hierarchy
+    real_add = slayer._add_degree
+    real_residual = perturb.linear_residual
 
     def counting_build(*args, **kwargs):
         builds.append(args[3])
         return real_build(*args, **kwargs)
 
+    def counting_add(coeffs, degree, choices, *args):
+        rebuilds.append((degree, choices.kernel_modifier))
+        return real_add(coeffs, degree, choices, *args)
+
+    def counting_residual(*args, **kwargs):
+        residuals.append(args[0])
+        return real_residual(*args, **kwargs)
+
     monkeypatch.setattr(slayer, "build_hierarchy", counting_build)
+    monkeypatch.setattr(slayer, "_add_degree", counting_add)
+    monkeypatch.setattr(perturb, "linear_residual", counting_residual)
     pairs = greens_dependence_check(u, v, omega, kernels, PARAMS, TALL)
-    assert len(builds) == 1 + len(kernels)
-    assert sum(c.kernel_modifier is None for c in builds) == 1
+    assert builds == [CHOICE]
+    assert rebuilds == [(2, kernel) for kernel in kernels]
+    assert residuals == [u, v]
+    plain = i_m(u, v, omega, 2, CHOICE, PARAMS, TALL)
+    for kernel, (lhs, _) in zip(kernels, pairs):
+        full = i_m(u, v, omega, 2, GreensChoice(kernel_modifier=kernel),
+                   PARAMS, TALL)
+        assert lhs == full - plain
+    monkeypatch.undo()
     for kernel, pair in zip(kernels, pairs):
         assert greens_dependence_check(u, v, omega, [kernel], PARAMS,
                                        TALL) == [pair]
+
+
+def test_greens_dependence_rejects_a_non_solution_seed(movers):
+    # the seeds are checked once, by the plain build, and still checked
+    u, v = movers
+    bump = Jet(TALL, np.zeros(TALL.shape), v.u_phi.copy())
+    bump.u_phi[45, 12] += 1e-3
+    kernel = RankOneModifier(DualJet.zero(TALL), right_mover(TALL, 0, 5, 0.1))
+    for seeds in ((u, bump), (bump, v)):
+        with pytest.raises(InvalidJetError, match="not a solution"):
+            greens_dependence_check(*seeds, past_region(TALL, 0), [kernel],
+                                    PARAMS, TALL)
 
 
 def test_greens_dependence_zero_scalar_direction_has_no_volume(movers):

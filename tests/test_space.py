@@ -60,7 +60,7 @@ def test_past_region_mask_and_bounds():
 
 def test_single_site_pairs_sorted():
     w = Window(-2, 2, -2, 2)
-    omega = Region.from_sites(w, [(0, 0)])
+    omega = Region.from_box(w, 0, 0, 0, 0)
     pairs = stencil_pairs(omega, w)
     assert [(p.t, p.x, q.t, q.x) for (p, q) in pairs] == [
         (0, 0, -1, 0), (0, 0, 0, -1), (0, 0, 0, 1), (0, 0, 1, 0)]
@@ -94,7 +94,7 @@ def test_pairs_lexicographic_for_box():
 
 def test_pair_masks_clip_at_window_edge():
     w = Window(0, 2, 0, 2)
-    omega = Region.from_sites(w, [(0, 0)])
+    omega = Region.from_box(w, 0, 0, 0, 0)
     masks = pair_masks(omega)
     # corner site: only the in-window neighbors (0,1) and (1,0) pair up
     assert masks[(0, 1)][0, 0]
