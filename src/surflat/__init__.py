@@ -11,9 +11,9 @@ from .lagrangian import (MAX_ORDER, ELReport, ModelParams, angular_well,
 from .jets import (DualJet, Jet, delta_ell, delta_ell_field, delta_op,
                    delta_op_field, pair_product_sum, region_product_sum)
 from .linear import (EDGE_TOLERANCE, GreensChoice, RESIDUAL_TOLERANCE,
-                     RankOneModifier, greens_apply, greens_residual,
-                     linear_residual, scalar_roots, scalar_solution,
-                     wave_solution)
+                     RankOneModifier, greens_apply, greens_defects,
+                     greens_residual, linear_residual, scalar_roots,
+                     scalar_solution, wave_solution)
 from .perturb import (Hierarchy, build_hierarchy, compositions,
                       family_taylor_I, taylor_oracle_I)
 from .slayer import (SlayerReport, SliceValues, greens_dependence_check, i1,
@@ -30,8 +30,8 @@ __all__ = [
     "DualJet", "Jet", "delta_ell", "delta_ell_field", "delta_op",
     "delta_op_field", "pair_product_sum", "region_product_sum",
     "EDGE_TOLERANCE", "GreensChoice", "RESIDUAL_TOLERANCE",
-    "RankOneModifier", "greens_apply", "greens_residual", "linear_residual",
-    "scalar_roots", "scalar_solution", "wave_solution",
+    "RankOneModifier", "greens_apply", "greens_defects", "greens_residual",
+    "linear_residual", "scalar_roots", "scalar_solution", "wave_solution",
     "Hierarchy", "build_hierarchy", "compositions", "family_taylor_I",
     "taylor_oracle_I",
     "SlayerReport", "SliceValues", "greens_dependence_check", "i1", "i_m",

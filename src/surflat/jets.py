@@ -233,17 +233,19 @@ def slot_factor_maps(factors, x_sites, y_sites, rows):
 def _signed_sum(s1: float, x: np.ndarray, s2: float, y: np.ndarray,
                 out: np.ndarray):
     # an unused slot is skipped, so its partner sites are never read; equal
-    # or opposite signs, the only ones in use, take one multiply
-    if s2 == 0.0:
-        np.multiply(s1, x, out=out)
-    elif s1 == 0.0:
-        np.multiply(s2, y, out=out)
-    elif s2 == s1:
-        np.multiply(s1, np.add(x, y, out=out), out=out)
-    elif s2 == -s1:
-        np.multiply(s1, np.subtract(x, y, out=out), out=out)
+    # or opposite signs, the only ones in use, take one add or subtract, and
+    # a unit scale no multiply, since 1.0 * x is bitwise x, -0.0 included
+    if s1 == 0.0 or s2 == 0.0:
+        scale, total = (s1, x) if s2 == 0.0 else (s2, y)
+    elif s2 == s1 or s2 == -s1:
+        scale, total = s1, (np.add if s2 == s1 else np.subtract)(x, y, out=out)
     else:
         np.add(s1 * x, s2 * y, out=out)
+        return
+    if scale != 1.0:
+        np.multiply(scale, total, out=out)
+    elif total is not out:
+        np.copyto(out, total)
 
 
 def _contract(coeffs, table, offset, shift: int, total, term):

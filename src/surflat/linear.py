@@ -309,12 +309,13 @@ def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams,
     return result
 
 
-def greens_residual(out: Jet, w: DualJet, p: ModelParams,
-                    window: Window) -> float:
-    """Largest interior residual of the defining Green's property.
+def greens_defects(out: Jet, w: DualJet, p: ModelParams,
+                   window: Window) -> tuple[float, float]:
+    """Largest interior defects (scalar, angular) of the Green's property.
 
-    out is the Green's operator already applied to w; the residual is how
-    far the linearized operator applied to out is from minus w.
+    out is the Green's operator applied to w. The components decouple on the
+    base configuration: the scalar defect reads out.a only, the angular one
+    out.u_phi only, because the odd angular derivative vanishes there.
     """
     if w.window != window:
         raise RangeError("dual jet window does not match the given window")
@@ -324,4 +325,10 @@ def greens_residual(out: Jet, w: DualJet, p: ModelParams,
         # in place: the operator output is a fresh array of this call
         np.abs(np.add(field, source, out=field), out=field)
         res.append(float(field[1:-1, 1:-1].max()))
-    return max(res)
+    return tuple(res)
+
+
+def greens_residual(out: Jet, w: DualJet, p: ModelParams,
+                    window: Window) -> float:
+    """Largest interior residual of the defining Green's property."""
+    return max(greens_defects(out, w, p, window))

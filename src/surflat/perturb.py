@@ -92,13 +92,18 @@ def build_hierarchy(u: Jet, v: Jet, order: int, choices: GreensChoice,
                 f"jet {name} is not a solution: interior residual {res:.3e}")
     coeffs = {(1, 0): u, (0, 1): v}
     for degree in range(2, order + 1):
-        _add_degree(coeffs, degree, choices, p, window)
+        _apply_sources(coeffs, _degree_sources(coeffs, degree, p, window),
+                       choices, p, window)
     return Hierarchy(window, p, choices, order, coeffs)
 
 
-def _add_degree(coeffs: dict, degree: int, choices: GreensChoice,
-                p: ModelParams, window: Window):
-    # store the coefficients of one total degree, given all lower ones
+def _degree_sources(coeffs: dict, degree: int, p: ModelParams,
+                    window: Window):
+    """Yield ((i, j), source) for the coefficients of one total degree.
+
+    The sources, independent of the Green's operator, are built from the
+    stored lower degrees one at a time, when asked for.
+    """
     for i in range(degree + 1):
         j = degree - i
         source = DualJet.zero(window)
@@ -108,8 +113,15 @@ def _add_degree(coeffs: dict, degree: int, choices: GreensChoice,
                 term = delta_ell_field(ell, jets, p, window)
                 np.add(source.b, term.b, out=source.b)
                 np.add(source.w_phi, term.w_phi, out=source.w_phi)
-        coeffs[(i, j)] = greens_apply(choices, source, p, window,
-                                      edge_check=False)
+        yield (i, j), source
+
+
+def _apply_sources(coeffs: dict, sources, choices: GreensChoice,
+                   p: ModelParams, window: Window):
+    """Store the chosen Green's image of each ((i, j), source) pair."""
+    for key, source in sources:
+        coeffs[key] = greens_apply(choices, source, p, window,
+                                   edge_check=False)
 
 
 def _index_tuples(i: int, j: int, ell: int):

@@ -22,8 +22,8 @@ from .errors import InvalidJetError, RangeError
 from .jets import Jet, delta_ell_field, pair_product_sum, region_product_sum
 from .lagrangian import ModelParams
 from .linear import GreensChoice, RankOneModifier, greens_apply
-from .perturb import (Hierarchy, _add_degree, build_hierarchy,
-                      family_taylor_I)
+from .perturb import (Hierarchy, _apply_sources, _degree_sources,
+                      build_hierarchy, family_taylor_I)
 from .space import Region, Window, past_region
 
 
@@ -156,26 +156,30 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
     evaluation; rhs is twice the first-order balance of the modifier applied
     to the second variation of (u, v). The two agree exactly: only the mixed
     second-order coefficient feels the modified kernel, and the first-order
-    balance is linear. The plain evaluation and the second variation do not
-    depend on the kernel, so they are computed once. Only the plain build
-    checks the seeds; each modified hierarchy adds degree 2 to the seeds
-    that build has accepted.
+    balance is linear. Only the Green's images depend on the kernel: the
+    order-1 build checks the seeds, the degree-2 sources and the second
+    variation are built once, and each choice only applies greens_apply.
     """
     base = choices if choices is not None else GreensChoice()
     if base.kernel_modifier is not None:
         raise InvalidJetError(
             "pass the kernels through the dedicated argument, not inside the "
             "baseline choices")
-    hier = build_hierarchy(u, v, 2, base, p, window)
-    plain = family_taylor_I(hier, omega, 2, 2)
+    seeds = build_hierarchy(u, v, 1, base, p, window).coeffs
+    sources = list(_degree_sources(seeds, 2, p, window))
+
+    def order_two(choice):
+        coeffs = dict(seeds)
+        _apply_sources(coeffs, sources, choice, p, window)
+        return family_taylor_I(Hierarchy(window, p, choice, 2, coeffs),
+                               omega, 2, 2)
+
+    plain = order_two(base)
     d2 = delta_ell_field(2, [u, v], p, window)
     out = []
     for kernel in kernels:
         modified = dataclasses.replace(base, kernel_modifier=kernel)
-        coeffs = {(1, 0): u, (0, 1): v}
-        _add_degree(coeffs, 2, modified, p, window)
-        lhs = family_taylor_I(Hierarchy(window, p, modified, 2, coeffs),
-                              omega, 2, 2) - plain
+        lhs = order_two(modified) - plain
         surface, volume = i1(kernel.apply(d2), omega, p, window)
         out.append((lhs, 2.0 * (surface - volume)))
     return out

@@ -5,11 +5,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surflat import MAX_ORDER, cli
+from surflat import MAX_ORDER, DualJet, Region, cli, linear
 from surflat.cli import (CSV_COLUMNS, DEFAULT_CONFIG, Row, _apply_override,
                          _parse_jet_spec, load_config, main, write_report)
 from surflat.errors import ConfigError
@@ -632,6 +633,71 @@ def test_seed_changes_the_draws(tmp_path):
                       "--override", "draws=2", "--seed", "1")
     assert (out1 / "report.csv").read_bytes() != \
         (out2 / "report.csv").read_bytes()
+
+
+# --- greens-verify: two Green's applications per draw ---
+
+def greens_verify_four_applications(cfg):
+    """greens-verify as it was built before: each draw applies all four
+    choices, each with its own greens_residual."""
+    p, window = cfg.params, cfg.window
+    box = Region.from_box(window, -3, 3, -3, 3)
+    rng = np.random.default_rng(cfg.seed)
+    rows = []
+    for draw in range(cfg.draws):
+        b = window.zeros()
+        w_phi = window.zeros()
+        b[box.mask] = 0.05 * rng.standard_normal(box.site_count())
+        w_phi[box.mask] = 0.05 * rng.standard_normal(box.site_count())
+        w = DualJet(window, b, w_phi)
+        outs = {}
+        for vk in ("retarded", "advanced"):
+            for sk in ("banded_solve", "frequency"):
+                choice = linear.GreensChoice(vector_kind=vk, scalar_kind=sk)
+                outs[(vk, sk)] = linear.greens_apply(choice, w, p, window,
+                                                     edge_check=False)
+                res = linear.greens_residual(outs[(vk, sk)], w, p, window)
+                rows.append(Row("greens-verify", None,
+                                f"defect[{vk},{sk},draw={draw:02d}]",
+                                res, 0.0, cfg.tolerances["greens"]))
+        for vk in ("retarded", "advanced"):
+            lo = outs[(vk, "banded_solve")]
+            hi = outs[(vk, "frequency")]
+            gap = max(float(np.abs(lo.a - hi.a).max()),
+                      float(np.abs(lo.u_phi - hi.u_phi).max()))
+            rows.append(Row("greens-verify", None,
+                            f"backend_agreement[{vk},draw={draw:02d}]",
+                            gap, 0.0, cfg.tolerances["backend_agreement"]))
+    return rows
+
+
+@pytest.mark.parametrize("window", [[], _window_overrides(-20, 30, -14, 18)],
+                         ids=["81x81", "51x33"])
+@pytest.mark.parametrize("seed", [5, 77])
+def test_greens_verify_rows_equal_four_applications(seed, window):
+    cfg = load_config(None, ["draws=3", *window], seed,
+                      "greens-verify")
+    got = cli.SUITES["greens-verify"](cfg)
+    assert len(got) == 3 * 6
+    assert got == greens_verify_four_applications(cfg)
+
+
+def test_greens_verify_applies_two_choices_per_draw(monkeypatch):
+    calls = {"greens_apply": 0, "delta_op_field": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "greens_apply")
+    counted(linear, "delta_op_field")
+    cfg = load_config(None, ["draws=3"], None, "greens-verify")
+    cli.SUITES["greens-verify"](cfg)
+    assert calls == {"greens_apply": 6, "delta_op_field": 6}
 
 
 def test_row_judgement():

@@ -404,7 +404,10 @@ def signed_zero_jet(seed, window):
 
 PIN_WINDOWS = {"3x3": Window(-1, 1, -1, 1), "15x27": Window(-7, 7, -13, 13),
                "41x41": Window(-20, 20, -20, 20)}
-PIN_SIGNS = ((1.0, 1.0), (1.0, -1.0), (1.0, 0.0), (0.0, 1.0))
+# the four signs in use, then three whose sums and differences are scaled by
+# a factor other than 1, so the signed sum still multiplies
+PIN_SIGNS = ((1.0, 1.0), (1.0, -1.0), (1.0, 0.0), (0.0, 1.0),
+             (-1.0, -1.0), (-1.0, 1.0), (2.0, 2.0))
 
 
 @pytest.mark.parametrize("window", PIN_WINDOWS.values(), ids=PIN_WINDOWS)

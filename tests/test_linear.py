@@ -10,9 +10,9 @@ from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
                      Region, TruncationError, Window)
 from surflat.jets import DualJet, Jet, delta_op, delta_op_field
 from surflat.linear import (GreensChoice, RankOneModifier, _scalar_green_banded,
-                            _vector_green, greens_apply, greens_residual,
-                            linear_residual, scalar_diag, scalar_roots,
-                            scalar_solution, wave_solution)
+                            _vector_green, greens_apply, greens_defects,
+                            greens_residual, linear_residual, scalar_diag,
+                            scalar_roots, scalar_solution, wave_solution)
 
 P = ModelParams()
 
@@ -214,6 +214,37 @@ def test_green_residual_with_unbalanced_nu():
     dual = random_dual(w, 9)
     out = greens_apply(GreensChoice(), dual, p, w, edge_check=False)
     assert greens_residual(out, dual, p, w) <= 1e-10
+
+
+@pytest.mark.parametrize("p", [P, ModelParams(nu=10.0)], ids=["balanced",
+                                                              "nu=10"])
+@pytest.mark.parametrize("w", [Window(-40, 40, -40, 40),
+                               Window(-9, 30, -17, 5)], ids=["81x81", "40x23"])
+def test_green_components_decouple(w, p):
+    # the scalar backend and the wave kind never mix: the scalar field and
+    # the scalar defect depend on the backend only, the angle field and the
+    # angular defect on the wave kind only, bitwise; greens-verify relies on
+    # this to apply two of the four choices per draw
+    dual = random_dual(w, 21, half_width=3, amplitude=0.05)
+    outs, defects = {}, {}
+    for vk in ("retarded", "advanced"):
+        for sk in ("banded_solve", "frequency"):
+            out = greens_apply(GreensChoice(vk, sk), dual, p, w,
+                               edge_check=False)
+            outs[vk, sk] = out
+            defects[vk, sk] = greens_defects(out, dual, p, w)
+            assert greens_residual(out, dual, p, w) == max(defects[vk, sk])
+    for sk in ("banded_solve", "frequency"):
+        one, other = outs["retarded", sk].a, outs["advanced", sk].a
+        assert np.array_equal(one, other)
+        assert np.array_equal(np.signbit(one), np.signbit(other))
+        assert defects["retarded", sk][0] == defects["advanced", sk][0]
+    for vk in ("retarded", "advanced"):
+        one = outs[vk, "banded_solve"].u_phi
+        other = outs[vk, "frequency"].u_phi
+        assert np.array_equal(one, other)
+        assert np.array_equal(np.signbit(one), np.signbit(other))
+        assert defects[vk, "banded_solve"][1] == defects[vk, "frequency"][1]
 
 
 def test_scalar_backends_agree_given_clearance():

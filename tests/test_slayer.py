@@ -302,11 +302,13 @@ def test_greens_dependence_identity(movers, seed):
     assert abs(lhs) > 1e-6  # the modifier actually moves the value
 
 
-def test_greens_dependence_builds_the_plain_hierarchy_once(movers,
-                                                          monkeypatch):
-    # one checked plain build per call and one degree-2 rebuild per kernel;
-    # each kernel's pair equals what a call with that kernel alone returns,
-    # and its lhs is bitwise the difference of two full order-2 builds
+def test_greens_dependence_builds_the_plain_hierarchy_once(movers):
+    # the seeds are checked once, the three degree-2 sources and the second
+    # variation are built once (five order-2 variations whatever the number
+    # of kernels), and the plain choice and each kernel apply their Green's
+    # operator once per degree-2 coefficient to those same sources; each
+    # kernel's pair equals what a call with that kernel alone returns, and
+    # its lhs is bitwise the difference of two full order-2 builds
     u, v = movers
     rng = np.random.default_rng(13)
     direction = scalar_solution(2.0 ** TALL.t_min, PARAMS, TALL,
@@ -316,43 +318,48 @@ def test_greens_dependence_builds_the_plain_hierarchy_once(movers,
                 0.05 * rng.standard_normal(TALL.shape)), direction)
         for _ in range(3)]
     omega = past_region(TALL, 0)
-    builds, rebuilds, residuals = [], [], []
-    real_build = slayer.build_hierarchy
-    real_add = slayer._add_degree
+    real_variation = delta_ell_field
+    real_apply = perturb.greens_apply
     real_residual = perturb.linear_residual
+    for some in (kernels[:1], kernels):
+        variations, applications, residuals = [], [], []
 
-    def counting_build(*args, **kwargs):
-        builds.append(args[3])
-        return real_build(*args, **kwargs)
+        def counting_variation(order, *args, **kwargs):
+            variations.append(order)
+            return real_variation(order, *args, **kwargs)
 
-    def counting_add(coeffs, degree, choices, *args):
-        rebuilds.append((degree, choices.kernel_modifier))
-        return real_add(coeffs, degree, choices, *args)
+        def counting_apply(choice, source, *args, **kwargs):
+            applications.append((choice.kernel_modifier, source))
+            return real_apply(choice, source, *args, **kwargs)
 
-    def counting_residual(*args, **kwargs):
-        residuals.append(args[0])
-        return real_residual(*args, **kwargs)
+        def counting_residual(*args, **kwargs):
+            residuals.append(args[0])
+            return real_residual(*args, **kwargs)
 
-    monkeypatch.setattr(slayer, "build_hierarchy", counting_build)
-    monkeypatch.setattr(slayer, "_add_degree", counting_add)
-    monkeypatch.setattr(perturb, "linear_residual", counting_residual)
-    pairs = greens_dependence_check(u, v, omega, kernels, PARAMS, TALL)
-    assert builds == [CHOICE]
-    assert rebuilds == [(2, kernel) for kernel in kernels]
-    assert residuals == [u, v]
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (perturb, slayer):
+                mp.setattr(module, "delta_ell_field", counting_variation)
+            mp.setattr(perturb, "greens_apply", counting_apply)
+            mp.setattr(perturb, "linear_residual", counting_residual)
+            pairs = greens_dependence_check(u, v, omega, some, PARAMS, TALL)
+        assert variations == [2] * 5
+        assert residuals == [u, v]
+        sources = [source for _, source in applications[:3]]
+        assert len({id(source) for source in sources}) == 3
+        assert [(m, id(s)) for m, s in applications] == [
+            (m, id(s)) for m in [None, *some] for s in sources]
     plain = i_m(u, v, omega, 2, CHOICE, PARAMS, TALL)
     for kernel, (lhs, _) in zip(kernels, pairs):
         full = i_m(u, v, omega, 2, GreensChoice(kernel_modifier=kernel),
                    PARAMS, TALL)
         assert lhs == full - plain
-    monkeypatch.undo()
     for kernel, pair in zip(kernels, pairs):
         assert greens_dependence_check(u, v, omega, [kernel], PARAMS,
                                        TALL) == [pair]
 
 
 def test_greens_dependence_rejects_a_non_solution_seed(movers):
-    # the seeds are checked once, by the plain build, and still checked
+    # the seeds are checked once, before any source is built
     u, v = movers
     bump = Jet(TALL, np.zeros(TALL.shape), v.u_phi.copy())
     bump.u_phi[45, 12] += 1e-3
