@@ -15,9 +15,10 @@ taylor_oracle_I never writes that combinatorics down: it builds, per
 interface pair, the full truncated generating polynomial in four slot-tagged
 parameters (s and t at each interaction slot), exponentiates the scalar
 weights, multiplies by the angular expansion of the interaction, and reads
-the answer off as polynomial coefficients. By the grading, a mixed derivative
-of bidegree (1, m-1) only sees contributions of total order m, so both
-routes vanish identically when the requested order does not match.
+the answer off as polynomial coefficients, every order from one polynomial.
+By the grading, a mixed derivative of bidegree (1, m-1) only sees
+contributions of total order m, so family_taylor_I vanishes identically off
+that grading and the oracle reports grading m only.
 """
 
 from __future__ import annotations
@@ -165,24 +166,21 @@ def family_taylor_I(hier: Hierarchy, omega: Region, m: int,
     return total
 
 
-def taylor_oracle_I(hier: Hierarchy, omega: Region, m: int,
-                    p_order: int) -> float:
-    """Mixed family derivative via truncated generating polynomials.
+def taylor_oracle_I(hier: Hierarchy, omega: Region) -> tuple[float, ...]:
+    """Mixed family derivatives via truncated generating polynomials.
 
     Builds, per interface pair, the polynomial in the four slot-tagged
     parameters (s, t at the first slot, s, t at the second) obtained by
     exponentiating the scalar coefficient fields and expanding the
-    interaction in the angular coefficient fields, then extracts the
-    bidegree (1, m-1) coefficients directly. The counterterm volume is the
-    corresponding extraction of the exponentiated scalar field over the
-    region. Grading makes any p_order other than m vanish identically.
+    interaction in the angular coefficient fields. Nothing in it depends on
+    the family order m, so it is built once and the bidegree (1, m-1)
+    coefficients of every m = 1..hier.order are read off it, entry m-1 of
+    the result; the counterterm volume is the same extraction of the
+    exponentiated scalar field over the region. Other gradings vanish.
     """
-    _check_family_args(hier, omega, m, p_order)
-    if p_order != m:
-        return 0.0
-    window = hier.window
-    p = hier.params
-    cap = hier.order
+    _check_family_args(hier, omega)
+    window, p, cap = hier.window, hier.params, hier.order
+    mfacts = {m: float(math.factorial(m - 1)) for m in range(1, cap + 1)}
     ring2 = PolyRing.create(2, cap)
     ring4 = PolyRing.create(4, cap)
 
@@ -194,11 +192,10 @@ def taylor_oracle_I(hier: Hierarchy, omega: Region, m: int,
             out[ring2.index[(i, j)]] = getattr(jet, name).ravel()[cols]
         return out
 
-    mfact = float(math.factorial(m - 1))
     # the volume reads the exponential on the region's sites only
     exp_c = ring2.exp(gather("a", np.flatnonzero(omega.mask)))
-    vol_coeff = exp_c[ring2.index[(1, m - 1)]]
-    volume = 0.5 * p.nu * mfact * float(vol_coeff.sum())
+    volume = [0.5 * p.nu * mfact * float(exp_c[ring2.index[(1, m - 1)]].sum())
+              for m, mfact in mfacts.items()]
 
     # embeddings of the per-slot 2-variable polynomials into the 4-variable ring
     slot_x = np.array([ring4.index[(a, b, 0, 0)] for (a, b) in ring2.monomials])
@@ -207,7 +204,7 @@ def taylor_oracle_I(hier: Hierarchy, omega: Region, m: int,
     table = stencil_deriv_table(p)
     masks = pair_masks(omega)
     n_x = window.shape[1]
-    surface = 0.0
+    surface = [0.0] * cap
     for (dt, dx), mask in masks.items():
         ix = np.flatnonzero(mask.ravel())
         if ix.size == 0:
@@ -243,15 +240,17 @@ def taylor_oracle_I(hier: Hierarchy, omega: Region, m: int,
                     phix_pow[kx], phiy_pow[ky])
         f_pair = ring4.mul(f_pair, expansion)
 
-        for b in range(m):
-            d_deg = m - 1 - b
-            plus = f_pair[ring4.index[(1, b, 0, d_deg)]]
-            minus = f_pair[ring4.index[(0, b, 1, d_deg)]]
-            surface += mfact * float(plus.sum() - minus.sum())
-    return surface - volume
+        for m, mfact in mfacts.items():
+            for b in range(m):
+                d_deg = m - 1 - b
+                plus = f_pair[ring4.index[(1, b, 0, d_deg)]]
+                minus = f_pair[ring4.index[(0, b, 1, d_deg)]]
+                surface[m - 1] += mfact * float(plus.sum() - minus.sum())
+    return tuple(s - v for s, v in zip(surface, volume))
 
 
-def _check_family_args(hier: Hierarchy, omega: Region, m: int, p_order: int):
+def _check_family_args(hier: Hierarchy, omega: Region, m: int = 1,
+                       p_order: int = 1):
     if omega.window != hier.window:
         raise RangeError("region window does not match the hierarchy window")
     if m < 1:

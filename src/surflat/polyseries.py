@@ -2,9 +2,9 @@
 
 Monomials of total degree at most cap are enumerated once per ring; a
 polynomial batch is a (n_monomials, width) float array, one column per site
-or pair. Multiplication sums products over precomputed index triples,
-round by round, and exp of a constant-free polynomial terminates after cap
-steps by nilpotency of the truncation ideal.
+or pair. Multiplication fills one output row at a time from the precomputed
+(i, j) pairs of that monomial, and exp of a constant-free polynomial
+terminates after cap steps by nilpotency of the truncation ideal.
 """
 
 from __future__ import annotations
@@ -31,36 +31,31 @@ def _monomials(n_vars: int, cap: int):
 class PolyRing:
     """Truncated polynomial ring in n_vars variables, total degree <= cap.
 
-    The product table is split into rounds: round r holds, as index arrays
-    (i, j, k), the r-th triple with monomial i times monomial j equal to
-    monomial k, for every k that has one. mul adds the rounds in order, so
-    each output coefficient sums its products one after another in table
-    order, as a scatter-add over the table would.
+    terms[k] lists, in table order, the pairs (i, j) with monomial i times
+    monomial j equal to monomial k; the first is always (0, k). mul sums
+    each output row's products one after another in that order, in place,
+    with no temporary of the batch's full height.
     """
 
     n_vars: int
     cap: int
     monomials: tuple
     index: dict
-    rounds: tuple
+    terms: tuple
 
     @classmethod
     def create(cls, n_vars: int, cap: int) -> "PolyRing":
         monomials = _monomials(n_vars, cap)
         index = {m: i for i, m in enumerate(monomials)}
-        by_output = [[] for _ in monomials]
+        terms = [[] for _ in monomials]
         for i, mi in enumerate(monomials):
             for j, mj in enumerate(monomials):
                 if sum(mi) + sum(mj) > cap:
                     continue
-                mk = tuple(a + b for a, b in zip(mi, mj))
-                by_output[index[mk]].append((i, j, index[mk]))
-        rounds = []
-        for r in range(max(len(t) for t in by_output)):
-            triples = np.array([t[r] for t in by_output if len(t) > r],
-                               dtype=np.intp)
-            rounds.append(tuple(triples.T))
-        return cls(n_vars, cap, monomials, index, tuple(rounds))
+                terms[index[tuple(a + b for a, b in zip(mi, mj))]].append(
+                    (i, j))
+        return cls(n_vars, cap, monomials, index,
+                   tuple(tuple(t) for t in terms))
 
     def zeros(self, width: int) -> np.ndarray:
         return np.zeros((len(self.monomials), width))
@@ -71,12 +66,14 @@ class PolyRing:
         return out
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # every monomial k is k times 1, so the first round covers all k in
-        # order; adding to 0.0 gives exact zeros the sign of a zeroed start
-        i, j, _ = self.rounds[0]
-        out = 0.0 + a[i] * b[j]
-        for i, j, k in self.rounds[1:]:
-            out[k] += a[i] * b[j]
+        out = np.empty((len(self.monomials), a.shape[1]))
+        scratch = np.empty(a.shape[1])
+        for row, ((i, j), *rest) in zip(out, self.terms):
+            np.multiply(a[i], b[j], out=row)
+            # adding to 0.0 gives exact zeros the sign of a zeroed start
+            row += 0.0
+            for i, j in rest:
+                row += np.multiply(a[i], b[j], out=scratch)
         return out
 
     def exp(self, a: np.ndarray) -> np.ndarray:
@@ -85,6 +82,7 @@ class PolyRing:
         out = self.constant(1.0, a.shape[1])
         term = self.constant(1.0, a.shape[1])
         for n in range(1, self.cap + 1):
-            term = self.mul(term, a) / n
-            out = out + term
+            term = self.mul(term, a)
+            term /= n
+            out += term
         return out

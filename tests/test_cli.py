@@ -1,3 +1,4 @@
+import collections
 import csv
 import itertools
 import json
@@ -14,6 +15,7 @@ from surflat import MAX_ORDER, DualJet, Region, cli, linear
 from surflat.cli import (CSV_COLUMNS, DEFAULT_CONFIG, Row, _apply_override,
                          _parse_jet_spec, load_config, main, write_report)
 from surflat.errors import ConfigError
+from surflat.polyseries import PolyRing
 
 
 def run_cli(tmp_path, *argv):
@@ -531,7 +533,7 @@ def test_sympl_relative_spread_at_wide_window(wide_reports, half):
 
 # --- the top truncation order through the CLI ---
 
-@pytest.mark.parametrize("half", [40, 80])
+@pytest.mark.parametrize("half", [40, 80, 160])
 def test_perturb_verify_at_top_order(tmp_path, half):
     code, out = run_cli(tmp_path, "perturb-verify",
                         "--override", f"order={MAX_ORDER}",
@@ -548,6 +550,30 @@ def test_perturb_verify_at_top_order(tmp_path, half):
     oracle = values[f"oracle[m={m},p={m}]"]
     assert abs(family - oracle) <= DEFAULT_CONFIG["tolerances"]["family"]
     assert all(r[-1] == "true" for r in rows[1:])
+
+
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+def test_perturb_verify_builds_the_series_once(tmp_path, monkeypatch, order):
+    # one oracle call reads every order off one set of generating
+    # polynomials: one ring of each size, one volume exponential and one
+    # pair exponential for the single interface offset of the past cut
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "taylor_oracle_I",
+                        counted("oracle", cli.taylor_oracle_I))
+    monkeypatch.setattr(PolyRing, "exp", counted("exp", PolyRing.exp))
+    monkeypatch.setattr(PolyRing, "create", classmethod(
+        counted("create", PolyRing.create.__func__)))
+    code, _ = run_cli(tmp_path, "perturb-verify", "--override",
+                      f"order={order}")
+    assert code == 0
+    assert counts == {"oracle": 1, "exp": 2, "create": 2}
 
 
 def test_order_above_the_top_order_rejected(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,12 +8,14 @@ import pytest
 from surflat.errors import InvalidJetError, RangeError, UnsupportedOrderError
 from surflat.jets import (Jet, delta_ell_field, delta_op_field,
                           pair_product_sum, region_product_sum)
-from surflat.lagrangian import ModelParams
+from surflat.lagrangian import MAX_ORDER, ModelParams, stencil_deriv_table
 from surflat.linear import (GreensChoice, greens_apply, scalar_solution,
                             wave_solution)
 from surflat.perturb import (Hierarchy, build_hierarchy, compositions,
                              family_taylor_I, taylor_oracle_I)
-from surflat.space import Region, Window, past_region
+from surflat.polyseries import PolyRing
+from surflat.space import (Region, STENCIL_OFFSETS, Window, pair_masks,
+                           past_region)
 
 PARAMS = ModelParams()
 CHOICE = GreensChoice()
@@ -93,9 +97,10 @@ def test_pure_t_sector_ignores_u(seeds):
 @pytest.mark.parametrize("m,p_order", [(1, 2), (1, 3), (2, 1), (2, 3),
                                        (3, 1), (3, 2)])
 def test_off_grading_orders_vanish_exactly(hier, m, p_order):
+    # the oracle reports grading m only; its off-grading zeros are the
+    # literal oracle[m,p] report rows (tests/test_cli.py, acceptance 9)
     omega = past_region(WIN, 0)
     assert family_taylor_I(hier, omega, m, p_order) == 0.0
-    assert taylor_oracle_I(hier, omega, m, p_order) == 0.0
 
 
 def test_first_order_is_the_plain_balance(hier, seeds):
@@ -115,7 +120,7 @@ def test_first_order_is_the_plain_balance(hier, seeds):
 def test_routes_agree(hier, omega_builder, m):
     omega = omega_builder()
     a = family_taylor_I(hier, omega, m, m)
-    b = taylor_oracle_I(hier, omega, m, m)
+    b = taylor_oracle_I(hier, omega)[m - 1]
     assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
@@ -130,13 +135,48 @@ def hier_mixed(seeds):
     return build_hierarchy(u, v, 2, CHOICE, PARAMS, WIN)
 
 
-def test_routes_agree_with_nonzero_scalar_seed(hier_mixed):
+def routes_agree_on_mixed_box(hier_mixed):
     omega = Region.from_box(WIN, -4, 3, -5, 2)
+    oracle = taylor_oracle_I(hier_mixed, omega)
+    agree = []
     for m in (1, 2):
         a = family_taylor_I(hier_mixed, omega, m, m)
-        b = taylor_oracle_I(hier_mixed, omega, m, m)
         assert a != 0.0
-        assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+        agree.append(abs(a - oracle[m - 1]) <= 1e-10 * max(1.0, abs(a)))
+    return agree
+
+
+def test_routes_agree_with_nonzero_scalar_seed(hier_mixed):
+    assert routes_agree_on_mixed_box(hier_mixed) == [True, True]
+
+
+def test_truncated_exp_breaks_route_agreement(hier_mixed, monkeypatch):
+    # a planted defect: the exponential stops one step early, so the
+    # degree-cap part of the scalar weights goes missing
+    def exp_one_step_short(ring, a):
+        out = ring.constant(1.0, a.shape[1])
+        term = ring.constant(1.0, a.shape[1])
+        for n in range(1, ring.cap):
+            term = ring.mul(term, a)
+            term /= n
+            out += term
+        return out
+
+    monkeypatch.setattr(PolyRing, "exp", exp_one_step_short)
+    assert routes_agree_on_mixed_box(hier_mixed) == [True, False]
+
+
+def test_short_product_table_breaks_route_agreement(hier_mixed, monkeypatch):
+    # a planted defect: every monomial's product table loses its last pair
+    create = PolyRing.create.__func__
+
+    def create_short(cls, n_vars, cap):
+        ring = create(cls, n_vars, cap)
+        return dataclasses.replace(ring, terms=tuple(
+            pairs[:-1] if len(pairs) > 1 else pairs for pairs in ring.terms))
+
+    monkeypatch.setattr(PolyRing, "create", classmethod(create_short))
+    assert routes_agree_on_mixed_box(hier_mixed) == [False, False]
 
 
 def test_second_coefficient_is_greens_image(hier, seeds):
@@ -169,11 +209,9 @@ def test_family_arg_validation(hier):
         family_taylor_I(hier, omega, 0, 1)
     with pytest.raises(UnsupportedOrderError):
         family_taylor_I(hier, omega, 4, 4)
-    with pytest.raises(UnsupportedOrderError):
-        taylor_oracle_I(hier, omega, 2, 4)
     stranger = past_region(Window(-9, 9, -9, 9), 0)
     with pytest.raises(RangeError):
-        taylor_oracle_I(hier, stranger, 2, 2)
+        taylor_oracle_I(hier, stranger)
 
 
 def test_full_window_region_sees_volume_only(hier_mixed):
@@ -188,7 +226,7 @@ def test_full_window_region_sees_volume_only(hier_mixed):
     assert expect != 0.0
     got = family_taylor_I(hier_mixed, omega, m, m)
     assert math.isclose(got, expect, rel_tol=1e-12, abs_tol=1e-15)
-    assert math.isclose(taylor_oracle_I(hier_mixed, omega, m, m), expect,
+    assert math.isclose(taylor_oracle_I(hier_mixed, omega)[m - 1], expect,
                         rel_tol=1e-12, abs_tol=1e-15)
 
 
@@ -202,6 +240,107 @@ def test_hierarchy_and_oracle_leave_inputs_unchanged(seeds, hier_mixed):
     assert built.coeffs[(1, 0)] is seeds[0]
     assert built.coeffs[(0, 1)] is seeds[1]
     stored = snapshot(hier_mixed.coeffs.values())
-    for m in range(1, hier_mixed.order + 1):
-        taylor_oracle_I(hier_mixed, past_region(WIN, 0), m, m)
+    taylor_oracle_I(hier_mixed, past_region(WIN, 0))
     assert snapshot(hier_mixed.coeffs.values()) == stored
+
+
+def reference_oracle(hier, omega, m):
+    """The series oracle for one order m at grading m, built afresh per m.
+
+    This is the per-order evaluation that taylor_oracle_I replaced by one
+    pass over all orders, kept verbatim as the bitwise reference. It runs
+    on the production PolyRing, whose mul and exp tests/test_polyseries.py
+    pins bitwise to the round-by-round reference.
+    """
+    window = hier.window
+    p = hier.params
+    cap = hier.order
+    ring2 = PolyRing.create(2, cap)
+    ring4 = PolyRing.create(4, cap)
+
+    def gather(name, cols):
+        out = ring2.zeros(cols.size)
+        for (i, j), jet in hier.coeffs.items():
+            out[ring2.index[(i, j)]] = getattr(jet, name).ravel()[cols]
+        return out
+
+    mfact = float(math.factorial(m - 1))
+    exp_c = ring2.exp(gather("a", np.flatnonzero(omega.mask)))
+    vol_coeff = exp_c[ring2.index[(1, m - 1)]]
+    volume = 0.5 * p.nu * mfact * float(vol_coeff.sum())
+
+    slot_x = np.array([ring4.index[(a, b, 0, 0)] for (a, b) in ring2.monomials])
+    slot_y = np.array([ring4.index[(0, 0, a, b)] for (a, b) in ring2.monomials])
+
+    table = stencil_deriv_table(p)
+    n_x = window.shape[1]
+    surface = 0.0
+    for (dt, dx), mask in pair_masks(omega).items():
+        ix = np.flatnonzero(mask.ravel())
+        if ix.size == 0:
+            continue
+        iy = ix + dt * n_x + dx
+        width = ix.size
+
+        def embed(name, cols, rows):
+            out = ring4.zeros(width)
+            out[rows] = gather(name, cols)
+            return out
+
+        cx = embed("a", ix, slot_x)
+        cy = embed("a", iy, slot_y)
+        phix = embed("u_phi", ix, slot_x)
+        phiy = embed("u_phi", iy, slot_y)
+
+        f_pair = ring4.exp(cx + cy)
+        idx = STENCIL_OFFSETS.index((-dt, -dx))
+        expansion = ring4.zeros(width)
+        phix_pow = [ring4.constant(1.0, width)]
+        phiy_pow = [ring4.constant(1.0, width)]
+        for k in range(1, cap + 1):
+            phix_pow.append(ring4.mul(phix_pow[-1], phix))
+            phiy_pow.append(ring4.mul(phiy_pow[-1], phiy))
+        for kx in range(cap + 1):
+            for ky in range(cap + 1 - kx):
+                d = table[(kx, ky)][idx]
+                if d == 0.0:
+                    continue
+                scale = d / (math.factorial(kx) * math.factorial(ky))
+                expansion = expansion + scale * ring4.mul(
+                    phix_pow[kx], phiy_pow[ky])
+        f_pair = ring4.mul(f_pair, expansion)
+
+        for b in range(m):
+            d_deg = m - 1 - b
+            plus = f_pair[ring4.index[(1, b, 0, d_deg)]]
+            minus = f_pair[ring4.index[(0, b, 1, d_deg)]]
+            surface += mfact * float(plus.sum() - minus.sum())
+    return surface - volume
+
+
+@functools.cache
+def mixed_hierarchy(window, order):
+    u = right_mover(window, 2, 0.15) + scalar_solution(
+        1e-3, PARAMS, window, decay="future")
+    v = left_mover(window, -2, 0.2) + scalar_solution(
+        2e-3, PARAMS, window, decay="past")
+    return build_hierarchy(u, v, order, CHOICE, PARAMS, window)
+
+
+@pytest.mark.parametrize("window", [WIN, Window(-11, 10, -11, 11)],
+                         ids=["21x21", "22x23"])
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+@pytest.mark.parametrize("region", ["past", "box", "full"])
+def test_oracle_matches_per_order_reference_bitwise(window, order, region):
+    hier = mixed_hierarchy(window, order)
+    omega = {
+        "past": lambda: past_region(window, 0),
+        "box": lambda: Region.from_box(window, -4, 3, -5, 2),
+        "full": lambda: Region.from_box(window, window.t_min, window.t_max,
+                                        window.x_min, window.x_max),
+    }[region]()
+    expect = tuple(reference_oracle(hier, omega, m)
+                   for m in range(1, order + 1))
+    got = taylor_oracle_I(hier, omega)
+    assert got == expect
+    assert any(value != 0.0 for value in got)

@@ -84,3 +84,66 @@ def test_mul_commutes(seed):
     a = rng.normal(size=(len(ring.monomials), 2))
     b = rng.normal(size=(len(ring.monomials), 2))
     np.testing.assert_allclose(ring.mul(a, b), ring.mul(b, a), atol=1e-12)
+
+
+def mul_by_rounds(ring, a, b):
+    """The round-by-round product, kept as the bitwise reference for mul.
+
+    Round r holds the r-th (i, j, k) triple of every output monomial k
+    that has one; the first round covers every k, as 1 times k, in order.
+    """
+    rounds = []
+    for r in range(max(len(pairs) for pairs in ring.terms)):
+        rounds.append(tuple(np.array(
+            [(i, j, k) for k, pairs in enumerate(ring.terms)
+             if len(pairs) > r for i, j in [pairs[r]]], dtype=np.intp).T))
+    i, j, _ = rounds[0]
+    out = 0.0 + a[i] * b[j]
+    for i, j, k in rounds[1:]:
+        out[k] += a[i] * b[j]
+    return out
+
+
+def exp_by_rounds(ring, a):
+    out = ring.constant(1.0, a.shape[1])
+    term = ring.constant(1.0, a.shape[1])
+    for n in range(1, ring.cap + 1):
+        term = mul_by_rounds(ring, term, a) / n
+        out = out + term
+    return out
+
+
+def planted_batch(ring, width, rng):
+    """Random coefficients with exact zeros of both signs planted in.
+
+    The constant term is -0.0.
+    """
+    a = rng.normal(size=(len(ring.monomials), width))
+    a[rng.random(a.shape) < 0.2] = -0.0
+    a[rng.random(a.shape) < 0.1] = 0.0
+    a[0] = -0.0
+    a[-1] = -0.0
+    return a
+
+
+def assert_bitwise(got, expect):
+    assert np.array_equal(got, expect)
+    assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+@pytest.mark.parametrize("n_vars", [2, 4])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+@pytest.mark.parametrize("width", [1, 81, 3321])
+def test_mul_and_exp_match_rounds_bitwise(n_vars, cap, width):
+    ring = PolyRing.create(n_vars, cap)
+    rng = np.random.default_rng(100 * n_vars + 10 * cap + width)
+    a = planted_batch(ring, width, rng)
+    b = planted_batch(ring, width, rng)
+    # -0.0 times 0.0 makes the constant term's only product a -0.0, which
+    # the sum must turn into the 0.0 of a zeroed start
+    b[0] = 0.0
+    product = ring.mul(a, b)
+    assert (product == 0.0).any()
+    assert_bitwise(product, mul_by_rounds(ring, a, b))
+    assert_bitwise(ring.exp(a), exp_by_rounds(ring, a))
+
