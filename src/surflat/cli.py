@@ -6,6 +6,10 @@ carries the tolerance it was judged against. The process exits 0 when all
 rows pass, 1 on a numerical failure, and 2 when the configuration itself is
 invalid. Runs are deterministic: the same config produces byte-identical
 reports.
+
+SCHEMA is the one table of config fields: each field's default (from which
+DEFAULT_CONFIG is derived) and the check its value must pass. _validate
+keeps only the rules that relate fields to each other.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import copy
 import csv
 import dataclasses
 import json
+import math
 import pathlib
 import sys
 
@@ -43,45 +48,117 @@ NU_SENSITIVE = ("slayer-sweep", "perturb-verify", "greens-dependence")
 GREENS_SUITES = ("greens-verify", "slayer-sweep", "perturb-verify",
                  "greens-dependence")
 
-# magnitude bound on every real-valued config number (see _as_float)
+# magnitude bound on every real-valued config number (see Field.check)
 NUMBER_LIMIT = 1e6
 # largest window, in sites: 1001 x 1001, about ten times the 321 x 321
 # windows of the benchmark; checked before any field is allocated
 MAX_WINDOW_SITES = 1001 * 1001
+# greens-verify draws its sources on the centered box of this half-width
+SUPPORT_HALF = 3
 
 CSV_COLUMNS = ("suite", "slice_t", "quantity", "value", "reference",
                "residual", "tolerance", "pass")
 
-DEFAULT_CONFIG = {
-    "model": {"lambda_a": 5.0, "lambda_i": 2.0, "delta": 1.0,
-              "epsilon": 0.2, "nu": None},
-    "force_nu": False,
-    "window": {"t_min": -40, "t_max": 40, "x_min": -40, "x_max": 40},
-    "jets": {
-        "u": {"kind": "right_mover", "center": 3, "width": 7,
-              "amplitude": 0.2},
-        "v": {"kind": "left_mover", "center": -3, "width": 7,
-              "amplitude": 0.25},
-        "probe": {"kind": "scalar_mode", "center": 0, "width": 7,
-                  "amplitude": 0.01, "decay": "past"},
-    },
-    "greens": {"vector_kind": "retarded", "scalar_kind": "banded_solve"},
-    "slices": {"start": -5, "stop": 5},
-    "order": 3,
-    "draws": 20,
-    "modifiers": 5,
-    "seed": 0,
-    "tolerances": {
-        "el": 1e-12,
-        "solution_residual": 1e-10,
-        "greens": 1e-10,
-        "backend_agreement": 1e-9,
-        "closed_form": 1e-12,
-        "conservation": 1e-10,
-        "family": 1e-9,
-        "dependence": 1e-10,
-    },
+
+@dataclasses.dataclass(frozen=True)
+class Field:
+    """One config field: its default and the check its value must pass.
+
+    type is bool, int (within lo..hi), float (finite, at most NUMBER_LIMIT
+    in magnitude, above zero if positive), str (one of choices) or dict (a
+    jet spec, see JET_FIELDS). A nullable field may be null or absent.
+    """
+
+    default: object
+    type: type
+    lo: float = -math.inf
+    hi: float = math.inf
+    choices: tuple = ()
+    positive: bool = False
+    nullable: bool = False
+
+    def check(self, value, where: str):
+        if value is None and self.nullable:
+            return None
+        if self.type is dict:
+            return _parse_jet_spec(value, where)
+        if self.choices:
+            if value not in self.choices:
+                raise ConfigError(f"{where} must be one of "
+                                  f"{', '.join(self.choices)}, got {value!r}")
+            return value
+        # Python counts true and false as integers; the config does not
+        types = (int, float) if self.type is float else self.type
+        if not isinstance(value, types) or (isinstance(value, bool)
+                                            and self.type is not bool):
+            raise ConfigError(
+                f"{where} must be {TYPE_NOUNS[self.type]}, got {value!r}")
+        if self.type is int and not self.lo <= value <= self.hi:
+            bound = (f"lie in {self.lo}..{self.hi}" if self.hi < math.inf
+                     else f"be >= {self.lo}")
+            raise ConfigError(f"{where} must {bound}, got {value}")
+        if self.type is not float:
+            return value
+        # JSON parsing lets NaN, Infinity and integers too large for a float
+        # through. The suites multiply up to MAX_ORDER + 1 configured numbers
+        # (jet amplitudes in the hierarchy, couplings in the scalar symbol),
+        # so a bound far above any meaningful setting keeps every such
+        # product finite.
+        if not abs(value) <= NUMBER_LIMIT:  # also false for NaN
+            raise ConfigError(f"{where} must be a finite number of magnitude "
+                              f"at most {NUMBER_LIMIT:g}, got {value!r}")
+        if self.positive and value <= 0:
+            raise ConfigError(f"{where} must be positive, got {value!r}")
+        return float(value)
+
+
+TYPE_NOUNS = {bool: "true or false", int: "an integer", float: "a number"}
+
+SCHEMA = {
+    "model": {"lambda_a": Field(5.0, float), "lambda_i": Field(2.0, float),
+              "delta": Field(1.0, float), "epsilon": Field(0.2, float),
+              "nu": Field(None, float, nullable=True)},
+    "force_nu": Field(False, bool),
+    "window": {"t_min": Field(-40, int), "t_max": Field(40, int),
+               "x_min": Field(-40, int), "x_max": Field(40, int)},
+    "jets": {"u": Field({"kind": "right_mover", "center": 3, "width": 7,
+                         "amplitude": 0.2}, dict),
+             "v": Field({"kind": "left_mover", "center": -3, "width": 7,
+                         "amplitude": 0.25}, dict),
+             "probe": Field({"kind": "scalar_mode", "center": 0, "width": 7,
+                             "amplitude": 0.01, "decay": "past"}, dict,
+                            nullable=True)},
+    "greens": {"vector_kind": Field("retarded", str,
+                                    choices=("retarded", "advanced")),
+               "scalar_kind": Field("banded_solve", str,
+                                    choices=("banded_solve", "frequency"))},
+    "slices": {"start": Field(-5, int), "stop": Field(5, int)},
+    "order": Field(3, int, lo=1, hi=MAX_ORDER),
+    "draws": Field(20, int, lo=1),
+    "modifiers": Field(5, int, lo=1),
+    "seed": Field(0, int, lo=0),
+    "tolerances": {name: Field(tol, float, positive=True) for name, tol in (
+        ("el", 1e-12), ("solution_residual", 1e-10), ("greens", 1e-10),
+        ("backend_agreement", 1e-9), ("closed_form", 1e-12),
+        ("conservation", 1e-10), ("family", 1e-9), ("dependence", 1e-10))},
 }
+
+# the fields of a jet spec, with the value an omitted field takes; decay
+# belongs to scalar_mode only, and _parse_jet_spec reads an optional profile
+# whose values are checked like amplitudes
+JET_FIELDS = {"kind": Field(None, str, choices=JET_KINDS),
+              "center": Field(0, int), "width": Field(1, int, lo=1),
+              "amplitude": Field(1.0, float),
+              "decay": Field("past", str, choices=("past", "future"))}
+
+
+def _defaults(schema: dict) -> dict:
+    return {key: _defaults(field) if isinstance(field, dict)
+            else copy.deepcopy(field.default)
+            for key, field in schema.items()}
+
+
+DEFAULT_CONFIG = _defaults(SCHEMA)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,45 +199,29 @@ class ExperimentConfig:
     tolerances: dict
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _as_float(value, where: str) -> float:
-    # JSON parsing lets NaN, Infinity and integers too large for a float
-    # through. The suites multiply up to MAX_ORDER + 1 configured numbers
-    # (jet amplitudes in the hierarchy, couplings in the scalar symbol), so a
-    # bound far above any meaningful setting keeps every such product finite.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    if not abs(value) <= NUMBER_LIMIT:  # also false for NaN
-        raise ConfigError(f"{where} must be a finite number of magnitude at "
-                          f"most {NUMBER_LIMIT:g}, got {value!r}")
-    return float(value)
-
-
-def _as_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, got {value!r}")
-    return value
-
-
-def _section(data: dict, name: str) -> dict:
-    value = data[name]
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be an object, got {value!r}")
-    return value
-
-
-def _expect_keys(section: dict, where: str, required, optional=()):
-    unknown = set(section) - set(required) - set(optional)
+def _expect_keys(section: dict, where: str, allowed, required=()):
+    unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(f"{where} has unknown fields {sorted(unknown)}")
     missing = set(required) - set(section)
     if missing:
         raise ConfigError(f"{where} is missing fields {sorted(missing)}")
+
+
+def _walk(schema: dict, data, path: str = "") -> dict:
+    """Check one config section against its schema; return parsed values."""
+    where = path or "config"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object, got {data!r}")
+    _expect_keys(data, where, schema, [
+        key for key, field in schema.items()
+        if isinstance(field, dict) or not field.nullable])
+    out = {}
+    for key, field in schema.items():
+        inner = f"{path}.{key}" if path else key
+        out[key] = (_walk(field, data[key], inner) if isinstance(field, dict)
+                    else field.check(data.get(key), inner))
+    return out
 
 
 def _bump_values(center: int, width: int, amplitude: float) -> dict:
@@ -173,26 +234,12 @@ def _bump_values(center: int, width: int, amplitude: float) -> dict:
 def _parse_jet_spec(spec, where: str) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object, got {spec!r}")
-    kind = spec.get("kind")
-    if kind not in JET_KINDS:
-        raise ConfigError(
-            f"{where}.kind must be one of {', '.join(JET_KINDS)}, "
-            f"got {kind!r}")
-    allowed = {"kind", "center", "width", "amplitude", "profile"}
-    if kind == "scalar_mode":
-        allowed.add("decay")
-    _expect_keys(spec, where, {"kind"}, allowed)
-    out = {"kind": kind}
-    out["center"] = _as_int(spec.get("center", 0), f"{where}.center")
-    out["width"] = _as_int(spec.get("width", 1), f"{where}.width")
-    if out["width"] < 1:
-        raise ConfigError(f"{where}.width must be >= 1, got {out['width']}")
-    out["amplitude"] = _as_float(spec.get("amplitude", 1.0),
-                                 f"{where}.amplitude")
-    out["decay"] = spec.get("decay", "past")
-    if out["decay"] not in ("past", "future"):
-        raise ConfigError(
-            f"{where}.decay must be 'past' or 'future', got {out['decay']!r}")
+    out = {key: field.check(spec.get(key, field.default), f"{where}.{key}")
+           for key, field in JET_FIELDS.items()}
+    allowed = {*JET_FIELDS, "profile"}
+    if out["kind"] != "scalar_mode":
+        allowed.remove("decay")
+    _expect_keys(spec, where, allowed)
     profile = spec.get("profile")
     if profile is None:
         out["profile"] = None
@@ -201,7 +248,7 @@ def _parse_jet_spec(spec, where: str) -> dict:
     if not isinstance(profile, dict) or not profile:
         raise ConfigError(
             f"{where}.profile must be a non-empty object of site -> value")
-    parsed = {}
+    parsed, keys = {}, {}
     for key, val in profile.items():
         try:
             site = int(key)
@@ -209,7 +256,12 @@ def _parse_jet_spec(spec, where: str) -> dict:
             raise ConfigError(
                 f"{where}.profile key {key!r} is not an integer site"
             ) from None
-        parsed[site] = _as_float(val, f"{where}.profile[{key}]")
+        if site in keys:
+            raise ConfigError(f"{where}.profile keys {keys[site]!r} and "
+                              f"{key!r} both name site {site}")
+        keys[site] = key
+        parsed[site] = JET_FIELDS["amplitude"].check(
+            val, f"{where}.profile[{key}]")
     out["profile"] = parsed
     out["span"] = max(abs(site) for site in parsed)
     return out
@@ -299,24 +351,19 @@ def load_config(path, overrides, seed, suite: str) -> ExperimentConfig:
     return _validate(data, suite)
 
 
-def _validate(data: dict, suite: str) -> ExperimentConfig:
-    _expect_keys(data, "config", set(DEFAULT_CONFIG))
-
-    model = _section(data, "model")
-    _expect_keys(model, "model", set(DEFAULT_CONFIG["model"]))
-    nu = model["nu"]
-    if nu is not None:
-        nu = _as_float(nu, "model.nu")
+def _construct(make, *args, **kwargs):
+    """Call a domain constructor, whose own checks raise ValueError."""
     try:
-        params = ModelParams(_as_float(model["lambda_a"], "model.lambda_a"),
-                             _as_float(model["lambda_i"], "model.lambda_i"),
-                             _as_float(model["delta"], "model.delta"),
-                             _as_float(model["epsilon"], "model.epsilon"),
-                             nu)
-    except ValueError as exc:
+        return make(*args, **kwargs)
+    except ValueError as exc:  # RangeError and InvalidJetError included
         raise ConfigError(str(exc)) from None
-    force_nu = _as_bool(data["force_nu"], "force_nu")
-    if (suite in NU_SENSITIVE and not force_nu
+
+
+def _validate(data: dict, suite: str) -> ExperimentConfig:
+    """Check each field against SCHEMA, then the rules that relate them."""
+    fields = _walk(SCHEMA, data)
+    params = _construct(ModelParams, **fields["model"])
+    if (suite in NU_SENSITIVE and not fields["force_nu"]
             and params.nu != params.balanced_nu):
         raise ConfigError(
             f"nu={params.nu} breaks the volume balance that {suite} relies "
@@ -330,15 +377,7 @@ def _validate(data: dict, suite: str) -> ExperimentConfig:
             f"vanish at some frequency, so {suite} has no scalar Green's "
             f"operator")
 
-    wsec = _section(data, "window")
-    _expect_keys(wsec, "window", set(DEFAULT_CONFIG["window"]))
-    try:
-        window = Window(_as_int(wsec["t_min"], "window.t_min"),
-                        _as_int(wsec["t_max"], "window.t_max"),
-                        _as_int(wsec["x_min"], "window.x_min"),
-                        _as_int(wsec["x_max"], "window.x_max"))
-    except RangeError as exc:
-        raise ConfigError(str(exc)) from None
+    window = _construct(Window, **fields["window"])
     if window.shape[0] < 3 or window.shape[1] < 3:
         raise ConfigError(
             f"window {window} has no interior site on some axis")
@@ -347,31 +386,21 @@ def _validate(data: dict, suite: str) -> ExperimentConfig:
             f"window {window} has {window.shape[0] * window.shape[1]} sites, "
             f"more than the limit of {MAX_WINDOW_SITES}")
 
-    order = _as_int(data["order"], "order")
-    if not 1 <= order <= MAX_ORDER:
-        raise ConfigError(
-            f"order must lie in 1..{MAX_ORDER}, got {order}")
+    specs = {name: spec for name, spec in fields["jets"].items()
+             if spec is not None}
+    for name in ("u", "v"):
+        kind = specs[name]["kind"]
+        if suite == "slayer-sweep" and kind not in WAVE_KINDS:
+            raise ConfigError(
+                f"jets.{name} must be a wave kind for {suite} (the bilinear "
+                f"forms take vanishing-scalar jets), got {kind!r}")
+        if (suite in ("perturb-verify", "greens-dependence")
+                and kind not in SOLUTION_KINDS):
+            raise ConfigError(
+                f"jets.{name} must solve the linearized equation for "
+                f"{suite}, got kind {kind!r}")
 
-    jsec = _section(data, "jets")
-    _expect_keys(jsec, "jets", {"u", "v"}, {"probe"})
-    specs = {name: _parse_jet_spec(jsec[name], f"jets.{name}")
-             for name in ("u", "v")}
-    if jsec.get("probe") is not None:
-        specs["probe"] = _parse_jet_spec(jsec["probe"], "jets.probe")
-    if suite == "slayer-sweep":
-        for name in ("u", "v"):
-            if specs[name]["kind"] not in WAVE_KINDS:
-                raise ConfigError(
-                    f"jets.{name} must be a wave kind for {suite} (the "
-                    f"bilinear forms take vanishing-scalar jets), got "
-                    f"{specs[name]['kind']!r}")
-    if suite in ("perturb-verify", "greens-dependence"):
-        for name in ("u", "v"):
-            if specs[name]["kind"] not in SOLUTION_KINDS:
-                raise ConfigError(
-                    f"jets.{name} must solve the linearized equation for "
-                    f"{suite}, got kind {specs[name]['kind']!r}")
-
+    order = fields["order"]
     span = max(spec["span"] for spec in specs.values())
     margin = min(window.t_max, -window.t_min, window.x_max, -window.x_min)
     if margin < order + span:
@@ -379,56 +408,29 @@ def _validate(data: dict, suite: str) -> ExperimentConfig:
             f"window margin {margin} is smaller than truncation order "
             f"{order} plus jet span {span}; enlarge the window or shrink "
             f"the jets")
-
-    gsec = _section(data, "greens")
-    _expect_keys(gsec, "greens", set(DEFAULT_CONFIG["greens"]))
-    try:
-        greens = GreensChoice(vector_kind=gsec["vector_kind"],
-                              scalar_kind=gsec["scalar_kind"])
-    except InvalidJetError as exc:
-        raise ConfigError(str(exc)) from None
-
-    ssec = _section(data, "slices")
-    _expect_keys(ssec, "slices", set(DEFAULT_CONFIG["slices"]))
-    start = _as_int(ssec["start"], "slices.start")
-    stop = _as_int(ssec["stop"], "slices.stop")
-    if start > stop:
-        raise ConfigError(f"slices.start {start} exceeds slices.stop {stop}")
-    if start < window.t_min or stop >= window.t_max:
+    if suite == "greens-verify" and not (
+            window.contains(-SUPPORT_HALF, -SUPPORT_HALF)
+            and window.contains(SUPPORT_HALF, SUPPORT_HALF)):
         raise ConfigError(
-            f"slice range [{start}, {stop}] must satisfy "
-            f"{window.t_min} <= start and stop < {window.t_max} (closed "
-            f"forms read the row above each cut)")
+            f"window {window} cannot hold the centered support box of "
+            f"half-width {SUPPORT_HALF}")
 
-    draws = _as_int(data["draws"], "draws")
-    modifiers = _as_int(data["modifiers"], "modifiers")
-    if draws < 1 or modifiers < 1:
-        raise ConfigError("draws and modifiers must be >= 1")
-    seed = _as_int(data["seed"], "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    start, stop = fields["slices"]["start"], fields["slices"]["stop"]
+    if not window.t_min <= start <= stop < window.t_max:
+        raise ConfigError(
+            f"slice range [{start}, {stop}] must satisfy {window.t_min} <= "
+            f"start <= stop < {window.t_max} (closed forms read the row "
+            f"above each cut)")
 
-    tsec = _section(data, "tolerances")
-    _expect_keys(tsec, "tolerances", set(DEFAULT_CONFIG["tolerances"]))
-    tolerances = {}
-    for key in DEFAULT_CONFIG["tolerances"]:
-        tolerances[key] = _as_float(tsec[key], f"tolerances.{key}")
-        if tolerances[key] <= 0.0:
-            raise ConfigError(f"tolerances.{key} must be positive")
-
-    try:
-        u = _build_jet(specs["u"], params, window)
-        v = _build_jet(specs["v"], params, window)
-        probe = (_build_jet(specs["probe"], params, window)
-                 if "probe" in specs else None)
-    except RangeError as exc:
-        raise ConfigError(str(exc)) from None
-
-    return ExperimentConfig(params=params, window=window, u=u, v=v,
-                            probe=probe, specs=specs, greens=greens,
-                            slices=range(start, stop + 1), order=order,
-                            draws=draws, modifiers=modifiers, seed=seed,
-                            force_nu=force_nu, tolerances=tolerances)
+    jets = {name: _construct(_build_jet, spec, params, window)
+            for name, spec in specs.items()}
+    return ExperimentConfig(
+        params=params, window=window, u=jets["u"], v=jets["v"],
+        probe=jets.get("probe"), specs=specs,
+        greens=_construct(GreensChoice, **fields["greens"]),
+        slices=range(start, stop + 1), order=order, draws=fields["draws"],
+        modifiers=fields["modifiers"], seed=fields["seed"],
+        force_nu=fields["force_nu"], tolerances=fields["tolerances"])
 
 
 def _run_check_el(cfg: ExperimentConfig) -> list:
@@ -469,12 +471,8 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
     its own greens_residual.
     """
     p, window = cfg.params, cfg.window
-    half = 3
-    if not (window.contains(-half, -half) and window.contains(half, half)):
-        raise ConfigError(
-            f"window {window} cannot hold the centered support box of "
-            f"half-width {half}")
-    box = Region.from_box(window, -half, half, -half, half)
+    box = Region.from_box(window, -SUPPORT_HALF, SUPPORT_HALF, -SUPPORT_HALF,
+                          SUPPORT_HALF)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for draw in range(cfg.draws):

@@ -3,6 +3,7 @@ import csv
 import itertools
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -168,6 +169,66 @@ def _window_overrides(t_min, t_max, x_min, x_max):
             f"window.x_min={x_min}", f"window.x_max={x_max}"]
 
 
+# u and v one site wide at the origin leave the margin rule satisfied on a
+# +-2 window at order 1, but greens-verify's +-3 support box does not fit
+SUPPORT_BOX_MISSES = ["jets.probe=null", "jets.u.width=1", "jets.u.center=0",
+                      "jets.v.width=1", "jets.v.center=0", "order=1",
+                      *_window_overrides(-2, 2, -2, 2), "slices.start=-1",
+                      "slices.stop=1", "draws=2"]
+
+
+@pytest.mark.parametrize("suite, overrides, fragment", [
+    ("check-el", ["force_nu=1"], "force_nu must be true or false"),
+    ("check-el", ['model.nu="x"'], "model.nu must be a number"),
+    ("check-el", ["jets.v.center=1.5"], "jets.v.center must be an integer"),
+    ("check-el", ["jets.u.decay=future"], "jets.u has unknown fields"),
+    ("greens-verify", ["greens.scalar_kind=fft"], "scalar_kind"),
+    ("greens-dependence", ["modifiers=0"], "modifiers"),
+    ("check-el", ['window={"t_min": -5}'], "window is missing fields"),
+    ("check-el", ["jets.u=null"], "jets.u must be an object"),
+    ("greens-verify", SUPPORT_BOX_MISSES, "support box"),
+], ids=["force_nu=1", "nu=x", "center=1.5", "decay-on-mover", "fft",
+        "modifiers=0", "partial-window", "u=null", "support-box"])
+def test_invalid_field_exits_2(tmp_path, capsys, suite, overrides,
+                               fragment):
+    argv = [suite, "--out", str(tmp_path / "x")]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("profile, first, second", [
+    ('{"0": 0.1, "-0": 0.2}', "'0'", "'-0'"),
+    ('{"1": 0.1, "+1": 0.2, "01": 0.3}', "'1'", "'+1'"),
+], ids=["0,-0", "1,+1,01"])
+def test_profile_keys_naming_one_site_rejected(tmp_path, capsys, profile,
+                                               first, second):
+    code = main(["solve-linear", "--out", str(tmp_path / "x"),
+                 "--override", f"jets.u.profile={profile}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{first} and {second}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    ["window.t_min=5", "window.t_max=-5"],
+    ["greens.vector_kind=sideways"],
+    ['jets.u.profile={"60": 0.1}'],
+    # a bump's time extent follows its width, not its profile's span
+    ["jets.u.kind=bump", 'jets.u.profile={"0": 0.1}', "jets.u.width=201"],
+], ids=["empty-window", "greens-kind", "site-outside", "bump-too-tall"])
+def test_load_config_raises_only_config_error(overrides):
+    with pytest.raises(ValueError) as info:
+        load_config(None, overrides, None, "check-el")
+    assert info.type is ConfigError
+
+
 @pytest.mark.parametrize("overrides", [
     ["window.t_max=1000000000000"],
     # one column of sites more than the largest square window allowed
@@ -322,13 +383,29 @@ OVERRIDE_PATHS = sorted(_config_paths(DEFAULT_CONFIG)) + [
     "window.t_min.deep"]
 
 
-def _default_at(path):
-    node = DEFAULT_CONFIG
+def _field_at(path):
+    """The SCHEMA entry at path, or None; a jet spec holds JET_FIELDS."""
+    node = cli.SCHEMA
     for part in path.split("."):
+        if isinstance(node, cli.Field):
+            node = cli.JET_FIELDS if node.type is dict else None
         if not isinstance(node, dict) or part not in node:
-            return "unknown"
+            return None
         node = node[part]
     return node
+
+
+def _fields(schema):
+    for field in schema.values():
+        if isinstance(field, dict):
+            yield from _fields(field)
+        else:
+            yield field
+
+
+ENUM_STRINGS = sorted({choice for schema in (cli.SCHEMA, cli.JET_FIELDS)
+                       for field in _fields(schema)
+                       for choice in field.choices})
 
 
 def _int_bounds(path):
@@ -352,23 +429,23 @@ SMALL_OBJECTS = st.dictionaries(
 
 
 def _override_values(path):
-    """Values shaped like the default at path, and a share of junk."""
+    """Values of the type SCHEMA gives the field at path, and a share of
+    junk; a path outside the table gets the enum strings."""
     lo, hi = _int_bounds(path)
-    default = _default_at(path)
-    if path.endswith(".profile") or isinstance(default, dict):
+    field = _field_at(path)
+    if (path.endswith(".profile") or isinstance(field, dict)
+            or isinstance(field, cli.Field) and field.type is dict):
         typed = SMALL_OBJECTS
-    elif isinstance(default, bool):
-        typed = st.booleans()
-    elif isinstance(default, int):
-        typed = st.integers(lo, hi)
-    elif isinstance(default, str):
-        typed = st.sampled_from(["right_mover", "left_mover", "scalar_mode",
-                                 "bump", "past", "future", "retarded",
-                                 "advanced", "banded_solve", "frequency"])
+    elif field is None:
+        typed = st.sampled_from(ENUM_STRINGS)
+    elif field.choices:
+        typed = st.sampled_from(field.choices)
     else:
-        typed = ANY_FLOAT
+        typed = {bool: st.booleans(), int: st.integers(lo, hi),
+                 float: ANY_FLOAT}[field.type]
     junk = st.one_of(st.none(), st.booleans(), st.integers(lo, hi),
-                     st.floats(), st.text(max_size=6), SMALL_OBJECTS)
+                     st.floats(), st.text(max_size=6),
+                     st.sampled_from(ENUM_STRINGS), SMALL_OBJECTS)
     return st.one_of(typed, typed, typed, junk)
 
 
@@ -740,6 +817,13 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "solve-linear" in proc.stdout
+
+
+def test_readme_config_block_is_the_default_config():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("### Config schema", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == DEFAULT_CONFIG
 
 
 def test_default_config_covers_all_documented_keys():
