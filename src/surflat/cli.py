@@ -640,7 +640,9 @@ def write_report(out_dir, suite: str, rows) -> dict:
         "suite": suite,
         "pass_count": sum(r.passed for r in rows),
         "fail_count": sum(not r.passed for r in rows),
-        "max_residual": max(r.residual for r in rows),
+        # numpy's max is NaN if any residual is; Python's keeps whichever
+        # number came first
+        "max_residual": float(np.max([r.residual for r in rows])),
     }
     with _open_new(out_dir / "summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -48,8 +48,7 @@ import numpy as np
 from .errors import InvalidJetError, RangeError, UnsupportedOrderError
 from .lagrangian import (MAX_ORDER, ModelParams, lag_phi_deriv,
                          stencil_deriv_table)
-from .space import (LatticePoint, Region, STENCIL_OFFSETS, Window,
-                    pair_masks)
+from .space import LatticePoint, Region, STENCIL_OFFSETS, Window
 
 
 def _as_field(window: Window, values) -> np.ndarray:
@@ -303,23 +302,22 @@ def pair_product_sum(p: ModelParams, omega: Region, factors) -> float:
     factors is a sequence of (jet, s1, s2) triples as in slot_factor_maps;
     the product is applied to the interaction and summed over the pairs
     enumerated by stencil_pairs(omega). The D-series is evaluated at the
-    masked interface sites only, in one workspace sized for the largest
-    offset.
+    region's interface sites only, in one workspace sized for the largest
+    offset. The sites come from omega.interface_sites, found once per
+    region: its mask is read-only, so repeated sums over one region (a
+    surface-layer sweep makes six per cut) never scan the window again.
     """
     table = stencil_deriv_table(p)
-    # the sites of np.nonzero(mask), which is far slower on a 2-D mask
-    sites = [(offset, np.unravel_index(np.flatnonzero(mask), mask.shape))
-             for offset, mask in pair_masks(omega).items()]
+    sites = omega.interface_sites
     ws = series_workspace(len(factors),
-                          max((ix.size for _, (ix, _) in sites), default=0))
+                          max(x[0].size for x, _ in sites.values()))
     total = 0.0
-    for (dt, dx), (ix, jx) in sites:
-        if ix.size == 0:
+    for offset, (x_sites, y_sites) in sites.items():
+        if x_sites[0].size == 0:
             continue
-        rows = workspace_rows(ws, ix.shape)
-        coeffs = slot_factor_maps(factors, (ix, jx), (ix + dt, jx + dx),
-                                  rows)
-        acc = _contract(coeffs, table, (dt, dx), 0, rows[len(coeffs)],
+        rows = workspace_rows(ws, x_sites[0].shape)
+        coeffs = slot_factor_maps(factors, x_sites, y_sites, rows)
+        acc = _contract(coeffs, table, offset, 0, rows[len(coeffs)],
                         rows[len(coeffs) + 1])
         if acc is not None:
             total += float(acc.sum())

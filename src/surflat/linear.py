@@ -19,6 +19,16 @@ The frequency back-end divides by the symbol on the circle, i.e. inverts the
 periodized operator; it agrees with the banded solve up to a homogeneous
 correction carried in from the time boundary. The wave part is integrated as
 a retarded or advanced stepping scheme with zero data on the inflow rows.
+
+Green's operators work where the source lives. Both scalar back-ends treat
+each column on its own, with the same operations whatever the other
+columns hold, so equal columns give equal outputs, bit for bit: each
+column holding a set bit (-0.0 and NaN included) is solved, and one
+all-(+0.0) column stands in for every other. The wave stepping leaves every
+row +0.0 until it meets the first source row with a set bit, so it starts
+there, and an all-zero source is not stepped at all. Both rules are exact:
+every output is bitwise that of the full-window solve, sign of zero
+included.
 """
 
 from __future__ import annotations
@@ -88,11 +98,12 @@ def wave_solution(g_profile: dict, h_profile: dict, window: Window) -> Jet:
     The profiles are finite dicts over the diagonal coordinates. Each must
     meet the window's diagonal range and be narrower than the window's
     spatial extent; cones clipping the window corners are fine (the formula
-    is evaluated pointwise), but a profile wider than the window can never
-    separate from the spatial boundary.
+    is evaluated on each key's diagonal inside the window), but a profile
+    wider than the window can never separate from the spatial boundary.
     """
     u_phi = window.zeros()
     n_x = window.shape[1]
+    t = window.t_coords()
     for name, prof, sign in (("g", g_profile, +1), ("h", h_profile, -1)):
         if not prof:
             continue
@@ -107,15 +118,13 @@ def wave_solution(g_profile: dict, h_profile: dict, window: Window) -> Jet:
             raise RangeError(
                 f"{name} profile support [{keys[0]}, {keys[-1]}] misses the "
                 f"window's diagonal range [{lo}, {hi}]")
-        for s, val in prof.items():
-            for t in range(max(window.t_min, s - (window.x_max if sign > 0
-                                                  else -window.x_min)),
-                           min(window.t_max,
-                               s - (window.x_min if sign > 0
-                                    else -window.x_max)) + 1):
-                x = sign * (s - t)
-                if window.contains(t, x):
-                    u_phi[window.index(t, x)] += val
+        # x along each key's diagonal; a site lies on one diagonal of each
+        # profile, so one indexed add per profile adds each value once
+        diag = np.array(list(prof))
+        values = np.array(list(prof.values()), dtype=float)
+        x = sign * (diag[:, None] - t)
+        key, row = np.nonzero((x >= window.x_min) & (x <= window.x_max))
+        u_phi[row, x[key, row] - window.x_min] += values[key]
     return Jet(window, window.zeros(), u_phi)
 
 
@@ -241,17 +250,47 @@ def _scalar_green_frequency(b: np.ndarray, p: ModelParams) -> np.ndarray:
     return np.fft.irfft(-hat / symbol[:, None], n=n_t, axis=0)
 
 
+def _set_bits(a: np.ndarray, axis: int) -> np.ndarray:
+    # which lines along the axis hold a value other than +0.0 (-0.0 and NaN
+    # count as set)
+    return a.view(np.uint64).any(axis=axis)
+
+
+def _on_live_columns(solve, b: np.ndarray, p: ModelParams) -> np.ndarray:
+    # solve(b, p) from the columns with a set bit and the first all-(+0.0)
+    # column, which stands in for the rest; the backends solve columns
+    # independently. Alone, the stand-in is taken twice: numpy's in-place
+    # ufuncs run about half as fast on one-element rows, which made a
+    # one-column banded sweep slower than a full one.
+    live = _set_bits(b, axis=0)
+    if live.all():
+        return solve(b, p)
+    cols = np.flatnonzero(live)
+    stand_in = [np.argmin(live)] * (1 if cols.size else 2)
+    out = solve(b[:, np.append(cols, stand_in)], p)
+    where = np.full(b.shape[1], cols.size)
+    where[cols] = np.arange(cols.size)
+    # take keeps the row-major layout of a full solve; out[:, where] would
+    # be column-major
+    return np.take(out, where, axis=1)
+
+
 def _vector_green(w_phi: np.ndarray, kind: str) -> np.ndarray:
     n_t = w_phi.shape[0]
     if n_t < 3:
         raise RangeError("window too short in time for the wave stepping")
     sv = np.zeros_like(w_phi)
-    # rows in stepping order, with their views made once
     step = 1 if kind == "retarded" else -1
+    # rows stay +0.0 up to the first source row with a set bit among the
+    # rows 1..n_t-2 (in stepping order) that the stepping reads
+    live = np.flatnonzero(_set_bits(w_phi, axis=1)[::step][1:-1])
+    if live.size == 0:
+        return sv
+    # rows in stepping order, with their views made once
     rows, src = list(sv)[::step], list(w_phi)[::step]
     heads = [row[:-1] for row in rows]
     tails = [row[1:] for row in rows]
-    for t in range(1, n_t - 1):
+    for t in range(1 + live[0], n_t - 1):
         # the new row starts at +0.0: (0 + right) + left - old - source
         new = rows[t + 1]
         np.add(heads[t + 1], tails[t], heads[t + 1])
@@ -269,6 +308,12 @@ def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams,
     the input, exactly on the window interior. The scalar part is solved
     columnwise; the wave part is stepped from two zero inflow rows (the first
     two rows for the retarded kind, the last two for the advanced kind).
+    Work follows the source's support: the scalar backend sees only the
+    columns of w.b with a set bit plus one all-(+0.0) column whose output
+    every other such column shares, and the stepping starts at the first
+    source row with a set bit. Each backend treats columns independently
+    and the skipped rows stay +0.0, so the output is bitwise that of the
+    full-window solve.
 
     With edge_check enabled, the scalar output must vanish on the full window
     frame (its kernel decays, so a hot frame means the source sits too close
@@ -281,10 +326,9 @@ def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams,
     """
     if w.window != window:
         raise RangeError("dual jet window does not match the given window")
-    if choice.scalar_kind == "banded_solve":
-        sb = _scalar_green_banded(w.b, p)
-    else:
-        sb = _scalar_green_frequency(w.b, p)
+    solve = _scalar_green_banded if choice.scalar_kind == "banded_solve" \
+        else _scalar_green_frequency
+    sb = _on_live_columns(solve, w.b, p)
     sv = _vector_green(w.w_phi, choice.vector_kind)
 
     if edge_check:

@@ -10,6 +10,7 @@ row-major in (t, x).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,11 @@ class Window:
 
 @dataclass(frozen=True, eq=False)
 class Region:
-    """A subset of a window's sites, stored as a boolean mask."""
+    """A subset of a window's sites, stored as a boolean mask.
+
+    The mask is the region's own read-only copy, so what is derived from it
+    once, such as interface_sites, stays valid for the region's lifetime.
+    """
 
     window: Window
     mask: np.ndarray
@@ -101,8 +106,23 @@ class Region:
     def __post_init__(self):
         if self.mask.shape != self.window.shape:
             raise RangeError("region mask shape does not match window")
-        if self.mask.dtype != np.bool_:
-            object.__setattr__(self, "mask", self.mask.astype(bool))
+        mask = np.array(self.mask, dtype=bool)
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
+
+    @functools.cached_property
+    def interface_sites(self) -> dict:
+        """Index arrays of the interface pairs, computed once per region.
+
+        Maps each neighbor offset to ((ix, jx), (iy, jy)): the row and
+        column indices of the sites x that pair_masks marks for it, in
+        row-major order, and of their partners y = x + offset.
+        """
+        sites = {}
+        for (dt, dx), mask in pair_masks(self).items():
+            ix, jx = np.unravel_index(np.flatnonzero(mask), mask.shape)
+            sites[(dt, dx)] = ((ix, jx), (ix + dt, jx + dx))
+        return sites
 
     @classmethod
     def from_box(cls, window: Window, t_lo: int, t_hi: int,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surflat import MAX_ORDER, DualJet, Region, cli, linear
+from surflat import MAX_ORDER, DualJet, Region, cli, linear, space
 from surflat.cli import (CSV_COLUMNS, DEFAULT_CONFIG, Row, _apply_override,
                          _parse_jet_spec, load_config, main, write_report)
 from surflat.errors import ConfigError
@@ -548,6 +548,28 @@ def test_write_report_twice_is_byte_identical(tmp_path):
     assert first["summary.json"].endswith(b"}\n")
 
 
+def test_nan_residual_is_the_max_residual(tmp_path, capsys):
+    # a past-decaying scalar mode with lambda_a = 1e6 overflows over 201
+    # rows; its residual row reads NaN after a passing row, and Python's
+    # max would report that earlier number instead
+    with pytest.warns(RuntimeWarning) as record:
+        code, out = run_cli(
+            tmp_path, "solve-linear", "--override",
+            'jets.v={"kind": "scalar_mode", "decay": "past"}',
+            "--override", "model.lambda_a=1000000",
+            "--override", "window.t_min=-100",
+            "--override", "window.t_max=100")
+    assert any("overflow" in str(w.message) for w in record)
+    assert code == 1
+    rows, summary = read_report(out)
+    assert [r[2] for r in rows[1:]] == ["u_interior_residual",
+                                        "v_interior_residual"]
+    assert rows[1][-1] == "true" and rows[2][5] == "nan"
+    assert summary["fail_count"] == 1
+    assert math.isnan(summary["max_residual"])
+    assert "max residual nan" in capsys.readouterr().out
+
+
 # --- all six suites on windows larger than the default ---
 
 def window_overrides(half):
@@ -801,6 +823,46 @@ def test_greens_verify_applies_two_choices_per_draw(monkeypatch):
     cfg = load_config(None, ["draws=3"], None, "greens-verify")
     cli.SUITES["greens-verify"](cfg)
     assert calls == {"greens_apply": 6, "delta_op_field": 6}
+
+
+def test_greens_verify_solves_the_support_columns_only(monkeypatch):
+    # the sources sit on the centred support box: each scalar backend gets
+    # its columns plus one all-zero column standing in for the other 314
+    widths = collections.defaultdict(list)
+
+    def recorded(name):
+        real = getattr(linear, name)
+
+        def wrapper(b, p):
+            widths[name].append(b.shape[1])
+            return real(b, p)
+        monkeypatch.setattr(linear, name, wrapper)
+
+    recorded("_scalar_green_banded")
+    recorded("_scalar_green_frequency")
+    cfg = load_config(None, ["draws=3", *_window_overrides(-160, 160, -160,
+                                                           160)],
+                      None, "greens-verify")
+    cli.SUITES["greens-verify"](cfg)
+    assert widths == {"_scalar_green_banded": [2 * cli.SUPPORT_HALF + 2] * 3,
+                      "_scalar_green_frequency":
+                          [2 * cli.SUPPORT_HALF + 2] * 3}
+
+
+def test_slayer_sweep_finds_interface_sites_once_per_cut(monkeypatch):
+    # six interface sums per cut share one set of interface sites
+    regions = []
+    real = space.pair_masks
+
+    def counted(omega):
+        regions.append(omega)
+        return real(omega)
+    monkeypatch.setattr(space, "pair_masks", counted)
+    cfg = load_config(None, [], None, "slayer-sweep")
+    cli.SUITES["slayer-sweep"](cfg)
+    # the list keeps every region alive, so their ids are distinct
+    assert len(regions) == len(cfg.slices)
+    assert len({id(omega) for omega in regions}) == len(regions)
 
 
 def test_row_judgement():

@@ -10,9 +10,10 @@ from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
                      Region, TruncationError, Window)
 from surflat.jets import DualJet, Jet, delta_op, delta_op_field
 from surflat.linear import (GreensChoice, RankOneModifier, _scalar_green_banded,
-                            _vector_green, greens_apply, greens_defects,
-                            greens_residual, linear_residual, scalar_diag,
-                            scalar_roots, scalar_solution, wave_solution)
+                            _scalar_green_frequency, _vector_green,
+                            greens_apply, greens_defects, greens_residual,
+                            linear_residual, scalar_diag, scalar_roots,
+                            scalar_solution, wave_solution)
 
 P = ModelParams()
 
@@ -118,6 +119,57 @@ def test_wave_solution_range_errors():
         wave_solution({k: 1.0 for k in range(-5, 6)}, {}, w)  # too wide
     with pytest.raises(RangeError):
         wave_solution({50: 1.0}, {}, w)  # misses the window
+    with pytest.raises(RangeError):
+        wave_solution({}, {k: 1.0 for k in range(-5, 6)}, w)
+    with pytest.raises(RangeError):
+        wave_solution({0: 1.0}, {-50: 1.0}, w)
+
+
+def wave_solution_reference(g_profile, h_profile, window):
+    # the per-site loop wave_solution used to run, as a pin for its
+    # diagonal indexing; the range checks are left to wave_solution
+    u_phi = window.zeros()
+    for prof, sign in ((g_profile, +1), (h_profile, -1)):
+        for s, val in prof.items():
+            for t in range(max(window.t_min, s - (window.x_max if sign > 0
+                                                  else -window.x_min)),
+                           min(window.t_max,
+                               s - (window.x_min if sign > 0
+                                    else -window.x_max)) + 1):
+                x = sign * (s - t)
+                if window.contains(t, x):
+                    u_phi[window.index(t, x)] += val
+    return u_phi
+
+
+def random_profile(rng, lo, hi, width):
+    """Up to width keys in [lo, hi] with values, signed zeros among them."""
+    start = int(rng.integers(lo - width, hi + 1))
+    keys = [k for k in range(start, start + width) if rng.random() < 0.7]
+    values = rng.choice([0.0, -0.0, 1.0, -2.5, 1e-300], size=len(keys))
+    values = np.where(rng.random(len(keys)) < 0.5, values,
+                      rng.standard_normal(len(keys)))
+    return {k: float(v) for k, v in zip(keys, values)}
+
+
+def test_wave_solution_matches_site_loop_bitwise():
+    rng = np.random.default_rng(31)
+    windows = [Window(-6, 6, -6, 6), Window(-3, 20, -9, 2),
+               Window(0, 1, -1, 1), Window(-160, 160, -160, 160)]
+    for case in range(300):
+        w = windows[case % len(windows)]
+        n_x = w.shape[1]
+        width = int(rng.integers(1, n_x))
+        g = random_profile(rng, w.t_min + w.x_min, w.t_max + w.x_max, width)
+        h = random_profile(rng, w.t_min - w.x_max, w.t_max - w.x_min, width)
+        try:
+            got = wave_solution(g, h, w)
+        except RangeError:
+            # the profile missed the window, which the reference never
+            # checks; a miss adds nothing
+            continue
+        assert same_bits(got.u_phi, wave_solution_reference(g, h, w)), case
+        assert same_bits(got.a, w.zeros())
 
 
 def test_linear_residual_flags_non_solutions():
@@ -404,6 +456,90 @@ def test_vector_green_matches_reference_bitwise(shape, kind):
     w_phi = planted_source(*shape, seed=sum(shape))
     assert same_bits(_vector_green(w_phi, kind),
                      vector_green_reference(w_phi, kind))
+
+
+# --- Green's operators on the source's support ---
+
+def support_source(shape, name, kind, seed):
+    """(b, w_phi) of one named kind of source on a window of this shape."""
+    n_t, n_x = shape
+    rng = np.random.default_rng(seed)
+    b, w_phi = planted_source(n_t, n_x, seed), planted_source(n_t, n_x,
+                                                              seed + 1)
+    zero = np.zeros(shape)
+    if name == "zero_b":
+        b = zero.copy()
+    elif name == "zero_w_phi":
+        w_phi = zero.copy()
+    elif name == "negative_zero_column":
+        b, w_phi = zero.copy(), zero.copy()
+        b[:, n_x // 2] = -0.0
+        w_phi[:, n_x // 2] = -0.0
+    elif name == "single_column":
+        b, w_phi = zero.copy(), zero.copy()
+        b[:, n_x // 3] = rng.standard_normal(n_t)
+        w_phi[:, n_x // 3] = rng.standard_normal(n_t)
+    elif name == "leading_zero_rows":
+        # zero over the first half of the rows in the kind's stepping order
+        lead = slice(0, n_t // 2) if kind == "retarded" \
+            else slice(n_t - n_t // 2, n_t)
+        b[lead] = 0.0
+        w_phi[lead] = 0.0
+    elif name == "box":
+        # the centred 7 x 7 box of greens-verify, clipped to the window
+        box = (slice(max(0, n_t // 2 - 3), n_t // 2 + 4),
+               slice(max(0, n_x // 2 - 3), n_x // 2 + 4))
+        b, w_phi = zero.copy(), zero.copy()
+        b[box] = 0.05 * rng.standard_normal(b[box].shape)
+        w_phi[box] = 0.05 * rng.standard_normal(w_phi[box].shape)
+    return b, w_phi
+
+
+SUPPORT_SOURCES = ["planted", "zero_b", "zero_w_phi", "negative_zero_column",
+                   "single_column", "leading_zero_rows", "box"]
+
+
+@pytest.mark.parametrize("source", SUPPORT_SOURCES)
+@pytest.mark.parametrize("shape", [(3, 1), (4, 2), (81, 81), (321, 41),
+                                   (321, 321)], ids=lambda s: "x".join(
+                                       map(str, s)))
+@pytest.mark.parametrize("p", SIGNED_DIAGONALS, ids=["diag+", "diag-"])
+@pytest.mark.parametrize("scalar_kind", ["banded_solve", "frequency"])
+@pytest.mark.parametrize("vector_kind", ["retarded", "advanced"])
+def test_greens_apply_equals_full_window_solve_bitwise(vector_kind,
+                                                       scalar_kind, p, shape,
+                                                       source):
+    n_t, n_x = shape
+    w = Window(0, n_t - 1, 0, n_x - 1)
+    b, w_phi = support_source(shape, source, vector_kind, n_t + n_x)
+    out = greens_apply(GreensChoice(vector_kind, scalar_kind),
+                       DualJet(w, b, w_phi), p, w, edge_check=False)
+    full = _scalar_green_banded if scalar_kind == "banded_solve" \
+        else _scalar_green_frequency
+    assert same_bits(out.a, full(b, p))
+    assert same_bits(out.u_phi, vector_green_reference(w_phi, vector_kind))
+    # row-major like the full solve: later sums and ravels see one layout
+    assert out.a.flags.c_contiguous
+
+
+@pytest.mark.parametrize("scalar_kind", ["banded_solve", "frequency"])
+@pytest.mark.parametrize("vector_kind", ["retarded", "advanced"])
+def test_greens_apply_counts_nan_as_live(vector_kind, scalar_kind):
+    # a NaN column is solved and a NaN row stepped, as in the full solve,
+    # rather than taking the all-zero stand-in's output
+    w = Window(0, 8, 0, 4)
+    b, w_phi = w.zeros(), w.zeros()
+    b[3, 2] = np.nan
+    w_phi[4, 1] = np.nan
+    out = greens_apply(GreensChoice(vector_kind, scalar_kind),
+                       DualJet(w, b, w_phi), P, w, edge_check=False)
+    full = _scalar_green_banded if scalar_kind == "banded_solve" \
+        else _scalar_green_frequency
+    for got, want in ((out.a, full(b, P)),
+                      (out.u_phi, vector_green_reference(w_phi,
+                                                         vector_kind))):
+        assert np.isnan(want).any()
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_cli_import_loads_no_scipy():

@@ -112,3 +112,30 @@ def test_region_from_box_validates():
 def test_lattice_point_ordering():
     assert LatticePoint(0, 1) < LatticePoint(1, 0)
     assert LatticePoint(1, -1) < LatticePoint(1, 0)
+
+
+@pytest.mark.parametrize("dtype", [bool, int])
+def test_region_keeps_a_read_only_copy_of_its_mask(dtype):
+    w = Window(0, 4, 0, 4)
+    given = np.zeros(w.shape, dtype=dtype)
+    given[1:3, 1:3] = 1
+    omega = Region(w, given)
+    given[0, 0] = 1  # the caller's array stays writable and apart
+    assert omega.mask.dtype == np.bool_
+    assert omega.site_count() == 4
+    with pytest.raises(ValueError):
+        omega.mask[0, 0] = True
+
+
+@pytest.mark.parametrize("box", [(2, 4, 2, 4), (0, 0, 0, 0), (0, 6, 0, 6)])
+def test_interface_sites_are_the_pair_masks(box):
+    w = Window(0, 6, 0, 6)
+    omega = Region.from_box(w, *box)
+    sites = omega.interface_sites
+    assert omega.interface_sites is sites
+    masks = pair_masks(omega)
+    assert list(sites) == list(masks)
+    for (dt, dx), ((ix, jx), (iy, jy)) in sites.items():
+        assert np.array_equal(np.argwhere(masks[(dt, dx)]),
+                              np.stack([ix, jx], axis=1).reshape(-1, 2))
+        assert np.array_equal(iy, ix + dt) and np.array_equal(jy, jx + dx)
