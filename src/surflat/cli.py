@@ -33,7 +33,7 @@ from .jets import DualJet, Jet
 from .lagrangian import MAX_ORDER, ModelParams, el_check
 from .linear import (GreensChoice, RankOneModifier, greens_apply,
                      greens_defects, linear_residual, scalar_diag,
-                     scalar_solution, wave_solution)
+                     scalar_roots, scalar_solution, wave_solution)
 from .perturb import build_hierarchy, family_taylor_I, taylor_oracle_I
 from .slayer import greens_dependence_check, slayer_sweep
 from .space import Region, Window, past_region
@@ -53,6 +53,10 @@ NUMBER_LIMIT = 1e6
 # largest window, in sites: 1001 x 1001, about ten times the 321 x 321
 # windows of the benchmark; checked before any field is allocated
 MAX_WINDOW_SITES = 1001 * 1001
+# largest |value| a scalar mode may take on the window, so that the product
+# of two such values stays finite; the default probe reaches 3.3e148 on the
+# largest window
+SCALAR_MODE_LIMIT = 1e150
 # greens-verify draws its sources on the centered box of this half-width
 SUPPORT_HALF = 3
 
@@ -421,6 +425,24 @@ def _validate(data: dict, suite: str) -> ExperimentConfig:
             f"slice range [{start}, {stop}] must satisfy {window.t_min} <= "
             f"start <= stop < {window.t_max} (closed forms read the row "
             f"above each cut)")
+
+    # a scalar mode amplitude * beta(x) * z^t is largest on the first or the
+    # last row (beta is the profile, else a bump peaking at 1); compared in
+    # logarithms, since z^t itself may overflow
+    roots = dict(zip(("future", "past"), scalar_roots(params)))
+    for name, spec in specs.items():
+        weights = spec["profile"].values() if spec["profile"] else [1.0]
+        peak = abs(spec["amplitude"]) * max(map(abs, weights))
+        if spec["kind"] != "scalar_mode" or peak == 0.0:
+            continue
+        log_z = math.log(abs(roots[spec["decay"]]))
+        log_peak = math.log(peak) + max(window.t_min * log_z,
+                                        window.t_max * log_z)
+        if log_peak > math.log(SCALAR_MODE_LIMIT):
+            raise ConfigError(
+                f"jets.{name} is a scalar mode reaching about "
+                f"1e{log_peak / math.log(10):.0f} on the window rows, above "
+                f"the limit of {SCALAR_MODE_LIMIT:g}")
 
     jets = {name: _construct(_build_jet, spec, params, window)
             for name, spec in specs.items()}

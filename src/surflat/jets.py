@@ -325,11 +325,12 @@ def pair_product_sum(p: ModelParams, omega: Region, factors) -> float:
 
 
 def region_product_sum(omega: Region, jets: Sequence[Jet]) -> float:
-    """Sum over the region of the product of the jets' scalar weights."""
-    prod = np.ones(omega.window.shape)
+    """Sum over the region's sites of the product of the jets' weights."""
+    mask = omega.mask
+    prod = np.ones(np.count_nonzero(mask))
     for jet in jets:
-        prod = prod * jet.a
-    return float(prod[omega.mask].sum())
+        np.multiply(prod, jet.a[mask], out=prod)
+    return float(prod.sum())
 
 
 def _check_variation_inputs(ell_order: int, jets: Sequence[Jet],

@@ -7,6 +7,8 @@ to the order-p correction, which is the Green's image of the lower-order
 source: the source at degree (i, j) collects all multilinear variations of
 order at least two of lower coefficients whose degrees add up to (i, j), and
 the correction solves the linearized equation against minus that source.
+A variation is symmetric in its jets, so the sum over ordered tuples of
+degrees is taken as one variation per multiset, times its count.
 
 Two independent evaluations of the mixed family derivatives are provided.
 family_taylor_I expands the derivative into its combinatorial sum over
@@ -23,6 +25,7 @@ that grading and the oracle reports grading m only.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -103,15 +106,19 @@ def _degree_sources(coeffs: dict, degree: int, p: ModelParams,
     """Yield ((i, j), source) for the coefficients of one total degree.
 
     The sources, independent of the Green's operator, are built from the
-    stored lower degrees one at a time, when asked for.
+    stored lower degrees one at a time, when asked for: one variation per
+    multiset of degrees, times its count.
     """
     for i in range(degree + 1):
         j = degree - i
         source = DualJet.zero(window)
         for ell in range(2, degree + 1):
-            for parts in _index_tuples(i, j, ell):
+            for parts, count in _multisets(i, j, ell):
                 jets = [coeffs[key] for key in parts]
                 term = delta_ell_field(ell, jets, p, window)
+                if count != 1:
+                    np.multiply(term.b, count, out=term.b)
+                    np.multiply(term.w_phi, count, out=term.w_phi)
                 np.add(source.b, term.b, out=source.b)
                 np.add(source.w_phi, term.w_phi, out=source.w_phi)
         yield (i, j), source
@@ -125,14 +132,16 @@ def _apply_sources(coeffs: dict, sources, choices: GreensChoice,
                                    edge_check=False)
 
 
-def _index_tuples(i: int, j: int, ell: int):
-    """Ordered ell-tuples of stored degrees summing to (i, j)."""
+def _multisets(i: int, j: int, ell: int):
+    """Multisets of ell stored degrees summing to (i, j), each with its
+    number of orderings ell! / prod(m!) over the multiplicities m."""
     singles = [(a, b)
                for a in range(i + 1) for b in range(j + 1)
                if 1 <= a + b < i + j]
-    for combo in itertools.product(singles, repeat=ell):
-        if (sum(a for a, _ in combo), sum(b for _, b in combo)) == (i, j):
-            yield combo
+    for parts in itertools.combinations_with_replacement(singles, ell):
+        if (sum(a for a, _ in parts), sum(b for _, b in parts)) == (i, j):
+            yield parts, math.factorial(ell) // math.prod(
+                map(math.factorial, collections.Counter(parts).values()))
 
 
 def family_taylor_I(hier: Hierarchy, omega: Region, m: int,

@@ -156,9 +156,12 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
     evaluation; rhs is twice the first-order balance of the modifier applied
     to the second variation of (u, v). The two agree exactly: only the mixed
     second-order coefficient feels the modified kernel, and the first-order
-    balance is linear. Only the Green's images depend on the kernel: the
-    order-1 build checks the seeds, the degree-2 sources and the second
-    variation are built once, and each choice only applies greens_apply.
+    balance is linear. The seeds, the degree-2 sources, their plain Green's
+    images and the second variation are built once. A kernel only adds its
+    rank-one term kernel.apply(source), the pairing of the source times the
+    kernel's direction, to each image: bitwise what greens_apply returns
+    with the modifier installed. Only the pairings are kept, so each source
+    is dropped once its image is stored.
     """
     base = choices if choices is not None else GreensChoice()
     if base.kernel_modifier is not None:
@@ -166,20 +169,23 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
             "pass the kernels through the dedicated argument, not inside the "
             "baseline choices")
     seeds = build_hierarchy(u, v, 1, base, p, window).coeffs
-    sources = list(_degree_sources(seeds, 2, p, window))
+    images, pairings = {}, {}
+    for key, source in _degree_sources(seeds, 2, p, window):
+        _apply_sources(images, [(key, source)], base, p, window)
+        pairings[key] = [kernel.pairing(source) for kernel in kernels]
 
-    def order_two(choice):
-        coeffs = dict(seeds)
-        _apply_sources(coeffs, sources, choice, p, window)
-        return family_taylor_I(Hierarchy(window, p, choice, 2, coeffs),
-                               omega, 2, 2)
+    def order_two(choice, degree_two):
+        return family_taylor_I(
+            Hierarchy(window, p, choice, 2, seeds | degree_two), omega, 2, 2)
 
-    plain = order_two(base)
+    plain = order_two(base, images)
     d2 = delta_ell_field(2, [u, v], p, window)
     out = []
-    for kernel in kernels:
-        modified = dataclasses.replace(base, kernel_modifier=kernel)
-        lhs = order_two(modified) - plain
+    for n, kernel in enumerate(kernels):
+        lhs = order_two(
+            dataclasses.replace(base, kernel_modifier=kernel),
+            {key: image + pairings[key][n] * kernel.direction
+             for key, image in images.items()}) - plain
         surface, volume = i1(kernel.apply(d2), omega, p, window)
         out.append((lhs, 2.0 * (surface - volume)))
     return out

@@ -10,7 +10,8 @@ from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
                      stencil_pairs)
 from surflat.jets import (DualValue, Jet, PointDeriv, delta_ell,
                           delta_ell_field, delta_op, delta_op_field, nabla_L,
-                          pair_product_sum, series_workspace, slot_factor_maps,
+                          pair_product_sum, region_product_sum,
+                          series_workspace, slot_factor_maps,
                           stencil_contraction, workspace_rows)
 from surflat.lagrangian import stencil_deriv_table
 from surflat.space import STENCIL_OFFSETS, pair_masks
@@ -460,6 +461,31 @@ def test_pair_product_sum_bitwise_pin(order):
         want = ref_pair_product_sum(P, omega, factors)
         assert got == want and math.copysign(1.0, got) == \
             math.copysign(1.0, want)
+
+
+def ref_region_product_sum(omega, jets):
+    # the whole-window product, masked afterwards
+    prod = np.ones(omega.window.shape)
+    for jet in jets:
+        prod = prod * jet.a
+    return float(prod[omega.mask].sum())
+
+
+def test_region_product_sum_bitwise_pin():
+    # the jets carry -0.0 entries (signed_zero_jet) and one NaN, on row
+    # t = 4, which only the cuts at and above it see
+    wide = PIN_WINDOWS["15x27"]
+    jets = [signed_zero_jet(600 + k, wide) for k in range(4)]
+    jets[1].a[wide.index(4, 2)] = np.nan
+    seen_nan = False
+    for n in range(5):
+        for cut in (-7, -3, 0, 3, 4, 6):
+            omega = past_region(wide, cut)
+            got = region_product_sum(omega, jets[:n])
+            want = ref_region_product_sum(omega, jets[:n])
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            seen_nan |= math.isnan(want)
+    assert seen_nan
 
 
 # --- inputs stay untouched, outputs own their memory ---

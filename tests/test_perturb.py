@@ -1,18 +1,21 @@
+import collections
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from surflat import perturb
 from surflat.errors import InvalidJetError, RangeError, UnsupportedOrderError
-from surflat.jets import (Jet, delta_ell_field, delta_op_field,
+from surflat.jets import (DualJet, Jet, delta_ell_field, delta_op_field,
                           pair_product_sum, region_product_sum)
 from surflat.lagrangian import MAX_ORDER, ModelParams, stencil_deriv_table
 from surflat.linear import (GreensChoice, greens_apply, scalar_solution,
                             wave_solution)
-from surflat.perturb import (Hierarchy, build_hierarchy, compositions,
-                             family_taylor_I, taylor_oracle_I)
+from surflat.perturb import (Hierarchy, _multisets, build_hierarchy,
+                             compositions, family_taylor_I, taylor_oracle_I)
 from surflat.polyseries import PolyRing
 from surflat.space import (Region, STENCIL_OFFSETS, Window, pair_masks,
                            past_region)
@@ -344,3 +347,109 @@ def test_oracle_matches_per_order_reference_bitwise(window, order, region):
     got = taylor_oracle_I(hier, omega)
     assert got == expect
     assert any(value != 0.0 for value in got)
+
+
+# --- hierarchy sources: one variation per multiset of degrees ---
+
+def ordered_tuples(i, j, ell):
+    """Ordered ell-tuples of stored degrees summing to (i, j).
+
+    The sum over these is what a hierarchy source stands for; the builder
+    folds it into one variation per multiset, and this enumeration stays
+    here as the reference.
+    """
+    singles = [(a, b)
+               for a in range(i + 1) for b in range(j + 1)
+               if 1 <= a + b < i + j]
+    for combo in itertools.product(singles, repeat=ell):
+        if (sum(a for a, _ in combo), sum(b for _, b in combo)) == (i, j):
+            yield combo
+
+
+DEGREE_CASES = [(i, degree - i, ell)
+                for degree in range(2, MAX_ORDER + 1)
+                for i in range(degree + 1)
+                for ell in range(2, degree + 1)]
+
+
+@pytest.mark.parametrize("i,j,ell", DEGREE_CASES)
+def test_multisets_fold_the_ordered_tuples(i, j, ell):
+    ordered = list(ordered_tuples(i, j, ell))
+    folded = list(_multisets(i, j, ell))
+    assert ordered and folded
+    assert sum(count for _, count in folded) == len(ordered)
+    assert {parts for parts, _ in folded} == {tuple(sorted(t))
+                                              for t in ordered}
+    assert len({parts for parts, _ in folded}) == len(folded)
+    for parts, count in folded:
+        assert count == len(set(itertools.permutations(parts)))
+
+
+@pytest.mark.parametrize("order,per_ell", [(2, {2: 3}), (3, {2: 9, 3: 4}),
+                                          (4, {2: 23, 3: 13, 4: 5})])
+def test_hierarchy_varies_once_per_multiset(seeds, monkeypatch, order,
+                                            per_ell):
+    # 3, 13 and 41 variations against 4, 24 and 101 ordered tuples
+    orders = []
+
+    def counting(ell, *args, **kwargs):
+        orders.append(ell)
+        return delta_ell_field(ell, *args, **kwargs)
+
+    monkeypatch.setattr(perturb, "delta_ell_field", counting)
+    build_hierarchy(*seeds, order, CHOICE, PARAMS, WIN)
+    assert collections.Counter(orders) == per_ell
+
+
+def ordered_hierarchy(u, v, order, choice, window):
+    """Hierarchy coefficients with each source summed over ordered tuples."""
+    coeffs = {(1, 0): u, (0, 1): v}
+    for degree in range(2, order + 1):
+        for i in range(degree + 1):
+            source = DualJet.zero(window)
+            for ell in range(2, degree + 1):
+                for parts in ordered_tuples(i, degree - i, ell):
+                    source = source + delta_ell_field(
+                        ell, [coeffs[key] for key in parts], PARAMS, window)
+            coeffs[(i, degree - i)] = greens_apply(
+                choice, source, PARAMS, window, edge_check=False)
+    return coeffs
+
+
+# Largest field-wise deviation from the ordered sum, relative to the field's
+# largest entry, was 1.95e-15 over these cases (W=80, retarded/banded); the
+# bound leaves about twice that.
+MULTISET_REL_BOUND = 4e-15
+SUM_CHOICES = {"retarded-banded": GreensChoice(),
+               "advanced-frequency": GreensChoice("advanced", "frequency")}
+
+
+@functools.cache
+def coupled_seeds(half):
+    # a right mover against a left and right mover plus a small scalar mode
+    # that decays toward the future, so every product couples
+    window = Window(-half, half, -half, half)
+    u = right_mover(window, 3, 0.2)
+    v = (wave_solution(
+        {-3 + k: 0.25 * (1.0 - (k / 3.0) ** 2) ** 2 for k in range(-2, 3)},
+        {-1 + k: 0.15 * (1.0 - (k / 3.0) ** 2) ** 2 for k in range(-2, 3)},
+        window)
+        + scalar_solution(0.01 * 2.0 ** -half, PARAMS, window,
+                          decay="future"))
+    return window, u, v
+
+
+@pytest.mark.parametrize("half", [40, 80])
+@pytest.mark.parametrize("choice", SUM_CHOICES.values(), ids=SUM_CHOICES)
+def test_multiset_sources_match_ordered_sum(half, choice):
+    window, u, v = coupled_seeds(half)
+    want = ordered_hierarchy(u, v, MAX_ORDER, choice, window)
+    for order in range(2, MAX_ORDER + 1):
+        got = build_hierarchy(u, v, order, choice, PARAMS, window).coeffs
+        assert set(got) == {key for key in want if sum(key) <= order}
+        for key, jet in got.items():
+            for name in ("a", "u_phi"):
+                ref = getattr(want[key], name)
+                gap = np.abs(getattr(jet, name) - ref).max()
+                assert gap <= MULTISET_REL_BOUND * np.abs(ref).max(), (
+                    order, key, name)
