@@ -20,11 +20,37 @@ in D: truncated Taylor arithmetic in one variable (Griewank and Walther,
 Evaluating Derivatives, 2nd ed., ch. 13). Its coefficient fields c_0..c_ell
 contract against the derivatives g_n = D^n of the interaction on the base
 configuration, one stencil offset at a time. stencil_contraction evaluates
-the series on the block of sites whose offset partner lies in the window,
-and delta_ell_field contracts one series against both g_n (scalar part) and
-g_(n+1) (angular part); pair_product_sum evaluates it at the interface sites
-of a region only. The pointwise nabla_L and delta_ell keep the (kx, ky)
-expansion in the two angles as an independent check of this engine.
+the series on the block of sites whose offset partner lies in the window, or
+on the live pairs only, and delta_ell_field contracts one series against
+both g_n (scalar part) and g_(n+1) (angular part); pair_product_sum
+evaluates it at the interface sites of a region only. The pointwise nabla_L
+and delta_ell keep the (kx, ky) expansion in the two angles as an
+independent check of this engine.
+
+Live pairs. A pair (x, y) contributes nothing when some factor's jet
+vanishes at both of its used slots: its base and slope are +-0, so is every
+coefficient, and adding +-0 to a sum that starts at +0.0 changes no bit
+(stencil_contraction has the argument). The hierarchy's variations always
+carry a seed factor, and the default seeds are wave bands on 2.2% of the
+W=160 window, so at most 2.41% of a variation's pairs are live, and 8 of
+the 13 variations of an order-3 build have under 0.1%. stencil_contraction
+then gathers the live pairs (live_pairs) and runs the series on those
+sites. The guard keeps whole blocks when a field holds inf or NaN or the
+factors' product could overflow, since inf or NaN times zero is NaN, not
+zero. Two constants pick the path. They follow the crossovers measured per
+call (2-vCPU x86-64, numpy 2.4.6, medians of 21, wave bands 7 diagonals
+wide, blocks -> live pairs):
+
+- GATHER_MIN_SITES = 20,000. Order 1 takes 0.27 -> 0.40 ms at W=40
+  (6,561 sites), 0.29 -> 0.34 ms at W=60 (14,641) and 0.81 -> 0.63 ms at
+  W=80 (25,921). Orders 2 and 3 gain a little already at W=40 (order 3:
+  0.92 -> 0.68 ms), but the limit follows order 1 and keeps every call of
+  the W=40 suites on the blocks.
+- GATHER_MAX_SHARE = 1/10, the share of the window on which the sparsest
+  jet is nonzero. At W=160 order 1 takes 2.79 -> 1.31 ms at 2.2%,
+  3.45 -> 3.34 ms at 10.0% and 2.95 -> 3.66 ms at 12.1%; orders 2 and 3
+  still gain at 20% (order 3: 16.7 -> 9.7 ms). greens-verify's Green's
+  images, whose pairs are 28% live, keep the blocks.
 
 Each call works in one workspace (series_workspace): the rows c_0..c_ell
 plus the scratch rows its order needs, viewed per offset as contiguous
@@ -171,6 +197,17 @@ def nabla_L(derivs: Sequence[PointDeriv], x: LatticePoint, y: LatticePoint,
 
 # --- the D-series engine ---
 
+# stencil_contraction evaluates whole blocks on windows of fewer sites, where
+# finding the live pairs costs more than it saves (see the module notes)
+GATHER_MIN_SITES = 20_000
+# ... and unless some factor's jet is nonzero, in a or u_phi, on at most this
+# share of the window
+GATHER_MAX_SHARE = 1 / 10
+# the guard: live pairs are used only while every partial product of the
+# factors is bounded by this, far below the largest double
+PRODUCT_BOUND = 1e300
+
+
 def series_workspace(n_factors: int, n_sites: int) -> np.ndarray:
     """Flat workspace for the D-series of n_factors factors on n_sites sites.
 
@@ -269,6 +306,65 @@ def _contract(coeffs, table, offset, shift: int, total, term):
     return total if started else None
 
 
+def live_pairs(window: Window, factors):
+    """Flat site indices of the live pairs per offset, or None for blocks.
+
+    A pair (x, y = x + offset) is live when every factor's jet is nonzero at
+    x or at y, counting only the slots whose sign is nonzero. Returns a dict
+    mapping each offset in STENCIL_OFFSETS order to (ix, iy), the row-major
+    indices of the live x and of their partners, or None when the call
+    should evaluate whole blocks: on a window under GATHER_MIN_SITES sites,
+    when no jet is nonzero on at most GATHER_MAX_SHARE of the window, or
+    when the guard fails. The checks run cheapest first: the size, then the
+    supports and their counts, then the guard, then the pair masks.
+    """
+    n_t, n_x = window.shape
+    if n_t * n_x < GATHER_MIN_SITES:
+        return None
+    distinct = {id(jet): jet for jet, _, _ in factors}
+    support = {key: (jet.a != 0.0) | (jet.u_phi != 0.0)
+               for key, jet in distinct.items()}
+    if min(map(np.count_nonzero, support.values())) \
+            > GATHER_MAX_SHARE * n_t * n_x:
+        return None
+    # the guard: finite fields, and every partial product of the factors
+    # within PRODUCT_BOUND. Each factor's bound is taken at least 1, so that
+    # a subset's product is within the whole product's and a zero jet
+    # cannot cancel an overflow
+    sizes = {}
+    for key, jet in distinct.items():
+        extremes = (jet.a.max(), -jet.a.min(),
+                    jet.u_phi.max(), -jet.u_phi.min())
+        if not all(map(math.isfinite, extremes)):
+            return None
+        sizes[key] = float(max(extremes))
+    bound = 1.0
+    for jet, s1, s2 in factors:
+        bound *= max(1.0, 2.0 * (abs(s1) + abs(s2)) * sizes[id(jet)])
+    if bound > PRODUCT_BOUND:
+        return None
+    # factors repeating a jet and its used slots repeat the same mask
+    needs = {(id(jet), s1 != 0.0, s2 != 0.0) for jet, s1, s2 in factors}
+    pairs = {}
+    for dt, dx in STENCIL_OFFSETS:
+        x_block, y_block = window.shift_blocks(dt, dx)
+        live = None
+        for key, at_x, at_y in needs:
+            mask = support[key]
+            if at_x and at_y:
+                part = mask[x_block] | mask[y_block]
+            elif at_x or at_y:
+                part = mask[x_block if at_x else y_block]
+            else:
+                part = np.zeros(mask[x_block].shape, dtype=bool)
+            live = part if live is None else live & part
+        # flat indices within the block, then within the window
+        i, j = np.divmod(np.flatnonzero(live), live.shape[1])
+        ix = (i + x_block[0].start) * n_x + (j + x_block[1].start)
+        pairs[(dt, dx)] = (ix, ix + (dt * n_x + dx))
+    return pairs
+
+
 def stencil_contraction(p: ModelParams, window: Window, factors):
     """Scalar and angular fields of the stencil-summed slot-derivative product.
 
@@ -276,13 +372,29 @@ def stencil_contraction(p: ModelParams, window: Window, factors):
     configuration of the product of the signed slot derivatives applied to
     the interaction, as a field over x; angular is the same sum with one
     more angular derivative at slot 1, the angular component of dual-jet
-    valued operators. Both contract one D-series per offset, evaluated on
-    the block of sites whose partner lies in the window, in one workspace
-    shared by the five offsets.
+    valued operators. Both contract one D-series per offset, in one
+    workspace shared by the five offsets.
+
+    Sparse factors are evaluated on their live pairs only (live_pairs): the
+    series runs on the gathered sites and is added into the outputs there.
+    Otherwise, and on windows under GATHER_MIN_SITES sites, it runs on the
+    block of sites whose partner lies in the window. Both paths give the
+    same bits, sign of zero included. The outputs start at +0.0. At a pair
+    where some factor's base and slope are both +-0, every coefficient is
+    +-0, provided the values are finite and no partial product overflows,
+    which the guard in live_pairs ensures (inf or NaN would turn a product
+    with zero into NaN). Under round-to-nearest +0.0 + (+-0) = +0.0 and
+    v + (+-0) = v, so a sum that starts at +0.0 never becomes -0.0, and
+    skipping those contributions changes no bit. Every other pair goes
+    through the same operations in the same order on both paths.
     """
     table = stencil_deriv_table(p)
     scalar = window.zeros()
     angular = window.zeros()
+    pairs = live_pairs(window, factors)
+    if pairs is not None:
+        _gathered_contraction(table, factors, pairs, scalar, angular)
+        return scalar, angular
     ws = series_workspace(len(factors), scalar.size)
     for offset in STENCIL_OFFSETS:
         x_block, y_block = window.shift_blocks(*offset)
@@ -294,6 +406,33 @@ def stencil_contraction(p: ModelParams, window: Window, factors):
             if contrib is not None:
                 out[x_block] += contrib
     return scalar, angular
+
+
+class _FlatJet(NamedTuple):
+    # a jet's fields as flat views, read by slot_factor_maps at flat indices
+    a: np.ndarray
+    u_phi: np.ndarray
+
+
+def _gathered_contraction(table, factors, pairs, scalar, angular):
+    # stencil_contraction on the live pairs: the series of each offset on
+    # its gathered sites, added into the flat outputs at those sites
+    flat = {id(jet): _FlatJet(jet.a.ravel(), jet.u_phi.ravel())
+            for jet, _, _ in factors}
+    flat_factors = [(flat[id(jet)], s1, s2) for jet, s1, s2 in factors]
+    outputs = ((scalar.ravel(), 0), (angular.ravel(), 1))
+    ws = series_workspace(len(factors),
+                          max(ix.size for ix, _ in pairs.values()))
+    for offset, (ix, iy) in pairs.items():
+        if ix.size == 0:
+            continue
+        rows = workspace_rows(ws, ix.shape)
+        coeffs = slot_factor_maps(flat_factors, ix, iy, rows)
+        for out, shift in outputs:
+            contrib = _contract(coeffs, table, offset, shift,
+                                rows[len(coeffs)], rows[len(coeffs) + 1])
+            if contrib is not None:
+                out[ix] += contrib
 
 
 def pair_product_sum(p: ModelParams, omega: Region, factors) -> float:

@@ -96,23 +96,23 @@ def build_hierarchy(u: Jet, v: Jet, order: int, choices: GreensChoice,
                 f"jet {name} is not a solution: interior residual {res:.3e}")
     coeffs = {(1, 0): u, (0, 1): v}
     for degree in range(2, order + 1):
-        _apply_sources(coeffs, _degree_sources(coeffs, degree, p, window),
+        keys = [(i, degree - i) for i in range(degree + 1)]
+        _apply_sources(coeffs, _degree_sources(coeffs, keys, p, window),
                        choices, p, window)
     return Hierarchy(window, p, choices, order, coeffs)
 
 
-def _degree_sources(coeffs: dict, degree: int, p: ModelParams,
+def _degree_sources(coeffs: dict, keys: list, p: ModelParams,
                     window: Window):
-    """Yield ((i, j), source) for the coefficients of one total degree.
+    """Yield ((i, j), source) for the given coefficient keys, in order.
 
     The sources, independent of the Green's operator, are built from the
     stored lower degrees one at a time, when asked for: one variation per
     multiset of degrees, times its count.
     """
-    for i in range(degree + 1):
-        j = degree - i
+    for i, j in keys:
         source = DualJet.zero(window)
-        for ell in range(2, degree + 1):
+        for ell in range(2, i + j + 1):
             for parts, count in _multisets(i, j, ell):
                 jets = [coeffs[key] for key in parts]
                 term = delta_ell_field(ell, jets, p, window)

@@ -156,12 +156,13 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
     evaluation; rhs is twice the first-order balance of the modifier applied
     to the second variation of (u, v). The two agree exactly: only the mixed
     second-order coefficient feels the modified kernel, and the first-order
-    balance is linear. The seeds, the degree-2 sources, their plain Green's
-    images and the second variation are built once. A kernel only adds its
-    rank-one term kernel.apply(source), the pairing of the source times the
-    kernel's direction, to each image: bitwise what greens_apply returns
-    with the modifier installed. Only the pairings are kept, so each source
-    is dropped once its image is stored.
+    balance is linear. The order-2 balance reads the degree-2 coefficient
+    (1, 1) only, so the seeds, that one source, its plain Green's image and
+    the second variation are built once. A kernel only adds its rank-one
+    term kernel.apply(source), the pairing of the source times the kernel's
+    direction, to the image: bitwise what greens_apply returns with the
+    modifier installed. Only the pairings are kept, so the source is
+    dropped once its image is stored.
     """
     base = choices if choices is not None else GreensChoice()
     if base.kernel_modifier is not None:
@@ -170,7 +171,7 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
             "baseline choices")
     seeds = build_hierarchy(u, v, 1, base, p, window).coeffs
     images, pairings = {}, {}
-    for key, source in _degree_sources(seeds, 2, p, window):
+    for key, source in _degree_sources(seeds, [(1, 1)], p, window):
         _apply_sources(images, [(key, source)], base, p, window)
         pairings[key] = [kernel.pairing(source) for kernel in kernels]
 

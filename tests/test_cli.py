@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surflat import MAX_ORDER, DualJet, Region, cli, linear, space
+from surflat import MAX_ORDER, DualJet, Region, cli, jets, linear, space
 from surflat.cli import (CSV_COLUMNS, DEFAULT_CONFIG, Row, _apply_override,
                          _parse_jet_spec, load_config, main, write_report)
 from surflat.errors import ConfigError
+from surflat.perturb import build_hierarchy
 from surflat.polyseries import PolyRing
+from surflat.space import STENCIL_OFFSETS
 
 
 def run_cli(tmp_path, *argv):
@@ -868,6 +870,73 @@ def test_greens_verify_solves_the_support_columns_only(monkeypatch):
     assert widths == {"_scalar_green_banded": [2 * cli.SUPPORT_HALF + 2] * 3,
                       "_scalar_green_frequency":
                           [2 * cli.SUPPORT_HALF + 2] * 3}
+
+
+def record_engine_calls(monkeypatch):
+    """Per stencil_contraction call: (window, [(gathered, sites)]).
+
+    Each slot_factor_maps call made inside it adds whether its sites were
+    gathered index arrays or a block, and how many sites it evaluated.
+    """
+    calls = []
+    inside = []
+    real_contraction = jets.stencil_contraction
+    real_maps = jets.slot_factor_maps
+
+    def contraction(p, window, factors):
+        calls.append((window, []))
+        inside.append(True)
+        try:
+            return real_contraction(p, window, factors)
+        finally:
+            inside.pop()
+
+    def maps(factors, x_sites, y_sites, rows):
+        if inside:
+            calls[-1][1].append((isinstance(x_sites, np.ndarray),
+                                 rows[0].size))
+        return real_maps(factors, x_sites, y_sites, rows)
+
+    monkeypatch.setattr(jets, "stencil_contraction", contraction)
+    monkeypatch.setattr(jets, "slot_factor_maps", maps)
+    return calls
+
+
+def window_pairs(window):
+    # the (site, offset) pairs of a window: the five shift blocks
+    n_t, n_x = window.shape
+    return sum((n_t - abs(dt)) * (n_x - abs(dx)) for dt, dx in STENCIL_OFFSETS)
+
+
+def test_hierarchy_w160_takes_the_live_pairs(monkeypatch):
+    # the default seeds are wave bands on 2.2% of the W=160 window and every
+    # order-3 variation has a seed factor: each call of the build gathers
+    # its live pairs, at most 3% of the window's pairs
+    calls = record_engine_calls(monkeypatch)
+    cfg = load_config(None, _window_overrides(-160, 160, -160, 160), None,
+                      "perturb-verify")
+    build_hierarchy(cfg.u, cfg.v, 3, cfg.greens, cfg.params, cfg.window)
+    assert len(calls) == 2 + 13  # the two seed residuals, 13 variations
+    total = window_pairs(cfg.window)
+    for window, maps in calls:
+        assert window == cfg.window
+        assert maps and all(gathered for gathered, _ in maps)
+        assert sum(sites for _, sites in maps) <= 0.03 * total
+
+
+@pytest.mark.parametrize("suites, window", [
+    (list(cli.SUITES), []),
+    (["greens-verify"], _window_overrides(-160, 160, -160, 160))],
+    ids=["all-w40", "greens-verify-w160"])
+def test_dense_and_small_calls_keep_the_blocks(monkeypatch, suites, window):
+    # every call of the W=40 suites, and greens-verify's defect calls on
+    # the Green's images, 28% live at W=160, evaluate whole blocks
+    calls = record_engine_calls(monkeypatch)
+    for suite in suites:
+        cli.SUITES[suite](load_config(None, window, None, suite))
+    assert calls
+    for _, maps in calls:
+        assert maps and not any(gathered for gathered, _ in maps)
 
 
 def test_slayer_sweep_finds_interface_sites_once_per_cut(monkeypatch):

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
-                     Region, UnsupportedOrderError, Window, past_region,
+                     Region, UnsupportedOrderError, Window, jets, past_region,
                      stencil_pairs)
 from surflat.jets import (DualValue, Jet, PointDeriv, delta_ell,
-                          delta_ell_field, delta_op, delta_op_field, nabla_L,
-                          pair_product_sum, region_product_sum,
-                          series_workspace, slot_factor_maps,
-                          stencil_contraction, workspace_rows)
+                          delta_ell_field, delta_op, delta_op_field,
+                          live_pairs, nabla_L, pair_product_sum,
+                          region_product_sum, series_workspace,
+                          slot_factor_maps, stencil_contraction,
+                          workspace_rows)
 from surflat.lagrangian import stencil_deriv_table
+from surflat.linear import wave_solution
 from surflat.space import STENCIL_OFFSETS, pair_masks
 
 P = ModelParams()
@@ -488,6 +490,132 @@ def test_region_product_sum_bitwise_pin():
     assert seen_nan
 
 
+# --- the live pairs against the whole blocks ---
+#
+# stencil_contraction evaluates sparse factors on their live pairs only.
+# The gathered fixture lifts the size and share limits, which only pick the
+# faster path, so every window here takes the gathered path whenever the
+# guard allows it; the block reference above must come out bit for bit.
+
+@pytest.fixture
+def gathered(monkeypatch):
+    monkeypatch.setattr(jets, "GATHER_MIN_SITES", 0)
+    monkeypatch.setattr(jets, "GATHER_MAX_SHARE", 1.0)
+
+
+def sparse_jets(kind, window, seed, count):
+    """count jets of one sparse kind, with -0.0 planted.
+
+    bands are wave solutions, alternately right and left movers; box fills
+    a random sub-box of both fields; mask1 and mask10 fill 1% and 10% of the
+    sites at random. Except for the bands, -0.0 is planted inside the
+    support (one field of a live site) and outside it (both fields).
+    """
+    rng = np.random.default_rng(seed)
+    n_t, n_x = window.shape
+    out = []
+    for k in range(count):
+        if kind == "bands":
+            width = min(7, n_x - 1)
+            center = int(rng.integers(-2, 3))
+            profile = {center + q: float(rng.normal()) for q in range(width)}
+            out.append(wave_solution(*((profile, {}), ({}, profile))[k % 2],
+                                     window))
+            continue
+        if kind == "box":
+            support = np.zeros(window.shape, dtype=bool)
+            i, j = rng.integers(0, n_t), rng.integers(0, n_x)
+            support[i:i + 1 + n_t // 4, j:j + 1 + n_x // 4] = True
+        else:
+            share = {"mask1": 0.01, "mask10": 0.1}[kind]
+            support = rng.random(window.shape) < share
+            support.flat[rng.integers(0, support.size)] = True
+        fields = [np.where(support, rng.normal(size=window.shape), 0.0)
+                  for _ in range(2)]
+        inside = support & (rng.random(window.shape) < 0.3)
+        fields[k % 2][inside] = -0.0
+        outside = ~support & (rng.random(window.shape) < 0.3)
+        for f in fields:
+            f[outside] = -0.0
+        out.append(Jet(window, *fields))
+    return out
+
+
+SPARSE_KINDS = ("bands", "box", "mask1", "mask10")
+
+
+@pytest.mark.parametrize("window", PIN_WINDOWS.values(), ids=PIN_WINDOWS)
+@pytest.mark.parametrize("signs", PIN_SIGNS, ids=str)
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_gathered_stencil_contraction_bitwise(gathered, order, signs, window):
+    # the first factor carries the sign pattern, later ones cycle through
+    # PIN_SIGNS, one-sided slots included; distinct jets, then the same jet
+    # in every slot
+    first = PIN_SIGNS.index(signs)
+    for n, kind in enumerate(SPARSE_KINDS):
+        pool = sparse_jets(kind, window, 800 + 10 * order + n, order)
+        for case in (pool, [pool[0]] * order):
+            factors = [(jet, *PIN_SIGNS[(first + k) % len(PIN_SIGNS)])
+                       for k, jet in enumerate(case)]
+            assert live_pairs(window, factors) is not None
+            for got, want in zip(stencil_contraction(P, window, factors),
+                                 ref_stencil_contraction(P, window, factors)):
+                assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("window", PIN_WINDOWS.values(), ids=PIN_WINDOWS)
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_gathered_delta_ell_field_bitwise(gathered, order, window):
+    for n, kind in enumerate(SPARSE_KINDS):
+        pool = sparse_jets(kind, window, 900 + 10 * order + n, order)
+        for case in (pool, [pool[0]] * order):
+            dual = delta_ell_field(order, case, P, window)
+            want_b, want_phi = ref_delta_ell_field(order, case, P, window)
+            assert_bitwise(dual.b, want_b)
+            assert_bitwise(dual.w_phi, want_phi)
+
+
+def guard_case(name, window):
+    """Factors for which skipping the dead pairs would change the outputs.
+
+    u is nonzero on one 3 x 3 box only, so every pair away from it is dead;
+    the other factors are dense. nan and inf plant one non-finite value far
+    from the box; huge puts two 1e200-scale factors before u, whose product
+    overflows; zero does the same with u zero everywhere, whose bound of 0
+    must not cancel the overflow.
+    """
+    rng = np.random.default_rng(17)
+    box = np.zeros(window.shape, dtype=bool)
+    if name != "zero":
+        box[6:9, 4:7] = True
+    u = Jet(window, *(np.where(box, rng.normal(size=window.shape), 0.0)
+                      for _ in range(2)))
+    w = Jet(window, *(rng.normal(size=window.shape) for _ in range(2)))
+    if name in ("nan", "inf"):
+        w.a[1, -2] = math.nan if name == "nan" else math.inf
+        return box, [(w, 1.0, 1.0), (u, 1.0, 1.0)]
+    big = Jet(window, 1e200 * w.a, 1e200 * w.u_phi)
+    return box, [(big, 1.0, 1.0), (big, 1.0, 1.0), (u, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("name", ["nan", "inf", "huge", "zero"])
+def test_gathered_guard_keeps_the_blocks(gathered, name):
+    window = PIN_WINDOWS["15x27"]
+    box, factors = guard_case(name, window)
+    assert live_pairs(window, factors) is None
+    # the sites whose pairs all miss the box: NaN there shows that the dead
+    # pairs do contribute, so the guard is what keeps the outputs equal
+    near = box.copy()
+    for offset in STENCIL_OFFSETS:
+        near |= window.shifted(box, *offset)
+    with np.errstate(over="ignore", invalid="ignore"):
+        outputs = zip(stencil_contraction(P, window, factors),
+                      ref_stencil_contraction(P, window, factors))
+    for got, want in outputs:
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(want[~near]).any()
+
+
 # --- inputs stay untouched, outputs own their memory ---
 
 def snapshot(jets):
@@ -516,17 +644,22 @@ def test_field_kernels_leave_inputs_unchanged(order):
 def test_delta_ell_field_memory_budget():
     # tracemalloc sees numpy's array buffers; at W=160 one field is 824 KB,
     # so the peak counts fields: the two outputs plus one workspace of
-    # ell + 3 rows (ell + 4 beyond one factor) stays under ell + 7
+    # ell + 3 rows (ell + 4 beyond one factor) stays under ell + 7. Sparse
+    # wave bands, which take the live pairs, stay within the same budget
     wide = Window(-160, 160, -160, 160)
     field = wide.zeros().nbytes
-    jets = [random_jet(700 + k, wide) for k in range(4)]
-    delta_ell_field(1, jets[:1], P, wide)  # builds the cached table
+    dense = [random_jet(700 + k, wide) for k in range(4)]
+    sparse = sparse_jets("bands", wide, 710, 4)
+    delta_ell_field(1, dense[:1], P, wide)  # builds the cached table
     for order in range(1, 5):
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            delta_ell_field(order, jets[:order], P, wide)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - start) / field <= order + 7
+        for pool, gathers in ((dense, False), (sparse, True)):
+            factors = [(jet, 1.0, 1.0) for jet in pool[:order]]
+            assert (live_pairs(wide, factors) is not None) == gathers
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                delta_ell_field(order, pool[:order], P, wide)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (peak - start) / field <= order + 7

@@ -303,13 +303,13 @@ def test_greens_dependence_identity(movers, seed):
 
 
 def test_greens_dependence_builds_the_plain_hierarchy_once(movers):
-    # the seeds are checked once, the three degree-2 sources and the second
-    # variation are built once (four order-2 variations, one per multiset,
-    # whatever the number of kernels), and the plain Green's operator is
-    # applied once per degree-2 source (three calls); a kernel only adds
-    # its rank-one term to those images. Each kernel's pair equals what a
-    # call with that kernel alone returns, and its lhs is bitwise the
-    # difference of two full order-2 builds
+    # the seeds are checked once, the one degree-2 source the order-2
+    # balance reads, (1, 1), and the second variation are built once (two
+    # order-2 variations, whatever the number of kernels), and the plain
+    # Green's operator is applied once, to that source; a kernel only adds
+    # its rank-one term to the image. Each kernel's pair equals what a call
+    # with that kernel alone returns, and its lhs is bitwise the difference
+    # of two full order-2 builds
     u, v = movers
     rng = np.random.default_rng(13)
     direction = scalar_solution(2.0 ** TALL.t_min, PARAMS, TALL,
@@ -343,10 +343,10 @@ def test_greens_dependence_builds_the_plain_hierarchy_once(movers):
             mp.setattr(perturb, "greens_apply", counting_apply)
             mp.setattr(perturb, "linear_residual", counting_residual)
             pairs = greens_dependence_check(u, v, omega, some, PARAMS, TALL)
-        assert variations == [2] * 4
+        assert variations == [2] * 2
         assert residuals == [u, v]
-        assert len({id(source) for _, source in applications}) == 3
-        assert [m for m, _ in applications] == [None] * 3
+        assert len({id(source) for _, source in applications}) == 1
+        assert [m for m, _ in applications] == [None]
     plain = i_m(u, v, omega, 2, CHOICE, PARAMS, TALL)
     for kernel, (lhs, _) in zip(kernels, pairs):
         full = i_m(u, v, omega, 2, GreensChoice(kernel_modifier=kernel),
