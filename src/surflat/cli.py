@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import ctypes
 import dataclasses
+import functools
 import json
 import math
 import pathlib
@@ -59,6 +61,13 @@ MAX_WINDOW_SITES = 1001 * 1001
 SCALAR_MODE_LIMIT = 1e150
 # greens-verify draws its sources on the centered box of this half-width
 SUPPORT_HALF = 3
+
+# glibc's malloc parameters (mallopt(3)) and the values main pins them to:
+# the largest its own dynamic threshold rule reaches on 64-bit hosts
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+HEAP_MMAP_THRESHOLD = 32 << 20
+HEAP_TRIM_THRESHOLD = 64 << 20
 
 CSV_COLUMNS = ("suite", "slice_t", "quantity", "value", "reference",
                "residual", "tolerance", "pass")
@@ -693,7 +702,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _pin_heap():
+    """Let the C allocator recycle freed fields instead of unmapping them.
+
+    By default glibc serves blocks above its mmap threshold (128 KiB at
+    start) from fresh mappings and gives them back on free, so every new
+    824 KB field of a W=160 window is faulted in page by page; it raises the
+    threshold only after freeing a larger such block. Pinning the threshold
+    and the heap's trim threshold at the top of that rule keeps freed fields
+    in the heap for reuse. Runs once, from main, so importing the package
+    leaves the allocator alone; does nothing where the C library has no
+    mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _pin_heap()
     args = build_parser().parse_args(argv)
     try:
         _check_out_dir(args.out)

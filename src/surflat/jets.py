@@ -53,14 +53,26 @@ wide, blocks -> live pairs):
   images, whose pairs are 28% live, keep the blocks.
 
 Each call works in one workspace (series_workspace): the rows c_0..c_ell
-plus the scratch rows its order needs, viewed per offset as contiguous
-blocks and written with numpy's out= arguments. A 321 x 321 field is 824 KB,
-above what the memory allocator keeps for reuse, so a fresh array per
-operation came back as newly zeroed pages every time: on a 2-core host the
-greens-sweep-w160 benchmark pass took 152k-159k minor page faults before
-and 10k after, against 20k with a workspace per offset. Every operation
-keeps the operands and the order of the allocate-per-op form, so each field
-is bitwise unchanged, sign of zero included.
+plus the scratch rows its order needs, viewed per block as contiguous
+arrays and written with numpy's out= arguments, so the series allocates
+nothing per operation. Every operation keeps the operands and the order of
+the allocate-per-op form, so each field is bitwise unchanged, sign of zero
+included. The block path runs band by band, each band about BAND_SITES
+sites of whole rows, and within a band offset by offset; every output site
+still receives its offsets in STENCIL_OFFSETS order, so the bands change no
+bit either. The workspace covers one band: at W=160 that is 51 of the 321
+rows, 0.52 MB for a dense order-1 call instead of 3.3 MB.
+
+Page faults rest on the allocator. A 321 x 321 field is 824 KB. Left to
+its defaults, glibc serves blocks that large from fresh mappings and
+unmaps them on free, raising that threshold only after the process has
+freed a larger mapped block, so each new field came back as newly zeroed
+pages: 15.4k minor faults per hierarchy-w160 benchmark pass and 6.3k per
+greens-sweep-w160 pass. cli.main pins the thresholds once (cli._pin_heap),
+after which freed fields are reused and a warm pass takes 0 to 30 faults.
+Whatever a call frees then stays in the heap, and the largest block it
+ever held sets the heap's size; that is why the workspace covers one band
+and not the window.
 """
 
 from __future__ import annotations
@@ -203,6 +215,17 @@ GATHER_MIN_SITES = 20_000
 # ... and unless some factor's jet is nonzero, in a or u_phi, on at most this
 # share of the window
 GATHER_MAX_SHARE = 1 / 10
+# the block path runs over bands of whole rows of about this many sites,
+# at least one row, so its workspace covers one band, not the window (see
+# the module notes). A W=40 window (81 x 81) stays one band, W=80 takes two
+# and W=160 seven. Dense delta_ell_field calls, medians of 21 with the
+# allocator pinned as cli.main pins it (2-vCPU x86-64, numpy 2.4.6), whole
+# window -> 16,384-site bands, orders 1 to 4: at W=160 3.8 -> 3.2,
+# 10.1 -> 8.1, 18.7 -> 13.1 and 29.9 -> 19.6 ms, about what 32,768-site
+# bands give; 8,192 gives 3.3, 7.8, 14.5 and 21.8 ms and 4,096 is slower
+# than the whole window at orders 1 and 2. At W=40 two bands (4,096 sites)
+# cost more than one: order 2 0.65 -> 0.82 ms.
+BAND_SITES = 16_384
 # the guard: live pairs are used only while every partial product of the
 # factors is bounded by this, far below the largest double
 PRODUCT_BOUND = 1e300
@@ -378,8 +401,11 @@ def stencil_contraction(p: ModelParams, window: Window, factors):
     Sparse factors are evaluated on their live pairs only (live_pairs): the
     series runs on the gathered sites and is added into the outputs there.
     Otherwise, and on windows under GATHER_MIN_SITES sites, it runs on the
-    block of sites whose partner lies in the window. Both paths give the
-    same bits, sign of zero included. The outputs start at +0.0. At a pair
+    block of sites whose partner lies in the window, one band of about
+    BAND_SITES sites of whole rows at a time, all five offsets per band, so
+    the workspace covers one band. Each output site still receives its
+    offsets in STENCIL_OFFSETS order. Both paths give the same bits, sign
+    of zero included. The outputs start at +0.0. At a pair
     where some factor's base and slope are both +-0, every coefficient is
     +-0, provided the values are finite and no partial product overflows,
     which the guard in live_pairs ensures (inf or NaN would turn a product
@@ -395,16 +421,27 @@ def stencil_contraction(p: ModelParams, window: Window, factors):
     if pairs is not None:
         _gathered_contraction(table, factors, pairs, scalar, angular)
         return scalar, angular
-    ws = series_workspace(len(factors), scalar.size)
-    for offset in STENCIL_OFFSETS:
-        x_block, y_block = window.shift_blocks(*offset)
-        rows = workspace_rows(ws, scalar[x_block].shape)
-        coeffs = slot_factor_maps(factors, x_block, y_block, rows)
-        for out, shift in ((scalar, 0), (angular, 1)):
-            contrib = _contract(coeffs, table, offset, shift,
-                                rows[len(coeffs)], rows[len(coeffs) + 1])
-            if contrib is not None:
-                out[x_block] += contrib
+    n_t, n_x = window.shape
+    band = min(n_t, max(1, BAND_SITES // n_x))
+    ws = series_workspace(len(factors), band * n_x)
+    blocks = [(offset, *window.shift_blocks(*offset))
+              for offset in STENCIL_OFFSETS]
+    for first in range(0, n_t, band):
+        for offset, (x_rows, x_cols), (_, y_cols) in blocks:
+            # the block's x rows within the band, and their partners
+            lo = max(first, x_rows.start)
+            hi = min(first + band, x_rows.stop)
+            if lo >= hi:
+                continue
+            x_block = (slice(lo, hi), x_cols)
+            y_block = (slice(lo + offset[0], hi + offset[0]), y_cols)
+            rows = workspace_rows(ws, (hi - lo, x_cols.stop - x_cols.start))
+            coeffs = slot_factor_maps(factors, x_block, y_block, rows)
+            for out, shift in ((scalar, 0), (angular, 1)):
+                contrib = _contract(coeffs, table, offset, shift,
+                                    rows[len(coeffs)], rows[len(coeffs) + 1])
+                if contrib is not None:
+                    out[x_block] += contrib
     return scalar, angular
 
 

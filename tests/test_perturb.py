@@ -12,8 +12,8 @@ from surflat.errors import InvalidJetError, RangeError, UnsupportedOrderError
 from surflat.jets import (DualJet, Jet, delta_ell_field, delta_op_field,
                           pair_product_sum, region_product_sum)
 from surflat.lagrangian import MAX_ORDER, ModelParams, stencil_deriv_table
-from surflat.linear import (GreensChoice, greens_apply, scalar_solution,
-                            wave_solution)
+from surflat.linear import (GreensChoice, greens_apply, scalar_roots,
+                            scalar_solution, wave_solution)
 from surflat.perturb import (Hierarchy, _multisets, build_hierarchy,
                              compositions, family_taylor_I, taylor_oracle_I)
 from surflat.polyseries import PolyRing
@@ -453,3 +453,72 @@ def test_multiset_sources_match_ordered_sum(half, choice):
                 gap = np.abs(getattr(jet, name) - ref).max()
                 assert gap <= MULTISET_REL_BOUND * np.abs(ref).max(), (
                     order, key, name)
+
+
+# --- the oracle's volume series in site blocks ---
+
+@functools.cache
+def block_seeds(half, kind):
+    # coupled waves, a right mover against a left and a right mover; or
+    # scalar modes with a bump profile, one decaying toward each end, scaled
+    # to 0.01 at the window's far end
+    window = Window(-half, half, -half, half)
+    if kind == "waves":
+        return window, right_mover(window, 3, 0.2), (
+            left_mover(window, -3, 0.25) + right_mover(window, -1, 0.15))
+    amplitude = 0.01 * abs(scalar_roots(PARAMS)[0]) ** half
+    profile = {x: 1.0 - (x / 4.0) ** 2 for x in range(-3, 4)}
+    return window, *(scalar_solution(amplitude, PARAMS, window, decay=decay,
+                                     profile=profile)
+                     for decay in ("future", "past"))
+
+
+# Block sizes and the regions they run on. One-site blocks cost about 1 ms
+# per site at order 4, so they run on a 5 x 9 box and seven-site blocks on
+# an 11 x 20 box; the 1,000-site blocks split the past region (3,321 sites
+# at W=40, 13,041 at W=80). Except for the one-site blocks, the last block
+# is short.
+BLOCK_REGIONS = {1: lambda w: Region.from_box(w, -2, 2, -4, 4),
+                 7: lambda w: Region.from_box(w, -5, 5, -10, 9),
+                 1000: lambda w: past_region(w, 0)}
+
+
+def full_width_volume(hier, omega, ring2):
+    """The oracle's volumes from one exponential over all region sites.
+
+    taylor_oracle_I evaluated its counterterm volumes this way before it
+    worked in site blocks; kept here as their bitwise reference.
+    """
+    cols = np.flatnonzero(omega.mask)
+    series = ring2.zeros(cols.size)
+    for (i, j), jet in hier.coeffs.items():
+        series[ring2.index[(i, j)]] = jet.a.ravel()[cols]
+    exp_c = ring2.exp(series)
+    return [0.5 * hier.params.nu * float(math.factorial(m - 1))
+            * float(exp_c[ring2.index[(1, m - 1)]].sum())
+            for m in range(1, hier.order + 1)]
+
+
+@pytest.mark.parametrize("half", [40, 80])
+@pytest.mark.parametrize("choice", SUM_CHOICES.values(), ids=SUM_CHOICES)
+@pytest.mark.parametrize("kind", ["waves", "scalar"])
+def test_oracle_volume_blocks_bitwise(monkeypatch, half, choice, kind):
+    window, u, v = block_seeds(half, kind)
+    full = build_hierarchy(u, v, MAX_ORDER, choice, PARAMS, window)
+    for order in range(1, MAX_ORDER + 1):
+        # a build stops at its order, so lower orders are truncations
+        hier = Hierarchy(window, PARAMS, choice, order,
+                         {key: jet for key, jet in full.coeffs.items()
+                          if sum(key) <= order})
+        for block, region in BLOCK_REGIONS.items():
+            omega = region(window)
+            with monkeypatch.context() as patch:
+                patch.setattr(perturb, "_oracle_volume", full_width_volume)
+                expect = taylor_oracle_I(hier, omega)
+            with monkeypatch.context() as patch:
+                patch.setattr(perturb, "VOLUME_BLOCK_SITES", block)
+                assert taylor_oracle_I(hier, omega) == expect, (order, block)
+    # the blocks carry weight: the volumes themselves are not all zero
+    ring2 = PolyRing.create(2, MAX_ORDER)
+    for region in BLOCK_REGIONS.values():
+        assert any(full_width_volume(full, region(window), ring2))
