@@ -23,9 +23,27 @@ configuration, one stencil offset at a time. stencil_contraction evaluates
 the series on the block of sites whose offset partner lies in the window, or
 on the live pairs only, and delta_ell_field contracts one series against
 both g_n (scalar part) and g_(n+1) (angular part); pair_product_sum
-evaluates it at the interface sites of a region only. The pointwise nabla_L
-and delta_ell keep the (kx, ky) expansion in the two angles as an
-independent check of this engine.
+evaluates it, for any signs, at the interface sites of a region only. The
+pointwise nabla_L and delta_ell keep the (kx, ky) expansion in the two
+angles as an independent check of this engine.
+
+Each pair once. The factors of delta_ell_field are del_1 + del_2, and
+seen from its other end a neighbour pair {x, y} keeps each base
+a(x) + a(y) and negates each slope phi(x) - phi(y), so its coefficients
+become (-1)^n c_n, exactly: IEEE negation commutes with rounding, and only
+the sign of an exact zero can differ, which no output sees (see below). The
+derivative table is even in the offset, bitwise, and its odd orders are
+exact zeros (tests/test_lagrangian.py::
+test_stencil_deriv_table_even_with_vanishing_odd_orders), so the scalar
+part S reads even coefficients only and the angular part A odd ones only.
+The far end of the pair therefore receives S and -A. stencil_contraction
+evaluates the classes of PAIR_CLASSES: (-1, 0) also serves (1, 0), (0, -1)
+also serves (0, 1), and (0, 0) serves itself, about half the series of
+five offsets. Dense delta_ell_field calls at W=160 (2-vCPU x86-64,
+numpy 2.4.6, medians of 31 calls alternating with the five-offset engine)
+took 3.40 -> 2.91, 8.16 -> 6.24, 13.87 -> 10.05 and 20.79 -> 14.36 ms at
+orders 1 to 4, bitwise equal; gathered calls led by a wave band took
+1.41 -> 1.17, 2.46 -> 2.06, 3.22 -> 2.73 and 4.30 -> 3.56 ms.
 
 Live pairs. A pair (x, y) contributes nothing when some factor's jet
 vanishes at both of its used slots: its base and slope are +-0, so is every
@@ -38,8 +56,9 @@ then gathers the live pairs (live_pairs) and runs the series on those
 sites. The guard keeps whole blocks when a field holds inf or NaN or the
 factors' product could overflow, since inf or NaN times zero is NaN, not
 zero. Two constants pick the path. They follow the crossovers measured per
-call (2-vCPU x86-64, numpy 2.4.6, medians of 21, wave bands 7 diagonals
-wide, blocks -> live pairs):
+call with the five-offset engine, before either path evaluated each pair
+once, which sped up both by about as much (2-vCPU x86-64, numpy 2.4.6,
+medians of 21, wave bands 7 diagonals wide, blocks -> live pairs):
 
 - GATHER_MIN_SITES = 20,000. Order 1 takes 0.27 -> 0.40 ms at W=40
   (6,561 sites), 0.29 -> 0.34 ms at W=60 (14,641) and 0.81 -> 0.63 ms at
@@ -53,15 +72,16 @@ wide, blocks -> live pairs):
   images, whose pairs are 28% live, keep the blocks.
 
 Each call works in one workspace (series_workspace): the rows c_0..c_ell
-plus the scratch rows its order needs, viewed per block as contiguous
-arrays and written with numpy's out= arguments, so the series allocates
-nothing per operation. Every operation keeps the operands and the order of
-the allocate-per-op form, so each field is bitwise unchanged, sign of zero
+plus the scratch rows its order needs, and four rows that hold the far-end
+terms of the two neighbour classes, viewed per block as contiguous arrays
+and written with numpy's out= arguments, so the series allocates nothing
+per operation. Every operation keeps the operands and the order of the
+allocate-per-op form, so each field is bitwise unchanged, sign of zero
 included. The block path runs band by band, each band about BAND_SITES
-sites of whole rows, and within a band offset by offset; every output site
-still receives its offsets in STENCIL_OFFSETS order, so the bands change no
-bit either. The workspace covers one band: at W=160 that is 51 of the 321
-rows, 0.52 MB for a dense order-1 call instead of 3.3 MB.
+sites of whole rows, and within a band class by class; every output site
+still receives its terms in STENCIL_OFFSETS order, so neither the bands nor
+the held terms change a bit. The workspace covers one band: at W=160 that
+is 31 of the 321 rows, 0.51 MB for a dense order-1 call instead of 3.3 MB.
 
 Page faults rest on the allocator. A 321 x 321 field is 824 KB. Left to
 its defaults, glibc serves blocks that large from fresh mappings and
@@ -216,22 +236,29 @@ GATHER_MIN_SITES = 20_000
 # share of the window
 GATHER_MAX_SHARE = 1 / 10
 # the block path runs over bands of whole rows of about this many sites,
-# at least one row, so its workspace covers one band, not the window (see
-# the module notes). A W=40 window (81 x 81) stays one band, W=80 takes two
-# and W=160 seven. Dense delta_ell_field calls, medians of 21 with the
-# allocator pinned as cli.main pins it (2-vCPU x86-64, numpy 2.4.6), whole
-# window -> 16,384-site bands, orders 1 to 4: at W=160 3.8 -> 3.2,
-# 10.1 -> 8.1, 18.7 -> 13.1 and 29.9 -> 19.6 ms, about what 32,768-site
-# bands give; 8,192 gives 3.3, 7.8, 14.5 and 21.8 ms and 4,096 is slower
-# than the whole window at orders 1 and 2. At W=40 two bands (4,096 sites)
-# cost more than one: order 2 0.65 -> 0.82 ms.
-BAND_SITES = 16_384
+# at least one row, so its workspace and held rows cover one band, not the
+# window (see the module notes). A W=40 window (81 x 81) stays one band,
+# W=80 takes three and W=160 eleven. 16,384-site bands, as good on time,
+# held 3.43 to 4.07 fields at orders 1 to 4 in
+# tests/test_jets.py::test_delta_ell_field_memory_budget (bound 3.5);
+# these hold 3.00 to 3.32. Dense delta_ell_field calls at W=160, medians of
+# 31 calls alternating between sizes with the allocator pinned as cli.main
+# pins it (2-vCPU x86-64, numpy 2.4.6), orders 1 to 4: 16,384 sites 1.74,
+# 4.36, 6.70 and 10.14 ms; 10,240 1.88, 4.23, 6.61 and 10.07 ms; 8,192
+# 1.98, 4.31, 6.66 and 10.16 ms; 4,096 2.67, 5.04, 7.26 and 10.74 ms. At
+# W=40 two bands (4,096 sites) cost more than one: order 2 0.40 -> 0.52 ms.
+BAND_SITES = 10_240
 # the guard: live pairs are used only while every partial product of the
 # factors is bounded by this, far below the largest double
 PRODUCT_BOUND = 1e300
+# stencil_contraction evaluates each neighbour pair once, from its end x
+# with y = x + offset, and each site's own term: the (1, 0) and (0, 1)
+# offsets are served by their opposites
+PAIR_CLASSES = ((-1, 0), (0, -1), (0, 0))
 
 
-def series_workspace(n_factors: int, n_sites: int) -> np.ndarray:
+def series_workspace(n_factors: int, n_sites: int,
+                     n_held: int = 0) -> np.ndarray:
     """Flat workspace for the D-series of n_factors factors on n_sites sites.
 
     Rows 0..n_factors hold the coefficients c_0..c_ell, and scratch rows
@@ -239,10 +266,10 @@ def series_workspace(n_factors: int, n_sites: int) -> np.ndarray:
     slope and one partial product; the first factor's base and slope are
     c_0 and c_1 themselves. While it is contracted the first two hold the
     running sum and one term. One factor thus needs two scratch rows, more
-    factors three.
+    factors three. n_held rows for the caller come last.
     """
     n_scratch = 2 if n_factors == 1 else 3
-    return np.empty((n_factors + 1 + n_scratch, n_sites))
+    return np.empty((n_factors + 1 + n_scratch + n_held, n_sites))
 
 
 def workspace_rows(ws: np.ndarray, shape) -> list[np.ndarray]:
@@ -329,26 +356,33 @@ def _contract(coeffs, table, offset, shift: int, total, term):
     return total if started else None
 
 
-def live_pairs(window: Window, factors):
-    """Flat site indices of the live pairs per offset, or None for blocks.
+def live_pairs(window: Window, jets: Sequence[Jet]):
+    """Flat site indices of the live pairs per class, or None for blocks.
 
-    A pair (x, y = x + offset) is live when every factor's jet is nonzero at
-    x or at y, counting only the slots whose sign is nonzero. Returns a dict
-    mapping each offset in STENCIL_OFFSETS order to (ix, iy), the row-major
-    indices of the live x and of their partners, or None when the call
-    should evaluate whole blocks: on a window under GATHER_MIN_SITES sites,
-    when no jet is nonzero on at most GATHER_MAX_SHARE of the window, or
-    when the guard fails. The checks run cheapest first: the size, then the
-    supports and their counts, then the guard, then the pair masks.
+    A pair (x, y = x + offset) is live when every jet is nonzero at x or at
+    y, so it is live for an offset exactly when it is live for the opposite
+    one. Returns a dict mapping each offset of PAIR_CLASSES, in that order,
+    to (ix, iy), the row-major indices of the live x and of their partners,
+    or None when the call should evaluate whole blocks: on a window under
+    GATHER_MIN_SITES sites, when no jet is nonzero on at most
+    GATHER_MAX_SHARE of the window, or when the guard fails. The checks run
+    cheapest first: the size, then the nonzero count of each jet's a, which
+    bounds its support from below, the supports and their counts, then the
+    guard, then the pair masks.
     """
     n_t, n_x = window.shape
     if n_t * n_x < GATHER_MIN_SITES:
         return None
-    distinct = {id(jet): jet for jet, _, _ in factors}
-    support = {key: (jet.a != 0.0) | (jet.u_phi != 0.0)
-               for key, jet in distinct.items()}
-    if min(map(np.count_nonzero, support.values())) \
-            > GATHER_MAX_SHARE * n_t * n_x:
+    distinct = {id(jet): jet for jet in jets}
+    limit = GATHER_MAX_SHARE * n_t * n_x
+    # a jet's support holds at least the nonzeros of its a, which then
+    # become its support mask
+    support = {key: jet.a != 0.0 for key, jet in distinct.items()}
+    if min(map(np.count_nonzero, support.values())) > limit:
+        return None
+    for key, jet in distinct.items():
+        np.logical_or(support[key], jet.u_phi != 0.0, out=support[key])
+    if min(map(np.count_nonzero, support.values())) > limit:
         return None
     # the guard: finite fields, and every partial product of the factors
     # within PRODUCT_BOUND. Each factor's bound is taken at least 1, so that
@@ -362,24 +396,18 @@ def live_pairs(window: Window, factors):
             return None
         sizes[key] = float(max(extremes))
     bound = 1.0
-    for jet, s1, s2 in factors:
-        bound *= max(1.0, 2.0 * (abs(s1) + abs(s2)) * sizes[id(jet)])
+    for jet in jets:
+        # a factor del_1 + del_2 has base a(x) + a(y) and slope
+        # phi(x) - phi(y), each at most twice the jet's size
+        bound *= max(1.0, 4.0 * sizes[id(jet)])
     if bound > PRODUCT_BOUND:
         return None
-    # factors repeating a jet and its used slots repeat the same mask
-    needs = {(id(jet), s1 != 0.0, s2 != 0.0) for jet, s1, s2 in factors}
     pairs = {}
-    for dt, dx in STENCIL_OFFSETS:
+    for dt, dx in PAIR_CLASSES:
         x_block, y_block = window.shift_blocks(dt, dx)
         live = None
-        for key, at_x, at_y in needs:
-            mask = support[key]
-            if at_x and at_y:
-                part = mask[x_block] | mask[y_block]
-            elif at_x or at_y:
-                part = mask[x_block if at_x else y_block]
-            else:
-                part = np.zeros(mask[x_block].shape, dtype=bool)
+        for mask in support.values():
+            part = mask[x_block] | mask[y_block]
             live = part if live is None else live & part
         # flat indices within the block, then within the window
         i, j = np.divmod(np.flatnonzero(live), live.shape[1])
@@ -388,60 +416,71 @@ def live_pairs(window: Window, factors):
     return pairs
 
 
-def stencil_contraction(p: ModelParams, window: Window, factors):
+def stencil_contraction(p: ModelParams, window: Window, jets: Sequence[Jet]):
     """Scalar and angular fields of the stencil-summed slot-derivative product.
 
     Returns (scalar, angular). scalar is the sum over y in the windowed
-    configuration of the product of the signed slot derivatives applied to
+    configuration of the product of del_1 + del_2 over the jets applied to
     the interaction, as a field over x; angular is the same sum with one
     more angular derivative at slot 1, the angular component of dual-jet
-    valued operators. Both contract one D-series per offset, in one
-    workspace shared by the five offsets.
+    valued operators.
 
-    Sparse factors are evaluated on their live pairs only (live_pairs): the
+    Each neighbour pair is expanded once (see the module notes): one
+    D-series per class of PAIR_CLASSES, from the end x of each pair. Its
+    scalar part S and angular part A are added at x; the partner
+    y = x + offset, which sees the pair at the opposite offset, gets S added
+    and A subtracted. Every output site still receives its terms in
+    STENCIL_OFFSETS order: its (-1, 0) and (0, -1) terms as an end x, its
+    (0, 0) term, then its (0, 1) and (1, 0) terms as a partner, which are
+    held until then.
+
+    Sparse jets are evaluated on their live pairs only (live_pairs): the
     series runs on the gathered sites and is added into the outputs there.
     Otherwise, and on windows under GATHER_MIN_SITES sites, it runs on the
     block of sites whose partner lies in the window, one band of about
-    BAND_SITES sites of whole rows at a time, all five offsets per band, so
-    the workspace covers one band. Each output site still receives its
-    offsets in STENCIL_OFFSETS order. Both paths give the same bits, sign
-    of zero included. The outputs start at +0.0. At a pair
-    where some factor's base and slope are both +-0, every coefficient is
-    +-0, provided the values are finite and no partial product overflows,
-    which the guard in live_pairs ensures (inf or NaN would turn a product
-    with zero into NaN). Under round-to-nearest +0.0 + (+-0) = +0.0 and
-    v + (+-0) = v, so a sum that starts at +0.0 never becomes -0.0, and
-    skipping those contributions changes no bit. Every other pair goes
-    through the same operations in the same order on both paths.
+    BAND_SITES sites of whole rows at a time, so the workspace and the held
+    terms cover one band. A (1, 0) partner lies one row before its end x,
+    so a band's last row receives its (1, 0) terms from the next band,
+    still last. Both paths give the same bits, sign of zero included. The
+    outputs start at +0.0. At a pair where some jet is +-0 at both ends,
+    every coefficient is +-0, provided the values are finite and no partial
+    product overflows, which the guard in live_pairs ensures (inf or NaN
+    would turn a product with zero into NaN). Under round-to-nearest
+    +0.0 + (+-0) = +0.0 and v + (+-0) = v, so a sum that starts at +0.0
+    never becomes -0.0, and skipping those contributions changes no bit.
+    Every other pair goes through the same operations in the same order on
+    both paths.
     """
     table = stencil_deriv_table(p)
     scalar = window.zeros()
     angular = window.zeros()
-    pairs = live_pairs(window, factors)
+    pairs = live_pairs(window, jets)
     if pairs is not None:
-        _gathered_contraction(table, factors, pairs, scalar, angular)
+        ws = series_workspace(len(jets), max(ix.size for ix, _
+                                             in pairs.values()), n_held=4)
+        _contract_classes(table, [_FlatJet(jet.a.ravel(), jet.u_phi.ravel())
+                                  for jet in jets],
+                          [(offset, ix, iy, ix.shape)
+                           for offset, (ix, iy) in pairs.items()],
+                          (scalar.ravel(), angular.ravel()), ws)
         return scalar, angular
     n_t, n_x = window.shape
     band = min(n_t, max(1, BAND_SITES // n_x))
-    ws = series_workspace(len(factors), band * n_x)
+    ws = series_workspace(len(jets), band * n_x, n_held=4)
     blocks = [(offset, *window.shift_blocks(*offset))
-              for offset in STENCIL_OFFSETS]
+              for offset in PAIR_CLASSES]
     for first in range(0, n_t, band):
+        classes = []
         for offset, (x_rows, x_cols), (_, y_cols) in blocks:
             # the block's x rows within the band, and their partners
             lo = max(first, x_rows.start)
             hi = min(first + band, x_rows.stop)
-            if lo >= hi:
-                continue
-            x_block = (slice(lo, hi), x_cols)
-            y_block = (slice(lo + offset[0], hi + offset[0]), y_cols)
-            rows = workspace_rows(ws, (hi - lo, x_cols.stop - x_cols.start))
-            coeffs = slot_factor_maps(factors, x_block, y_block, rows)
-            for out, shift in ((scalar, 0), (angular, 1)):
-                contrib = _contract(coeffs, table, offset, shift,
-                                    rows[len(coeffs)], rows[len(coeffs) + 1])
-                if contrib is not None:
-                    out[x_block] += contrib
+            if lo < hi:
+                classes.append((offset, (slice(lo, hi), x_cols),
+                                (slice(lo + offset[0], hi + offset[0]),
+                                 y_cols),
+                                (hi - lo, x_cols.stop - x_cols.start)))
+        _contract_classes(table, jets, classes, (scalar, angular), ws)
     return scalar, angular
 
 
@@ -451,25 +490,41 @@ class _FlatJet(NamedTuple):
     u_phi: np.ndarray
 
 
-def _gathered_contraction(table, factors, pairs, scalar, angular):
-    # stencil_contraction on the live pairs: the series of each offset on
-    # its gathered sites, added into the flat outputs at those sites
-    flat = {id(jet): _FlatJet(jet.a.ravel(), jet.u_phi.ravel())
-            for jet, _, _ in factors}
-    flat_factors = [(flat[id(jet)], s1, s2) for jet, s1, s2 in factors]
-    outputs = ((scalar.ravel(), 0), (angular.ravel(), 1))
-    ws = series_workspace(len(factors),
-                          max(ix.size for ix, _ in pairs.values()))
-    for offset, (ix, iy) in pairs.items():
-        if ix.size == 0:
+def _contract_classes(table, jets, classes, outputs, ws):
+    # the terms of one band's (or the gathered sites') pair classes, in
+    # STENCIL_OFFSETS order per site: classes lists (offset, x_sites,
+    # y_sites, shape) in PAIR_CLASSES order, the sites as numpy indices into
+    # the outputs (scalar, angular); ws is a series_workspace for the jets
+    # with 4 held rows, at least as wide as the largest class
+    factors = [(jet, 1.0, 1.0) for jet in jets]
+    n_series = len(ws) - 4
+    held = []
+    for offset, x_sites, y_sites, shape in classes:
+        rows = workspace_rows(ws, shape)
+        coeffs = slot_factor_maps(factors, x_sites, y_sites, rows[:n_series])
+        n = len(coeffs)
+        if offset == (0, 0):
+            # the site's own terms, added at once
+            for out, shift in zip(outputs, (0, 1)):
+                part = _contract(coeffs, table, offset, shift, rows[n],
+                                 rows[n + 1])
+                if part is not None:
+                    out[x_sites] += part
             continue
-        rows = workspace_rows(ws, ix.shape)
-        coeffs = slot_factor_maps(flat_factors, ix, iy, rows)
-        for out, shift in outputs:
-            contrib = _contract(coeffs, table, offset, shift,
-                                rows[len(coeffs)], rows[len(coeffs) + 1])
-            if contrib is not None:
-                out[ix] += contrib
+        # S and A contracted straight into the class's two held rows
+        hold = rows[n_series + 2 * len(held):][:2]
+        parts = [_contract(coeffs, table, offset, shift, total, rows[n])
+                 for shift, total in enumerate(hold)]
+        for out, part in zip(outputs, parts):
+            if part is not None:
+                out[x_sites] += part
+        held.append((y_sites, parts))
+    # then the partner ends, the (0, -1) class first: S added, A subtracted
+    for y_sites, (s, a) in reversed(held):
+        if s is not None:
+            outputs[0][y_sites] += s
+        if a is not None:
+            outputs[1][y_sites] -= a
 
 
 def pair_product_sum(p: ModelParams, omega: Region, factors) -> float:
@@ -533,8 +588,7 @@ def delta_ell_field(ell_order: int, jets: Sequence[Jet], p: ModelParams,
     the clipped stencil of the windowed configuration.
     """
     _check_variation_inputs(ell_order, jets, window)
-    factors = [(jet, 1.0, 1.0) for jet in jets]
-    scalar, phi = stencil_contraction(p, window, factors)
+    scalar, phi = stencil_contraction(p, window, jets)
     # in place on fresh arrays, in the order of
     # scale * (scalar - 0.5 * nu * prod(a)); 1.0 * a is a, so the product
     # starts from a copy of the first weight, and scale 1 is skipped

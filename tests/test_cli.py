@@ -20,9 +20,9 @@ from surflat import MAX_ORDER, DualJet, Region, cli, jets, linear, space
 from surflat.cli import (CSV_COLUMNS, DEFAULT_CONFIG, Row, _apply_override,
                          _parse_jet_spec, load_config, main, write_report)
 from surflat.errors import ConfigError
+from surflat.jets import PAIR_CLASSES
 from surflat.perturb import build_hierarchy
 from surflat.polyseries import PolyRing
-from surflat.space import STENCIL_OFFSETS
 
 
 def run_cli(tmp_path, *argv):
@@ -834,7 +834,11 @@ def test_greens_verify_rows_equal_four_applications(seed, window):
 
 
 def test_greens_verify_applies_two_choices_per_draw(monkeypatch):
-    calls = {"greens_apply": 0, "delta_op_field": 0}
+    # one batch per choice: one scalar solve for all draws, then one wave
+    # stepping and one defect check per draw and choice. Each draw's dual
+    # jet is built once per read: the two batches read the draws in turn,
+    # then all three readers share one build per draw
+    calls = collections.Counter()
 
     def counted(module, name):
         real = getattr(module, name)
@@ -844,16 +848,22 @@ def test_greens_verify_applies_two_choices_per_draw(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(cli, "greens_apply")
-    counted(linear, "delta_op_field")
+    counted(cli, "GreensBatch")
+    counted(cli, "DualJet")
+    for name in ("_scalar_green_banded", "_scalar_green_frequency",
+                 "_vector_green", "delta_op_field"):
+        counted(linear, name)
     cfg = load_config(None, ["draws=3"], None, "greens-verify")
     cli.SUITES["greens-verify"](cfg)
-    assert calls == {"greens_apply": 6, "delta_op_field": 6}
+    assert calls == {"GreensBatch": 2, "DualJet": 9,
+                     "_scalar_green_banded": 1, "_scalar_green_frequency": 1,
+                     "_vector_green": 6, "delta_op_field": 6}
 
 
 def test_greens_verify_solves_the_support_columns_only(monkeypatch):
     # the sources sit on the centred support box: each scalar backend gets
-    # its columns plus one all-zero column standing in for the other 314
+    # every draw's columns side by side plus one all-zero column standing
+    # in for the other 314 of each draw
     widths = collections.defaultdict(list)
 
     def recorded(name):
@@ -870,9 +880,9 @@ def test_greens_verify_solves_the_support_columns_only(monkeypatch):
                                                            160)],
                       None, "greens-verify")
     cli.SUITES["greens-verify"](cfg)
-    assert widths == {"_scalar_green_banded": [2 * cli.SUPPORT_HALF + 2] * 3,
-                      "_scalar_green_frequency":
-                          [2 * cli.SUPPORT_HALF + 2] * 3}
+    width = 3 * (2 * cli.SUPPORT_HALF + 1) + 1
+    assert widths == {"_scalar_green_banded": [width],
+                      "_scalar_green_frequency": [width]}
 
 
 def record_engine_calls(monkeypatch):
@@ -906,15 +916,17 @@ def record_engine_calls(monkeypatch):
 
 
 def window_pairs(window):
-    # the (site, offset) pairs of a window: the five shift blocks
+    # the pairs of a window, each neighbour pair once and each site with
+    # itself: the shift blocks of the pair classes
     n_t, n_x = window.shape
-    return sum((n_t - abs(dt)) * (n_x - abs(dx)) for dt, dx in STENCIL_OFFSETS)
+    return sum((n_t - abs(dt)) * (n_x - abs(dx)) for dt, dx in PAIR_CLASSES)
 
 
 def test_hierarchy_w160_takes_the_live_pairs(monkeypatch):
     # the default seeds are wave bands on 2.2% of the W=160 window and every
     # order-3 variation has a seed factor: each call of the build gathers
-    # its live pairs, at most 3% of the window's pairs
+    # the live pairs of each pair class, at most 3% of the window's pairs
+    # (2.4% measured)
     calls = record_engine_calls(monkeypatch)
     cfg = load_config(None, _window_overrides(-160, 160, -160, 160), None,
                       "perturb-verify")
@@ -923,7 +935,8 @@ def test_hierarchy_w160_takes_the_live_pairs(monkeypatch):
     total = window_pairs(cfg.window)
     for window, maps in calls:
         assert window == cfg.window
-        assert maps and all(gathered for gathered, _ in maps)
+        assert len(maps) == len(PAIR_CLASSES)
+        assert all(gathered for gathered, _ in maps)
         assert sum(sites for _, sites in maps) <= 0.03 * total
 
 

@@ -8,9 +8,10 @@ import pytest
 from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
                      Region, UnsupportedOrderError, Window, jets, past_region,
                      stencil_pairs)
-from surflat.jets import (DualValue, Jet, PointDeriv, delta_ell,
-                          delta_ell_field, delta_op, delta_op_field,
-                          live_pairs, nabla_L, pair_product_sum,
+from surflat.jets import (PAIR_CLASSES, DualValue, Jet, PointDeriv,
+                          delta_ell, delta_ell_field, delta_op,
+                          delta_op_field, live_pairs, nabla_L,
+                          pair_product_sum,
                           region_product_sum, series_workspace,
                           slot_factor_maps, stencil_contraction,
                           workspace_rows)
@@ -349,8 +350,10 @@ def ref_contract(coeffs, table, offset, shift):
     return total
 
 
-def ref_stencil_contraction(p, window, factors):
+def ref_stencil_contraction(p, window, jets):
+    # every offset from each end, the pair's partner included
     table = stencil_deriv_table(p)
+    factors = [(jet, 1.0, 1.0) for jet in jets]
     scalar = window.zeros()
     angular = window.zeros()
     for offset in STENCIL_OFFSETS:
@@ -364,8 +367,7 @@ def ref_stencil_contraction(p, window, factors):
 
 
 def ref_delta_ell_field(ell_order, jets, p, window):
-    factors = [(jet, 1.0, 1.0) for jet in jets]
-    scalar, phi = ref_stencil_contraction(p, window, factors)
+    scalar, phi = ref_stencil_contraction(p, window, jets)
     weights = np.ones(window.shape)
     for jet in jets:
         weights = weights * jet.a
@@ -413,43 +415,17 @@ PIN_SIGNS = ((1.0, 1.0), (1.0, -1.0), (1.0, 0.0), (0.0, 1.0),
              (-1.0, -1.0), (-1.0, 1.0), (2.0, 2.0))
 
 
-# band sizes, in sites, that split the pin windows into bands of 1 row
-# (3x3), of 7, 7 and 1 rows (15x27) and of 10, 10, 10, 10 and 1 rows
-# (41x41); the last two are not whole rows, so the band rounds down. Then
-# the series runs once per band and offset, but not for the (-1, 0) offset
-# on a first band of one row or the (1, 0) offset on a last band of one row
-SPLIT_BANDS = {PIN_WINDOWS["3x3"]: (3, 3 * 5 - 2),
-               PIN_WINDOWS["15x27"]: (7 * 27 + 20, 3 * 5 - 1),
-               PIN_WINDOWS["41x41"]: (10 * 41 + 40, 5 * 5 - 1)}
-
-
-@pytest.mark.parametrize("bands", ["one", "split"])
 @pytest.mark.parametrize("window", PIN_WINDOWS.values(), ids=PIN_WINDOWS)
 @pytest.mark.parametrize("signs", PIN_SIGNS, ids=str)
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_stencil_contraction_bitwise_pin(monkeypatch, order, signs, window,
-                                         bands):
-    band_sites, calls = SPLIT_BANDS[window] if bands == "split" else (
-        jets.BAND_SITES, len(STENCIL_OFFSETS))
-    monkeypatch.setattr(jets, "BAND_SITES", band_sites)
-    seen = []
-
-    def counting(*args):
-        seen.append(args)
-        return slot_factor_maps(*args)
-
-    monkeypatch.setattr(jets, "slot_factor_maps", counting)
-    # the first factor carries the sign pattern; later ones cycle through
-    # all four, so mixed products are pinned as well
+def test_slot_factor_maps_bitwise_pin(order, signs, window):
+    # the coefficient fields of signed factors, where signed zeros survive,
+    # per offset. The first factor carries the sign pattern; later ones
+    # cycle through all four, so mixed products are pinned as well
     first = PIN_SIGNS.index(signs)
     factors = [(signed_zero_jet(300 + k, window),
                 *PIN_SIGNS[(first + k) % len(PIN_SIGNS)])
                for k in range(order)]
-    for got, want in zip(stencil_contraction(P, window, factors),
-                         ref_stencil_contraction(P, window, factors)):
-        assert_bitwise(got, want)
-    assert len(seen) == calls
-    # the coefficient fields, where signed zeros survive, per offset
     ws = series_workspace(order, window.shape[0] * window.shape[1])
     planted = False
     for offset in STENCIL_OFFSETS:
@@ -464,16 +440,75 @@ def test_stencil_contraction_bitwise_pin(monkeypatch, order, signs, window,
     assert planted
 
 
+def tied_jet(seed, window):
+    """Random jet of five values, -0.0 and +0.0 among them.
+
+    Neighbours often hold equal values, so many slopes vanish, with a sign
+    of zero that depends on which end the pair is seen from.
+    """
+    rng = np.random.default_rng(seed)
+    values = np.array([-1.5, -0.0, 0.0, 0.5, 2.0])
+    return Jet(window, *(rng.choice(values, size=window.shape)
+                         for _ in range(2)))
+
+
+# the jets of the symmetric pins: distinct random jets, the same jet in
+# every slot (inputs that alias one another), and tied jets
+PIN_JETS = {
+    "distinct": lambda order, window: [signed_zero_jet(300 + k, window)
+                                       for k in range(order)],
+    "aliased": lambda order, window: [signed_zero_jet(300, window)] * order,
+    "tied": lambda order, window: [tied_jet(320 + k, window)
+                                   for k in range(order)],
+}
+
+# band sizes, in sites, that split the pin windows into bands of 1 row
+# (3x3), of 7, 7 and 1 rows (15x27) and of 10, 10, 10, 10 and 1 rows
+# (41x41); the last two are not whole rows, so the band rounds down. Then
+# the series runs once per band and pair class, but not for the (-1, 0)
+# class on a first band of one row, whose partners would lie before the
+# window
+SPLIT_BANDS = {PIN_WINDOWS["3x3"]: (3, 3 * 3 - 1),
+               PIN_WINDOWS["15x27"]: (7 * 27 + 20, 3 * 3),
+               PIN_WINDOWS["41x41"]: (10 * 41 + 40, 5 * 3)}
+
+
+@pytest.mark.parametrize("bands", ["one", "split"])
 @pytest.mark.parametrize("window", PIN_WINDOWS.values(), ids=PIN_WINDOWS)
+@pytest.mark.parametrize("case", PIN_JETS)
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_delta_ell_field_bitwise_pin(order, window):
-    jets = [signed_zero_jet(400 + k, window) for k in range(order)]
-    # the same jet in every slot too: inputs that alias one another
-    for case in (jets, [jets[0]] * order):
-        dual = delta_ell_field(order, case, P, window)
-        want_b, want_phi = ref_delta_ell_field(order, case, P, window)
-        assert_bitwise(dual.b, want_b)
-        assert_bitwise(dual.w_phi, want_phi)
+def test_stencil_contraction_bitwise_pin(monkeypatch, order, case, window,
+                                         bands):
+    # each pair evaluated once against every offset from each end
+    band_sites, calls = SPLIT_BANDS[window] if bands == "split" else (
+        jets.BAND_SITES, len(PAIR_CLASSES))
+    monkeypatch.setattr(jets, "BAND_SITES", band_sites)
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return slot_factor_maps(*args)
+
+    monkeypatch.setattr(jets, "slot_factor_maps", counting)
+    pool = PIN_JETS[case](order, window)
+    for got, want in zip(stencil_contraction(P, window, pool),
+                         ref_stencil_contraction(P, window, pool)):
+        assert_bitwise(got, want)
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("bands", ["one", "split"])
+@pytest.mark.parametrize("window", PIN_WINDOWS.values(), ids=PIN_WINDOWS)
+@pytest.mark.parametrize("case", PIN_JETS)
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_delta_ell_field_bitwise_pin(monkeypatch, order, case, window, bands):
+    if bands == "split":
+        monkeypatch.setattr(jets, "BAND_SITES", SPLIT_BANDS[window][0])
+    pool = PIN_JETS[case](order, window)
+    dual = delta_ell_field(order, pool, P, window)
+    want_b, want_phi = ref_delta_ell_field(order, pool, P, window)
+    assert_bitwise(dual.b, want_b)
+    assert_bitwise(dual.w_phi, want_phi)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -568,22 +603,17 @@ SPARSE_KINDS = ("bands", "box", "mask1", "mask10")
 
 
 @pytest.mark.parametrize("window", PIN_WINDOWS.values(), ids=PIN_WINDOWS)
-@pytest.mark.parametrize("signs", PIN_SIGNS, ids=str)
+@pytest.mark.parametrize("kind", SPARSE_KINDS)
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_gathered_stencil_contraction_bitwise(gathered, order, signs, window):
-    # the first factor carries the sign pattern, later ones cycle through
-    # PIN_SIGNS, one-sided slots included; distinct jets, then the same jet
-    # in every slot
-    first = PIN_SIGNS.index(signs)
-    for n, kind in enumerate(SPARSE_KINDS):
-        pool = sparse_jets(kind, window, 800 + 10 * order + n, order)
-        for case in (pool, [pool[0]] * order):
-            factors = [(jet, *PIN_SIGNS[(first + k) % len(PIN_SIGNS)])
-                       for k, jet in enumerate(case)]
-            assert live_pairs(window, factors) is not None
-            for got, want in zip(stencil_contraction(P, window, factors),
-                                 ref_stencil_contraction(P, window, factors)):
-                assert_bitwise(got, want)
+def test_gathered_stencil_contraction_bitwise(gathered, order, kind, window):
+    # distinct jets, then the same jet in every slot
+    pool = sparse_jets(kind, window, 800 + 10 * order
+                       + SPARSE_KINDS.index(kind), order)
+    for case in (pool, [pool[0]] * order):
+        assert live_pairs(window, case) is not None
+        for got, want in zip(stencil_contraction(P, window, case),
+                             ref_stencil_contraction(P, window, case)):
+            assert_bitwise(got, want)
 
 
 @pytest.mark.parametrize("window", PIN_WINDOWS.values(), ids=PIN_WINDOWS)
@@ -616,24 +646,24 @@ def guard_case(name, window):
     w = Jet(window, *(rng.normal(size=window.shape) for _ in range(2)))
     if name in ("nan", "inf"):
         w.a[1, -2] = math.nan if name == "nan" else math.inf
-        return box, [(w, 1.0, 1.0), (u, 1.0, 1.0)]
+        return box, [w, u]
     big = Jet(window, 1e200 * w.a, 1e200 * w.u_phi)
-    return box, [(big, 1.0, 1.0), (big, 1.0, 1.0), (u, 1.0, 1.0)]
+    return box, [big, big, u]
 
 
 @pytest.mark.parametrize("name", ["nan", "inf", "huge", "zero"])
 def test_gathered_guard_keeps_the_blocks(gathered, name):
     window = PIN_WINDOWS["15x27"]
-    box, factors = guard_case(name, window)
-    assert live_pairs(window, factors) is None
+    box, pool = guard_case(name, window)
+    assert live_pairs(window, pool) is None
     # the sites whose pairs all miss the box: NaN there shows that the dead
     # pairs do contribute, so the guard is what keeps the outputs equal
     near = box.copy()
     for offset in STENCIL_OFFSETS:
         near |= window.shifted(box, *offset)
     with np.errstate(over="ignore", invalid="ignore"):
-        outputs = zip(stencil_contraction(P, window, factors),
-                      ref_stencil_contraction(P, window, factors))
+        outputs = zip(stencil_contraction(P, window, pool),
+                      ref_stencil_contraction(P, window, pool))
     for got, want in outputs:
         assert got.tobytes() == want.tobytes()
         assert np.isnan(want[~near]).any()
@@ -652,8 +682,7 @@ def test_field_kernels_leave_inputs_unchanged(order):
     before = snapshot(jets)
     dual = delta_ell_field(order, jets, P, wide)
     assert snapshot(jets) == before
-    factors = [(jet, *PIN_SIGNS[k]) for k, jet in enumerate(jets)]
-    scalar, angular = stencil_contraction(P, wide, factors)
+    scalar, angular = stencil_contraction(P, wide, jets)
     assert snapshot(jets) == before
     outputs = (dual.b, dual.w_phi, scalar, angular)
     for out in outputs:
@@ -668,10 +697,10 @@ def test_delta_ell_field_memory_budget():
     # tracemalloc sees numpy's array buffers; at W=160 one field is 824 KB,
     # so the peak counts fields: the two outputs, then the counterterm's
     # weights or a workspace of ell + 3 rows (ell + 4 beyond one factor)
-    # over one band of 51 of the 321 rows. That is 3.00 to 3.43 fields at
-    # orders 1 to 4 (6.16 to 10.16 with a workspace over the whole window).
-    # Sparse wave bands, which take the live pairs, stay within the same
-    # budget
+    # and 4 held rows over one band of 31 of the 321 rows. That is 3.00 to
+    # 3.32 fields at orders 1 to 4 (3.43 to 4.07 over bands of 51 rows,
+    # 6.16 to 10.16 with a workspace over the whole window). Sparse wave
+    # bands, which take the live pairs, stay within the same budget
     wide = Window(-160, 160, -160, 160)
     field = wide.zeros().nbytes
     dense = [random_jet(700 + k, wide) for k in range(4)]
@@ -679,8 +708,7 @@ def test_delta_ell_field_memory_budget():
     delta_ell_field(1, dense[:1], P, wide)  # builds the cached table
     for order in range(1, 5):
         for pool, gathers in ((dense, False), (sparse, True)):
-            factors = [(jet, 1.0, 1.0) for jet in pool[:order]]
-            assert (live_pairs(wide, factors) is not None) == gathers
+            assert (live_pairs(wide, pool[:order]) is not None) == gathers
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]

@@ -253,3 +253,33 @@ def test_el_check_needs_an_interior():
     for w in (Window(0, 1, -5, 5), Window(-5, 5, 3, 4)):
         with pytest.raises(RangeError):
             el_check(P, w)
+
+
+# --- the parity of the stencil derivative table ---
+
+@st.composite
+def model_params(draw):
+    """Any valid ModelParams: the invariants hold, nu balanced or not."""
+    lambda_i = draw(st.floats(2.0, 50.0))
+    epsilon = draw(st.floats(1e-3, 0.249))
+    lambda_a = draw(st.floats(2.0 * lambda_i + epsilon, 200.0))
+    delta = draw(st.floats(-10.0, 10.0))
+    nu = draw(st.none() | st.floats(-500.0, 500.0))
+    return ModelParams(lambda_a=lambda_a, lambda_i=lambda_i, delta=delta,
+                       epsilon=epsilon, nu=nu)
+
+
+@given(model_params())
+@settings(max_examples=100, deadline=None)
+def test_stencil_deriv_table_even_with_vanishing_odd_orders(p):
+    # the pair-symmetric D-series of jets.stencil_contraction rests on this:
+    # the interaction at offset -u is bitwise the one at u, and every odd
+    # angular derivative is an exact zero on the base configuration
+    n = len(STENCIL_OFFSETS)
+    assert all(STENCIL_OFFSETS[n - 1 - i] == (-dt, -dx)
+               for i, (dt, dx) in enumerate(STENCIL_OFFSETS))
+    for (kx, ky), row in stencil_deriv_table(p).items():
+        bits = row.view(np.uint64)
+        assert np.array_equal(bits, bits[::-1])
+        if (kx + ky) % 2:
+            assert not row.any()

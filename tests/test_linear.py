@@ -1,7 +1,9 @@
+import collections.abc
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ import pytest
 from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
                      Region, TruncationError, Window)
 from surflat.jets import DualJet, Jet, delta_op, delta_op_field
-from surflat.linear import (GreensChoice, RankOneModifier, _scalar_green_banded,
-                            _scalar_green_frequency, _vector_green,
-                            greens_apply, greens_defects, greens_residual,
+from surflat.linear import (GreensBatch, GreensChoice, RankOneModifier,
+                            _scalar_green_banded, _scalar_green_frequency,
+                            _vector_green, greens_apply, greens_defects,
+                            greens_residual,
                             linear_residual, scalar_diag, scalar_roots,
                             scalar_solution, wave_solution)
 
@@ -475,6 +478,8 @@ def support_source(shape, name, kind, seed):
         b, w_phi = zero.copy(), zero.copy()
         b[:, n_x // 2] = -0.0
         w_phi[:, n_x // 2] = -0.0
+    elif name == "nan_column":
+        b[:, n_x // 2] = np.nan
     elif name == "single_column":
         b, w_phi = zero.copy(), zero.copy()
         b[:, n_x // 3] = rng.standard_normal(n_t)
@@ -540,6 +545,127 @@ def test_greens_apply_counts_nan_as_live(vector_kind, scalar_kind):
                                                          vector_kind))):
         assert np.isnan(want).any()
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# --- many sources, one scalar solve ---
+
+class BuiltOnRead(collections.abc.Sequence):
+    """Dual jets built from (b, w_phi) when read, each read recorded.
+
+    The built jets are tracked by weak reference, so a test can see whether
+    a reader still holds one.
+    """
+
+    def __init__(self, window, fields):
+        self.window, self.fields = window, fields
+        self.reads, self.built = [], []
+
+    def __len__(self):
+        return len(self.fields)
+
+    def __getitem__(self, k):
+        b, w_phi = self.fields[k]
+        self.reads.append(k)
+        dual = DualJet(self.window, b.copy(), w_phi.copy())
+        self.built.append(weakref.ref(dual))
+        return dual
+
+
+# the first source has a NaN column, the second no live scalar column and
+# the third a -0.0 column; twenty sources repeat every kind
+BATCH_SOURCES = ["nan_column", "zero_b", "negative_zero_column", "box",
+                 "planted", "single_column", "leading_zero_rows",
+                 "zero_w_phi"]
+
+
+def batch_fields(shape, count, kind, seed):
+    return [support_source(shape, BATCH_SOURCES[k % len(BATCH_SOURCES)],
+                           kind, seed + k) for k in range(count)]
+
+
+def full_window_output(choice, b, w_phi):
+    full = _scalar_green_banded if choice.scalar_kind == "banded_solve" \
+        else _scalar_green_frequency
+    return full(b, P), _vector_green(w_phi, choice.vector_kind)
+
+
+@pytest.mark.parametrize("count", [1, 2, 20])
+@pytest.mark.parametrize("shape", [(4, 2), (81, 81)],
+                         ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("scalar_kind", ["banded_solve", "frequency"])
+@pytest.mark.parametrize("vector_kind", ["retarded", "advanced"])
+def test_greens_batch_equals_full_window_solves_bitwise(vector_kind,
+                                                        scalar_kind, shape,
+                                                        count):
+    w = Window(0, shape[0] - 1, 0, shape[1] - 1)
+    choice = GreensChoice(vector_kind, scalar_kind)
+    fields = batch_fields(shape, count, vector_kind, sum(shape))
+    sources = BuiltOnRead(w, fields)
+    batch = GreensBatch(choice, sources, P, w, edge_check=False)
+    # the sources are read once for the scalar solve and not held
+    assert sources.reads == list(range(count))
+    assert all(ref() is None for ref in sources.built)
+    outputs = list(batch)
+    assert sources.reads == list(range(count)) * 2
+    assert len(outputs) == count
+    for k, (out, (b, w_phi)) in enumerate(zip(outputs, fields)):
+        want_a, want_phi = full_window_output(choice, b, w_phi)
+        for got, want in ((out.a, want_a), (out.u_phi, want_phi)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert out.a.flags.c_contiguous
+        # every column of the output is one of the source's stack columns
+        assert columns(want_a) <= columns(batch.scalar_columns(k))
+
+
+def columns(a):
+    return {a[:, j].tobytes() for j in range(a.shape[1])}
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (81, 81)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_greens_batch_backend_gap_is_the_full_window_gap(shape):
+    # the backend agreement of greens-verify: the largest gap between the
+    # backends over a source's stack columns is bitwise the full window's
+    w = Window(0, shape[0] - 1, 0, shape[1] - 1)
+    fields = batch_fields(shape, 20, "retarded", 7)
+    duals = [DualJet(w, b, w_phi) for b, w_phi in fields]
+    banded, frequency = (GreensBatch(GreensChoice(scalar_kind=kind), duals,
+                                     P, w, edge_check=False)
+                         for kind in ("banded_solve", "frequency"))
+    for k, (b, _) in enumerate(fields):
+        gap = np.abs(banded.scalar_columns(k)
+                     - frequency.scalar_columns(k)).max()
+        full = np.abs(_scalar_green_banded(b, P)
+                      - _scalar_green_frequency(b, P)).max()
+        assert gap.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("scalar_kind", ["banded_solve", "frequency"])
+def test_greens_batch_adds_the_kernel_modifier_per_source(scalar_kind):
+    w = Window(-10, 10, -8, 8)
+    probe, direction = random_dual(w, 3), random_dual(w, 4)
+    modifier = RankOneModifier(probe, Jet(w, direction.b, direction.w_phi))
+    choice = GreensChoice("retarded", scalar_kind, kernel_modifier=modifier)
+    duals = [random_dual(w, 10 + k) for k in range(3)]
+    outputs = list(GreensBatch(choice, duals, P, w, edge_check=False))
+    for out, dual in zip(outputs, duals):
+        sb, sv = full_window_output(choice, dual.b, dual.w_phi)
+        want = Jet(w, sb, sv) + modifier.apply(dual)
+        assert same_bits(out.a, want.a) and same_bits(out.u_phi, want.u_phi)
+        assert modifier.pairing(dual) != 0.0
+
+
+def test_greens_batch_checks_each_output():
+    # the edge check judges each source on its own: a clear source passes,
+    # a hot one raises when its output is reached
+    w = Window(-60, 60, -8, 8)
+    hot = w.zeros()
+    hot[0, 3] = 1.0
+    duals = [random_dual(w, 1), DualJet(w, hot, w.zeros())]
+    outputs = iter(GreensBatch(GreensChoice(), duals, P, w))
+    next(outputs)
+    with pytest.raises(TruncationError, match="window frame"):
+        next(outputs)
 
 
 def test_cli_import_loads_no_scipy():
