@@ -15,7 +15,6 @@ keeps only the rules that relate fields to each other.
 from __future__ import annotations
 
 import argparse
-import collections.abc
 import copy
 import csv
 import ctypes
@@ -34,9 +33,10 @@ from .errors import (ConfigError, InvalidJetError, RangeError,
                      TruncationError, UnsupportedOrderError)
 from .jets import DualJet, Jet
 from .lagrangian import MAX_ORDER, ModelParams, el_check
-from .linear import (GreensBatch, GreensChoice, RankOneModifier,
+from .linear import (GreensChoice, RankOneModifier, ScalarStack,
                      greens_defects, linear_residual, scalar_diag,
-                     scalar_roots, scalar_solution, wave_solution)
+                     scalar_roots, scalar_solution, wave_green,
+                     wave_solution)
 from .perturb import build_hierarchy, family_taylor_I, taylor_oracle_I
 from .slayer import greens_dependence_check, slayer_sweep
 from .space import Region, Window, past_region
@@ -491,33 +491,6 @@ def _run_solve_linear(cfg: ExperimentConfig) -> list:
     return rows
 
 
-class _BoxSources(collections.abc.Sequence):
-    """greens-verify's dual jets, each built from its box values when read.
-
-    values holds one (b, w_phi) pair of value vectors per draw, in the box's
-    row-major site order. The last jet built is kept, so the two Green's
-    batches and the defect check, which read each draw in turn, build it
-    once.
-    """
-
-    def __init__(self, window: Window, box: Region, values: list):
-        self.window, self.values = window, values
-        self.sites = np.flatnonzero(box.mask)
-        self.last = (None, None)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, draw: int) -> DualJet:
-        values = self.values[draw]
-        if self.last[0] != draw:
-            fields = (self.window.zeros(), self.window.zeros())
-            for field, vals in zip(fields, values):
-                field.flat[self.sites] = vals
-            self.last = (draw, DualJet(self.window, *fields))
-        return self.last[1]
-
-
 def _run_greens_verify(cfg: ExperimentConfig) -> list:
     """Defining-property residuals for randomized dual jets.
 
@@ -528,30 +501,33 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
     applications run every backend, and a combination's defect, the larger
     of its backend's scalar and its wave kind's angular defect, is bitwise
     its own greens_residual. The box values of every draw are drawn first;
-    each backend then solves the scalar parts of all draws in one batch
-    (GreensBatch), and the draws are checked one at a time.
+    each backend then solves the scalar parts of all draws in one stack
+    (ScalarStack), and the draws are checked one at a time.
     """
     p, window = cfg.params, cfg.window
     box = Region.from_box(window, -SUPPORT_HALF, SUPPORT_HALF, -SUPPORT_HALF,
                           SUPPORT_HALF)
     rng = np.random.default_rng(cfg.seed)
     n_sites = box.site_count()
-    sources = _BoxSources(window, box, [
-        (0.05 * rng.standard_normal(n_sites),
-         0.05 * rng.standard_normal(n_sites)) for _ in range(cfg.draws)])
+    values = [(0.05 * rng.standard_normal(n_sites),
+               0.05 * rng.standard_normal(n_sites)) for _ in range(cfg.draws)]
+    sites = np.flatnonzero(box.mask)
+
+    def field(vals):
+        out = window.zeros()
+        out.flat[sites] = vals
+        return out
+
+    stacks = {sk: ScalarStack(sk, (field(b) for b, _ in values), p)
+              for sk in ("banded_solve", "frequency")}
     choices = (("retarded", "banded_solve"), ("advanced", "frequency"))
-    batches = [GreensBatch(GreensChoice(vector_kind=vk, scalar_kind=sk),
-                           sources, p, window, edge_check=False)
-               for vk, sk in choices]
-    # each output is checked as it comes and then dropped
-    outputs = [iter(batch) for batch in batches]
     rows = []
-    for draw in range(cfg.draws):
-        w = sources[draw]
+    for draw, (b, w_phi) in enumerate(values):
+        w = DualJet(window, field(b), field(w_phi))
         scalar, angular = {}, {}
-        for (vk, sk), each in zip(choices, outputs):
-            scalar[sk], angular[vk] = greens_defects(next(each), w, p,
-                                                     window)
+        for vk, sk in choices:
+            out = Jet(window, stacks[sk].field(draw), wave_green(w.w_phi, vk))
+            scalar[sk], angular[vk] = greens_defects(out, w, p, window)
         for vk in ("retarded", "advanced"):
             for sk in ("banded_solve", "frequency"):
                 rows.append(Row("greens-verify", None,
@@ -560,8 +536,8 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
                                 cfg.tolerances["greens"]))
         # outputs of one wave kind share their angle field; the scalar
         # outputs differ only on the draw's live columns and the stand-in
-        gap = float(np.abs(batches[0].scalar_columns(draw)
-                           - batches[1].scalar_columns(draw)).max())
+        gap = float(np.abs(stacks["banded_solve"].columns_of(draw)
+                           - stacks["frequency"].columns_of(draw)).max())
         for vk in ("retarded", "advanced"):
             rows.append(Row("greens-verify", None,
                             f"backend_agreement[{vk},draw={draw:02d}]",
@@ -624,11 +600,11 @@ def _run_greens_dependence(cfg: ExperimentConfig) -> list:
     direction = scalar_solution(2.0 ** window.t_min, p, window,
                                 decay="future")
     omega = past_region(window, 0)
-    kernels = []
-    for _ in range(cfg.modifiers):
-        probe = DualJet(window, 0.05 * rng.standard_normal(window.shape),
-                        0.05 * rng.standard_normal(window.shape))
-        kernels.append(RankOneModifier(probe, direction))
+    # each probe is drawn when its kernel is used, so one is held at a time
+    kernels = (RankOneModifier(
+        DualJet(window, 0.05 * rng.standard_normal(window.shape),
+                0.05 * rng.standard_normal(window.shape)), direction)
+        for _ in range(cfg.modifiers))
     pairs = greens_dependence_check(cfg.u, cfg.v, omega, kernels, p, window,
                                     choices=cfg.greens)
     return [Row("greens-dependence", None, f"identity[k={k}]", lhs, rhs,
@@ -715,7 +691,9 @@ def write_report(out_dir, suite: str, rows) -> dict:
     return summary
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="surflat",
         description="verification suites for the lattice surface-layer "

@@ -30,19 +30,10 @@ there, and an all-zero source is not stepped at all. Both rules are exact:
 every output is bitwise that of the full-window solve, sign of zero
 included.
 
-Many sources share one scalar solve (GreensBatch). A row sweep costs
-about the same on 8 columns as on 160, so the live columns of all sources
-sit side by side, with one stand-in column for all of them, and each
-backend is called once: greens-verify's 20 draws take one banded sweep and
-one frequency solve on 141 columns at W=160 instead of 20 of each on 8.
-The sources are read twice, once for the stack and once for the outputs,
-and never held together. The wave stepping stays per source: a row reads
-its neighbours, so a stack would need its own source axis, and on a
-2-vCPU x86-64 host (numpy 2.4.6, medians of 21, W=160) stacks of 2, 4 and
-20 box sources took 2.9-3.2, 1.8-2.0 and 1.9-2.1 ms per source, building
-the stack and splitting the outputs included, against 1.4-1.5 ms for one
-source stepped from its first live row; a stack of 20 also holds 16.5 MB
-per component.
+Many fields share one scalar solve (ScalarStack): their live columns sit
+side by side, with one stand-in column for all of them, and the backend is
+called once. greens_apply is a stack of one plus the wave stepping, and the
+only place where the edge check and the kernel modifier are applied.
 """
 
 from __future__ import annotations
@@ -270,7 +261,13 @@ def _set_bits(a: np.ndarray, axis: int) -> np.ndarray:
     return a.view(np.uint64).any(axis=axis)
 
 
-def _vector_green(w_phi: np.ndarray, kind: str) -> np.ndarray:
+def wave_green(w_phi: np.ndarray, kind: str) -> np.ndarray:
+    """The wave part of the chosen Green's operator: retarded or advanced.
+
+    Steps the discrete wave equation from two zero inflow rows (the first
+    two for the retarded kind, the last two for the advanced kind) and
+    starts at the first source row with a set bit that the stepping reads.
+    """
     n_t = w_phi.shape[0]
     if n_t < 3:
         raise RangeError("window too short in time for the wave stepping")
@@ -295,27 +292,62 @@ def _vector_green(w_phi: np.ndarray, kind: str) -> np.ndarray:
     return sv
 
 
-class GreensBatch:
-    """The chosen Green's operator applied to each of a sequence of dual jets.
+class ScalarStack:
+    """The scalar Green's part of many fields, solved in one backend call.
 
-    Each output jet satisfies: the linearized operator applied to it equals
-    minus its source, exactly on the window interior. The scalar part is
-    solved columnwise; the wave part is stepped from two zero inflow rows
-    (the first two rows for the retarded kind, the last two for the
-    advanced kind).
+    Reads the fields once and keeps none of them: each field's columns
+    with a set bit go side by side, then one all-(+0.0) column whose output
+    every other column of every field shares (two when no column is live,
+    since numpy's in-place ufuncs run about half as fast on one-element
+    rows). Only the stacked solution is kept. The backend treats columns
+    independently, so field(k) is bitwise the full-window solve of field k.
+    """
 
-    The sources are read twice and never held. Construction reads them
-    once and solves the scalar part of all of them in one call of the
-    scalar backend: each source's columns with a set bit, side by side,
-    then one all-(+0.0) column whose output every other column of every
-    source shares. Only that stacked solution is kept. Iterating reads the
-    sources again and yields each output in turn: its scalar part taken
-    from the stack, its wave part stepped on its own from the first source
-    row with a set bit, then the edge check and the kernel modifier. A
-    sequence that builds each source when it is read thus holds one at a
-    time. Each backend treats columns independently and the skipped rows
-    stay +0.0, so every output is bitwise that of the full-window solve of
-    its own source.
+    def __init__(self, kind: str, bs, p: ModelParams):
+        solve = _scalar_green_banded if kind == "banded_solve" \
+            else _scalar_green_frequency
+        self.shape, self.columns, pieces = None, [], []
+        for b in bs:
+            if self.shape not in (None, b.shape):
+                raise RangeError("the fields of a stack must share a shape")
+            self.shape = b.shape
+            cols = np.flatnonzero(_set_bits(b, axis=0))
+            self.columns.append(cols)
+            pieces.append(b[:, cols])
+        if self.shape is None:
+            raise RangeError("a stack needs at least one field")
+        self.starts = np.cumsum([0] + [c.size for c in self.columns])
+        self.stand_in = int(self.starts[-1])
+        pieces.append(np.zeros((self.shape[0], 1 if self.stand_in else 2)))
+        self.scalar = solve(np.concatenate(pieces, axis=1), p)
+
+    def field(self, k: int) -> np.ndarray:
+        """The scalar Green's output of field k over the full window."""
+        where = np.full(self.shape[1], self.stand_in)
+        where[self.columns[k]] = np.arange(self.starts[k], self.starts[k + 1])
+        # take keeps the row-major layout of a full solve; scalar[:, where]
+        # would be column-major
+        return np.take(self.scalar, where, axis=1)
+
+    def columns_of(self, k: int) -> np.ndarray:
+        """Field k's output on its live columns, then the stand-in.
+
+        Every other column of its output repeats the stand-in's, so a
+        columnwise maximum over these is the one over the whole window.
+        """
+        picked = np.arange(self.starts[k], self.starts[k + 1] + 1)
+        picked[-1] = self.stand_in
+        return self.scalar[:, picked]
+
+
+def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams,
+                 window: Window, *, edge_check: bool = True) -> Jet:
+    """Apply the chosen Green's operator to a dual jet.
+
+    The output satisfies: the linearized operator applied to it equals
+    minus w, exactly on the window interior. The scalar part is a stack of
+    one (ScalarStack), the wave part wave_green, and the output is bitwise
+    that of the full-window solve.
 
     With edge_check enabled, the scalar output must vanish on the full
     window frame (its kernel decays, so a hot frame means the source sits
@@ -326,110 +358,32 @@ class GreensBatch:
     legitimately fill the light cone out to the boundary, and the
     experiment geometry keeps the extraction slices clear instead.
     """
+    if w.window != window:
+        raise RangeError("dual jet window does not match the given window")
+    sb = ScalarStack(choice.scalar_kind, (w.b,), p).field(0)
+    sv = wave_green(w.w_phi, choice.vector_kind)
 
-    def __init__(self, choice: GreensChoice, sources, p: ModelParams,
-                 window: Window, *, edge_check: bool = True):
-        self.choice, self.sources = choice, sources
-        self.window, self.edge_check = window, edge_check
-        solve = _scalar_green_banded if choice.scalar_kind == "banded_solve" \
-            else _scalar_green_frequency
-        # the live columns of each source, placed side by side, then the
-        # stand-in: taken twice when alone, since numpy's in-place ufuncs
-        # run about half as fast on one-element rows, which made a
-        # one-column banded sweep slower than a full one. A single source
-        # brings its own all-(+0.0) column, or none if every column is live
-        single = len(sources) == 1
-        self.columns, pieces = [], []
-        for w in sources:
-            if w.window != window:
-                raise RangeError(
-                    "dual jet window does not match the given window")
-            live = _set_bits(w.b, axis=0)
-            cols = np.flatnonzero(live)
-            self.columns.append(cols)
-            if not single:
-                pieces.append(w.b[:, cols])
-            elif cols.size < live.size:
-                stand = [np.argmin(live)] * (1 if cols.size else 2)
-                pieces.append(w.b[:, np.append(cols, stand)])
-            else:
-                pieces.append(w.b)
-        self.starts = np.cumsum([0] + [c.size for c in self.columns])
-        self.stand_in = int(self.starts[-1])
-        if not single:
-            pieces.append(np.zeros((window.shape[0],
-                                    1 if self.stand_in else 2)))
-        elif self.stand_in == window.shape[1]:
-            self.stand_in = None
-        self.scalar = solve(np.concatenate(pieces, axis=1) if not single
-                            else pieces[0], p)
+    if edge_check:
+        frame = np.ones(window.shape, dtype=bool)
+        frame[1:-1, 1:-1] = False
+        hot = float(np.abs(sb[frame]).max()) if frame.any() else 0.0
+        if hot > EDGE_TOLERANCE:
+            raise TruncationError(
+                f"scalar Green output reaches {hot:.3e} on the window "
+                f"frame (tolerance {EDGE_TOLERANCE:.1e})")
+        inflow = w.w_phi[:2] if choice.vector_kind == "retarded" \
+            else w.w_phi[-2:]
+        src = float(np.abs(inflow).max())
+        if src > EDGE_TOLERANCE:
+            raise TruncationError(
+                f"wave source reaches {src:.3e} on the "
+                f"{choice.vector_kind} inflow rows (tolerance "
+                f"{EDGE_TOLERANCE:.1e})")
 
-    def scalar_columns(self, k: int) -> np.ndarray:
-        """Source k's scalar output on its live columns, then the stand-in.
-
-        Every other column of its output repeats the stand-in's, so a
-        columnwise maximum over these is the one over the whole window.
-        """
-        if self.stand_in is None:
-            return self.scalar
-        picked = np.arange(self.starts[k], self.starts[k + 1] + 1)
-        picked[-1] = self.stand_in
-        return self.scalar[:, picked]
-
-    def __iter__(self):
-        # each source is read for its output only, not held while the
-        # output is in use
-        for k in range(len(self.columns)):
-            yield self._output(k, self.sources[k])
-
-    def _output(self, k: int, w: DualJet) -> Jet:
-        choice, window = self.choice, self.window
-        if self.stand_in is None:
-            sb = self.scalar
-        else:
-            where = np.full(window.shape[1], self.stand_in)
-            where[self.columns[k]] = np.arange(self.starts[k],
-                                               self.starts[k + 1])
-            # take keeps the row-major layout of a full solve;
-            # scalar[:, where] would be column-major
-            sb = np.take(self.scalar, where, axis=1)
-        sv = _vector_green(w.w_phi, choice.vector_kind)
-
-        if self.edge_check:
-            frame = np.ones(window.shape, dtype=bool)
-            frame[1:-1, 1:-1] = False
-            hot = float(np.abs(sb[frame]).max()) if frame.any() else 0.0
-            if hot > EDGE_TOLERANCE:
-                raise TruncationError(
-                    f"scalar Green output reaches {hot:.3e} on the window "
-                    f"frame (tolerance {EDGE_TOLERANCE:.1e})")
-            inflow = w.w_phi[:2] if choice.vector_kind == "retarded" \
-                else w.w_phi[-2:]
-            src = float(np.abs(inflow).max())
-            if src > EDGE_TOLERANCE:
-                raise TruncationError(
-                    f"wave source reaches {src:.3e} on the "
-                    f"{choice.vector_kind} inflow rows (tolerance "
-                    f"{EDGE_TOLERANCE:.1e})")
-
-        result = Jet(window, sb, sv)
-        if choice.kernel_modifier is not None:
-            result = result + choice.kernel_modifier.apply(w)
-        return result
-
-
-def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams,
-                 window: Window, *, edge_check: bool = True) -> Jet:
-    """Apply the chosen Green's operator to a dual jet.
-
-    The one-source case of GreensBatch, which has the details: the scalar
-    backend sees only the columns of w.b with a set bit plus one
-    all-(+0.0) stand-in column, the stepping starts at the first source
-    row with a set bit, and the output is bitwise that of the full-window
-    solve.
-    """
-    return next(iter(GreensBatch(choice, (w,), p, window,
-                                 edge_check=edge_check)))
+    result = Jet(window, sb, sv)
+    if choice.kernel_modifier is not None:
+        result = result + choice.kernel_modifier.apply(w)
+    return result
 
 
 def greens_defects(out: Jet, w: DualJet, p: ModelParams,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .errors import InvalidJetError, RangeError
 from .jets import Jet, delta_ell_field, pair_product_sum, region_product_sum
 from .lagrangian import ModelParams
 from .linear import GreensChoice, RankOneModifier, greens_apply
-from .perturb import (Hierarchy, _apply_sources, _degree_sources,
-                      build_hierarchy, family_taylor_I)
+from .perturb import (Hierarchy, _degree_sources, build_hierarchy,
+                      family_taylor_I)
 from .space import Region, Window, past_region
 
 
@@ -145,7 +145,7 @@ def i_m(u: Jet, v: Jet, omega: Region, m: int, choices: GreensChoice,
 
 
 def greens_dependence_check(u: Jet, v: Jet, omega: Region,
-                            kernels: Sequence[RankOneModifier],
+                            kernels: Iterable[RankOneModifier],
                             p: ModelParams, window: Window,
                             choices: GreensChoice | None = None
                             ) -> list[tuple[float, float]]:
@@ -161,8 +161,8 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
     the second variation are built once. A kernel only adds its rank-one
     term kernel.apply(source), the pairing of the source times the kernel's
     direction, to the image: bitwise what greens_apply returns with the
-    modifier installed. Only the pairings are kept, so the source is
-    dropped once its image is stored.
+    modifier installed. The kernels are read once, in order, and none is
+    held after its pair is computed.
     """
     base = choices if choices is not None else GreensChoice()
     if base.kernel_modifier is not None:
@@ -170,25 +170,21 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
             "pass the kernels through the dedicated argument, not inside the "
             "baseline choices")
     seeds = build_hierarchy(u, v, 1, base, p, window).coeffs
-    images, pairings = {}, {}
-    for key, source in _degree_sources(seeds, [(1, 1)], p, window):
-        _apply_sources(images, [(key, source)], base, p, window)
-        pairings[key] = [kernel.pairing(source) for kernel in kernels]
+    [(key, source)] = _degree_sources(seeds, [(1, 1)], p, window)
+    image = greens_apply(base, source, p, window, edge_check=False)
 
-    def order_two(choice, degree_two):
-        return family_taylor_I(
-            Hierarchy(window, p, choice, 2, seeds | degree_two), omega, 2, 2)
+    def order_two(choice, mixed):
+        hier = Hierarchy(window, p, choice, 2, seeds | {key: mixed})
+        return family_taylor_I(hier, omega, 2, 2)
 
-    plain = order_two(base, images)
+    plain = order_two(base, image)
     d2 = delta_ell_field(2, [u, v], p, window)
     out = []
-    for n, kernel in enumerate(kernels):
-        lhs = order_two(
-            dataclasses.replace(base, kernel_modifier=kernel),
-            {key: image + pairings[key][n] * kernel.direction
-             for key, image in images.items()}) - plain
+    for kernel in kernels:
+        lhs = order_two(dataclasses.replace(base, kernel_modifier=kernel),
+                        image + kernel.pairing(source) * kernel.direction)
         surface, volume = i1(kernel.apply(d2), omega, p, window)
-        out.append((lhs, 2.0 * (surface - volume)))
+        out.append((lhs - plain, 2.0 * (surface - volume)))
     return out
 
 

@@ -777,6 +777,24 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
         (out2 / "summary.json").read_bytes()
 
 
+def test_parser_is_built_once_and_overrides_do_not_leak(tmp_path):
+    # argparse copies an append default before adding to it, so the one
+    # parser carries no override from one call into the next
+    assert cli.build_parser() is cli.build_parser()
+    calls = [[], ["tolerances.solution_residual=1e-9"], [],
+             ["tolerances.solution_residual=1e-8"]]
+    tolerances = []
+    for k, overrides in enumerate(calls):
+        argv = [arg for o in overrides for arg in ("--override", o)]
+        code, out = run_cli(tmp_path / str(k), "solve-linear", *argv)
+        assert code == 0
+        rows, _ = read_report(out)
+        tolerances.append({row[CSV_COLUMNS.index("tolerance")]
+                           for row in rows[1:]})
+    assert tolerances == [{"1e-10"}, {"1e-09"}, {"1e-10"}, {"1e-08"}]
+    assert cli.build_parser().parse_args(["solve-linear"]).override == []
+
+
 def test_seed_changes_the_draws(tmp_path):
     _, out1 = run_cli(tmp_path / "a", "greens-verify",
                       "--override", "draws=2", "--seed", "0")
@@ -834,10 +852,9 @@ def test_greens_verify_rows_equal_four_applications(seed, window):
 
 
 def test_greens_verify_applies_two_choices_per_draw(monkeypatch):
-    # one batch per choice: one scalar solve for all draws, then one wave
+    # one stack per backend: one scalar solve for all draws, then one wave
     # stepping and one defect check per draw and choice. Each draw's dual
-    # jet is built once per read: the two batches read the draws in turn,
-    # then all three readers share one build per draw
+    # jet is built once, for the check; the stacks read only its b field
     calls = collections.Counter()
 
     def counted(module, name):
@@ -848,16 +865,16 @@ def test_greens_verify_applies_two_choices_per_draw(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(cli, "GreensBatch")
-    counted(cli, "DualJet")
+    for name in ("ScalarStack", "DualJet", "wave_green"):
+        counted(cli, name)
     for name in ("_scalar_green_banded", "_scalar_green_frequency",
-                 "_vector_green", "delta_op_field"):
+                 "delta_op_field"):
         counted(linear, name)
     cfg = load_config(None, ["draws=3"], None, "greens-verify")
     cli.SUITES["greens-verify"](cfg)
-    assert calls == {"GreensBatch": 2, "DualJet": 9,
+    assert calls == {"ScalarStack": 2, "DualJet": 3,
                      "_scalar_green_banded": 1, "_scalar_green_frequency": 1,
-                     "_vector_green": 6, "delta_op_field": 6}
+                     "wave_green": 6, "delta_op_field": 6}
 
 
 def test_greens_verify_solves_the_support_columns_only(monkeypatch):

@@ -1,4 +1,3 @@
-import collections.abc
 import os
 import pathlib
 import subprocess
@@ -11,12 +10,11 @@ import pytest
 from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
                      Region, TruncationError, Window)
 from surflat.jets import DualJet, Jet, delta_op, delta_op_field
-from surflat.linear import (GreensBatch, GreensChoice, RankOneModifier,
+from surflat.linear import (GreensChoice, RankOneModifier, ScalarStack,
                             _scalar_green_banded, _scalar_green_frequency,
-                            _vector_green, greens_apply, greens_defects,
-                            greens_residual,
+                            greens_apply, greens_defects, greens_residual,
                             linear_residual, scalar_diag, scalar_roots,
-                            scalar_solution, wave_solution)
+                            scalar_solution, wave_green, wave_solution)
 
 P = ModelParams()
 
@@ -457,7 +455,7 @@ def vector_green_reference(w_phi, kind):
 @pytest.mark.parametrize("kind", ["retarded", "advanced"])
 def test_vector_green_matches_reference_bitwise(shape, kind):
     w_phi = planted_source(*shape, seed=sum(shape))
-    assert same_bits(_vector_green(w_phi, kind),
+    assert same_bits(wave_green(w_phi, kind),
                      vector_green_reference(w_phi, kind))
 
 
@@ -547,28 +545,24 @@ def test_greens_apply_counts_nan_as_live(vector_kind, scalar_kind):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-# --- many sources, one scalar solve ---
+# --- many fields, one scalar solve ---
 
-class BuiltOnRead(collections.abc.Sequence):
-    """Dual jets built from (b, w_phi) when read, each read recorded.
+class ReadOnce:
+    """Scalar fields handed out as copies when iterated, each read recorded.
 
-    The built jets are tracked by weak reference, so a test can see whether
-    a reader still holds one.
+    The copies are tracked by weak reference, so a test can see whether a
+    reader still holds one.
     """
 
-    def __init__(self, window, fields):
-        self.window, self.fields = window, fields
-        self.reads, self.built = [], []
+    def __init__(self, fields):
+        self.fields, self.reads, self.built = fields, [], []
 
-    def __len__(self):
-        return len(self.fields)
-
-    def __getitem__(self, k):
-        b, w_phi = self.fields[k]
-        self.reads.append(k)
-        dual = DualJet(self.window, b.copy(), w_phi.copy())
-        self.built.append(weakref.ref(dual))
-        return dual
+    def __iter__(self):
+        for k, b in enumerate(self.fields):
+            self.reads.append(k)
+            copy = b.copy()
+            self.built.append(weakref.ref(copy))
+            yield copy
 
 
 # the first source has a NaN column, the second no live scalar column and
@@ -583,10 +577,14 @@ def batch_fields(shape, count, kind, seed):
                            kind, seed + k) for k in range(count)]
 
 
-def full_window_output(choice, b, w_phi):
-    full = _scalar_green_banded if choice.scalar_kind == "banded_solve" \
+def full_scalar(scalar_kind, b):
+    full = _scalar_green_banded if scalar_kind == "banded_solve" \
         else _scalar_green_frequency
-    return full(b, P), _vector_green(w_phi, choice.vector_kind)
+    return full(b, P)
+
+
+def bitwise(got, want):
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("count", [1, 2, 20])
@@ -594,27 +592,24 @@ def full_window_output(choice, b, w_phi):
                          ids=lambda s: "x".join(map(str, s)))
 @pytest.mark.parametrize("scalar_kind", ["banded_solve", "frequency"])
 @pytest.mark.parametrize("vector_kind", ["retarded", "advanced"])
-def test_greens_batch_equals_full_window_solves_bitwise(vector_kind,
+def test_scalar_stack_equals_full_window_solves_bitwise(vector_kind,
                                                         scalar_kind, shape,
                                                         count):
-    w = Window(0, shape[0] - 1, 0, shape[1] - 1)
-    choice = GreensChoice(vector_kind, scalar_kind)
     fields = batch_fields(shape, count, vector_kind, sum(shape))
-    sources = BuiltOnRead(w, fields)
-    batch = GreensBatch(choice, sources, P, w, edge_check=False)
-    # the sources are read once for the scalar solve and not held
-    assert sources.reads == list(range(count))
-    assert all(ref() is None for ref in sources.built)
-    outputs = list(batch)
-    assert sources.reads == list(range(count)) * 2
-    assert len(outputs) == count
-    for k, (out, (b, w_phi)) in enumerate(zip(outputs, fields)):
-        want_a, want_phi = full_window_output(choice, b, w_phi)
-        for got, want in ((out.a, want_a), (out.u_phi, want_phi)):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert out.a.flags.c_contiguous
-        # every column of the output is one of the source's stack columns
-        assert columns(want_a) <= columns(batch.scalar_columns(k))
+    reader = ReadOnce([b for b, _ in fields])
+    stack = ScalarStack(scalar_kind, reader, P)
+    # each field is read exactly once, for the solve, and not held
+    assert reader.reads == list(range(count))
+    assert all(ref() is None for ref in reader.built)
+    for k, (b, w_phi) in enumerate(fields):
+        want = full_scalar(scalar_kind, b)
+        got = stack.field(k)
+        assert bitwise(got, want)
+        assert got.flags.c_contiguous
+        # every column of the output is one of the field's stack columns
+        assert columns(want) <= columns(stack.columns_of(k))
+        assert bitwise(wave_green(w_phi, vector_kind),
+                       vector_green_reference(w_phi, vector_kind))
 
 
 def columns(a):
@@ -623,49 +618,24 @@ def columns(a):
 
 @pytest.mark.parametrize("shape", [(4, 2), (81, 81)],
                          ids=lambda s: "x".join(map(str, s)))
-def test_greens_batch_backend_gap_is_the_full_window_gap(shape):
+def test_scalar_stack_backend_gap_is_the_full_window_gap(shape):
     # the backend agreement of greens-verify: the largest gap between the
-    # backends over a source's stack columns is bitwise the full window's
-    w = Window(0, shape[0] - 1, 0, shape[1] - 1)
-    fields = batch_fields(shape, 20, "retarded", 7)
-    duals = [DualJet(w, b, w_phi) for b, w_phi in fields]
-    banded, frequency = (GreensBatch(GreensChoice(scalar_kind=kind), duals,
-                                     P, w, edge_check=False)
+    # backends over a field's stack columns is bitwise the full window's
+    fields = [b for b, _ in batch_fields(shape, 20, "retarded", 7)]
+    banded, frequency = (ScalarStack(kind, fields, P)
                          for kind in ("banded_solve", "frequency"))
-    for k, (b, _) in enumerate(fields):
-        gap = np.abs(banded.scalar_columns(k)
-                     - frequency.scalar_columns(k)).max()
+    for k, b in enumerate(fields):
+        gap = np.abs(banded.columns_of(k) - frequency.columns_of(k)).max()
         full = np.abs(_scalar_green_banded(b, P)
                       - _scalar_green_frequency(b, P)).max()
         assert gap.tobytes() == full.tobytes()
 
 
-@pytest.mark.parametrize("scalar_kind", ["banded_solve", "frequency"])
-def test_greens_batch_adds_the_kernel_modifier_per_source(scalar_kind):
-    w = Window(-10, 10, -8, 8)
-    probe, direction = random_dual(w, 3), random_dual(w, 4)
-    modifier = RankOneModifier(probe, Jet(w, direction.b, direction.w_phi))
-    choice = GreensChoice("retarded", scalar_kind, kernel_modifier=modifier)
-    duals = [random_dual(w, 10 + k) for k in range(3)]
-    outputs = list(GreensBatch(choice, duals, P, w, edge_check=False))
-    for out, dual in zip(outputs, duals):
-        sb, sv = full_window_output(choice, dual.b, dual.w_phi)
-        want = Jet(w, sb, sv) + modifier.apply(dual)
-        assert same_bits(out.a, want.a) and same_bits(out.u_phi, want.u_phi)
-        assert modifier.pairing(dual) != 0.0
-
-
-def test_greens_batch_checks_each_output():
-    # the edge check judges each source on its own: a clear source passes,
-    # a hot one raises when its output is reached
-    w = Window(-60, 60, -8, 8)
-    hot = w.zeros()
-    hot[0, 3] = 1.0
-    duals = [random_dual(w, 1), DualJet(w, hot, w.zeros())]
-    outputs = iter(GreensBatch(GreensChoice(), duals, P, w))
-    next(outputs)
-    with pytest.raises(TruncationError, match="window frame"):
-        next(outputs)
+def test_scalar_stack_rejects_no_fields_and_mixed_shapes():
+    with pytest.raises(RangeError, match="at least one"):
+        ScalarStack("banded_solve", iter(()), P)
+    with pytest.raises(RangeError, match="share a shape"):
+        ScalarStack("banded_solve", [np.ones((5, 3)), np.ones((5, 4))], P)
 
 
 def test_cli_import_loads_no_scipy():

@@ -340,9 +340,12 @@ def test_greens_dependence_builds_the_plain_hierarchy_once(movers):
         with pytest.MonkeyPatch.context() as mp:
             for module in (perturb, slayer):
                 mp.setattr(module, "delta_ell_field", counting_variation)
-            mp.setattr(perturb, "greens_apply", counting_apply)
+            for module in (perturb, slayer):
+                mp.setattr(module, "greens_apply", counting_apply)
             mp.setattr(perturb, "linear_residual", counting_residual)
-            pairs = greens_dependence_check(u, v, omega, some, PARAMS, TALL)
+            # the kernels are read once, so a one-pass iterator will do
+            pairs = greens_dependence_check(u, v, omega, iter(some), PARAMS,
+                                            TALL)
         assert variations == [2] * 2
         assert residuals == [u, v]
         assert len({id(source) for _, source in applications}) == 1
