@@ -502,7 +502,11 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
     of its backend's scalar and its wave kind's angular defect, is bitwise
     its own greens_residual. The box values of every draw are drawn first;
     each backend then solves the scalar parts of all draws in one stack
-    (ScalarStack), and the draws are checked one at a time.
+    (ScalarStack), and the draws are checked one at a time. Each check
+    applies the operator to each component on the box of that component's
+    support (greens_defects): the live columns for the scalar output, the
+    wave kind's cone for the angle, or the whole window once on a small
+    window.
     """
     p, window = cfg.params, cfg.window
     box = Region.from_box(window, -SUPPORT_HALF, SUPPORT_HALF, -SUPPORT_HALF,

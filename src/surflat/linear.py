@@ -47,7 +47,7 @@ import numpy as np
 import numpy.fft  # noqa: F401
 
 from .errors import InvalidJetError, RangeError, TruncationError
-from .jets import DualJet, Jet, delta_op_field
+from .jets import GATHER_MIN_SITES, DualJet, Jet, delta_op_field
 from .lagrangian import ModelParams
 from .space import Region, Window
 
@@ -278,11 +278,13 @@ def wave_green(w_phi: np.ndarray, kind: str) -> np.ndarray:
     live = np.flatnonzero(_set_bits(w_phi, axis=1)[::step][1:-1])
     if live.size == 0:
         return sv
-    # rows in stepping order, with their views made once
-    rows, src = list(sv)[::step], list(w_phi)[::step]
+    # the rows the stepping touches, in stepping order from the row before
+    # the first live source row, with their views made once
+    first = live[0]
+    rows, src = list(sv[::step][first:]), list(w_phi[::step][first:])
     heads = [row[:-1] for row in rows]
     tails = [row[1:] for row in rows]
-    for t in range(1 + live[0], n_t - 1):
+    for t in range(1, n_t - 1 - first):
         # the new row starts at +0.0: (0 + right) + left - old - source
         new = rows[t + 1]
         np.add(heads[t + 1], tails[t], heads[t + 1])
@@ -386,6 +388,21 @@ def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams,
     return result
 
 
+def _support_box(field: np.ndarray, source: np.ndarray):
+    # the rows and columns holding every nonzero of field and source (NaN
+    # and inf count, -0.0 does not), framed by one site and clipped to the
+    # array, as a pair of slices; None when both vanish
+    live = field != 0.0
+    live |= source != 0.0
+    rows = np.flatnonzero(live.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(live.any(axis=0))
+    n_t, n_x = field.shape
+    return (slice(max(int(rows[0]) - 1, 0), min(int(rows[-1]) + 2, n_t)),
+            slice(max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, n_x)))
+
+
 def greens_defects(out: Jet, w: DualJet, p: ModelParams,
                    window: Window) -> tuple[float, float]:
     """Largest interior defects (scalar, angular) of the Green's property.
@@ -393,15 +410,64 @@ def greens_defects(out: Jet, w: DualJet, p: ModelParams,
     out is the Green's operator applied to w. The components decouple on the
     base configuration: the scalar defect reads out.a only, the angular one
     out.u_phi only, because the odd angular derivative vanishes there.
+
+    Each defect is evaluated on the box of its own support: the rows and
+    columns where the output component or its source is nonzero, framed by
+    one site and clipped to the window. The operator runs on that
+    sub-window with the other component set to zero. This is exact, bit
+    for bit: outside the framed box every stencil partner of a site holds
+    +-0 and the source is 0, so the operator there is +0.0 (the live-pairs
+    argument of stencil_contraction) and the defect 0 cannot raise the
+    maximum; inside it the engine runs the same operations in the same
+    order, and a partner cut off by the sub-window's edge would only have
+    added +-0. The maximum runs over the box sites in the window interior;
+    a component with no such site (an empty box, or a window without
+    interior) gives 0.0.
+
+    Two cases evaluate the whole window in one call instead: a window under
+    jets.GATHER_MIN_SITES sites, where the fixed cost of a second call
+    outweighs the smaller boxes, and boxes that together hold at least the
+    window's sites, where the boxes save nothing.
     """
     if w.window != window:
         raise RangeError("dual jet window does not match the given window")
-    dual = delta_op_field(out, p, window)
+    n_t, n_x = window.shape
+    n_sites = n_t * n_x
+    parts = ((out.a, w.b), (out.u_phi, w.w_phi))
+    boxes = None
+    if n_sites >= GATHER_MIN_SITES:
+        boxes = [_support_box(*part) for part in parts]
+        covered = sum((rows.stop - rows.start) * (cols.stop - cols.start)
+                      for rows, cols in filter(None, boxes))
+        if covered >= n_sites:
+            boxes = None
+    dual = None
+    if boxes is None:
+        dual = delta_op_field(out, p, window)
+        boxes = [(slice(0, n_t), slice(0, n_x))] * 2
     res = []
-    for field, source in ((dual.b, w.b), (dual.w_phi, w.w_phi)):
+    for k, ((field, source), box) in enumerate(zip(parts, boxes)):
+        if box is None:
+            res.append(0.0)
+            continue
+        rows, cols = box
+        if dual is None:
+            sub = Window(window.t_min + rows.start,
+                         window.t_min + rows.stop - 1,
+                         window.x_min + cols.start,
+                         window.x_min + cols.stop - 1)
+            zeros = sub.zeros()
+            op = delta_op_field(Jet(sub, field[box], zeros) if k == 0
+                                else Jet(sub, zeros, field[box]), p, sub)
+        else:
+            op = dual
         # in place: the operator output is a fresh array of this call
-        np.abs(np.add(field, source, out=field), out=field)
-        res.append(float(field[1:-1, 1:-1].max()))
+        defect = op.b if k == 0 else op.w_phi
+        np.abs(np.add(defect, source[box], out=defect), out=defect)
+        # the box sites in the window interior
+        inner = defect[max(1 - rows.start, 0):n_t - 1 - rows.start,
+                       max(1 - cols.start, 0):n_x - 1 - cols.start]
+        res.append(float(inner.max()) if inner.size else 0.0)
     return tuple(res)
 
 

@@ -97,20 +97,19 @@ def symm_bilinear(u: Jet, v: Jet, omega: Region, greens: GreensChoice,
                 f"assumes it vanishes (use the hierarchy path instead)")
     d2 = delta_ell_field(2, [u, v], p, window)
     s = greens_apply(greens, d2, p, window, edge_check=edge_check).a
-    surface, volume = _symm_surface_volume(u, v, s, omega, p, window)
+    s_jet = Jet(window, s, np.zeros(window.shape))
+    surface, volume = _symm_surface_volume(u, v, s_jet, omega, p)
     return surface, volume, s
 
 
-def _symm_surface_volume(u: Jet, v: Jet, s: np.ndarray, omega: Region,
-                         p: ModelParams, window: Window
-                         ) -> tuple[float, float]:
+def _symm_surface_volume(u: Jet, v: Jet, s_jet: Jet, omega: Region,
+                         p: ModelParams) -> tuple[float, float]:
     # the two sides of the symmetric form's volume identity, given its
-    # Green field s
-    s_jet = Jet(window, s, np.zeros(window.shape))
+    # Green field s as the jet (s, 0)
     surface = (pair_product_sum(p, omega, [(u, 1.0, 0.0), (v, 1.0, 0.0)])
                - pair_product_sum(p, omega, [(u, 0.0, 1.0), (v, 0.0, 1.0)])
                + 2.0 * pair_product_sum(p, omega, [(s_jet, 1.0, -1.0)]))
-    volume = p.nu * float(s[omega.mask].sum())
+    volume = p.nu * float(s_jet.a[omega.mask].sum())
     return surface, volume
 
 
@@ -249,7 +248,7 @@ def slayer_sweep(u: Jet, v: Jet, slices, greens: GreensChoice,
     u and v must have vanishing scalar components (they feed the symplectic
     and symmetric forms); the first-order balance row uses scalar_probe when
     given, falling back to u. The Green field of the symmetric form does not
-    depend on the cut, so it is computed once.
+    depend on the cut, so it and its jet are built once.
     """
     probe = scalar_probe if scalar_probe is not None else u
     s = None
@@ -258,8 +257,9 @@ def slayer_sweep(u: Jet, v: Jet, slices, greens: GreensChoice,
         omega = past_region(window, t)
         if s is None:
             surf, vol, s = symm_bilinear(u, v, omega, greens, p, window)
+            s_jet = Jet(window, s, np.zeros(window.shape))
         else:
-            surf, vol = _symm_surface_volume(u, v, s, omega, p, window)
+            surf, vol = _symm_surface_volume(u, v, s_jet, omega, p)
         i1_s, i1_v = i1(probe, omega, p, window)
         rows.append(SliceValues(
             slice_t=t,

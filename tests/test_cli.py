@@ -840,8 +840,9 @@ def greens_verify_four_applications(cfg):
     return rows
 
 
-@pytest.mark.parametrize("window", [[], _window_overrides(-20, 30, -14, 18)],
-                         ids=["81x81", "51x33"])
+@pytest.mark.parametrize("window", [[], _window_overrides(-20, 30, -14, 18),
+                                    _window_overrides(-80, 80, -80, 80)],
+                         ids=["81x81", "51x33", "161x161"])
 @pytest.mark.parametrize("seed", [5, 77])
 def test_greens_verify_rows_equal_four_applications(seed, window):
     cfg = load_config(None, ["draws=3", *window], seed,
@@ -875,6 +876,30 @@ def test_greens_verify_applies_two_choices_per_draw(monkeypatch):
     assert calls == {"ScalarStack": 2, "DualJet": 3,
                      "_scalar_green_banded": 1, "_scalar_green_frequency": 1,
                      "wave_green": 6, "delta_op_field": 6}
+
+
+def test_greens_verify_w160_checks_each_component_on_its_box(monkeypatch):
+    # above jets.GATHER_MIN_SITES each defect check applies the operator
+    # twice, on the framed box of each component's support: the 7 live
+    # columns of the scalar output on every row, and the angle's cone, the
+    # rows from the source box on for the retarded kind and up to it for
+    # the advanced kind
+    windows = []
+    real = linear.delta_op_field
+
+    def recorded(v, p, window):
+        windows.append(window)
+        return real(v, p, window)
+    monkeypatch.setattr(linear, "delta_op_field", recorded)
+    cfg = load_config(None, ["draws=2", *_window_overrides(-160, 160, -160,
+                                                           160)],
+                      None, "greens-verify")
+    cli.SUITES["greens-verify"](cfg)
+    scalar = space.Window(-160, 160, -4, 4)
+    retarded = space.Window(-4, 160, -160, 160)
+    advanced = space.Window(-160, 4, -160, 160)
+    assert windows == 2 * [scalar, retarded, scalar, advanced]
+    assert scalar.shape == (321, 9) and retarded.shape == (165, 321)
 
 
 def test_greens_verify_solves_the_support_columns_only(monkeypatch):
@@ -963,7 +988,9 @@ def test_hierarchy_w160_takes_the_live_pairs(monkeypatch):
     ids=["all-w40", "greens-verify-w160"])
 def test_dense_and_small_calls_keep_the_blocks(monkeypatch, suites, window):
     # every call of the W=40 suites, and greens-verify's defect calls on
-    # the Green's images, 28% live at W=160, evaluate whole blocks
+    # the boxes of the Green's images at W=160 (the scalar box is under
+    # jets.GATHER_MIN_SITES sites, the angle's cone about half live)
+    # evaluate whole blocks
     calls = record_engine_calls(monkeypatch)
     for suite in suites:
         cli.SUITES[suite](load_config(None, window, None, suite))

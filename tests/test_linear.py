@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -636,6 +637,164 @@ def test_scalar_stack_rejects_no_fields_and_mixed_shapes():
         ScalarStack("banded_solve", iter(()), P)
     with pytest.raises(RangeError, match="share a shape"):
         ScalarStack("banded_solve", [np.ones((5, 3)), np.ones((5, 4))], P)
+
+
+# --- defects on the support box ---
+
+def greens_defects_whole_window(out, w, p, window):
+    # greens_defects with one operator call on the whole window, the pin
+    # for the box path
+    dual = delta_op_field(out, p, window)
+    return tuple(float(np.abs(op + source)[1:-1, 1:-1].max())
+                 for op, source in ((dual.b, w.b), (dual.w_phi, w.w_phi)))
+
+
+def centred_window(n_t, n_x):
+    return Window(-(n_t // 2), n_t - 1 - n_t // 2,
+                  -(n_x // 2), n_x - 1 - n_x // 2)
+
+
+def greens_verify_source(window, seed):
+    # the greens-verify draw: both components on the centred 7 x 7 box
+    rng = np.random.default_rng(seed)
+    box = Region.from_box(window, -3, 3, -3, 3).mask
+    b, w_phi = window.zeros(), window.zeros()
+    b[box] = 0.05 * rng.standard_normal(49)
+    w_phi[box] = 0.05 * rng.standard_normal(49)
+    return DualJet(window, b, w_phi)
+
+
+def defect_case(window, name, seed):
+    """(out, w) of one named greens_defects input on this window."""
+    n_t, n_x = window.shape
+    rng = np.random.default_rng(seed)
+    zero = window.zeros()
+    if name.startswith("green"):
+        _, vk, sk = name.split(":")
+        w = greens_verify_source(window, seed)
+        return greens_apply(GreensChoice(vk, sk), w, P, window,
+                            edge_check=False), w
+    a, u_phi, b, w_phi = (zero.copy() for _ in range(4))
+    if name == "corner_and_frame":
+        # the scalar parts at the first corner, the angular ones on the last
+        # row (the window frame) and the opposite corner: boxes clipped by
+        # the window edge
+        b[0, 0], a[1, 1] = rng.standard_normal(2)
+        w_phi[-1, n_x // 2:-1] = rng.standard_normal(n_x - 1 - n_x // 2)
+        u_phi[-1, -1] = rng.standard_normal()
+    elif name == "single_site":
+        site = (n_t // 3, n_x // 4)
+        a[site], u_phi[site] = rng.standard_normal(2)
+    elif name == "negative_zero_scalar":
+        # a set bit on every site, yet no nonzero: the scalar box is empty
+        a, b = np.full(window.shape, -0.0), np.full(window.shape, -0.0)
+        u_phi[n_t // 2, n_x // 2] = 1.0
+    elif name in ("nan_scalar", "inf_angle"):
+        out, w = defect_case(window, "green:retarded:banded_solve", seed)
+        a, u_phi, b, w_phi = out.a.copy(), out.u_phi.copy(), w.b, w.w_phi
+        if name == "nan_scalar":
+            a[2, n_x // 2 + 6] = np.nan
+        else:
+            u_phi[n_t // 2, -2] = np.inf
+    elif name == "dense":
+        a, u_phi = rng.standard_normal((2, *window.shape))
+        b[:] = rng.standard_normal(window.shape)
+    elif name == "overlapping_boxes":
+        # boxes of 3/5 of the window each
+        a[:3 * n_t // 5] = rng.standard_normal((3 * n_t // 5, n_x))
+        u_phi[2 * n_t // 5:] = rng.standard_normal((n_t - 2 * n_t // 5, n_x))
+    elif name == "one_row":
+        a[n_t // 4, 5:25], u_phi[n_t // 4, 5:25] = rng.standard_normal((2, 20))
+        w_phi[n_t // 4, n_x // 2] = 1.0
+    return Jet(window, a, u_phi), DualJet(window, b, w_phi)
+
+
+DEFECT_CASES = [f"green:{vk}:{sk}" for vk in ("retarded", "advanced")
+                for sk in ("banded_solve", "frequency")] + [
+    "corner_and_frame", "single_site", "zero", "negative_zero_scalar",
+    "nan_scalar", "inf_angle", "dense", "overlapping_boxes", "one_row"]
+
+
+@pytest.mark.parametrize("name", DEFECT_CASES)
+@pytest.mark.parametrize("shape", [(161, 161), (321, 321), (200, 120)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_greens_defects_on_boxes_equal_whole_window_bitwise(shape, name):
+    window = centred_window(*shape)
+    out, w = defect_case(window, name, sum(shape))
+    arrays = (out.a, out.u_phi, w.b, w.w_phi)
+    before = [arr.tobytes() for arr in arrays]
+    with np.errstate(invalid="ignore"):  # inf - inf in the inf case
+        got = greens_defects(out, w, P, window)
+        want = greens_defects_whole_window(out, w, P, window)
+    assert [arr.tobytes() for arr in arrays] == before
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    if name in ("nan_scalar", "inf_angle"):
+        # the other component stays finite: nothing leaks across
+        assert [np.isnan(v) for v in got] == [name == "nan_scalar",
+                                              name == "inf_angle"]
+
+
+def count_operator_windows(monkeypatch):
+    # the window of each linearized operator call greens_defects makes
+    windows = []
+    real = delta_op_field
+
+    def counted(v, p, window):
+        windows.append(window)
+        return real(v, p, window)
+    monkeypatch.setattr("surflat.linear.delta_op_field", counted)
+    return windows
+
+
+def test_greens_defects_evaluates_each_component_on_its_box(monkeypatch):
+    # at W=160 the scalar output lives on the 7 live columns, the retarded
+    # angle on the forward cone: one call each, on its framed box
+    window = Window(-160, 160, -160, 160)
+    out, w = defect_case(window, "green:retarded:banded_solve", 5)
+    windows = count_operator_windows(monkeypatch)
+    greens_defects(out, w, P, window)
+    assert windows == [Window(-160, 160, -4, 4), Window(-4, 160, -160, 160)]
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("green:retarded:banded_solve", (81, 81)), ("single_site", (81, 81)),
+    ("dense", (321, 321)), ("overlapping_boxes", (321, 321))],
+    ids=["small-green", "small-site", "dense", "boxes-cover"])
+def test_greens_defects_guards_take_one_whole_window_call(monkeypatch, name,
+                                                          shape):
+    # a window under jets.GATHER_MIN_SITES sites, or boxes that together
+    # hold at least the window's sites, take one call on the whole window
+    window = centred_window(*shape)
+    out, w = defect_case(window, name, 3)
+    windows = count_operator_windows(monkeypatch)
+    greens_defects(out, w, P, window)
+    assert windows == [window]
+
+
+def test_greens_defects_without_window_interior():
+    # no interior site, so no defect: 0.0 on either path
+    for window in (Window(0, 4, 0, 1), Window(0, 10_000, 0, 1)):
+        out = Jet(window, np.ones(window.shape), np.ones(window.shape))
+        assert greens_defects(out, DualJet.zero(window), P, window) == \
+            (0.0, 0.0)
+
+
+def test_greens_defects_peak_memory_within_whole_window():
+    # tracemalloc sees numpy's buffers: the boxes of a greens-verify output
+    # at W=160 must not hold more at once than one whole-window call
+    window = Window(-160, 160, -160, 160)
+    out, w = defect_case(window, "green:retarded:banded_solve", 11)
+    peaks = []
+    for defects in (greens_defects, greens_defects_whole_window):
+        defects(out, w, P, window)  # the derivative table is cached
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            defects(out, w, P, window)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 def test_cli_import_loads_no_scipy():
