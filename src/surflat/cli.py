@@ -484,8 +484,7 @@ def _run_solve_linear(cfg: ExperimentConfig) -> list:
     tol = cfg.tolerances["solution_residual"]
     rows = []
     for name in ("u", "v"):
-        res = linear_residual(getattr(cfg, name), interior, cfg.params,
-                              cfg.window)
+        res = linear_residual(getattr(cfg, name), interior, cfg.params)
         rows.append(Row("solve-linear", None, f"{name}_interior_residual",
                         res, 0.0, tol))
     return rows
@@ -531,7 +530,7 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
         scalar, angular = {}, {}
         for vk, sk in choices:
             out = Jet(window, stacks[sk].field(draw), wave_green(w.w_phi, vk))
-            scalar[sk], angular[vk] = greens_defects(out, w, p, window)
+            scalar[sk], angular[vk] = greens_defects(out, w, p)
         for vk in ("retarded", "advanced"):
             for sk in ("banded_solve", "frequency"):
                 rows.append(Row("greens-verify", None,
@@ -552,7 +551,7 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
 def _run_slayer_sweep(cfg: ExperimentConfig) -> list:
     tol = cfg.tolerances
     report = slayer_sweep(cfg.u, cfg.v, cfg.slices, cfg.greens, cfg.params,
-                          cfg.window, scalar_probe=cfg.probe)
+                          scalar_probe=cfg.probe)
     rows = []
     for s in report.slices:
         rows.append(Row("slayer-sweep", s.slice_t, "i1_balance",
@@ -572,8 +571,7 @@ def _run_slayer_sweep(cfg: ExperimentConfig) -> list:
 
 def _run_perturb_verify(cfg: ExperimentConfig) -> list:
     tol = cfg.tolerances["family"]
-    hier = build_hierarchy(cfg.u, cfg.v, cfg.order, cfg.greens, cfg.params,
-                           cfg.window)
+    hier = build_hierarchy(cfg.u, cfg.v, cfg.order, cfg.greens, cfg.params)
     omega = past_region(cfg.window, 0)
     oracle = taylor_oracle_I(hier, omega)
     rows = []
@@ -609,7 +607,7 @@ def _run_greens_dependence(cfg: ExperimentConfig) -> list:
         DualJet(window, 0.05 * rng.standard_normal(window.shape),
                 0.05 * rng.standard_normal(window.shape)), direction)
         for _ in range(cfg.modifiers))
-    pairs = greens_dependence_check(cfg.u, cfg.v, omega, kernels, p, window,
+    pairs = greens_dependence_check(cfg.u, cfg.v, omega, kernels, p,
                                     choices=cfg.greens)
     return [Row("greens-dependence", None, f"identity[k={k}]", lhs, rhs,
                 cfg.tolerances["dependence"])

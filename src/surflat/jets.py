@@ -39,11 +39,7 @@ part S reads even coefficients only and the angular part A odd ones only.
 The far end of the pair therefore receives S and -A. stencil_contraction
 evaluates the classes of PAIR_CLASSES: (-1, 0) also serves (1, 0), (0, -1)
 also serves (0, 1), and (0, 0) serves itself, about half the series of
-five offsets. Dense delta_ell_field calls at W=160 (2-vCPU x86-64,
-numpy 2.4.6, medians of 31 calls alternating with the five-offset engine)
-took 3.40 -> 2.91, 8.16 -> 6.24, 13.87 -> 10.05 and 20.79 -> 14.36 ms at
-orders 1 to 4, bitwise equal; gathered calls led by a wave band took
-1.41 -> 1.17, 2.46 -> 2.06, 3.22 -> 2.73 and 4.30 -> 3.56 ms.
+five offsets.
 
 Live pairs. A pair (x, y) contributes nothing when some factor's jet
 vanishes at both of its used slots: its base and slope are +-0, so is every
@@ -55,21 +51,8 @@ the 13 variations of an order-3 build have under 0.1%. stencil_contraction
 then gathers the live pairs (live_pairs) and runs the series on those
 sites. The guard keeps whole blocks when a field holds inf or NaN or the
 factors' product could overflow, since inf or NaN times zero is NaN, not
-zero. Two constants pick the path. They follow the crossovers measured per
-call with the five-offset engine, before either path evaluated each pair
-once, which sped up both by about as much (2-vCPU x86-64, numpy 2.4.6,
-medians of 21, wave bands 7 diagonals wide, blocks -> live pairs):
-
-- GATHER_MIN_SITES = 20,000. Order 1 takes 0.27 -> 0.40 ms at W=40
-  (6,561 sites), 0.29 -> 0.34 ms at W=60 (14,641) and 0.81 -> 0.63 ms at
-  W=80 (25,921). Orders 2 and 3 gain a little already at W=40 (order 3:
-  0.92 -> 0.68 ms), but the limit follows order 1 and keeps every call of
-  the W=40 suites on the blocks.
-- GATHER_MAX_SHARE = 1/10, the share of the window on which the sparsest
-  jet is nonzero. At W=160 order 1 takes 2.79 -> 1.31 ms at 2.2%,
-  3.45 -> 3.34 ms at 10.0% and 2.95 -> 3.66 ms at 12.1%; orders 2 and 3
-  still gain at 20% (order 3: 16.7 -> 9.7 ms). greens-verify's Green's
-  images, whose pairs are 28% live, keep the blocks.
+zero. Two constants pick the path, GATHER_MIN_SITES and GATHER_MAX_SHARE,
+set at the crossovers that README's "live pairs only" note gives.
 
 Each call works in one workspace (series_workspace): the rows c_0..c_ell
 plus the scratch rows its order needs, and four rows that hold the far-end
@@ -87,12 +70,10 @@ Page faults rest on the allocator. A 321 x 321 field is 824 KB. Left to
 its defaults, glibc serves blocks that large from fresh mappings and
 unmaps them on free, raising that threshold only after the process has
 freed a larger mapped block, so each new field came back as newly zeroed
-pages: 15.4k minor faults per hierarchy-w160 benchmark pass and 6.3k per
-greens-sweep-w160 pass. cli.main pins the thresholds once (cli._pin_heap),
-after which freed fields are reused and a warm pass takes 0 to 30 faults.
-Whatever a call frees then stays in the heap, and the largest block it
-ever held sets the heap's size; that is why the workspace covers one band
-and not the window.
+pages. cli.main pins the thresholds once (cli._pin_heap), after which
+freed fields are reused (README's "recycled memory" note). Whatever a call
+frees then stays in the heap, and the largest block it ever held sets the
+heap's size; that is why the workspace covers one band and not the window.
 """
 
 from __future__ import annotations
@@ -230,23 +211,14 @@ def nabla_L(derivs: Sequence[PointDeriv], x: LatticePoint, y: LatticePoint,
 # --- the D-series engine ---
 
 # stencil_contraction evaluates whole blocks on windows of fewer sites, where
-# finding the live pairs costs more than it saves (see the module notes)
+# finding the live pairs costs more than it saves (README, "live pairs only")
 GATHER_MIN_SITES = 20_000
 # ... and unless some factor's jet is nonzero, in a or u_phi, on at most this
 # share of the window
 GATHER_MAX_SHARE = 1 / 10
-# the block path runs over bands of whole rows of about this many sites,
-# at least one row, so its workspace and held rows cover one band, not the
-# window (see the module notes). A W=40 window (81 x 81) stays one band,
-# W=80 takes three and W=160 eleven. 16,384-site bands, as good on time,
-# held 3.43 to 4.07 fields at orders 1 to 4 in
-# tests/test_jets.py::test_delta_ell_field_memory_budget (bound 3.5);
-# these hold 3.00 to 3.32. Dense delta_ell_field calls at W=160, medians of
-# 31 calls alternating between sizes with the allocator pinned as cli.main
-# pins it (2-vCPU x86-64, numpy 2.4.6), orders 1 to 4: 16,384 sites 1.74,
-# 4.36, 6.70 and 10.14 ms; 10,240 1.88, 4.23, 6.61 and 10.07 ms; 8,192
-# 1.98, 4.31, 6.66 and 10.16 ms; 4,096 2.67, 5.04, 7.26 and 10.74 ms. At
-# W=40 two bands (4,096 sites) cost more than one: order 2 0.40 -> 0.52 ms.
+# the block path runs over bands of whole rows of about this many sites, at
+# least one row, so its workspace and held rows cover one band, not the
+# window (README, "each pair once, one sweep for all draws")
 BAND_SITES = 10_240
 # the guard: live pairs are used only while every partial product of the
 # factors is bounded by this, far below the largest double
@@ -356,7 +328,7 @@ def _contract(coeffs, table, offset, shift: int, total, term):
     return total if started else None
 
 
-def live_pairs(window: Window, jets: Sequence[Jet]):
+def live_pairs(jets: Sequence[Jet]):
     """Flat site indices of the live pairs per class, or None for blocks.
 
     A pair (x, y = x + offset) is live when every jet is nonzero at x or at
@@ -370,6 +342,7 @@ def live_pairs(window: Window, jets: Sequence[Jet]):
     bounds its support from below, the supports and their counts, then the
     guard, then the pair masks.
     """
+    window = jets[0].window
     n_t, n_x = window.shape
     if n_t * n_x < GATHER_MIN_SITES:
         return None
@@ -416,7 +389,7 @@ def live_pairs(window: Window, jets: Sequence[Jet]):
     return pairs
 
 
-def stencil_contraction(p: ModelParams, window: Window, jets: Sequence[Jet]):
+def stencil_contraction(p: ModelParams, jets: Sequence[Jet]):
     """Scalar and angular fields of the stencil-summed slot-derivative product.
 
     Returns (scalar, angular). scalar is the sum over y in the windowed
@@ -451,10 +424,11 @@ def stencil_contraction(p: ModelParams, window: Window, jets: Sequence[Jet]):
     Every other pair goes through the same operations in the same order on
     both paths.
     """
+    window = jets[0].window
     table = stencil_deriv_table(p)
     scalar = window.zeros()
     angular = window.zeros()
-    pairs = live_pairs(window, jets)
+    pairs = live_pairs(jets)
     if pairs is not None:
         ws = series_workspace(len(jets), max(ix.size for ix, _
                                              in pairs.values()), n_held=4)
@@ -564,31 +538,31 @@ def region_product_sum(omega: Region, jets: Sequence[Jet]) -> float:
     return float(prod.sum())
 
 
-def _check_variation_inputs(ell_order: int, jets: Sequence[Jet],
-                            window: Window):
+def _check_variation_inputs(ell_order: int, jets: Sequence[Jet]):
     if ell_order < 1 or ell_order > MAX_ORDER:
         raise UnsupportedOrderError(
             f"variation order {ell_order} outside 1..{MAX_ORDER}")
     if len(jets) != ell_order:
         raise InvalidJetError(
             f"expected {ell_order} jets, got {len(jets)}")
-    for jet in jets:
-        if jet.window != window:
-            raise RangeError("jet window does not match the given window")
+    for jet in jets[1:]:
+        if jet.window != jets[0].window:
+            raise RangeError("variation jets live on different windows")
 
 
-def delta_ell_field(ell_order: int, jets: Sequence[Jet], p: ModelParams,
-                    window: Window) -> DualJet:
+def delta_ell_field(ell_order: int, jets: Sequence[Jet],
+                    p: ModelParams) -> DualJet:
     """Multilinear variation of the field equation functional, as fields.
 
     Computes (1 / ell_order!) times the stencil sum of the product of
     del_1 + del_2 over the given jets applied to the interaction, minus the
     volume counterterm (nu / 2) times the product of the scalar weights,
-    which enters the scalar component only. Sites near the window edge use
-    the clipped stencil of the windowed configuration.
+    which enters the scalar component only. The jets must share a window,
+    which the result lives on; sites near its edge use the clipped stencil
+    of the windowed configuration.
     """
-    _check_variation_inputs(ell_order, jets, window)
-    scalar, phi = stencil_contraction(p, window, jets)
+    _check_variation_inputs(ell_order, jets)
+    scalar, phi = stencil_contraction(p, jets)
     # in place on fresh arrays, in the order of
     # scale * (scalar - 0.5 * nu * prod(a)); 1.0 * a is a, so the product
     # starts from a copy of the first weight, and scale 1 is skipped
@@ -601,17 +575,18 @@ def delta_ell_field(ell_order: int, jets: Sequence[Jet], p: ModelParams,
         scale = 1.0 / math.factorial(ell_order)
         np.multiply(scale, scalar, out=scalar)
         np.multiply(scale, phi, out=phi)
-    return DualJet(window, scalar, phi)
+    return DualJet(jets[0].window, scalar, phi)
 
 
 def delta_ell(ell_order: int, jets: Sequence[Jet], x: LatticePoint,
-              p: ModelParams, window: Window) -> DualValue:
+              p: ModelParams) -> DualValue:
     """Multilinear variation of the field equation functional at one point.
 
-    x must sit at least one site inside the window so the stencil sum is the
-    full one. Returns the scalar and angular components of the dual jet.
+    x must sit at least one site inside the jets' window so the stencil sum
+    is the full one. Returns the scalar and angular components of the dual jet.
     """
-    _check_variation_inputs(ell_order, jets, window)
+    _check_variation_inputs(ell_order, jets)
+    window = jets[0].window
     if not (window.t_min < x.t < window.t_max
             and window.x_min < x.x < window.x_max):
         raise RangeError(
@@ -645,12 +620,11 @@ def delta_ell(ell_order: int, jets: Sequence[Jet], x: LatticePoint,
     return DualValue(scale * (scalar - counter), scale * phi)
 
 
-def delta_op(v: Jet, x: LatticePoint, p: ModelParams,
-             window: Window) -> DualValue:
+def delta_op(v: Jet, x: LatticePoint, p: ModelParams) -> DualValue:
     """Linearized field operator at a point; equals delta_ell of order one."""
-    return delta_ell(1, [v], x, p, window)
+    return delta_ell(1, [v], x, p)
 
 
-def delta_op_field(v: Jet, p: ModelParams, window: Window) -> DualJet:
-    """Linearized field operator over the whole window."""
-    return delta_ell_field(1, [v], p, window)
+def delta_op_field(v: Jet, p: ModelParams) -> DualJet:
+    """Linearized field operator over v's whole window."""
+    return delta_ell_field(1, [v], p)

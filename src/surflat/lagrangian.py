@@ -200,8 +200,6 @@ def ell(p: ModelParams, x: LatticePoint, window: Window) -> float:
 class ELReport:
     """Result of el_check: field equation values over the window interior."""
 
-    window: Window
-    params: ModelParams
     max_abs_base: float
     sampled: dict[float, float]
     reference: dict[float, float]
@@ -245,4 +243,4 @@ def el_check(p: ModelParams, window: Window,
         sampled[phi] = _ell_value(p, phi)
         v = angular_well(phi)
         reference[phi] = p.delta * v * v + offset
-    return ELReport(window, p, max_abs_base, sampled, reference)
+    return ELReport(max_abs_base, sampled, reference)

@@ -133,18 +133,18 @@ def wave_solution(g_profile: dict, h_profile: dict, window: Window) -> Jet:
     return Jet(window, window.zeros(), u_phi)
 
 
-def linear_residual(v: Jet, region: Region, p: ModelParams,
-                    window: Window) -> float:
+def linear_residual(v: Jet, region: Region, p: ModelParams) -> float:
     """Largest componentwise value of the linearized operator over a region.
 
-    The region must keep margin 1 to the window so every site sees the full
-    stencil. Zero (up to rounding) certifies v as a solution there.
+    The region must live on v's window and keep margin 1 to it so every
+    site sees the full stencil. Zero (up to rounding) certifies v as a
+    solution there.
     """
-    if v.window != window or region.window != window:
-        raise RangeError("jet, region, and window must share the same window")
-    if (region.mask & ~window.interior_mask()).any():
+    if region.window != v.window:
+        raise RangeError("region and jet live on different windows")
+    if (region.mask & ~v.window.interior_mask()).any():
         raise RangeError("region must stay one site inside the window")
-    dual = delta_op_field(v, p, window)
+    dual = delta_op_field(v, p)
     if not region.mask.any():
         return 0.0
     return max(float(np.abs(dual.b[region.mask]).max()),
@@ -342,33 +342,29 @@ class ScalarStack:
         return self.scalar[:, picked]
 
 
-def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams,
-                 window: Window, *, edge_check: bool = True) -> Jet:
+def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams, *,
+                 edge_check: bool = True) -> Jet:
     """Apply the chosen Green's operator to a dual jet.
 
-    The output satisfies: the linearized operator applied to it equals
-    minus w, exactly on the window interior. The scalar part is a stack of
-    one (ScalarStack), the wave part wave_green, and the output is bitwise
-    that of the full-window solve.
+    The output lives on w's window and satisfies: the linearized operator
+    applied to it equals minus w, exactly on the window interior. The
+    scalar part is a stack of one (ScalarStack), the wave part wave_green,
+    and the output is bitwise that of the full-window solve.
 
-    With edge_check enabled, the scalar output must vanish on the full
-    window frame (its kernel decays, so a hot frame means the source sits
-    too close to the boundary for the window to stand in for the infinite
-    lattice), and the wave source must vanish on its inflow rows (a source
-    there cannot be represented, as its response starts outside the
-    window). Hierarchy builders disable the check: their fields
-    legitimately fill the light cone out to the boundary, and the
-    experiment geometry keeps the extraction slices clear instead.
+    With edge_check enabled, the scalar output must vanish on the window
+    frame, the sites outside its interior_mask (its kernel decays, so a hot
+    frame means the source sits too close to the boundary for the window to
+    stand in for the infinite lattice), and the wave source must vanish on
+    its inflow rows (a source there cannot be represented, as its response
+    starts outside the window). Hierarchy builders disable the check:
+    their fields legitimately fill the light cone out to the boundary, and
+    the experiment geometry keeps the extraction slices clear instead.
     """
-    if w.window != window:
-        raise RangeError("dual jet window does not match the given window")
     sb = ScalarStack(choice.scalar_kind, (w.b,), p).field(0)
     sv = wave_green(w.w_phi, choice.vector_kind)
 
     if edge_check:
-        frame = np.ones(window.shape, dtype=bool)
-        frame[1:-1, 1:-1] = False
-        hot = float(np.abs(sb[frame]).max()) if frame.any() else 0.0
+        hot = float(np.abs(sb[~w.window.interior_mask()]).max())
         if hot > EDGE_TOLERANCE:
             raise TruncationError(
                 f"scalar Green output reaches {hot:.3e} on the window "
@@ -382,7 +378,7 @@ def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams,
                 f"{choice.vector_kind} inflow rows (tolerance "
                 f"{EDGE_TOLERANCE:.1e})")
 
-    result = Jet(window, sb, sv)
+    result = Jet(w.window, sb, sv)
     if choice.kernel_modifier is not None:
         result = result + choice.kernel_modifier.apply(w)
     return result
@@ -403,13 +399,14 @@ def _support_box(field: np.ndarray, source: np.ndarray):
             slice(max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, n_x)))
 
 
-def greens_defects(out: Jet, w: DualJet, p: ModelParams,
-                   window: Window) -> tuple[float, float]:
+def greens_defects(out: Jet, w: DualJet, p: ModelParams
+                   ) -> tuple[float, float]:
     """Largest interior defects (scalar, angular) of the Green's property.
 
-    out is the Green's operator applied to w. The components decouple on the
-    base configuration: the scalar defect reads out.a only, the angular one
-    out.u_phi only, because the odd angular derivative vanishes there.
+    out is the Green's operator applied to w; both live on one window. The
+    components decouple on the base configuration: the scalar defect reads
+    out.a only, the angular one out.u_phi only, because the odd angular
+    derivative vanishes there.
 
     Each defect is evaluated on the box of its own support: the rows and
     columns where the output component or its source is nonzero, framed by
@@ -429,8 +426,9 @@ def greens_defects(out: Jet, w: DualJet, p: ModelParams,
     outweighs the smaller boxes, and boxes that together hold at least the
     window's sites, where the boxes save nothing.
     """
-    if w.window != window:
-        raise RangeError("dual jet window does not match the given window")
+    window = w.window
+    if out.window != window:
+        raise RangeError("output and source live on different windows")
     n_t, n_x = window.shape
     n_sites = n_t * n_x
     parts = ((out.a, w.b), (out.u_phi, w.w_phi))
@@ -443,7 +441,7 @@ def greens_defects(out: Jet, w: DualJet, p: ModelParams,
             boxes = None
     dual = None
     if boxes is None:
-        dual = delta_op_field(out, p, window)
+        dual = delta_op_field(out, p)
         boxes = [(slice(0, n_t), slice(0, n_x))] * 2
     res = []
     for k, ((field, source), box) in enumerate(zip(parts, boxes)):
@@ -458,7 +456,7 @@ def greens_defects(out: Jet, w: DualJet, p: ModelParams,
                          window.x_min + cols.stop - 1)
             zeros = sub.zeros()
             op = delta_op_field(Jet(sub, field[box], zeros) if k == 0
-                                else Jet(sub, zeros, field[box]), p, sub)
+                                else Jet(sub, zeros, field[box]), p)
         else:
             op = dual
         # in place: the operator output is a fresh array of this call
@@ -471,7 +469,6 @@ def greens_defects(out: Jet, w: DualJet, p: ModelParams,
     return tuple(res)
 
 
-def greens_residual(out: Jet, w: DualJet, p: ModelParams,
-                    window: Window) -> float:
+def greens_residual(out: Jet, w: DualJet, p: ModelParams) -> float:
     """Largest interior residual of the defining Green's property."""
-    return max(greens_defects(out, w, p, window))
+    return max(greens_defects(out, w, p))

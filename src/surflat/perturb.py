@@ -42,11 +42,7 @@ from .polyseries import PolyRing
 from .space import Region, STENCIL_OFFSETS, Window, pair_masks
 
 # taylor_oracle_I exponentiates the volume series this many region sites at
-# a time (see _oracle_volume). On hierarchy-w160's past region (51,681
-# sites, order 3; 2-vCPU x86-64, numpy 2.4.6, medians of 21) the volume
-# takes 20.1 ms in one block and 14.2 ms in blocks of 8,192 sites (14.2 at
-# 16,384, 14.7 at 4,096, 18.1 at 2,048), and the traced peak of the whole
-# oracle falls from 18.6 to 4.4 MB (7.1 MB at 16,384).
+# a time (see _oracle_volume and README, "recycled memory")
 VOLUME_BLOCK_SITES = 8_192
 
 
@@ -67,7 +63,6 @@ class Hierarchy:
 
     window: Window
     params: ModelParams
-    choices: GreensChoice
     order: int
     coeffs: dict = field(default_factory=dict)
 
@@ -78,10 +73,10 @@ class Hierarchy:
 
 
 def build_hierarchy(u: Jet, v: Jet, order: int, choices: GreensChoice,
-                    p: ModelParams, window: Window) -> Hierarchy:
+                    p: ModelParams) -> Hierarchy:
     """Construct the perturbation hierarchy seeded by two solutions.
 
-    u enters at s^1, v at t^1. Both must share the window and solve the
+    u enters at s^1, v at t^1. Both must share a window and solve the
     linearized equation on the window interior to within the residual
     tolerance. For each total degree up to `order`, the source of a
     coefficient is assembled from multilinear variations of the lower
@@ -94,50 +89,44 @@ def build_hierarchy(u: Jet, v: Jet, order: int, choices: GreensChoice,
     if not 1 <= order <= MAX_ORDER:
         raise UnsupportedOrderError(
             f"hierarchy order {order} outside 1..{MAX_ORDER}")
+    window = u.window
+    if v.window != window:
+        raise RangeError("jets u and v live on different windows")
+    interior = Region(window, window.interior_mask())
     for name, jet in (("u", u), ("v", v)):
-        if jet.window != window:
-            raise RangeError(f"jet {name} lives on a different window")
-        interior = Region(window, window.interior_mask())
-        res = linear_residual(jet, interior, p, window)
+        res = linear_residual(jet, interior, p)
         if res > RESIDUAL_TOLERANCE:
             raise InvalidJetError(
                 f"jet {name} is not a solution: interior residual {res:.3e}")
     coeffs = {(1, 0): u, (0, 1): v}
     for degree in range(2, order + 1):
         keys = [(i, degree - i) for i in range(degree + 1)]
-        _apply_sources(coeffs, _degree_sources(coeffs, keys, p, window),
-                       choices, p, window)
-    return Hierarchy(window, p, choices, order, coeffs)
+        for key, source in _degree_sources(coeffs, keys, p):
+            coeffs[key] = greens_apply(choices, source, p, edge_check=False)
+    return Hierarchy(window, p, order, coeffs)
 
 
-def _degree_sources(coeffs: dict, keys: list, p: ModelParams,
-                    window: Window):
+def _degree_sources(coeffs: dict, keys: list, p: ModelParams):
     """Yield ((i, j), source) for the given coefficient keys, in order.
 
     The sources, independent of the Green's operator, are built from the
     stored lower degrees one at a time, when asked for: one variation per
-    multiset of degrees, times its count.
+    multiset of degrees, times its count. They live on the window of the
+    seed coeffs[(1, 0)].
     """
+    window = coeffs[(1, 0)].window
     for i, j in keys:
         source = DualJet.zero(window)
         for ell in range(2, i + j + 1):
             for parts, count in _multisets(i, j, ell):
                 jets = [coeffs[key] for key in parts]
-                term = delta_ell_field(ell, jets, p, window)
+                term = delta_ell_field(ell, jets, p)
                 if count != 1:
                     np.multiply(term.b, count, out=term.b)
                     np.multiply(term.w_phi, count, out=term.w_phi)
                 np.add(source.b, term.b, out=source.b)
                 np.add(source.w_phi, term.w_phi, out=source.w_phi)
         yield (i, j), source
-
-
-def _apply_sources(coeffs: dict, sources, choices: GreensChoice,
-                   p: ModelParams, window: Window):
-    """Store the chosen Green's image of each ((i, j), source) pair."""
-    for key, source in sources:
-        coeffs[key] = greens_apply(choices, source, p, window,
-                                   edge_check=False)
 
 
 def _multisets(i: int, j: int, ell: int):

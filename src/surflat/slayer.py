@@ -12,7 +12,6 @@ table; they are what the conservation sweeps check against.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -24,19 +23,16 @@ from .lagrangian import ModelParams
 from .linear import GreensChoice, RankOneModifier, greens_apply
 from .perturb import (Hierarchy, _degree_sources, build_hierarchy,
                       family_taylor_I)
-from .space import Region, Window, past_region
+from .space import Region, past_region
 
 
-def _check_region(omega: Region, window: Window, *jets: Jet):
-    if omega.window != window:
-        raise RangeError("region window does not match")
+def _check_region(omega: Region, *jets: Jet):
     for jet in jets:
-        if jet.window != window:
-            raise RangeError("jet window does not match")
+        if jet.window != omega.window:
+            raise RangeError("jet window does not match the region's window")
 
 
-def i1(u: Jet, omega: Region, p: ModelParams, window: Window
-       ) -> tuple[float, float]:
+def i1(u: Jet, omega: Region, p: ModelParams) -> tuple[float, float]:
     """First-order surface balance: (interface sum, counterterm volume).
 
     The conservation statement is surface = volume for solutions. For jets
@@ -44,28 +40,30 @@ def i1(u: Jet, omega: Region, p: ModelParams, window: Window
     because the first angular derivative of the interaction vanishes on the
     base configuration.
     """
-    _check_region(omega, window, u)
+    _check_region(omega, u)
     surface = pair_product_sum(p, omega, [(u, 1.0, -1.0)])
     volume = 0.5 * p.nu * region_product_sum(omega, [u])
     return surface, volume
 
 
-def sigma(u: Jet, v: Jet, omega: Region, p: ModelParams,
-          window: Window) -> float:
+def sigma(u: Jet, v: Jet, omega: Region, p: ModelParams) -> float:
     """Symplectic form: antisymmetrized cross-slot interface sum."""
-    _check_region(omega, window, u, v)
+    _check_region(omega, u, v)
     return (pair_product_sum(p, omega, [(u, 1.0, 0.0), (v, 0.0, 1.0)])
             - pair_product_sum(p, omega, [(v, 1.0, 0.0), (u, 0.0, 1.0)]))
 
 
-def sympl_closed_form(u: Jet, v: Jet, t: int, p: ModelParams,
-                      window: Window) -> float:
+def sympl_closed_form(u: Jet, v: Jet, t: int, p: ModelParams) -> float:
     """Symplectic form across the cut between rows t and t + 1.
 
     One row of cross products: the scalar parts couple through the timelike
     interaction weight, the angular parts through the mixed second
-    derivative, which is +1 at the timelike offsets.
+    derivative, which is +1 at the timelike offsets. u and v must share a
+    window.
     """
+    window = u.window
+    if v.window != window:
+        raise RangeError("jets u and v live on different windows")
     if not window.t_min <= t < window.t_max:
         raise RangeError(f"slice {t} leaves no row above it in {window}")
     row, _ = window.index(t, window.x_min)
@@ -79,7 +77,7 @@ def sympl_closed_form(u: Jet, v: Jet, t: int, p: ModelParams,
 
 
 def symm_bilinear(u: Jet, v: Jet, omega: Region, greens: GreensChoice,
-                  p: ModelParams, window: Window, *, edge_check: bool = True
+                  p: ModelParams, *, edge_check: bool = True
                   ) -> tuple[float, float, np.ndarray]:
     """Symmetric bilinear form: (surface, volume, scalar Green field).
 
@@ -89,15 +87,15 @@ def symm_bilinear(u: Jet, v: Jet, omega: Region, greens: GreensChoice,
     field s; the surface sum carries u, v and s on both slots, and the
     volume identity states surface = nu * sum of s over the region.
     """
-    _check_region(omega, window, u, v)
+    _check_region(omega, u, v)
     for name, jet in (("u", u), ("v", v)):
         if not jet.has_zero_scalar():
             raise InvalidJetError(
                 f"jet {name} has a scalar component; the closed-form route "
                 f"assumes it vanishes (use the hierarchy path instead)")
-    d2 = delta_ell_field(2, [u, v], p, window)
-    s = greens_apply(greens, d2, p, window, edge_check=edge_check).a
-    s_jet = Jet(window, s, np.zeros(window.shape))
+    d2 = delta_ell_field(2, [u, v], p)
+    s = greens_apply(greens, d2, p, edge_check=edge_check).a
+    s_jet = Jet(omega.window, s, np.zeros(omega.window.shape))
     surface, volume = _symm_surface_volume(u, v, s_jet, omega, p)
     return surface, volume, s
 
@@ -113,13 +111,21 @@ def _symm_surface_volume(u: Jet, v: Jet, s_jet: Jet, omega: Region,
     return surface, volume
 
 
-def symm_closed_form(u: Jet, v: Jet, s: np.ndarray, t: int, p: ModelParams,
-                     window: Window) -> float:
+def symm_closed_form(u: Jet, v: Jet, s: np.ndarray, t: int,
+                     p: ModelParams) -> float:
     """Symmetric-form surface across the cut between rows t and t + 1.
 
     Difference of the same one-row expression on the two sides of the cut:
     angular products minus twice the timelike weight times the Green field.
+    u and v must share a window, and s must have its shape.
     """
+    window = u.window
+    if v.window != window:
+        raise RangeError("jets u and v live on different windows")
+    if s.shape != window.shape:
+        raise RangeError(
+            f"Green field shape {s.shape} does not match window "
+            f"{window.shape}")
     if not window.t_min <= t < window.t_max:
         raise RangeError(f"slice {t} leaves no row above it in {window}")
     row, _ = window.index(t, window.x_min)
@@ -131,7 +137,7 @@ def symm_closed_form(u: Jet, v: Jet, s: np.ndarray, t: int, p: ModelParams,
 
 
 def i_m(u: Jet, v: Jet, omega: Region, m: int, choices: GreensChoice,
-        p: ModelParams, window: Window) -> float:
+        p: ModelParams) -> float:
     """Full order-m family derivative of the surface-layer balance.
 
     Builds the perturbation hierarchy seeded by (u, v) up to order m and
@@ -139,13 +145,13 @@ def i_m(u: Jet, v: Jet, omega: Region, m: int, choices: GreensChoice,
     theorem says the value vanishes for genuine solutions, up to window
     truncation effects. The hierarchy build rejects m outside 1..MAX_ORDER.
     """
-    hier = build_hierarchy(u, v, m, choices, p, window)
+    hier = build_hierarchy(u, v, m, choices, p)
     return family_taylor_I(hier, omega, m, m)
 
 
 def greens_dependence_check(u: Jet, v: Jet, omega: Region,
                             kernels: Iterable[RankOneModifier],
-                            p: ModelParams, window: Window,
+                            p: ModelParams,
                             choices: GreensChoice | None = None
                             ) -> list[tuple[float, float]]:
     """How the second-order balance shifts under Green's-kernel changes.
@@ -168,21 +174,20 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
         raise InvalidJetError(
             "pass the kernels through the dedicated argument, not inside the "
             "baseline choices")
-    seeds = build_hierarchy(u, v, 1, base, p, window).coeffs
-    [(key, source)] = _degree_sources(seeds, [(1, 1)], p, window)
-    image = greens_apply(base, source, p, window, edge_check=False)
+    seeds = build_hierarchy(u, v, 1, base, p).coeffs
+    [(key, source)] = _degree_sources(seeds, [(1, 1)], p)
+    image = greens_apply(base, source, p, edge_check=False)
 
-    def order_two(choice, mixed):
-        hier = Hierarchy(window, p, choice, 2, seeds | {key: mixed})
+    def order_two(mixed):
+        hier = Hierarchy(u.window, p, 2, seeds | {key: mixed})
         return family_taylor_I(hier, omega, 2, 2)
 
-    plain = order_two(base, image)
-    d2 = delta_ell_field(2, [u, v], p, window)
+    plain = order_two(image)
+    d2 = delta_ell_field(2, [u, v], p)
     out = []
     for kernel in kernels:
-        lhs = order_two(dataclasses.replace(base, kernel_modifier=kernel),
-                        image + kernel.pairing(source) * kernel.direction)
-        surface, volume = i1(kernel.apply(d2), omega, p, window)
+        lhs = order_two(image + kernel.pairing(source) * kernel.direction)
+        surface, volume = i1(kernel.apply(d2), omega, p)
         out.append((lhs - plain, 2.0 * (surface - volume)))
     return out
 
@@ -219,8 +224,6 @@ class SliceValues:
 
 @dataclass(frozen=True)
 class SlayerReport:
-    window: Window
-    params: ModelParams
     slices: tuple[SliceValues, ...]
 
     def values(self, name: str) -> np.ndarray:
@@ -241,33 +244,35 @@ class SlayerReport:
 
 
 def slayer_sweep(u: Jet, v: Jet, slices, greens: GreensChoice,
-                 p: ModelParams, window: Window,
-                 scalar_probe: Jet | None = None) -> SlayerReport:
+                 p: ModelParams, scalar_probe: Jet | None = None
+                 ) -> SlayerReport:
     """Evaluate all surface-layer quantities over a range of past regions.
 
-    u and v must have vanishing scalar components (they feed the symplectic
-    and symmetric forms); the first-order balance row uses scalar_probe when
-    given, falling back to u. The Green field of the symmetric form does not
-    depend on the cut, so it and its jet are built once.
+    The regions are cut from u's window. u and v must have vanishing scalar
+    components (they feed the symplectic and symmetric forms); the
+    first-order balance row uses scalar_probe when given, falling back to
+    u. The Green field of the symmetric form does not depend on the cut, so
+    it and its jet are built once.
     """
+    window = u.window
     probe = scalar_probe if scalar_probe is not None else u
     s = None
     rows = []
     for t in slices:
         omega = past_region(window, t)
         if s is None:
-            surf, vol, s = symm_bilinear(u, v, omega, greens, p, window)
+            surf, vol, s = symm_bilinear(u, v, omega, greens, p)
             s_jet = Jet(window, s, np.zeros(window.shape))
         else:
             surf, vol = _symm_surface_volume(u, v, s_jet, omega, p)
-        i1_s, i1_v = i1(probe, omega, p, window)
+        i1_s, i1_v = i1(probe, omega, p)
         rows.append(SliceValues(
             slice_t=t,
             i1_surface=i1_s,
             i1_volume=i1_v,
-            sympl=sigma(u, v, omega, p, window),
-            sympl_closed=sympl_closed_form(u, v, t, p, window),
+            sympl=sigma(u, v, omega, p),
+            sympl_closed=sympl_closed_form(u, v, t, p),
             symm_surface=surf,
-            symm_surface_closed=symm_closed_form(u, v, s, t, p, window),
+            symm_surface_closed=symm_closed_form(u, v, s, t, p),
             symm_volume=vol))
-    return SlayerReport(window, p, tuple(rows))
+    return SlayerReport(tuple(rows))

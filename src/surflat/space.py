@@ -175,15 +175,13 @@ def pair_masks(omega: Region) -> dict[tuple[int, int], np.ndarray]:
     return masks
 
 
-def stencil_pairs(omega: Region, window: Window | None = None):
+def stencil_pairs(omega: Region):
     """Interface pairs (x, y) in lexicographic order.
 
     x runs over omega, y over the in-window complement, with x - y restricted
     to the interaction stencil. The center offset never yields a pair. Points
     are returned with angle 0.
     """
-    if window is not None and window != omega.window:
-        raise RangeError("window argument does not match the region's window")
     window = omega.window
     masks = pair_masks(omega)
     pairs = []

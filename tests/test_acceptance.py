@@ -53,7 +53,7 @@ def movers():
 @pytest.fixture(scope="module")
 def hier3(movers):
     u, v = movers
-    return build_hierarchy(u, v, 3, CHOICE, PARAMS, WIN)
+    return build_hierarchy(u, v, 3, CHOICE, PARAMS)
 
 
 def report(n, ok):
@@ -87,11 +87,10 @@ def test_criterion_2_green_defect():
         for vk, sk in itertools.product(("retarded", "advanced"),
                                         ("banded_solve", "frequency")):
             choice = GreensChoice(vector_kind=vk, scalar_kind=sk)
-            outs[(vk, sk)] = greens_apply(choice, w, PARAMS, WIN,
+            outs[(vk, sk)] = greens_apply(choice, w, PARAMS,
                                           edge_check=False)
             worst_defect = max(worst_defect,
-                               greens_residual(outs[(vk, sk)], w, PARAMS,
-                                               WIN))
+                               greens_residual(outs[(vk, sk)], w, PARAMS))
         for vk in ("retarded", "advanced"):
             lo, hi = outs[(vk, "banded_solve")], outs[(vk, "frequency")]
             worst_gap = max(worst_gap,
@@ -110,7 +109,7 @@ def test_criterion_3_second_variation_closed_form():
     worst_phi = 0.0
     for _ in range(10):
         u, v = random_wave(rng), random_wave(rng)
-        dual = delta_ell_field(2, [u, v], PARAMS, WIN)
+        dual = delta_ell_field(2, [u, v], PARAMS)
         prod = u.u_phi * v.u_phi
         expect = 0.5 * (WIN.shifted(prod, 0, -1) + WIN.shifted(prod, 0, 1)
                         - WIN.shifted(prod, -1, 0) - WIN.shifted(prod, 1, 0))
@@ -130,7 +129,7 @@ def test_criterion_4_first_order_balance():
         u = Jet(WIN, WIN.zeros(), 0.3 * rng.standard_normal(WIN.shape))
         for omega in (past_region(WIN, 0),
                       Region.from_box(WIN, -4, 3, -5, 2)):
-            surface, volume = i1(u, omega, PARAMS, WIN)
+            surface, volume = i1(u, omega, PARAMS)
             exact = exact and surface == 0.0 and volume == 0.0
     # scalar mode: surface equals the volume sum across ten cuts
     probe = scalar_solution(0.01, PARAMS, WIN, decay="past",
@@ -138,7 +137,7 @@ def test_criterion_4_first_order_balance():
     worst = 0.0
     scale = 0.0
     for t in range(-5, 5):
-        surface, volume = i1(probe, past_region(WIN, t), PARAMS, WIN)
+        surface, volume = i1(probe, past_region(WIN, t), PARAMS)
         worst = max(worst, abs(surface - volume))
         scale = max(scale, abs(surface))
     ok = exact and worst <= 1e-10 and scale > 1e-6
@@ -157,8 +156,8 @@ def test_criterion_5_symplectic_conservation():
         u, v = random_wave(rng), random_wave(rng)
         values = []
         for t in range(-5, 6):
-            val = sigma(u, v, past_region(WIN, t), PARAMS, WIN)
-            closed = sympl_closed_form(u, v, t, PARAMS, WIN)
+            val = sigma(u, v, past_region(WIN, t), PARAMS)
+            closed = sympl_closed_form(u, v, t, PARAMS)
             worst_closed = max(worst_closed, abs(val - closed))
             values.append(val)
         values = np.array(values)
@@ -176,7 +175,7 @@ def test_criterion_5_symplectic_conservation():
 
 def test_criterion_6_symmetric_form_identities(movers):
     u, v = movers
-    rep = slayer_sweep(u, v, range(-5, 5), CHOICE, PARAMS, WIN)
+    rep = slayer_sweep(u, v, range(-5, 5), CHOICE, PARAMS)
     closed = float(rep.values("symm_closed_residual").max())
     volume = float(rep.values("symm_volume_residual").max())
     scale = float(np.abs(rep.values("symm_surface")).max())
@@ -220,8 +219,7 @@ def test_criterion_8_greens_dependence(movers):
         for _ in range(5)]
     worst = 0.0
     moved = 0.0
-    for lhs, rhs in greens_dependence_check(u, v, omega, kernels, PARAMS,
-                                            WIN):
+    for lhs, rhs in greens_dependence_check(u, v, omega, kernels, PARAMS):
         worst = max(worst, abs(lhs - rhs))
         moved = max(moved, abs(lhs))
     ok = worst <= 1e-10 and moved > 1e-8
@@ -232,7 +230,7 @@ def test_criterion_8_greens_dependence(movers):
 
 def test_criterion_9_hierarchy_structural_zeros(movers, hier3, tmp_path):
     _, v = movers
-    pure = build_hierarchy(Jet.zero(WIN), v, 3, CHOICE, PARAMS, WIN)
+    pure = build_hierarchy(Jet.zero(WIN), v, 3, CHOICE, PARAMS)
     ok = True
     # the first-direction sector of a hierarchy seeded (0, v) is zero as
     # stored, not merely small

@@ -3,7 +3,10 @@
 bench/tracer.py patches layer functions by module and attribute name, and
 Tracer.install raises AttributeError when one is gone, which would stop
 every traced benchmark run. Installing and uninstalling it here catches a
-rename or removal in the package before the benchmark does.
+rename or removal in the package before the benchmark does. Some wrappers
+also read arguments by name or position (the order of delta_ell_field, the
+choice of greens_apply, the inputs of greens_apply and build_hierarchy), so
+one traced pass of the six suites checks that those reads still work.
 """
 
 import importlib.util
@@ -42,3 +45,27 @@ def test_tracer_installs_and_uninstalls_on_the_package():
     finally:
         tracer.uninstall()
     assert package_bindings() == before
+
+
+SUITES = ("check-el", "solve-linear", "greens-verify", "slayer-sweep",
+          "perturb-verify", "greens-dependence")
+
+
+def test_traced_battery_pass_records_the_wrapped_layers(tmp_path):
+    tracer = load_tracer().Tracer()
+    codes = []
+    tracer.install()
+    try:
+        tracer.run_pass(0, lambda: codes.extend(
+            surflat.cli.main([suite, "--out", str(tmp_path / suite)])
+            for suite in SUITES))
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(SUITES)
+    names = {span[0] for span in tracer.spans}
+    assert {f"cli.main.{suite}" for suite in SUITES} <= names
+    assert {"jets.delta_ell_field.o1", "jets.delta_ell_field.o2",
+            "jets.delta_ell_field.o3", "linear.greens_apply.banded_solve",
+            "perturb.build_hierarchy"} <= names
+    assert len(tracer.keys[(0, "linear.greens_apply")]) == 9
+    assert len(tracer.keys[(0, "perturb.build_hierarchy")]) == 2

@@ -823,9 +823,9 @@ def greens_verify_four_applications(cfg):
         for vk in ("retarded", "advanced"):
             for sk in ("banded_solve", "frequency"):
                 choice = linear.GreensChoice(vector_kind=vk, scalar_kind=sk)
-                outs[(vk, sk)] = linear.greens_apply(choice, w, p, window,
+                outs[(vk, sk)] = linear.greens_apply(choice, w, p,
                                                      edge_check=False)
-                res = linear.greens_residual(outs[(vk, sk)], w, p, window)
+                res = linear.greens_residual(outs[(vk, sk)], w, p)
                 rows.append(Row("greens-verify", None,
                                 f"defect[{vk},{sk},draw={draw:02d}]",
                                 res, 0.0, cfg.tolerances["greens"]))
@@ -887,9 +887,9 @@ def test_greens_verify_w160_checks_each_component_on_its_box(monkeypatch):
     windows = []
     real = linear.delta_op_field
 
-    def recorded(v, p, window):
-        windows.append(window)
-        return real(v, p, window)
+    def recorded(v, p):
+        windows.append(v.window)
+        return real(v, p)
     monkeypatch.setattr(linear, "delta_op_field", recorded)
     cfg = load_config(None, ["draws=2", *_window_overrides(-160, 160, -160,
                                                            160)],
@@ -938,11 +938,11 @@ def record_engine_calls(monkeypatch):
     real_contraction = jets.stencil_contraction
     real_maps = jets.slot_factor_maps
 
-    def contraction(p, window, factors):
-        calls.append((window, []))
+    def contraction(p, factors):
+        calls.append((factors[0].window, []))
         inside.append(True)
         try:
-            return real_contraction(p, window, factors)
+            return real_contraction(p, factors)
         finally:
             inside.pop()
 
@@ -972,7 +972,7 @@ def test_hierarchy_w160_takes_the_live_pairs(monkeypatch):
     calls = record_engine_calls(monkeypatch)
     cfg = load_config(None, _window_overrides(-160, 160, -160, 160), None,
                       "perturb-verify")
-    build_hierarchy(cfg.u, cfg.v, 3, cfg.greens, cfg.params, cfg.window)
+    build_hierarchy(cfg.u, cfg.v, 3, cfg.greens, cfg.params)
     assert len(calls) == 2 + 13  # the two seed residuals, 13 variations
     total = window_pairs(cfg.window)
     for window, maps in calls:

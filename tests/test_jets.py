@@ -112,7 +112,7 @@ def test_nabla_rejects_bad_slot():
 
 def test_delta_op_on_unit_weight():
     ones = Jet(W, np.ones(W.shape), W.zeros())
-    val = delta_op(ones, pt(0, 0), P, W)
+    val = delta_op(ones, pt(0, 0), P)
     # nu/2 * b + sum_y b(y) L(x, y) = 9 + ... with the counterterm netting to
     # lambda_a + 2 lambda_i = 9 at the balanced nu
     assert val.scalar == pytest.approx(9.0, abs=1e-12)
@@ -122,8 +122,8 @@ def test_delta_op_on_unit_weight():
 def test_delta_ell_order_one_matches_delta_op():
     v = random_jet(3)
     for (t, x) in [(0, 0), (-2, 3), (1, -1)]:
-        dl = delta_ell(1, [v], pt(t, x), P, W)
-        dop = delta_op(v, pt(t, x), P, W)
+        dl = delta_ell(1, [v], pt(t, x), P)
+        dop = delta_op(v, pt(t, x), P)
         assert dl.scalar == pytest.approx(dop.scalar, abs=1e-12)
         assert dl.phi == pytest.approx(dop.phi, abs=1e-12)
 
@@ -131,7 +131,7 @@ def test_delta_ell_order_one_matches_delta_op():
 def test_delta_op_closed_form_stencil():
     v = random_jet(4)
     for (t, x) in [(0, 0), (2, 2), (-1, 3)]:
-        got = delta_op(v, pt(t, x), P, W)
+        got = delta_op(v, pt(t, x), P)
         b = v.a_at(pt(t, x))
         expect_scalar = P.lambda_a * b + P.lambda_i * (
             v.a_at(pt(t + 1, x)) + v.a_at(pt(t - 1, x)))
@@ -145,7 +145,7 @@ def test_delta_op_closed_form_stencil():
 def test_delta_ell_matches_brute_force(order):
     jets = [random_jet(10 + k) for k in range(order)]
     for (t, x) in [(0, 0), (-1, 2)]:
-        got = delta_ell(order, jets, pt(t, x), P, W)
+        got = delta_ell(order, jets, pt(t, x), P)
         want = brute_delta_ell(order, jets, pt(t, x), P, W)
         assert got.scalar == pytest.approx(want.scalar, rel=1e-12, abs=1e-12)
         assert got.phi == pytest.approx(want.phi, rel=1e-12, abs=1e-12)
@@ -154,9 +154,9 @@ def test_delta_ell_matches_brute_force(order):
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_delta_ell_field_matches_point(order):
     jets = [random_jet(20 + k) for k in range(order)]
-    dual = delta_ell_field(order, jets, P, W)
+    dual = delta_ell_field(order, jets, P)
     for (t, x) in [(0, 0), (2, -3), (-3, 3)]:
-        point = delta_ell(order, jets, pt(t, x), P, W)
+        point = delta_ell(order, jets, pt(t, x), P)
         i, j = W.index(t, x)
         assert dual.b[i, j] == pytest.approx(point.scalar, rel=1e-12, abs=1e-13)
         assert dual.w_phi[i, j] == pytest.approx(point.phi, rel=1e-12, abs=1e-13)
@@ -169,9 +169,9 @@ def test_delta_ell_field_matches_oracles_on_wide_window(order):
     # against the nabla_L expansion over the in-window partners
     wide = Window(-7, 7, -10, 16)
     jets = [random_jet(80 + k, wide) for k in range(order)]
-    dual = delta_ell_field(order, jets, P, wide)
+    dual = delta_ell_field(order, jets, P)
     for (t, x) in edge_sites(wide, 1):
-        point = delta_ell(order, jets, pt(t, x), P, wide)
+        point = delta_ell(order, jets, pt(t, x), P)
         i, j = wide.index(t, x)
         assert dual.b[i, j] == pytest.approx(point.scalar, rel=1e-12,
                                              abs=1e-12)
@@ -224,9 +224,9 @@ def test_pair_product_sum_matches_nabla_sum(order, first):
 
 def test_delta_ell_symmetric_in_jets():
     jets = [random_jet(30 + k) for k in range(3)]
-    base = delta_ell(3, jets, pt(0, 1), P, W)
+    base = delta_ell(3, jets, pt(0, 1), P)
     for perm in itertools.permutations(jets):
-        val = delta_ell(3, list(perm), pt(0, 1), P, W)
+        val = delta_ell(3, list(perm), pt(0, 1), P)
         assert val.scalar == pytest.approx(base.scalar, rel=1e-12)
         assert val.phi == pytest.approx(base.phi, rel=1e-12, abs=1e-13)
 
@@ -234,9 +234,9 @@ def test_delta_ell_symmetric_in_jets():
 def test_delta_ell_multilinear():
     u, v, w = random_jet(40), random_jet(41), random_jet(42)
     c = 1.7
-    left = delta_ell(2, [u + c * w, v], pt(1, 1), P, W)
-    a1 = delta_ell(2, [u, v], pt(1, 1), P, W)
-    a2 = delta_ell(2, [w, v], pt(1, 1), P, W)
+    left = delta_ell(2, [u + c * w, v], pt(1, 1), P)
+    a1 = delta_ell(2, [u, v], pt(1, 1), P)
+    a2 = delta_ell(2, [w, v], pt(1, 1), P)
     assert left.scalar == pytest.approx(a1.scalar + c * a2.scalar, rel=1e-12)
     assert left.phi == pytest.approx(a1.phi + c * a2.phi, rel=1e-12, abs=1e-13)
 
@@ -244,14 +244,14 @@ def test_delta_ell_multilinear():
 def test_delta_ell_validation():
     u = random_jet(60)
     with pytest.raises(UnsupportedOrderError):
-        delta_ell(5, [u] * 5, pt(0, 0), P, W)
+        delta_ell(5, [u] * 5, pt(0, 0), P)
     with pytest.raises(InvalidJetError):
-        delta_ell(2, [u], pt(0, 0), P, W)
+        delta_ell(2, [u], pt(0, 0), P)
     with pytest.raises(RangeError):
-        delta_ell(1, [u], pt(-4, 0), P, W)
+        delta_ell(1, [u], pt(-4, 0), P)
     other = random_jet(61, Window(0, 3, 0, 3))
     with pytest.raises(RangeError):
-        delta_ell(1, [other], pt(1, 1), P, W)
+        delta_ell(2, [u, other], pt(1, 1), P)
 
 
 def test_delta_two_angular_component_exactly_zero():
@@ -259,7 +259,7 @@ def test_delta_two_angular_component_exactly_zero():
     # third angular derivative of the interaction, which vanishes on the base
     u = random_jet(70, zero_scalar=True)
     v = random_jet(71, zero_scalar=True)
-    dual = delta_ell_field(2, [u, v], P, W)
+    dual = delta_ell_field(2, [u, v], P)
     assert np.all(dual.w_phi == 0.0)
 
 
@@ -280,7 +280,7 @@ def test_delta_two_closed_form_for_wave_pairs():
 
     for seed in range(3):
         u, v = wave(100 + seed), wave(200 + seed)
-        dual = delta_ell_field(2, [u, v], P, W)
+        dual = delta_ell_field(2, [u, v], P)
         prod = u.u_phi * v.u_phi
         expect = 0.5 * (W.shifted(prod, 0, -1) + W.shifted(prod, 0, 1)
                         - W.shifted(prod, -1, 0) - W.shifted(prod, 1, 0))
@@ -290,7 +290,7 @@ def test_delta_two_closed_form_for_wave_pairs():
 
 def test_delta_op_field_time_edges_use_clipped_stencil():
     ones = Jet(W, np.ones(W.shape), W.zeros())
-    dual = delta_op_field(ones, P, W)
+    dual = delta_op_field(ones, P)
     # interior value: lambda_a + 2 lambda_i; the edge rows lose one neighbor
     # both in the operator and in the windowed interaction sum
     assert dual.b[4, 4] == pytest.approx(9.0)
@@ -491,7 +491,7 @@ def test_stencil_contraction_bitwise_pin(monkeypatch, order, case, window,
 
     monkeypatch.setattr(jets, "slot_factor_maps", counting)
     pool = PIN_JETS[case](order, window)
-    for got, want in zip(stencil_contraction(P, window, pool),
+    for got, want in zip(stencil_contraction(P, pool),
                          ref_stencil_contraction(P, window, pool)):
         assert_bitwise(got, want)
     assert len(seen) == calls
@@ -505,7 +505,7 @@ def test_delta_ell_field_bitwise_pin(monkeypatch, order, case, window, bands):
     if bands == "split":
         monkeypatch.setattr(jets, "BAND_SITES", SPLIT_BANDS[window][0])
     pool = PIN_JETS[case](order, window)
-    dual = delta_ell_field(order, pool, P, window)
+    dual = delta_ell_field(order, pool, P)
     want_b, want_phi = ref_delta_ell_field(order, pool, P, window)
     assert_bitwise(dual.b, want_b)
     assert_bitwise(dual.w_phi, want_phi)
@@ -610,8 +610,8 @@ def test_gathered_stencil_contraction_bitwise(gathered, order, kind, window):
     pool = sparse_jets(kind, window, 800 + 10 * order
                        + SPARSE_KINDS.index(kind), order)
     for case in (pool, [pool[0]] * order):
-        assert live_pairs(window, case) is not None
-        for got, want in zip(stencil_contraction(P, window, case),
+        assert live_pairs(case) is not None
+        for got, want in zip(stencil_contraction(P, case),
                              ref_stencil_contraction(P, window, case)):
             assert_bitwise(got, want)
 
@@ -622,7 +622,7 @@ def test_gathered_delta_ell_field_bitwise(gathered, order, window):
     for n, kind in enumerate(SPARSE_KINDS):
         pool = sparse_jets(kind, window, 900 + 10 * order + n, order)
         for case in (pool, [pool[0]] * order):
-            dual = delta_ell_field(order, case, P, window)
+            dual = delta_ell_field(order, case, P)
             want_b, want_phi = ref_delta_ell_field(order, case, P, window)
             assert_bitwise(dual.b, want_b)
             assert_bitwise(dual.w_phi, want_phi)
@@ -655,14 +655,14 @@ def guard_case(name, window):
 def test_gathered_guard_keeps_the_blocks(gathered, name):
     window = PIN_WINDOWS["15x27"]
     box, pool = guard_case(name, window)
-    assert live_pairs(window, pool) is None
+    assert live_pairs(pool) is None
     # the sites whose pairs all miss the box: NaN there shows that the dead
     # pairs do contribute, so the guard is what keeps the outputs equal
     near = box.copy()
     for offset in STENCIL_OFFSETS:
         near |= window.shifted(box, *offset)
     with np.errstate(over="ignore", invalid="ignore"):
-        outputs = zip(stencil_contraction(P, window, pool),
+        outputs = zip(stencil_contraction(P, pool),
                       ref_stencil_contraction(P, window, pool))
     for got, want in outputs:
         assert got.tobytes() == want.tobytes()
@@ -680,9 +680,9 @@ def test_field_kernels_leave_inputs_unchanged(order):
     wide = PIN_WINDOWS["15x27"]
     jets = [signed_zero_jet(600 + k, wide) for k in range(order)]
     before = snapshot(jets)
-    dual = delta_ell_field(order, jets, P, wide)
+    dual = delta_ell_field(order, jets, P)
     assert snapshot(jets) == before
-    scalar, angular = stencil_contraction(P, wide, jets)
+    scalar, angular = stencil_contraction(P, jets)
     assert snapshot(jets) == before
     outputs = (dual.b, dual.w_phi, scalar, angular)
     for out in outputs:
@@ -705,14 +705,14 @@ def test_delta_ell_field_memory_budget():
     field = wide.zeros().nbytes
     dense = [random_jet(700 + k, wide) for k in range(4)]
     sparse = sparse_jets("bands", wide, 710, 4)
-    delta_ell_field(1, dense[:1], P, wide)  # builds the cached table
+    delta_ell_field(1, dense[:1], P)  # builds the cached table
     for order in range(1, 5):
         for pool, gathers in ((dense, False), (sparse, True)):
-            assert (live_pairs(wide, pool[:order]) is not None) == gathers
+            assert (live_pairs(pool[:order]) is not None) == gathers
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                delta_ell_field(order, pool[:order], P, wide)
+                delta_ell_field(order, pool[:order], P)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

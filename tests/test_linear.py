@@ -56,14 +56,14 @@ def test_scalar_solution_values_and_residual():
     assert jet.a[w.index(1, 0)] == -0.5
     assert jet.a[w.index(2, 3)] == 0.25
     assert jet.a[w.index(-1, 0)] == -2.0
-    assert linear_residual(jet, central_region(w, 1), P, w) == 0.0
+    assert linear_residual(jet, central_region(w, 1), P) == 0.0
 
 
 def test_scalar_solution_pointwise_operator_zero():
     w = Window(-6, 6, -3, 3)
     jet = scalar_solution(0.7, P, w)
     for (t, x) in [(0, 0), (3, -2), (-4, 1)]:
-        val = delta_op(jet, LatticePoint(t, x), P, w)
+        val = delta_op(jet, LatticePoint(t, x), P)
         assert val.scalar == 0.0
         assert val.phi == 0.0
 
@@ -73,7 +73,7 @@ def test_scalar_solution_past_decay():
     jet = scalar_solution(1.0, P, w, decay="past")
     assert jet.a[w.index(-1, 0)] == -0.5
     assert jet.a[w.index(1, 0)] == -2.0
-    assert linear_residual(jet, central_region(w, 1), P, w) == 0.0
+    assert linear_residual(jet, central_region(w, 1), P) == 0.0
 
 
 def test_scalar_solution_with_spatial_profile():
@@ -83,7 +83,7 @@ def test_scalar_solution_with_spatial_profile():
     assert jet.a[w.index(0, 1)] == 1.0
     assert jet.a[w.index(0, 2)] == 0.0
     # columnwise equation: any profile still solves it
-    assert linear_residual(jet, central_region(w, 1), P, w) == 0.0
+    assert linear_residual(jet, central_region(w, 1), P) == 0.0
     with pytest.raises(RangeError):
         scalar_solution(1.0, P, w, profile={99: 1.0})
 
@@ -102,7 +102,7 @@ def test_wave_solution_dalembert_form():
     assert jet.u_phi[w.index(3, 1)] == -0.5
     assert jet.u_phi[w.index(1, -1)] == 0.5  # both movers overlap here
     assert jet.u_phi[w.index(-1, 3)] == 0.0
-    assert linear_residual(jet, central_region(w, 1), P, w) <= 1e-14
+    assert linear_residual(jet, central_region(w, 1), P) <= 1e-14
     assert jet.has_zero_scalar()
 
 
@@ -112,7 +112,7 @@ def test_wave_solution_random_profiles_solve():
     g = {int(k): float(rng.normal()) for k in range(-4, 5)}
     h = {int(k): float(rng.normal()) for k in range(-4, 5)}
     jet = wave_solution(g, h, w)
-    assert linear_residual(jet, central_region(w, 1), P, w) <= 1e-13
+    assert linear_residual(jet, central_region(w, 1), P) <= 1e-13
 
 
 def test_wave_solution_range_errors():
@@ -179,7 +179,7 @@ def test_linear_residual_flags_non_solutions():
     bump = w.zeros()
     bump[w.index(0, 0)] = 1.0
     jet = Jet(w, w.zeros(), bump)
-    assert linear_residual(jet, central_region(w, 1), P, w) >= 1.0
+    assert linear_residual(jet, central_region(w, 1), P) >= 1.0
 
 
 def test_linear_residual_region_margin():
@@ -187,7 +187,14 @@ def test_linear_residual_region_margin():
     jet = Jet.zero(w)
     full = Region.from_box(w, -5, 5, -5, 5)
     with pytest.raises(RangeError):
-        linear_residual(jet, full, P, w)
+        linear_residual(jet, full, P)
+
+
+def test_linear_residual_region_on_the_jet_window():
+    w = Window(-5, 5, -5, 5)
+    shifted = Window(-4, 6, -5, 5)
+    with pytest.raises(RangeError, match="different windows"):
+        linear_residual(Jet.zero(w), central_region(shifted, 1), P)
 
 
 # --- Green's operators ---
@@ -196,7 +203,7 @@ def test_vector_green_afterglow_pattern():
     w = Window(0, 6, -6, 6)
     src = w.zeros()
     src[w.index(1, 0)] = 1.0
-    jet = greens_apply(GreensChoice(), DualJet(w, w.zeros(), src), P, w,
+    jet = greens_apply(GreensChoice(), DualJet(w, w.zeros(), src), P,
                        edge_check=False)
     sv = jet.u_phi
     # unit source at t=1: response is -1 inside the cone on alternating sites
@@ -212,15 +219,15 @@ def test_advanced_green_mirrors_retarded():
     src = w.zeros()
     src[w.index(0, 1)] = -2.0
     dual = DualJet(w, w.zeros(), src)
-    ret = greens_apply(GreensChoice("retarded"), dual, P, w, edge_check=False)
-    adv = greens_apply(GreensChoice("advanced"), dual, P, w, edge_check=False)
+    ret = greens_apply(GreensChoice("retarded"), dual, P, edge_check=False)
+    adv = greens_apply(GreensChoice("advanced"), dual, P, edge_check=False)
     np.testing.assert_array_equal(adv.u_phi, ret.u_phi[::-1])
 
 
 def test_frequency_green_constant_source():
     w = Window(-10, 10, -5, 5)
     dual = DualJet(w, np.ones(w.shape), w.zeros())
-    jet = greens_apply(GreensChoice(scalar_kind="frequency"), dual, P, w,
+    jet = greens_apply(GreensChoice(scalar_kind="frequency"), dual, P,
                        edge_check=False)
     np.testing.assert_allclose(jet.a, -1.0 / 9.0, atol=1e-14)
 
@@ -230,7 +237,7 @@ def test_banded_green_constant_source_center():
     # decaying like 2^-distance
     w = Window(-30, 30, -2, 2)
     dual = DualJet(w, np.ones(w.shape), w.zeros())
-    jet = greens_apply(GreensChoice(), dual, P, w, edge_check=False)
+    jet = greens_apply(GreensChoice(), dual, P, edge_check=False)
     assert jet.a[w.index(0, 0)] == pytest.approx(-1.0 / 9.0, abs=1e-8)
 
 
@@ -241,8 +248,8 @@ def test_green_defining_residual(vector_kind, scalar_kind):
     choice = GreensChoice(vector_kind, scalar_kind)
     for seed in range(3):
         dual = random_dual(w, seed)
-        out = greens_apply(choice, dual, P, w, edge_check=False)
-        res = greens_residual(out, dual, P, w)
+        out = greens_apply(choice, dual, P, edge_check=False)
+        res = greens_residual(out, dual, P)
         assert res <= 1e-10
 
 
@@ -251,12 +258,12 @@ def test_green_residual_reads_inputs_only():
     # inputs keep their bytes, and the value is the masked maximum
     w = Window(-10, 10, -10, 10)
     dual = random_dual(w, 6)
-    out = greens_apply(GreensChoice(), dual, P, w, edge_check=False)
+    out = greens_apply(GreensChoice(), dual, P, edge_check=False)
     arrays = (out.a, out.u_phi, dual.b, dual.w_phi)
     before = [arr.tobytes() for arr in arrays]
-    res = greens_residual(out, dual, P, w)
+    res = greens_residual(out, dual, P)
     assert [arr.tobytes() for arr in arrays] == before
-    op = delta_op_field(out, P, w)
+    op = delta_op_field(out, P)
     inner = w.interior_mask()
     assert res == max(float(np.abs(op.b + dual.b)[inner].max()),
                       float(np.abs(op.w_phi + dual.w_phi)[inner].max()))
@@ -266,8 +273,8 @@ def test_green_residual_with_unbalanced_nu():
     p = ModelParams(nu=10.0)
     w = Window(-10, 10, -10, 10)
     dual = random_dual(w, 9)
-    out = greens_apply(GreensChoice(), dual, p, w, edge_check=False)
-    assert greens_residual(out, dual, p, w) <= 1e-10
+    out = greens_apply(GreensChoice(), dual, p, edge_check=False)
+    assert greens_residual(out, dual, p) <= 1e-10
 
 
 @pytest.mark.parametrize("p", [P, ModelParams(nu=10.0)], ids=["balanced",
@@ -283,11 +290,11 @@ def test_green_components_decouple(w, p):
     outs, defects = {}, {}
     for vk in ("retarded", "advanced"):
         for sk in ("banded_solve", "frequency"):
-            out = greens_apply(GreensChoice(vk, sk), dual, p, w,
+            out = greens_apply(GreensChoice(vk, sk), dual, p,
                                edge_check=False)
             outs[vk, sk] = out
-            defects[vk, sk] = greens_defects(out, dual, p, w)
-            assert greens_residual(out, dual, p, w) == max(defects[vk, sk])
+            defects[vk, sk] = greens_defects(out, dual, p)
+            assert greens_residual(out, dual, p) == max(defects[vk, sk])
     for sk in ("banded_solve", "frequency"):
         one, other = outs["retarded", sk].a, outs["advanced", sk].a
         assert np.array_equal(one, other)
@@ -304,8 +311,8 @@ def test_green_components_decouple(w, p):
 def test_scalar_backends_agree_given_clearance():
     w = Window(-20, 20, -4, 4)
     dual = random_dual(w, 3, half_width=1)
-    a = greens_apply(GreensChoice(), dual, P, w, edge_check=False)
-    b = greens_apply(GreensChoice(scalar_kind="frequency"), dual, P, w,
+    a = greens_apply(GreensChoice(), dual, P, edge_check=False)
+    b = greens_apply(GreensChoice(scalar_kind="frequency"), dual, P,
                      edge_check=False)
     # clearance 19 sites: homogeneous correction of order 2^-19
     assert np.abs(a.a - b.a).max() <= 2.0 ** -19 * 50
@@ -317,7 +324,7 @@ def test_edge_check_flags_hot_scalar_frame():
     b = w.zeros()
     b[w.index(-4, 0)] = 1.0  # source on the time edge
     with pytest.raises(TruncationError):
-        greens_apply(GreensChoice(), DualJet(w, b, w.zeros()), P, w)
+        greens_apply(GreensChoice(), DualJet(w, b, w.zeros()), P)
 
 
 def test_edge_check_flags_inflow_wave_source():
@@ -325,9 +332,9 @@ def test_edge_check_flags_inflow_wave_source():
     src = w.zeros()
     src[w.index(-4, 0)] = 1.0
     with pytest.raises(TruncationError):
-        greens_apply(GreensChoice(), DualJet(w, w.zeros(), src), P, w)
+        greens_apply(GreensChoice(), DualJet(w, w.zeros(), src), P)
     # the same source is fine for the advanced kind
-    greens_apply(GreensChoice("advanced"), DualJet(w, w.zeros(), src), P, w)
+    greens_apply(GreensChoice("advanced"), DualJet(w, w.zeros(), src), P)
 
 
 def test_edge_check_passes_for_clear_sources():
@@ -335,7 +342,7 @@ def test_edge_check_passes_for_clear_sources():
     # push the frame values below the check tolerance
     w = Window(-46, 46, -4, 4)
     dual = random_dual(w, 11, half_width=1, amplitude=0.1)
-    greens_apply(GreensChoice(), dual, P, w)  # should not raise
+    greens_apply(GreensChoice(), dual, P)  # should not raise
 
 
 def test_greens_choice_validation():
@@ -359,16 +366,8 @@ def test_rank_one_modifier():
     # a modified Green's operator still inverts the linearized equation,
     # because the direction is a solution
     choice = GreensChoice(kernel_modifier=mod)
-    out = greens_apply(choice, dual, P, w, edge_check=False)
-    assert greens_residual(out, dual, P, w) <= 1e-10
-
-
-def test_greens_window_mismatch():
-    w = Window(-4, 4, -4, 4)
-    other = Window(-5, 5, -4, 4)
-    dual = DualJet(other, other.zeros(), other.zeros())
-    with pytest.raises(RangeError):
-        greens_apply(GreensChoice(), dual, P, w)
+    out = greens_apply(choice, dual, P, edge_check=False)
+    assert greens_residual(out, dual, P) <= 1e-10
 
 
 # --- the banded sweep and the in-place wave stepping ---
@@ -428,7 +427,7 @@ def test_non_dominant_symbol_raises(nu):
     assert abs(scalar_diag(p)) <= 2.0 * p.lambda_i
     w = Window(-6, 6, -3, 3)
     with pytest.raises(InvalidJetError, match="not diagonally dominant"):
-        greens_apply(GreensChoice(), random_dual(w, 1), p, w,
+        greens_apply(GreensChoice(), random_dual(w, 1), p,
                      edge_check=False)
 
 
@@ -517,7 +516,7 @@ def test_greens_apply_equals_full_window_solve_bitwise(vector_kind,
     w = Window(0, n_t - 1, 0, n_x - 1)
     b, w_phi = support_source(shape, source, vector_kind, n_t + n_x)
     out = greens_apply(GreensChoice(vector_kind, scalar_kind),
-                       DualJet(w, b, w_phi), p, w, edge_check=False)
+                       DualJet(w, b, w_phi), p, edge_check=False)
     full = _scalar_green_banded if scalar_kind == "banded_solve" \
         else _scalar_green_frequency
     assert same_bits(out.a, full(b, p))
@@ -536,7 +535,7 @@ def test_greens_apply_counts_nan_as_live(vector_kind, scalar_kind):
     b[3, 2] = np.nan
     w_phi[4, 1] = np.nan
     out = greens_apply(GreensChoice(vector_kind, scalar_kind),
-                       DualJet(w, b, w_phi), P, w, edge_check=False)
+                       DualJet(w, b, w_phi), P, edge_check=False)
     full = _scalar_green_banded if scalar_kind == "banded_solve" \
         else _scalar_green_frequency
     for got, want in ((out.a, full(b, P)),
@@ -641,10 +640,10 @@ def test_scalar_stack_rejects_no_fields_and_mixed_shapes():
 
 # --- defects on the support box ---
 
-def greens_defects_whole_window(out, w, p, window):
+def greens_defects_whole_window(out, w, p):
     # greens_defects with one operator call on the whole window, the pin
     # for the box path
-    dual = delta_op_field(out, p, window)
+    dual = delta_op_field(out, p)
     return tuple(float(np.abs(op + source)[1:-1, 1:-1].max())
                  for op, source in ((dual.b, w.b), (dual.w_phi, w.w_phi)))
 
@@ -672,7 +671,7 @@ def defect_case(window, name, seed):
     if name.startswith("green"):
         _, vk, sk = name.split(":")
         w = greens_verify_source(window, seed)
-        return greens_apply(GreensChoice(vk, sk), w, P, window,
+        return greens_apply(GreensChoice(vk, sk), w, P,
                             edge_check=False), w
     a, u_phi, b, w_phi = (zero.copy() for _ in range(4))
     if name == "corner_and_frame":
@@ -724,8 +723,8 @@ def test_greens_defects_on_boxes_equal_whole_window_bitwise(shape, name):
     arrays = (out.a, out.u_phi, w.b, w.w_phi)
     before = [arr.tobytes() for arr in arrays]
     with np.errstate(invalid="ignore"):  # inf - inf in the inf case
-        got = greens_defects(out, w, P, window)
-        want = greens_defects_whole_window(out, w, P, window)
+        got = greens_defects(out, w, P)
+        want = greens_defects_whole_window(out, w, P)
     assert [arr.tobytes() for arr in arrays] == before
     assert np.array(got).tobytes() == np.array(want).tobytes()
     if name in ("nan_scalar", "inf_angle"):
@@ -734,14 +733,21 @@ def test_greens_defects_on_boxes_equal_whole_window_bitwise(shape, name):
                                               name == "inf_angle"]
 
 
+def test_greens_defects_output_on_the_source_window():
+    window = Window(-5, 5, -5, 5)
+    shifted = Window(-4, 6, -5, 5)
+    with pytest.raises(RangeError, match="different windows"):
+        greens_defects(Jet.zero(shifted), DualJet.zero(window), P)
+
+
 def count_operator_windows(monkeypatch):
     # the window of each linearized operator call greens_defects makes
     windows = []
     real = delta_op_field
 
-    def counted(v, p, window):
-        windows.append(window)
-        return real(v, p, window)
+    def counted(v, p):
+        windows.append(v.window)
+        return real(v, p)
     monkeypatch.setattr("surflat.linear.delta_op_field", counted)
     return windows
 
@@ -752,7 +758,7 @@ def test_greens_defects_evaluates_each_component_on_its_box(monkeypatch):
     window = Window(-160, 160, -160, 160)
     out, w = defect_case(window, "green:retarded:banded_solve", 5)
     windows = count_operator_windows(monkeypatch)
-    greens_defects(out, w, P, window)
+    greens_defects(out, w, P)
     assert windows == [Window(-160, 160, -4, 4), Window(-4, 160, -160, 160)]
 
 
@@ -767,7 +773,7 @@ def test_greens_defects_guards_take_one_whole_window_call(monkeypatch, name,
     window = centred_window(*shape)
     out, w = defect_case(window, name, 3)
     windows = count_operator_windows(monkeypatch)
-    greens_defects(out, w, P, window)
+    greens_defects(out, w, P)
     assert windows == [window]
 
 
@@ -775,7 +781,7 @@ def test_greens_defects_without_window_interior():
     # no interior site, so no defect: 0.0 on either path
     for window in (Window(0, 4, 0, 1), Window(0, 10_000, 0, 1)):
         out = Jet(window, np.ones(window.shape), np.ones(window.shape))
-        assert greens_defects(out, DualJet.zero(window), P, window) == \
+        assert greens_defects(out, DualJet.zero(window), P) == \
             (0.0, 0.0)
 
 
@@ -786,11 +792,11 @@ def test_greens_defects_peak_memory_within_whole_window():
     out, w = defect_case(window, "green:retarded:banded_solve", 11)
     peaks = []
     for defects in (greens_defects, greens_defects_whole_window):
-        defects(out, w, P, window)  # the derivative table is cached
+        defects(out, w, P)  # the derivative table is cached
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            defects(out, w, P, window)
+            defects(out, w, P)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()

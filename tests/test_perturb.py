@@ -43,7 +43,7 @@ def seeds():
 @pytest.fixture(scope="module")
 def hier(seeds):
     u, v = seeds
-    return build_hierarchy(u, v, 3, CHOICE, PARAMS, WIN)
+    return build_hierarchy(u, v, 3, CHOICE, PARAMS)
 
 
 def test_compositions():
@@ -66,8 +66,8 @@ def test_hierarchy_equation_holds(hier, seeds):
     # equation against minus its source, with the sources spelled out by
     # hand rather than recycled from the builder.
     u, v = seeds
-    d2 = lambda a, b: delta_ell_field(2, [a, b], PARAMS, WIN)
-    d3 = lambda a, b, c: delta_ell_field(3, [a, b, c], PARAMS, WIN)
+    d2 = lambda a, b: delta_ell_field(2, [a, b], PARAMS)
+    d3 = lambda a, b, c: delta_ell_field(3, [a, b, c], PARAMS)
     w = hier.coeff
     sources = {
         (2, 0): d2(u, u),
@@ -80,7 +80,7 @@ def test_hierarchy_equation_holds(hier, seeds):
     }
     inner = WIN.interior_mask(2)
     for key, src in sources.items():
-        lhs = delta_op_field(w(*key), PARAMS, WIN)
+        lhs = delta_op_field(w(*key), PARAMS)
         res_b = np.abs(lhs.b + src.b)[inner].max()
         res_phi = np.abs(lhs.w_phi + src.w_phi)[inner].max()
         assert res_b <= 1e-10, key
@@ -89,8 +89,8 @@ def test_hierarchy_equation_holds(hier, seeds):
 
 def test_pure_t_sector_ignores_u(seeds):
     u, v = seeds
-    full = build_hierarchy(u, v, 3, CHOICE, PARAMS, WIN)
-    solo = build_hierarchy(Jet.zero(WIN), v, 3, CHOICE, PARAMS, WIN)
+    full = build_hierarchy(u, v, 3, CHOICE, PARAMS)
+    solo = build_hierarchy(Jet.zero(WIN), v, 3, CHOICE, PARAMS)
     for k in (1, 2, 3):
         a, b = full.coeff(0, k), solo.coeff(0, k)
         assert np.array_equal(a.a, b.a)
@@ -135,7 +135,7 @@ def hier_mixed(seeds):
     u, v = seeds
     u = u + scalar_solution(1e-3, PARAMS, WIN, decay="future")
     v = v + scalar_solution(2e-3, PARAMS, WIN, decay="past")
-    return build_hierarchy(u, v, 2, CHOICE, PARAMS, WIN)
+    return build_hierarchy(u, v, 2, CHOICE, PARAMS)
 
 
 def routes_agree_on_mixed_box(hier_mixed):
@@ -184,8 +184,8 @@ def test_short_product_table_breaks_route_agreement(hier_mixed, monkeypatch):
 
 def test_second_coefficient_is_greens_image(hier, seeds):
     u, v = seeds
-    src = delta_ell_field(2, [u, v], PARAMS, WIN)
-    direct = greens_apply(CHOICE, 2.0 * src, PARAMS, WIN, edge_check=False)
+    src = delta_ell_field(2, [u, v], PARAMS)
+    direct = greens_apply(CHOICE, 2.0 * src, PARAMS, edge_check=False)
     got = hier.coeff(1, 1)
     assert np.allclose(got.a, direct.a, atol=1e-13)
     assert np.allclose(got.u_phi, direct.u_phi, atol=1e-13)
@@ -194,16 +194,16 @@ def test_second_coefficient_is_greens_image(hier, seeds):
 def test_build_rejects_bad_inputs(seeds):
     u, v = seeds
     with pytest.raises(UnsupportedOrderError):
-        build_hierarchy(u, v, 5, CHOICE, PARAMS, WIN)
+        build_hierarchy(u, v, 5, CHOICE, PARAMS)
     with pytest.raises(UnsupportedOrderError):
-        build_hierarchy(u, v, 0, CHOICE, PARAMS, WIN)
+        build_hierarchy(u, v, 0, CHOICE, PARAMS)
     bump = Jet(WIN, np.zeros(WIN.shape), np.zeros(WIN.shape))
     bump.u_phi[10, 10] = 1.0
     with pytest.raises(InvalidJetError):
-        build_hierarchy(bump, v, 2, CHOICE, PARAMS, WIN)
+        build_hierarchy(bump, v, 2, CHOICE, PARAMS)
     other = Window(-9, 9, -9, 9)
     with pytest.raises(RangeError):
-        build_hierarchy(Jet.zero(other), v, 2, CHOICE, PARAMS, WIN)
+        build_hierarchy(Jet.zero(other), v, 2, CHOICE, PARAMS)
 
 
 def test_family_arg_validation(hier):
@@ -238,7 +238,7 @@ def test_hierarchy_and_oracle_leave_inputs_unchanged(seeds, hier_mixed):
         return [(jet.a.tobytes(), jet.u_phi.tobytes()) for jet in jets]
 
     before = snapshot(seeds)
-    built = build_hierarchy(*seeds, 3, CHOICE, PARAMS, WIN)
+    built = build_hierarchy(*seeds, 3, CHOICE, PARAMS)
     assert snapshot(seeds) == before
     assert built.coeffs[(1, 0)] is seeds[0]
     assert built.coeffs[(0, 1)] is seeds[1]
@@ -327,7 +327,7 @@ def mixed_hierarchy(window, order):
         1e-3, PARAMS, window, decay="future")
     v = left_mover(window, -2, 0.2) + scalar_solution(
         2e-3, PARAMS, window, decay="past")
-    return build_hierarchy(u, v, order, CHOICE, PARAMS, window)
+    return build_hierarchy(u, v, order, CHOICE, PARAMS)
 
 
 @pytest.mark.parametrize("window", [WIN, Window(-11, 10, -11, 11)],
@@ -397,7 +397,7 @@ def test_hierarchy_varies_once_per_multiset(seeds, monkeypatch, order,
         return delta_ell_field(ell, *args, **kwargs)
 
     monkeypatch.setattr(perturb, "delta_ell_field", counting)
-    build_hierarchy(*seeds, order, CHOICE, PARAMS, WIN)
+    build_hierarchy(*seeds, order, CHOICE, PARAMS)
     assert collections.Counter(orders) == per_ell
 
 
@@ -410,9 +410,9 @@ def ordered_hierarchy(u, v, order, choice, window):
             for ell in range(2, degree + 1):
                 for parts in ordered_tuples(i, degree - i, ell):
                     source = source + delta_ell_field(
-                        ell, [coeffs[key] for key in parts], PARAMS, window)
+                        ell, [coeffs[key] for key in parts], PARAMS)
             coeffs[(i, degree - i)] = greens_apply(
-                choice, source, PARAMS, window, edge_check=False)
+                choice, source, PARAMS, edge_check=False)
     return coeffs
 
 
@@ -445,7 +445,7 @@ def test_multiset_sources_match_ordered_sum(half, choice):
     window, u, v = coupled_seeds(half)
     want = ordered_hierarchy(u, v, MAX_ORDER, choice, window)
     for order in range(2, MAX_ORDER + 1):
-        got = build_hierarchy(u, v, order, choice, PARAMS, window).coeffs
+        got = build_hierarchy(u, v, order, choice, PARAMS).coeffs
         assert set(got) == {key for key in want if sum(key) <= order}
         for key, jet in got.items():
             for name in ("a", "u_phi"):
@@ -504,10 +504,10 @@ def full_width_volume(hier, omega, ring2):
 @pytest.mark.parametrize("kind", ["waves", "scalar"])
 def test_oracle_volume_blocks_bitwise(monkeypatch, half, choice, kind):
     window, u, v = block_seeds(half, kind)
-    full = build_hierarchy(u, v, MAX_ORDER, choice, PARAMS, window)
+    full = build_hierarchy(u, v, MAX_ORDER, choice, PARAMS)
     for order in range(1, MAX_ORDER + 1):
         # a build stops at its order, so lower orders are truncations
-        hier = Hierarchy(window, PARAMS, choice, order,
+        hier = Hierarchy(window, PARAMS, order,
                          {key: jet for key, jet in full.coeffs.items()
                           if sum(key) <= order})
         for block, region in BLOCK_REGIONS.items():

@@ -53,7 +53,7 @@ def movers():
 
 def test_i1_zero_jet():
     omega = past_region(TALL, 0)
-    assert i1(Jet.zero(TALL), omega, PARAMS, TALL) == (0.0, 0.0)
+    assert i1(Jet.zero(TALL), omega, PARAMS) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -65,7 +65,7 @@ def test_i1_surface_exactly_zero_without_scalar(seed):
     for omega in (past_region(SQUARE, 0),
                   Region.from_box(SQUARE, -3, 2, -4, 5),
                   Region.from_box(SQUARE, 0, 0, 0, 0)):
-        surface, volume = i1(u, omega, PARAMS, SQUARE)
+        surface, volume = i1(u, omega, PARAMS)
         assert surface == 0.0
         assert volume == 0.0
 
@@ -77,27 +77,27 @@ def test_i1_scalar_solution_balance():
     profile = {x: 0.5 * (1.0 - (x / 4.0) ** 2) ** 2 for x in range(-3, 4)}
     u = scalar_solution(0.01, PARAMS, window, decay="past", profile=profile)
     for t in range(-5, 6):
-        surface, volume = i1(u, past_region(window, t), PARAMS, window)
+        surface, volume = i1(u, past_region(window, t), PARAMS)
         assert abs(surface - volume) <= 1e-10
-    assert abs(i1(u, past_region(window, 0), PARAMS, window)[0]) > 1e-6
+    assert abs(i1(u, past_region(window, 0), PARAMS)[0]) > 1e-6
 
 
 def test_i1_window_mismatch():
     with pytest.raises(RangeError):
-        i1(Jet.zero(TALL), past_region(SQUARE, 0), PARAMS, SQUARE)
+        i1(Jet.zero(TALL), past_region(SQUARE, 0), PARAMS)
 
 
 # --- symplectic form ---
 
 def test_sigma_self_is_exactly_zero(movers):
     u, _ = movers
-    assert sigma(u, u, past_region(TALL, 0), PARAMS, TALL) == 0.0
+    assert sigma(u, u, past_region(TALL, 0), PARAMS) == 0.0
 
 
 def test_sigma_antisymmetric(movers):
     u, v = movers
     omega = past_region(TALL, 2)
-    assert sigma(u, v, omega, PARAMS, TALL) == -sigma(v, u, omega, PARAMS, TALL)
+    assert sigma(u, v, omega, PARAMS) == -sigma(v, u, omega, PARAMS)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -110,8 +110,8 @@ def test_sigma_matches_closed_form_for_arbitrary_jets(seed):
     v = Jet(SQUARE, rng.standard_normal(SQUARE.shape),
             rng.standard_normal(SQUARE.shape))
     for t in (-5, 0, 4):
-        full = sigma(u, v, past_region(SQUARE, t), PARAMS, SQUARE)
-        closed = sympl_closed_form(u, v, t, PARAMS, SQUARE)
+        full = sigma(u, v, past_region(SQUARE, t), PARAMS)
+        closed = sympl_closed_form(u, v, t, PARAMS)
         assert abs(full - closed) <= 1e-12 * max(1.0, abs(full))
 
 
@@ -119,8 +119,8 @@ def test_sigma_bilinear(movers):
     u, v = movers
     w = right_mover(TALL, 1, 5, 0.1)
     omega = past_region(TALL, 1)
-    lhs = sigma(u + 2.0 * w, v, omega, PARAMS, TALL)
-    rhs = sigma(u, v, omega, PARAMS, TALL) + 2.0 * sigma(w, v, omega, PARAMS, TALL)
+    lhs = sigma(u + 2.0 * w, v, omega, PARAMS)
+    rhs = sigma(u, v, omega, PARAMS) + 2.0 * sigma(w, v, omega, PARAMS)
     assert math.isclose(lhs, rhs, rel_tol=0.0, abs_tol=1e-12)
 
 
@@ -133,7 +133,7 @@ def test_sigma_conserved_with_nonzero_flux():
     h2 = bump_profile(2, 5, 0.1)
     u = wave_solution(g1, h1, SQUARE)
     v = wave_solution(g2, h2, SQUARE)
-    vals = [sigma(u, v, past_region(SQUARE, t), PARAMS, SQUARE)
+    vals = [sigma(u, v, past_region(SQUARE, t), PARAMS)
             for t in range(-5, 6)]
     scale = max(abs(x) for x in vals)
     assert scale > 1e-3
@@ -142,7 +142,7 @@ def test_sigma_conserved_with_nonzero_flux():
 
 def test_sigma_zero_flux_for_separating_movers(movers):
     u, v = movers
-    vals = [sigma(u, v, past_region(TALL, t), PARAMS, TALL)
+    vals = [sigma(u, v, past_region(TALL, t), PARAMS)
             for t in range(-5, 6)]
     assert max(abs(x) for x in vals) <= 1e-12
 
@@ -150,7 +150,34 @@ def test_sigma_zero_flux_for_separating_movers(movers):
 def test_sympl_closed_form_range():
     u = Jet.zero(SQUARE)
     with pytest.raises(RangeError):
-        sympl_closed_form(u, u, SQUARE.t_max, PARAMS, SQUARE)
+        sympl_closed_form(u, u, SQUARE.t_max, PARAMS)
+
+
+# the closed forms read rows by index, so inputs of one shape on different
+# windows would pair rows of different times
+CUT = Window(-10, 10, -10, 10)
+SHIFTED = Window(-5, 15, -10, 10)
+
+
+def test_closed_forms_reject_jets_on_different_windows():
+    rng = np.random.default_rng(21)
+    u = random_phi_jet(CUT, rng)
+    v = random_phi_jet(SHIFTED, rng)
+    s = rng.standard_normal(CUT.shape)
+    with pytest.raises(RangeError, match="different windows"):
+        sympl_closed_form(u, v, 0, PARAMS)
+    with pytest.raises(RangeError, match="different windows"):
+        symm_closed_form(u, v, s, 0, PARAMS)
+
+
+def test_symm_closed_form_rejects_a_green_field_of_another_shape():
+    rng = np.random.default_rng(22)
+    u = random_phi_jet(CUT, rng)
+    v = random_phi_jet(CUT, rng)
+    s = rng.standard_normal((25, 21))
+    assert symm_closed_form(u, v, s[2:23], 0, PARAMS) != 0.0
+    with pytest.raises(RangeError, match="Green field shape"):
+        symm_closed_form(u, v, s, 0, PARAMS)
 
 
 # --- symmetric bilinear form ---
@@ -158,7 +185,7 @@ def test_sympl_closed_form_range():
 def test_symm_zero_second_argument(movers):
     u, _ = movers
     surface, volume, s = symm_bilinear(u, Jet.zero(TALL), past_region(TALL, 0),
-                                       CHOICE, PARAMS, TALL)
+                                       CHOICE, PARAMS)
     assert surface == 0.0
     assert volume == 0.0
     assert not s.any()
@@ -168,14 +195,14 @@ def test_symm_rejects_scalar_components(movers):
     u, v = movers
     tainted = u + scalar_solution(1e-3, PARAMS, TALL)
     with pytest.raises(InvalidJetError):
-        symm_bilinear(tainted, v, past_region(TALL, 0), CHOICE, PARAMS, TALL)
+        symm_bilinear(tainted, v, past_region(TALL, 0), CHOICE, PARAMS)
 
 
 def test_symm_symmetric(movers):
     u, v = movers
     omega = past_region(TALL, 1)
-    s_uv = symm_bilinear(u, v, omega, CHOICE, PARAMS, TALL)
-    s_vu = symm_bilinear(v, u, omega, CHOICE, PARAMS, TALL)
+    s_uv = symm_bilinear(u, v, omega, CHOICE, PARAMS)
+    s_vu = symm_bilinear(v, u, omega, CHOICE, PARAMS)
     assert math.isclose(s_uv[0], s_vu[0], rel_tol=0.0, abs_tol=1e-13)
     assert math.isclose(s_uv[1], s_vu[1], rel_tol=0.0, abs_tol=1e-13)
     np.testing.assert_allclose(s_uv[2], s_vu[2], atol=1e-15)
@@ -190,8 +217,8 @@ def test_symm_surface_matches_closed_form_for_arbitrary_phi_jets(seed):
     v = random_phi_jet(SQUARE, rng)
     for t in (-4, 0, 3):
         surface, _, s = symm_bilinear(u, v, past_region(SQUARE, t), CHOICE,
-                                      PARAMS, SQUARE, edge_check=False)
-        closed = symm_closed_form(u, v, s, t, PARAMS, SQUARE)
+                                      PARAMS, edge_check=False)
+        closed = symm_closed_form(u, v, s, t, PARAMS)
         assert abs(surface - closed) <= 1e-12 * max(1.0, abs(surface))
 
 
@@ -201,10 +228,10 @@ def test_symm_volume_identity_on_slices(movers, scalar_kind):
     greens = GreensChoice(scalar_kind=scalar_kind)
     for t in range(-5, 6):
         surface, volume, _ = symm_bilinear(u, v, past_region(TALL, t), greens,
-                                           PARAMS, TALL)
+                                           PARAMS)
         assert abs(surface - volume) <= 1e-10
     surface, volume, s = symm_bilinear(u, v, past_region(TALL, 0), greens,
-                                       PARAMS, TALL)
+                                       PARAMS)
     assert abs(surface) > 1e-6  # the identity is not vacuous
 
 
@@ -214,26 +241,26 @@ def test_i_m_order_bounds(movers):
     u, v = movers
     omega = past_region(TALL, 0)
     with pytest.raises(UnsupportedOrderError):
-        i_m(u, v, omega, 0, CHOICE, PARAMS, TALL)
+        i_m(u, v, omega, 0, CHOICE, PARAMS)
     with pytest.raises(UnsupportedOrderError):
-        i_m(u, v, omega, 5, CHOICE, PARAMS, TALL)
+        i_m(u, v, omega, 5, CHOICE, PARAMS)
 
 
 def test_i_m_first_order_reduces_to_i1(movers):
     u, v = movers
     omega = past_region(TALL, 0)
-    surface, volume = i1(u, omega, PARAMS, TALL)
-    assert i_m(u, v, omega, 1, CHOICE, PARAMS, TALL) == surface - volume
+    surface, volume = i1(u, omega, PARAMS)
+    assert i_m(u, v, omega, 1, CHOICE, PARAMS) == surface - volume
 
 
 def test_i2_antisymmetric_part_is_sigma():
     u = right_mover(SQUARE, 2, 5, 0.2)
     v = left_mover(SQUARE, -2, 5, 0.25)
     omega = past_region(SQUARE, 0)
-    i2_uv = i_m(u, v, omega, 2, CHOICE, PARAMS, SQUARE)
-    i2_vu = i_m(v, u, omega, 2, CHOICE, PARAMS, SQUARE)
+    i2_uv = i_m(u, v, omega, 2, CHOICE, PARAMS)
+    i2_vu = i_m(v, u, omega, 2, CHOICE, PARAMS)
     anti = 0.5 * (i2_uv - i2_vu)
-    assert math.isclose(anti, sigma(u, v, omega, PARAMS, SQUARE),
+    assert math.isclose(anti, sigma(u, v, omega, PARAMS),
                         rel_tol=0.0, abs_tol=1e-12)
 
 
@@ -241,10 +268,10 @@ def test_i2_symmetric_part_is_symm_bilinear():
     u = right_mover(SQUARE, 2, 5, 0.2)
     v = left_mover(SQUARE, -2, 5, 0.25)
     omega = past_region(SQUARE, 0)
-    i2_uv = i_m(u, v, omega, 2, CHOICE, PARAMS, SQUARE)
-    i2_vu = i_m(v, u, omega, 2, CHOICE, PARAMS, SQUARE)
+    i2_uv = i_m(u, v, omega, 2, CHOICE, PARAMS)
+    i2_vu = i_m(v, u, omega, 2, CHOICE, PARAMS)
     sym = 0.5 * (i2_uv + i2_vu)
-    surface, volume, _ = symm_bilinear(u, v, omega, CHOICE, PARAMS, SQUARE,
+    surface, volume, _ = symm_bilinear(u, v, omega, CHOICE, PARAMS,
                                        edge_check=False)
     assert math.isclose(sym, surface - volume, rel_tol=0.0, abs_tol=1e-12)
 
@@ -254,7 +281,7 @@ def test_i_m_small_for_solution_pairs(movers):
     # truncation leaves the Green-kernel tails, far below the amplitudes
     u, v = movers
     for m in (1, 2, 3):
-        val = i_m(u, v, past_region(TALL, 0), m, CHOICE, PARAMS, TALL)
+        val = i_m(u, v, past_region(TALL, 0), m, CHOICE, PARAMS)
         assert abs(val) <= 1e-9, m
 
 
@@ -264,7 +291,7 @@ def test_greens_dependence_zero_kernel(movers):
     u, v = movers
     kernel = RankOneModifier(DualJet.zero(TALL), right_mover(TALL, 0, 5, 0.1))
     [(lhs, rhs)] = greens_dependence_check(u, v, past_region(TALL, 0),
-                                           [kernel], PARAMS, TALL)
+                                           [kernel], PARAMS)
     assert lhs == 0.0
     assert rhs == 0.0
 
@@ -278,7 +305,7 @@ def test_greens_dependence_wave_direction_drops_out(movers):
                     rng.standard_normal(TALL.shape))
     kernel = RankOneModifier(probe, right_mover(TALL, 1, 5, 0.3))
     [(lhs, rhs)] = greens_dependence_check(u, v, past_region(TALL, 0),
-                                           [kernel], PARAMS, TALL)
+                                           [kernel], PARAMS)
     assert lhs == 0.0
     assert rhs == 0.0
 
@@ -296,8 +323,7 @@ def test_greens_dependence_identity(movers, seed):
                                 decay="future")
     kernel = RankOneModifier(probe, direction)
     omega = past_region(TALL, 0)
-    [(lhs, rhs)] = greens_dependence_check(u, v, omega, [kernel], PARAMS,
-                                           TALL)
+    [(lhs, rhs)] = greens_dependence_check(u, v, omega, [kernel], PARAMS)
     assert abs(lhs - rhs) <= 1e-10
     assert abs(lhs) > 1e-6  # the modifier actually moves the value
 
@@ -344,20 +370,18 @@ def test_greens_dependence_builds_the_plain_hierarchy_once(movers):
                 mp.setattr(module, "greens_apply", counting_apply)
             mp.setattr(perturb, "linear_residual", counting_residual)
             # the kernels are read once, so a one-pass iterator will do
-            pairs = greens_dependence_check(u, v, omega, iter(some), PARAMS,
-                                            TALL)
+            pairs = greens_dependence_check(u, v, omega, iter(some), PARAMS)
         assert variations == [2] * 2
         assert residuals == [u, v]
         assert len({id(source) for _, source in applications}) == 1
         assert [m for m, _ in applications] == [None]
-    plain = i_m(u, v, omega, 2, CHOICE, PARAMS, TALL)
+    plain = i_m(u, v, omega, 2, CHOICE, PARAMS)
     for kernel, (lhs, _) in zip(kernels, pairs):
         full = i_m(u, v, omega, 2, GreensChoice(kernel_modifier=kernel),
-                   PARAMS, TALL)
+                   PARAMS)
         assert lhs == full - plain
     for kernel, pair in zip(kernels, pairs):
-        assert greens_dependence_check(u, v, omega, [kernel], PARAMS,
-                                       TALL) == [pair]
+        assert greens_dependence_check(u, v, omega, [kernel], PARAMS) == [pair]
 
 
 def test_greens_dependence_rejects_a_non_solution_seed(movers):
@@ -369,7 +393,7 @@ def test_greens_dependence_rejects_a_non_solution_seed(movers):
     for seeds in ((u, bump), (bump, v)):
         with pytest.raises(InvalidJetError, match="not a solution"):
             greens_dependence_check(*seeds, past_region(TALL, 0), [kernel],
-                                    PARAMS, TALL)
+                                    PARAMS)
 
 
 def test_greens_dependence_zero_scalar_direction_has_no_volume(movers):
@@ -378,8 +402,8 @@ def test_greens_dependence_zero_scalar_direction_has_no_volume(movers):
     probe = DualJet(TALL, rng.standard_normal(TALL.shape),
                     rng.standard_normal(TALL.shape))
     kernel = RankOneModifier(probe, right_mover(TALL, 1, 5, 0.3))
-    moved = kernel.apply(delta_ell_field(2, [u, v], PARAMS, TALL))
-    _, volume = i1(moved, past_region(TALL, 0), PARAMS, TALL)
+    moved = kernel.apply(delta_ell_field(2, [u, v], PARAMS))
+    _, volume = i1(moved, past_region(TALL, 0), PARAMS)
     assert volume == 0.0
 
 
@@ -389,7 +413,7 @@ def test_greens_dependence_rejects_preinstalled_kernel(movers):
     base = GreensChoice(kernel_modifier=kernel)
     with pytest.raises(InvalidJetError):
         greens_dependence_check(u, v, past_region(TALL, 0), [kernel],
-                                PARAMS, TALL, choices=base)
+                                PARAMS, choices=base)
 
 
 # --- sweep report ---
@@ -398,7 +422,7 @@ def test_slayer_sweep_report(movers):
     u, v = movers
     probe_tall = scalar_solution(0.01, PARAMS, TALL, decay="past",
                                  profile={0: 1.0, 1: 0.5, -1: 0.5})
-    report = slayer_sweep(u, v, range(-5, 6), CHOICE, PARAMS, TALL,
+    report = slayer_sweep(u, v, range(-5, 6), CHOICE, PARAMS,
                           scalar_probe=probe_tall)
     assert [s.slice_t for s in report.slices] == list(range(-5, 6))
     assert report.max_residual() <= 1e-10
@@ -409,11 +433,11 @@ def test_slayer_sweep_report(movers):
 
 def test_slayer_sweep_default_probe(movers):
     u, v = movers
-    report = slayer_sweep(u, v, [0, 1], CHOICE, PARAMS, TALL)
+    report = slayer_sweep(u, v, [0, 1], CHOICE, PARAMS)
     assert report.max_residual() <= 1e-10
 
 
 def test_report_relative_spread_handles_zero():
     row = SliceValues(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    report = SlayerReport(TALL, PARAMS, (row,))
+    report = SlayerReport((row,))
     assert report.relative_spread("sympl") == 0.0

@@ -61,7 +61,7 @@ def test_past_region_mask_and_bounds():
 def test_single_site_pairs_sorted():
     w = Window(-2, 2, -2, 2)
     omega = Region.from_box(w, 0, 0, 0, 0)
-    pairs = stencil_pairs(omega, w)
+    pairs = stencil_pairs(omega)
     assert [(p.t, p.x, q.t, q.x) for (p, q) in pairs] == [
         (0, 0, -1, 0), (0, 0, 0, -1), (0, 0, 0, 1), (0, 0, 1, 0)]
 
@@ -69,7 +69,7 @@ def test_single_site_pairs_sorted():
 def test_past_region_pairs_are_vertical_interface():
     w = Window(-3, 3, -2, 2)
     omega = past_region(w, 1)
-    pairs = stencil_pairs(omega, w)
+    pairs = stencil_pairs(omega)
     # every pair goes from the top row of the region straight up
     assert len(pairs) == w.shape[1]
     for (x, y) in pairs:
