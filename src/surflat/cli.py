@@ -62,6 +62,11 @@ MAX_WINDOW_SITES = 1001 * 1001
 SCALAR_MODE_LIMIT = 1e150
 # greens-verify draws its sources on the centered box of this half-width
 SUPPORT_HALF = 3
+# greens-verify holds every draw and solves their scalar parts in one stack
+# of 2 * SUPPORT_HALF + 1 columns per draw and one more, over the window's
+# rows: at most this many draws, so that on a 1001 x 1001 window
+# (MAX_WINDOW_SITES) the stack holds 1001 x 7001 doubles, about 56 MB
+MAX_DRAWS = 1000
 
 # glibc's malloc parameters (mallopt(3)) and the values main pins them to:
 # the largest its own dynamic threshold rule reaches on 64-bit hosts
@@ -148,7 +153,7 @@ SCHEMA = {
                                     choices=("banded_solve", "frequency"))},
     "slices": {"start": Field(-5, int), "stop": Field(5, int)},
     "order": Field(3, int, lo=1, hi=MAX_ORDER),
-    "draws": Field(20, int, lo=1),
+    "draws": Field(20, int, lo=1, hi=MAX_DRAWS),
     "modifiers": Field(5, int, lo=1),
     "seed": Field(0, int, lo=0),
     "tolerances": {name: Field(tol, float, positive=True) for name, tol in (

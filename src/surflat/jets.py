@@ -87,7 +87,8 @@ import numpy as np
 from .errors import InvalidJetError, RangeError, UnsupportedOrderError
 from .lagrangian import (MAX_ORDER, ModelParams, lag_phi_deriv,
                          stencil_deriv_table)
-from .space import LatticePoint, Region, STENCIL_OFFSETS, Window
+from .space import (LatticePoint, Region, STENCIL_OFFSETS, Window,
+                    common_window)
 
 
 def _as_field(window: Window, values) -> np.ndarray:
@@ -126,9 +127,8 @@ class Jet:
         return not self.a.any()
 
     def __add__(self, other: "Jet") -> "Jet":
-        if other.window != self.window:
-            raise RangeError("jet windows differ")
-        return Jet(self.window, self.a + other.a, self.u_phi + other.u_phi)
+        return Jet(common_window(self, other), self.a + other.a,
+                   self.u_phi + other.u_phi)
 
     def __sub__(self, other: "Jet") -> "Jet":
         return self + (-1.0) * other
@@ -154,9 +154,7 @@ class DualJet:
         return cls(window, window.zeros(), window.zeros())
 
     def __add__(self, other: "DualJet") -> "DualJet":
-        if other.window != self.window:
-            raise RangeError("dual jet windows differ")
-        return DualJet(self.window, self.b + other.b,
+        return DualJet(common_window(self, other), self.b + other.b,
                        self.w_phi + other.w_phi)
 
     def __rmul__(self, c: float) -> "DualJet":
@@ -338,8 +336,7 @@ def live_pairs(jets: Sequence[Jet]):
     or None when the call should evaluate whole blocks: on a window under
     GATHER_MIN_SITES sites, when no jet is nonzero on at most
     GATHER_MAX_SHARE of the window, or when the guard fails. The checks run
-    cheapest first: the size, then the nonzero count of each jet's a, which
-    bounds its support from below, the supports and their counts, then the
+    cheapest first: the size, then the supports and their counts, then the
     guard, then the pair masks.
     """
     window = jets[0].window
@@ -347,15 +344,10 @@ def live_pairs(jets: Sequence[Jet]):
     if n_t * n_x < GATHER_MIN_SITES:
         return None
     distinct = {id(jet): jet for jet in jets}
-    limit = GATHER_MAX_SHARE * n_t * n_x
-    # a jet's support holds at least the nonzeros of its a, which then
-    # become its support mask
-    support = {key: jet.a != 0.0 for key, jet in distinct.items()}
-    if min(map(np.count_nonzero, support.values())) > limit:
-        return None
-    for key, jet in distinct.items():
-        np.logical_or(support[key], jet.u_phi != 0.0, out=support[key])
-    if min(map(np.count_nonzero, support.values())) > limit:
+    support = {key: (jet.a != 0.0) | (jet.u_phi != 0.0)
+               for key, jet in distinct.items()}
+    if (min(map(np.count_nonzero, support.values()))
+            > GATHER_MAX_SHARE * n_t * n_x):
         return None
     # the guard: finite fields, and every partial product of the factors
     # within PRODUCT_BOUND. Each factor's bound is taken at least 1, so that
@@ -511,7 +503,9 @@ def pair_product_sum(p: ModelParams, omega: Region, factors) -> float:
     offset. The sites come from omega.interface_sites, found once per
     region: its mask is read-only, so repeated sums over one region (a
     surface-layer sweep makes six per cut) never scan the window again.
+    The jets must live on the region's window.
     """
+    common_window(omega, *(jet for jet, _, _ in factors))
     table = stencil_deriv_table(p)
     sites = omega.interface_sites
     ws = series_workspace(len(factors),
@@ -530,7 +524,11 @@ def pair_product_sum(p: ModelParams, omega: Region, factors) -> float:
 
 
 def region_product_sum(omega: Region, jets: Sequence[Jet]) -> float:
-    """Sum over the region's sites of the product of the jets' weights."""
+    """Sum over the region's sites of the product of the jets' weights.
+
+    The jets must live on the region's window.
+    """
+    common_window(omega, *jets)
     mask = omega.mask
     prod = np.ones(np.count_nonzero(mask))
     for jet in jets:
@@ -538,16 +536,15 @@ def region_product_sum(omega: Region, jets: Sequence[Jet]) -> float:
     return float(prod.sum())
 
 
-def _check_variation_inputs(ell_order: int, jets: Sequence[Jet]):
+def _check_variation_inputs(ell_order: int, jets: Sequence[Jet]) -> Window:
+    # the jets' common window, once their number matches the order
     if ell_order < 1 or ell_order > MAX_ORDER:
         raise UnsupportedOrderError(
             f"variation order {ell_order} outside 1..{MAX_ORDER}")
     if len(jets) != ell_order:
         raise InvalidJetError(
             f"expected {ell_order} jets, got {len(jets)}")
-    for jet in jets[1:]:
-        if jet.window != jets[0].window:
-            raise RangeError("variation jets live on different windows")
+    return common_window(*jets)
 
 
 def delta_ell_field(ell_order: int, jets: Sequence[Jet],
@@ -561,7 +558,7 @@ def delta_ell_field(ell_order: int, jets: Sequence[Jet],
     which the result lives on; sites near its edge use the clipped stencil
     of the windowed configuration.
     """
-    _check_variation_inputs(ell_order, jets)
+    window = _check_variation_inputs(ell_order, jets)
     scalar, phi = stencil_contraction(p, jets)
     # in place on fresh arrays, in the order of
     # scale * (scalar - 0.5 * nu * prod(a)); 1.0 * a is a, so the product
@@ -575,7 +572,7 @@ def delta_ell_field(ell_order: int, jets: Sequence[Jet],
         scale = 1.0 / math.factorial(ell_order)
         np.multiply(scale, scalar, out=scalar)
         np.multiply(scale, phi, out=phi)
-    return DualJet(jets[0].window, scalar, phi)
+    return DualJet(window, scalar, phi)
 
 
 def delta_ell(ell_order: int, jets: Sequence[Jet], x: LatticePoint,
@@ -585,12 +582,7 @@ def delta_ell(ell_order: int, jets: Sequence[Jet], x: LatticePoint,
     x must sit at least one site inside the jets' window so the stencil sum
     is the full one. Returns the scalar and angular components of the dual jet.
     """
-    _check_variation_inputs(ell_order, jets)
-    window = jets[0].window
-    if not (window.t_min < x.t < window.t_max
-            and window.x_min < x.x < window.x_max):
-        raise RangeError(
-            f"point ({x.t}, {x.x}) needs margin 1 inside window {window}")
+    _check_variation_inputs(ell_order, jets).require_interior(x.t, x.x)
     scalar = 0.0
     phi = 0.0
     for (dt, dx) in STENCIL_OFFSETS:

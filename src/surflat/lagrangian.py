@@ -175,12 +175,6 @@ def stencil_deriv_table(p: ModelParams):
     return types.MappingProxyType(table)
 
 
-def _require_margin(window: Window, t: int, x: int):
-    if not (window.t_min < t < window.t_max and window.x_min < x < window.x_max):
-        raise RangeError(
-            f"point ({t}, {x}) needs margin 1 inside window {window}")
-
-
 def ell(p: ModelParams, x: LatticePoint, window: Window) -> float:
     """Field equation functional at x against the windowed configuration.
 
@@ -188,7 +182,7 @@ def ell(p: ModelParams, x: LatticePoint, window: Window) -> float:
     (only the stencil contributes) and subtracts nu / 2. x must sit at least
     one site inside the window so the stencil is complete.
     """
-    _require_margin(window, x.t, x.x)
+    window.require_interior(x.t, x.x)
     total = 0.0
     for (dt, dx) in STENCIL_OFFSETS:
         y = LatticePoint(x.t - dt, x.x - dx)

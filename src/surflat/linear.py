@@ -49,7 +49,7 @@ import numpy.fft  # noqa: F401
 from .errors import InvalidJetError, RangeError, TruncationError
 from .jets import GATHER_MIN_SITES, DualJet, Jet, delta_op_field
 from .lagrangian import ModelParams
-from .space import Region, Window
+from .space import Region, Window, common_window
 
 RESIDUAL_TOLERANCE = 1e-10
 EDGE_TOLERANCE = 1e-12
@@ -140,8 +140,7 @@ def linear_residual(v: Jet, region: Region, p: ModelParams) -> float:
     site sees the full stencil. Zero (up to rounding) certifies v as a
     solution there.
     """
-    if region.window != v.window:
-        raise RangeError("region and jet live on different windows")
+    common_window(region, v)
     if (region.mask & ~v.window.interior_mask()).any():
         raise RangeError("region must stay one site inside the window")
     dual = delta_op_field(v, p)
@@ -164,8 +163,7 @@ class RankOneModifier:
     direction: Jet
 
     def pairing(self, w: DualJet) -> float:
-        if w.window != self.probe.window:
-            raise RangeError("dual jet window does not match the probe")
+        common_window(self.probe, w)
         return float(np.sum(self.probe.b * w.b)
                      + np.sum(self.probe.w_phi * w.w_phi))
 
@@ -421,28 +419,19 @@ def greens_defects(out: Jet, w: DualJet, p: ModelParams
     a component with no such site (an empty box, or a window without
     interior) gives 0.0.
 
-    Two cases evaluate the whole window in one call instead: a window under
-    jets.GATHER_MIN_SITES sites, where the fixed cost of a second call
-    outweighs the smaller boxes, and boxes that together hold at least the
-    window's sites, where the boxes save nothing.
+    A window under jets.GATHER_MIN_SITES sites is evaluated whole in one
+    call instead, since there the fixed cost of a second call outweighs the
+    smaller boxes.
     """
-    window = w.window
-    if out.window != window:
-        raise RangeError("output and source live on different windows")
+    window = common_window(w, out)
     n_t, n_x = window.shape
-    n_sites = n_t * n_x
     parts = ((out.a, w.b), (out.u_phi, w.w_phi))
-    boxes = None
-    if n_sites >= GATHER_MIN_SITES:
-        boxes = [_support_box(*part) for part in parts]
-        covered = sum((rows.stop - rows.start) * (cols.stop - cols.start)
-                      for rows, cols in filter(None, boxes))
-        if covered >= n_sites:
-            boxes = None
     dual = None
-    if boxes is None:
+    if n_t * n_x < GATHER_MIN_SITES:
         dual = delta_op_field(out, p)
         boxes = [(slice(0, n_t), slice(0, n_x))] * 2
+    else:
+        boxes = [_support_box(*part) for part in parts]
     res = []
     for k, ((field, source), box) in enumerate(zip(parts, boxes)):
         if box is None:

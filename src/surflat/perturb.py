@@ -28,18 +28,19 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidJetError, RangeError, UnsupportedOrderError)
+from .errors import InvalidJetError, UnsupportedOrderError
 from .jets import (DualJet, Jet, delta_ell_field, pair_product_sum,
                    region_product_sum)
 from .lagrangian import MAX_ORDER, ModelParams, stencil_deriv_table
 from .linear import (GreensChoice, RESIDUAL_TOLERANCE, greens_apply,
                      linear_residual)
 from .polyseries import PolyRing
-from .space import Region, STENCIL_OFFSETS, Window, pair_masks
+from .space import (Region, STENCIL_OFFSETS, Window, common_window,
+                    pair_masks)
 
 # taylor_oracle_I exponentiates the volume series this many region sites at
 # a time (see _oracle_volume and README, "recycled memory")
@@ -59,12 +60,22 @@ def compositions(total: int, parts: int, minimum: int = 0):
 
 @dataclass(frozen=True, eq=False)
 class Hierarchy:
-    """Coefficient jets of the two-parameter perturbation family."""
+    """Coefficient jets of the two-parameter perturbation family.
 
-    window: Window
+    coeffs holds at least the seed coefficient (1, 0), and every jet lives
+    on the seed's window, the hierarchy's window.
+    """
+
     params: ModelParams
     order: int
-    coeffs: dict = field(default_factory=dict)
+    coeffs: dict
+
+    def __post_init__(self):
+        common_window(self.coeffs[(1, 0)], *self.coeffs.values())
+
+    @property
+    def window(self) -> Window:
+        return self.coeffs[(1, 0)].window
 
     def coeff(self, i: int, j: int) -> Jet:
         """Coefficient jet of s^i t^j; exact zero jet where nothing is stored."""
@@ -89,9 +100,7 @@ def build_hierarchy(u: Jet, v: Jet, order: int, choices: GreensChoice,
     if not 1 <= order <= MAX_ORDER:
         raise UnsupportedOrderError(
             f"hierarchy order {order} outside 1..{MAX_ORDER}")
-    window = u.window
-    if v.window != window:
-        raise RangeError("jets u and v live on different windows")
+    window = common_window(u, v)
     interior = Region(window, window.interior_mask())
     for name, jet in (("u", u), ("v", v)):
         res = linear_residual(jet, interior, p)
@@ -103,7 +112,7 @@ def build_hierarchy(u: Jet, v: Jet, order: int, choices: GreensChoice,
         keys = [(i, degree - i) for i in range(degree + 1)]
         for key, source in _degree_sources(coeffs, keys, p):
             coeffs[key] = greens_apply(choices, source, p, edge_check=False)
-    return Hierarchy(window, p, order, coeffs)
+    return Hierarchy(p, order, coeffs)
 
 
 def _degree_sources(coeffs: dict, keys: list, p: ModelParams):
@@ -277,8 +286,7 @@ def _oracle_volume(hier: Hierarchy, omega: Region,
 
 def _check_family_args(hier: Hierarchy, omega: Region, m: int = 1,
                        p_order: int = 1):
-    if omega.window != hier.window:
-        raise RangeError("region window does not match the hierarchy window")
+    common_window(omega, hier)
     if m < 1:
         raise UnsupportedOrderError(f"family order m={m} must be >= 1")
     if p_order < 1:

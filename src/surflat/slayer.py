@@ -23,13 +23,7 @@ from .lagrangian import ModelParams
 from .linear import GreensChoice, RankOneModifier, greens_apply
 from .perturb import (Hierarchy, _degree_sources, build_hierarchy,
                       family_taylor_I)
-from .space import Region, past_region
-
-
-def _check_region(omega: Region, *jets: Jet):
-    for jet in jets:
-        if jet.window != omega.window:
-            raise RangeError("jet window does not match the region's window")
+from .space import Region, common_window, past_region
 
 
 def i1(u: Jet, omega: Region, p: ModelParams) -> tuple[float, float]:
@@ -40,7 +34,6 @@ def i1(u: Jet, omega: Region, p: ModelParams) -> tuple[float, float]:
     because the first angular derivative of the interaction vanishes on the
     base configuration.
     """
-    _check_region(omega, u)
     surface = pair_product_sum(p, omega, [(u, 1.0, -1.0)])
     volume = 0.5 * p.nu * region_product_sum(omega, [u])
     return surface, volume
@@ -48,7 +41,6 @@ def i1(u: Jet, omega: Region, p: ModelParams) -> tuple[float, float]:
 
 def sigma(u: Jet, v: Jet, omega: Region, p: ModelParams) -> float:
     """Symplectic form: antisymmetrized cross-slot interface sum."""
-    _check_region(omega, u, v)
     return (pair_product_sum(p, omega, [(u, 1.0, 0.0), (v, 0.0, 1.0)])
             - pair_product_sum(p, omega, [(v, 1.0, 0.0), (u, 0.0, 1.0)]))
 
@@ -61,12 +53,7 @@ def sympl_closed_form(u: Jet, v: Jet, t: int, p: ModelParams) -> float:
     derivative, which is +1 at the timelike offsets. u and v must share a
     window.
     """
-    window = u.window
-    if v.window != window:
-        raise RangeError("jets u and v live on different windows")
-    if not window.t_min <= t < window.t_max:
-        raise RangeError(f"slice {t} leaves no row above it in {window}")
-    row, _ = window.index(t, window.x_min)
+    row = common_window(u, v).cut_row(t)
     au, av = u.a[row], v.a[row]
     au1, av1 = u.a[row + 1], v.a[row + 1]
     fu, fv = u.u_phi[row], v.u_phi[row]
@@ -87,7 +74,7 @@ def symm_bilinear(u: Jet, v: Jet, omega: Region, greens: GreensChoice,
     field s; the surface sum carries u, v and s on both slots, and the
     volume identity states surface = nu * sum of s over the region.
     """
-    _check_region(omega, u, v)
+    common_window(omega, u, v)
     for name, jet in (("u", u), ("v", v)):
         if not jet.has_zero_scalar():
             raise InvalidJetError(
@@ -119,16 +106,10 @@ def symm_closed_form(u: Jet, v: Jet, s: np.ndarray, t: int,
     angular products minus twice the timelike weight times the Green field.
     u and v must share a window, and s must have its shape.
     """
-    window = u.window
-    if v.window != window:
-        raise RangeError("jets u and v live on different windows")
+    window = common_window(u, v)
     if s.shape != window.shape:
-        raise RangeError(
-            f"Green field shape {s.shape} does not match window "
-            f"{window.shape}")
-    if not window.t_min <= t < window.t_max:
-        raise RangeError(f"slice {t} leaves no row above it in {window}")
-    row, _ = window.index(t, window.x_min)
+        raise RangeError(f"Green field shape {s.shape} is not {window.shape}")
+    row = window.cut_row(t)
 
     def layer(r):
         return float(u.u_phi[r] @ v.u_phi[r] - 2.0 * p.lambda_i * s[r].sum())
@@ -179,7 +160,7 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
     image = greens_apply(base, source, p, edge_check=False)
 
     def order_two(mixed):
-        hier = Hierarchy(u.window, p, 2, seeds | {key: mixed})
+        hier = Hierarchy(p, 2, seeds | {key: mixed})
         return family_taylor_I(hier, omega, 2, 2)
 
     plain = order_two(image)
@@ -248,14 +229,14 @@ def slayer_sweep(u: Jet, v: Jet, slices, greens: GreensChoice,
                  ) -> SlayerReport:
     """Evaluate all surface-layer quantities over a range of past regions.
 
-    The regions are cut from u's window. u and v must have vanishing scalar
-    components (they feed the symplectic and symmetric forms); the
-    first-order balance row uses scalar_probe when given, falling back to
-    u. The Green field of the symmetric form does not depend on the cut, so
-    it and its jet are built once.
+    The regions are cut from the jets' common window. u and v must have
+    vanishing scalar components (they feed the symplectic and symmetric
+    forms); the first-order balance row uses scalar_probe when given,
+    falling back to u. The Green field of the symmetric form does not
+    depend on the cut, so it and its jet are built once.
     """
-    window = u.window
     probe = scalar_probe if scalar_probe is not None else u
+    window = common_window(u, v, probe)
     s = None
     rows = []
     for t in slices:

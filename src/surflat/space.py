@@ -4,6 +4,9 @@ Spacetime is the integer lattice Z^2 (time, space) with a circle fiber; the
 configuration carries angle 0 everywhere. A Window is the finite box used for
 array storage, a Region is a subset of a window, and stencil_pairs enumerates
 the nearest-neighbor pairs coupling a region to its in-window complement.
+The window rules live here too: common_window (inputs share one window),
+Window.require_interior (a point keeps margin 1) and Window.cut_row (a cut
+has a row on each side).
 Everything downstream stores fields as (n_t, n_x) float arrays over a window,
 row-major in (t, x).
 """
@@ -55,6 +58,23 @@ class Window:
         if not self.contains(t, x):
             raise RangeError(f"point ({t}, {x}) outside window {self}")
         return (t - self.t_min, x - self.x_min)
+
+    def require_interior(self, t: int, x: int):
+        """Raise RangeError unless (t, x) sits at least one site inside."""
+        if not (self.t_min < t < self.t_max and self.x_min < x < self.x_max):
+            raise RangeError(
+                f"point ({t}, {x}) needs margin 1 inside window {self}")
+
+    def cut_row(self, t: int) -> int:
+        """Row index of time t, for a cut between rows t and t + 1.
+
+        Requires t_min <= t < t_max so that both sides of the cut hold a
+        row of the window.
+        """
+        if not self.t_min <= t < self.t_max:
+            raise RangeError(
+                f"slice time {t} not in [{self.t_min}, {self.t_max})")
+        return t - self.t_min
 
     def t_coords(self) -> np.ndarray:
         return np.arange(self.t_min, self.t_max + 1)
@@ -145,17 +165,29 @@ class Region:
             yield (int(i) + self.window.t_min, int(j) + self.window.x_min)
 
 
+def common_window(*items) -> Window:
+    """The window shared by jets, dual jets, regions and hierarchies.
+
+    Every such input carries the window it lives on, and a sum over a
+    region or a product of fields means nothing across windows, so inputs
+    on different windows raise RangeError, even when their shapes agree.
+    """
+    window = items[0].window
+    for item in items[1:]:
+        if item.window != window:
+            raise RangeError(f"inputs live on different windows: {window} "
+                             f"and {item.window}")
+    return window
+
+
 def past_region(window: Window, t: int) -> Region:
     """All window sites with time coordinate at most t.
 
-    Requires t_min <= t < t_max so that both the region and its in-window
-    complement are nonempty.
+    Requires t_min <= t < t_max (Window.cut_row) so that both the region
+    and its in-window complement are nonempty.
     """
-    if not window.t_min <= t < window.t_max:
-        raise RangeError(
-            f"slice time {t} not in [{window.t_min}, {window.t_max})")
     mask = np.zeros(window.shape, dtype=bool)
-    mask[:t - window.t_min + 1, :] = True
+    mask[:window.cut_row(t) + 1, :] = True
     return Region(window, mask)
 
 

@@ -159,7 +159,7 @@ def test_balanced_nu_spelled_out_is_not_an_override(tmp_path):
     ("slices.stop=40", "slice range"),
     ("greens.vector_kind=sideways", "vector_kind"),
     ("tolerances.el=0", "positive"),
-    ("draws=0", ">= 1"),
+    ("draws=0", "draws must lie in 1..1000"),
     ("seed=-3", "seed"),
     ("model.epsilon=0.7", "epsilon"),
 ])
@@ -168,6 +168,20 @@ def test_invalid_config_values(tmp_path, capsys, override, fragment):
                  "--override", override])
     assert code == 2
     assert fragment in capsys.readouterr().err
+
+
+def test_draws_limit(tmp_path, capsys):
+    # validation runs before any draw, so neither call allocates the stack
+    at_limit = load_config(None, [f"draws={cli.MAX_DRAWS}"], None,
+                           "greens-verify")
+    assert at_limit.draws == cli.MAX_DRAWS
+    code = main(["greens-verify", "--out", str(tmp_path / "x"),
+                 "--override", f"draws={cli.MAX_DRAWS + 1}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"draws must lie in 1..{cli.MAX_DRAWS}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def _window_overrides(t_min, t_max, x_min, x_max):

@@ -762,19 +762,33 @@ def test_greens_defects_evaluates_each_component_on_its_box(monkeypatch):
     assert windows == [Window(-160, 160, -4, 4), Window(-4, 160, -160, 160)]
 
 
-@pytest.mark.parametrize("name, shape", [
-    ("green:retarded:banded_solve", (81, 81)), ("single_site", (81, 81)),
-    ("dense", (321, 321)), ("overlapping_boxes", (321, 321))],
-    ids=["small-green", "small-site", "dense", "boxes-cover"])
-def test_greens_defects_guards_take_one_whole_window_call(monkeypatch, name,
-                                                          shape):
-    # a window under jets.GATHER_MIN_SITES sites, or boxes that together
-    # hold at least the window's sites, take one call on the whole window
-    window = centred_window(*shape)
+@pytest.mark.parametrize("name", ["green:retarded:banded_solve",
+                                  "single_site"],
+                         ids=["small-green", "small-site"])
+def test_greens_defects_guards_take_one_whole_window_call(monkeypatch, name):
+    # a window under jets.GATHER_MIN_SITES sites takes one call on the
+    # whole window
+    window = centred_window(81, 81)
     out, w = defect_case(window, name, 3)
     windows = count_operator_windows(monkeypatch)
     greens_defects(out, w, P)
     assert windows == [window]
+
+
+@pytest.mark.parametrize("name, boxes", [
+    ("dense", [(-160, 160), (-160, 160)]),
+    ("overlapping_boxes", [(-160, 32), (-33, 160)])],
+    ids=["dense", "boxes-cover"])
+def test_greens_defects_large_windows_take_one_call_per_box(monkeypatch, name,
+                                                            boxes):
+    # on a larger window each component takes its own call, even where the
+    # boxes together cover the window: here every box spans the columns,
+    # and boxes lists the rows (t_min, t_max) of each
+    window = centred_window(321, 321)
+    out, w = defect_case(window, name, 3)
+    windows = count_operator_windows(monkeypatch)
+    greens_defects(out, w, P)
+    assert windows == [Window(lo, hi, -160, 160) for lo, hi in boxes]
 
 
 def test_greens_defects_without_window_interior():

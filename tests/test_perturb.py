@@ -206,6 +206,14 @@ def test_build_rejects_bad_inputs(seeds):
         build_hierarchy(Jet.zero(other), v, 2, CHOICE, PARAMS)
 
 
+def test_hierarchy_window_is_its_seeds(hier, seeds):
+    # the window is read from the coefficients, which must share it
+    assert hier.window is seeds[0].window
+    shifted = Window(-5, 15, -10, 10)  # same shape, five rows later
+    with pytest.raises(RangeError, match="different windows"):
+        Hierarchy(PARAMS, 3, hier.coeffs | {(2, 0): Jet.zero(shifted)})
+
+
 def test_family_arg_validation(hier):
     omega = past_region(WIN, 0)
     with pytest.raises(UnsupportedOrderError):
@@ -507,7 +515,7 @@ def test_oracle_volume_blocks_bitwise(monkeypatch, half, choice, kind):
     full = build_hierarchy(u, v, MAX_ORDER, choice, PARAMS)
     for order in range(1, MAX_ORDER + 1):
         # a build stops at its order, so lower orders are truncations
-        hier = Hierarchy(window, PARAMS, order,
+        hier = Hierarchy(PARAMS, order,
                          {key: jet for key, jet in full.coeffs.items()
                           if sum(key) <= order})
         for block, region in BLOCK_REGIONS.items():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from surflat import LatticePoint, RangeError, Region, Window, past_region, stencil_pairs
-from surflat.space import NEIGHBOR_OFFSETS, pair_masks
+from surflat.jets import DualJet, Jet
+from surflat.space import NEIGHBOR_OFFSETS, common_window, pair_masks
 
 
 def test_window_shape_and_contains():
@@ -45,6 +46,37 @@ def test_interior_mask_margin():
     assert m.sum() == 9
     assert not m[0].any() and not m[-1].any()
     assert not m[:, 0].any() and not m[:, -1].any()
+
+
+def test_common_window_of_fields_and_regions():
+    w = Window(-3, 3, 0, 2)
+    items = (Jet.zero(w), DualJet.zero(w), past_region(w, 0))
+    assert common_window(*items) is w
+    assert common_window(Jet.zero(w)) is w
+    # a window of the same shape elsewhere is another window
+    for other in (Window(-2, 4, 0, 2), Window(-3, 3, 0, 3)):
+        for k in range(len(items)):
+            moved = list(items)
+            moved[k] = Jet.zero(other)
+            with pytest.raises(RangeError, match="different windows"):
+                common_window(*moved)
+        with pytest.raises(RangeError, match="different windows"):
+            Jet.zero(w) + Jet.zero(other)
+        with pytest.raises(RangeError, match="different windows"):
+            DualJet.zero(w) + DualJet.zero(other)
+
+
+def test_require_interior_and_cut_row():
+    w = Window(-3, 3, 0, 4)
+    for t, x in ((-2, 1), (2, 3), (0, 2)):
+        w.require_interior(t, x)
+    for t, x in ((-3, 2), (3, 2), (0, 0), (0, 4), (9, 9)):
+        with pytest.raises(RangeError, match="margin 1"):
+            w.require_interior(t, x)
+    assert [w.cut_row(t) for t in range(-3, 3)] == list(range(6))
+    for t in (-4, 3):
+        with pytest.raises(RangeError, match="slice time"):
+            w.cut_row(t)
 
 
 def test_past_region_mask_and_bounds():
