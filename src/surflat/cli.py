@@ -33,10 +33,10 @@ from .errors import (ConfigError, InvalidJetError, RangeError,
                      TruncationError, UnsupportedOrderError)
 from .jets import DualJet, Jet
 from .lagrangian import MAX_ORDER, ModelParams, el_check
-from .linear import (GreensChoice, RankOneModifier, ScalarStack,
-                     greens_defects, linear_residual, scalar_diag,
-                     scalar_roots, scalar_solution, wave_green,
-                     wave_solution)
+from .linear import (SCALAR_GREENS, WAVE_STEPS, GreensChoice,
+                     RankOneModifier, ScalarStack, check_scalar_symbol,
+                     greens_defects, linear_residual, scalar_roots,
+                     scalar_solution, wave_green, wave_solution)
 from .perturb import build_hierarchy, family_taylor_I, taylor_oracle_I
 from .slayer import greens_dependence_check, slayer_sweep
 from .space import Region, Window, past_region
@@ -147,10 +147,10 @@ SCHEMA = {
              "probe": Field({"kind": "scalar_mode", "center": 0, "width": 7,
                              "amplitude": 0.01, "decay": "past"}, dict,
                             nullable=True)},
-    "greens": {"vector_kind": Field("retarded", str,
-                                    choices=("retarded", "advanced")),
-               "scalar_kind": Field("banded_solve", str,
-                                    choices=("banded_solve", "frequency"))},
+    "greens": {"vector_kind": Field(GreensChoice.vector_kind, str,
+                                    choices=tuple(WAVE_STEPS)),
+               "scalar_kind": Field(GreensChoice.scalar_kind, str,
+                                    choices=tuple(SCALAR_GREENS))},
     "slices": {"start": Field(-5, int), "stop": Field(5, int)},
     "order": Field(3, int, lo=1, hi=MAX_ORDER),
     "draws": Field(20, int, lo=1, hi=MAX_DRAWS),
@@ -214,7 +214,6 @@ class ExperimentConfig:
     draws: int
     modifiers: int
     seed: int
-    force_nu: bool
     tolerances: dict
 
 
@@ -371,7 +370,7 @@ def load_config(path, overrides, seed, suite: str) -> ExperimentConfig:
 
 
 def _construct(make, *args, **kwargs):
-    """Call a domain constructor, whose own checks raise ValueError."""
+    """Call a domain constructor or check, which raises ValueError."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:  # RangeError and InvalidJetError included
@@ -388,13 +387,8 @@ def _validate(data: dict, suite: str) -> ExperimentConfig:
             f"nu={params.nu} breaks the volume balance that {suite} relies "
             f"on (balanced value {params.balanced_nu}); set force_nu to run "
             f"anyway")
-    if (suite in GREENS_SUITES
-            and abs(scalar_diag(params)) <= 2.0 * params.lambda_i):
-        raise ConfigError(
-            f"nu={params.nu} makes the scalar symbol "
-            f"{scalar_diag(params)} + {2.0 * params.lambda_i} cos(omega) "
-            f"vanish at some frequency, so {suite} has no scalar Green's "
-            f"operator")
+    if suite in GREENS_SUITES:
+        _construct(check_scalar_symbol, params)
 
     window = _construct(Window, **fields["window"])
     if window.shape[0] < 3 or window.shape[1] < 3:
@@ -435,11 +429,11 @@ def _validate(data: dict, suite: str) -> ExperimentConfig:
             f"half-width {SUPPORT_HALF}")
 
     start, stop = fields["slices"]["start"], fields["slices"]["stop"]
-    if not window.t_min <= start <= stop < window.t_max:
-        raise ConfigError(
-            f"slice range [{start}, {stop}] must satisfy {window.t_min} <= "
-            f"start <= stop < {window.t_max} (closed forms read the row "
-            f"above each cut)")
+    try:
+        if window.cut_row(start) > window.cut_row(stop):
+            raise RangeError(f"start {start} above stop {stop}")
+    except RangeError as exc:
+        raise ConfigError(f"slice range [{start}, {stop}]: {exc}") from None
 
     # a scalar mode amplitude * beta(x) * z^t is largest on the first or the
     # last row (beta is the profile, else a bump peaking at 1); compared in
@@ -467,7 +461,7 @@ def _validate(data: dict, suite: str) -> ExperimentConfig:
         greens=_construct(GreensChoice, **fields["greens"]),
         slices=range(start, stop + 1), order=order, draws=fields["draws"],
         modifiers=fields["modifiers"], seed=fields["seed"],
-        force_nu=fields["force_nu"], tolerances=fields["tolerances"])
+        tolerances=fields["tolerances"])
 
 
 def _run_check_el(cfg: ExperimentConfig) -> list:
@@ -527,26 +521,26 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
         return out
 
     stacks = {sk: ScalarStack(sk, (field(b) for b, _ in values), p)
-              for sk in ("banded_solve", "frequency")}
-    choices = (("retarded", "banded_solve"), ("advanced", "frequency"))
+              for sk in SCALAR_GREENS}
     rows = []
     for draw, (b, w_phi) in enumerate(values):
         w = DualJet(window, field(b), field(w_phi))
         scalar, angular = {}, {}
-        for vk, sk in choices:
+        # two applications pair each wave kind with one backend
+        for vk, sk in zip(WAVE_STEPS, SCALAR_GREENS):
             out = Jet(window, stacks[sk].field(draw), wave_green(w.w_phi, vk))
             scalar[sk], angular[vk] = greens_defects(out, w, p)
-        for vk in ("retarded", "advanced"):
-            for sk in ("banded_solve", "frequency"):
+        for vk in WAVE_STEPS:
+            for sk in SCALAR_GREENS:
                 rows.append(Row("greens-verify", None,
                                 f"defect[{vk},{sk},draw={draw:02d}]",
                                 max(scalar[sk], angular[vk]), 0.0,
                                 cfg.tolerances["greens"]))
         # outputs of one wave kind share their angle field; the scalar
         # outputs differ only on the draw's live columns and the stand-in
-        gap = float(np.abs(stacks["banded_solve"].columns_of(draw)
-                           - stacks["frequency"].columns_of(draw)).max())
-        for vk in ("retarded", "advanced"):
+        banded, frequency = (s.columns_of(draw) for s in stacks.values())
+        gap = float(np.abs(banded - frequency).max())
+        for vk in WAVE_STEPS:
             rows.append(Row("greens-verify", None,
                             f"backend_agreement[{vk},draw={draw:02d}]",
                             gap, 0.0, cfg.tolerances["backend_agreement"]))

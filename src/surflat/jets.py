@@ -84,8 +84,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidJetError, RangeError, UnsupportedOrderError
-from .lagrangian import (MAX_ORDER, ModelParams, lag_phi_deriv,
+from .errors import InvalidJetError, RangeError
+from .lagrangian import (ModelParams, lag_phi_deriv, require_order,
                          stencil_deriv_table)
 from .space import (LatticePoint, Region, STENCIL_OFFSETS, Window,
                     common_window)
@@ -538,9 +538,7 @@ def region_product_sum(omega: Region, jets: Sequence[Jet]) -> float:
 
 def _check_variation_inputs(ell_order: int, jets: Sequence[Jet]) -> Window:
     # the jets' common window, once their number matches the order
-    if ell_order < 1 or ell_order > MAX_ORDER:
-        raise UnsupportedOrderError(
-            f"variation order {ell_order} outside 1..{MAX_ORDER}")
+    require_order(ell_order, "variation order")
     if len(jets) != ell_order:
         raise InvalidJetError(
             f"expected {ell_order} jets, got {len(jets)}")

@@ -25,6 +25,13 @@ from .space import LatticePoint, STENCIL_OFFSETS, Window
 # field-equation variations, the hierarchy and the family integrals.
 MAX_ORDER = 4
 
+
+def require_order(n: int, what: str):
+    """Reject an order outside 1..MAX_ORDER; what names it in the message."""
+    if not 1 <= n <= MAX_ORDER:
+        raise UnsupportedOrderError(f"{what} {n} outside 1..{MAX_ORDER}")
+
+
 DEFAULT_PHI_SAMPLES = (0.0, math.pi / 4, -math.pi / 4,
                        math.pi / 2, -math.pi / 2, math.pi)
 

@@ -180,14 +180,17 @@ class GreensChoice:
     kernel_modifier: RankOneModifier | None = None
 
     def __post_init__(self):
-        if self.vector_kind not in ("retarded", "advanced"):
-            raise InvalidJetError(
-                f"vector_kind must be retarded or advanced, got "
-                f"{self.vector_kind!r}")
-        if self.scalar_kind not in ("banded_solve", "frequency"):
-            raise InvalidJetError(
-                f"scalar_kind must be banded_solve or frequency, got "
-                f"{self.scalar_kind!r}")
+        _kind(WAVE_STEPS, self.vector_kind, "vector_kind")
+        _kind(SCALAR_GREENS, self.scalar_kind, "scalar_kind")
+
+
+def _kind(table: dict, kind, what: str):
+    # the entry of a Green's kind table (SCALAR_GREENS or WAVE_STEPS); the
+    # names are compared as a tuple, which also takes an unhashable kind
+    if kind not in tuple(table):
+        raise InvalidJetError(
+            f"{what} must be {' or '.join(table)}, got {kind!r}")
+    return table[kind]
 
 
 def scalar_diag(p: ModelParams) -> float:
@@ -198,6 +201,20 @@ def scalar_diag(p: ModelParams) -> float:
     frequency exactly when |scalar_diag| <= 2 lambda_i.
     """
     return p.lambda_a + 0.5 * (p.balanced_nu - p.nu)
+
+
+def check_scalar_symbol(p: ModelParams):
+    """Require a scalar symbol that vanishes at no frequency.
+
+    That is strict diagonal dominance of the scalar operator, which also
+    lets the banded solve run without pivoting.
+    """
+    lam, diag = p.lambda_i, scalar_diag(p)
+    if abs(diag) <= 2.0 * lam:
+        raise InvalidJetError(
+            f"scalar operator ({lam}, {diag}, {lam}) is not diagonally "
+            f"dominant, so the scalar symbol {diag} + {2.0 * lam} "
+            f"cos(omega) vanishes at some frequency")
 
 
 @functools.lru_cache(maxsize=8)
@@ -214,11 +231,8 @@ def _elimination(n_t: int, lam: float, diag: float
 
 
 def _scalar_green_banded(b: np.ndarray, p: ModelParams) -> np.ndarray:
+    check_scalar_symbol(p)
     lam, diag = p.lambda_i, scalar_diag(p)
-    if abs(diag) <= 2.0 * lam:
-        raise InvalidJetError(
-            f"scalar operator ({lam}, {diag}, {lam}) is not diagonally "
-            f"dominant, so its symbol vanishes at some frequency")
     n_t = b.shape[0]
     mults, pivots = _elimination(n_t, lam, diag)
     x = np.negative(b)
@@ -253,6 +267,13 @@ def _scalar_green_frequency(b: np.ndarray, p: ModelParams) -> np.ndarray:
     return np.fft.irfft(-hat / symbol[:, None], n=n_t, axis=0)
 
 
+# the scalar Green's backends by name, in the order greens-verify runs them
+SCALAR_GREENS = {"banded_solve": _scalar_green_banded,
+                 "frequency": _scalar_green_frequency}
+# the wave kinds by name, with the direction each steps in time
+WAVE_STEPS = {"retarded": 1, "advanced": -1}
+
+
 def _set_bits(a: np.ndarray, axis: int) -> np.ndarray:
     # which lines along the axis hold a value other than +0.0 (-0.0 and NaN
     # count as set)
@@ -266,11 +287,11 @@ def wave_green(w_phi: np.ndarray, kind: str) -> np.ndarray:
     two for the retarded kind, the last two for the advanced kind) and
     starts at the first source row with a set bit that the stepping reads.
     """
+    step = _kind(WAVE_STEPS, kind, "vector_kind")
     n_t = w_phi.shape[0]
     if n_t < 3:
         raise RangeError("window too short in time for the wave stepping")
     sv = np.zeros_like(w_phi)
-    step = 1 if kind == "retarded" else -1
     # rows stay +0.0 up to the first source row with a set bit among the
     # rows 1..n_t-2 (in stepping order) that the stepping reads
     live = np.flatnonzero(_set_bits(w_phi, axis=1)[::step][1:-1])
@@ -304,8 +325,7 @@ class ScalarStack:
     """
 
     def __init__(self, kind: str, bs, p: ModelParams):
-        solve = _scalar_green_banded if kind == "banded_solve" \
-            else _scalar_green_frequency
+        solve = _kind(SCALAR_GREENS, kind, "scalar_kind")
         self.shape, self.columns, pieces = None, [], []
         for b in bs:
             if self.shape not in (None, b.shape):
@@ -367,8 +387,7 @@ def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams, *,
             raise TruncationError(
                 f"scalar Green output reaches {hot:.3e} on the window "
                 f"frame (tolerance {EDGE_TOLERANCE:.1e})")
-        inflow = w.w_phi[:2] if choice.vector_kind == "retarded" \
-            else w.w_phi[-2:]
+        inflow = w.w_phi[::WAVE_STEPS[choice.vector_kind]][:2]
         src = float(np.abs(inflow).max())
         if src > EDGE_TOLERANCE:
             raise TruncationError(

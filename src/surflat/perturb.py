@@ -35,7 +35,7 @@ import numpy as np
 from .errors import InvalidJetError, UnsupportedOrderError
 from .jets import (DualJet, Jet, delta_ell_field, pair_product_sum,
                    region_product_sum)
-from .lagrangian import MAX_ORDER, ModelParams, stencil_deriv_table
+from .lagrangian import ModelParams, require_order, stencil_deriv_table
 from .linear import (GreensChoice, RESIDUAL_TOLERANCE, greens_apply,
                      linear_residual)
 from .polyseries import PolyRing
@@ -63,15 +63,23 @@ class Hierarchy:
     """Coefficient jets of the two-parameter perturbation family.
 
     coeffs holds at least the seed coefficient (1, 0), and every jet lives
-    on the seed's window, the hierarchy's window.
+    on the seed's window, the hierarchy's window. The order is read from
+    the coefficients, so it cannot disagree with them.
     """
 
     params: ModelParams
-    order: int
     coeffs: dict
 
     def __post_init__(self):
+        if (1, 0) not in self.coeffs:
+            raise InvalidJetError("a hierarchy needs its seed (1, 0)")
+        require_order(self.order, "hierarchy order")
         common_window(self.coeffs[(1, 0)], *self.coeffs.values())
+
+    @property
+    def order(self) -> int:
+        """The top total degree i + j of the stored coefficients."""
+        return max(i + j for i, j in self.coeffs)
 
     @property
     def window(self) -> Window:
@@ -97,9 +105,7 @@ def build_hierarchy(u: Jet, v: Jet, order: int, choices: GreensChoice,
     surface-layer regularity of the constructed family is a consequence of
     the finite interaction stencil rather than of decay at the boundary.
     """
-    if not 1 <= order <= MAX_ORDER:
-        raise UnsupportedOrderError(
-            f"hierarchy order {order} outside 1..{MAX_ORDER}")
+    require_order(order, "hierarchy order")
     window = common_window(u, v)
     interior = Region(window, window.interior_mask())
     for name, jet in (("u", u), ("v", v)):
@@ -112,7 +118,7 @@ def build_hierarchy(u: Jet, v: Jet, order: int, choices: GreensChoice,
         keys = [(i, degree - i) for i in range(degree + 1)]
         for key, source in _degree_sources(coeffs, keys, p):
             coeffs[key] = greens_apply(choices, source, p, edge_check=False)
-    return Hierarchy(p, order, coeffs)
+    return Hierarchy(p, coeffs)
 
 
 def _degree_sources(coeffs: dict, keys: list, p: ModelParams):
@@ -287,10 +293,8 @@ def _oracle_volume(hier: Hierarchy, omega: Region,
 def _check_family_args(hier: Hierarchy, omega: Region, m: int = 1,
                        p_order: int = 1):
     common_window(omega, hier)
-    if m < 1:
-        raise UnsupportedOrderError(f"family order m={m} must be >= 1")
-    if p_order < 1:
-        raise UnsupportedOrderError(f"grading order {p_order} must be >= 1")
+    require_order(m, "family order")
+    require_order(p_order, "grading order")
     if max(m, p_order) > hier.order:
         raise UnsupportedOrderError(
             f"orders (m={m}, p={p_order}) exceed the built hierarchy order "

@@ -160,7 +160,7 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
     image = greens_apply(base, source, p, edge_check=False)
 
     def order_two(mixed):
-        hier = Hierarchy(p, 2, seeds | {key: mixed})
+        hier = Hierarchy(p, seeds | {key: mixed})
         return family_taylor_I(hier, omega, 2, 2)
 
     plain = order_two(image)

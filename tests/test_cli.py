@@ -153,7 +153,7 @@ def test_balanced_nu_spelled_out_is_not_an_override(tmp_path):
 
 @pytest.mark.parametrize("override, fragment", [
     ("window.t_max=4", "margin"),
-    ("order=5", "order"),
+    (f"order={MAX_ORDER + 1}", "order"),
     ("jets.u.kind=spiral", "kind"),
     ("jets.u.width=0", "width"),
     ("slices.stop=40", "slice range"),
@@ -872,19 +872,19 @@ def test_greens_verify_applies_two_choices_per_draw(monkeypatch):
     # jet is built once, for the check; the stacks read only its b field
     calls = collections.Counter()
 
-    def counted(module, name):
-        real = getattr(module, name)
-
+    def counted(real):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[real.__name__] += 1
             return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
+        return wrapper
 
     for name in ("ScalarStack", "DualJet", "wave_green"):
-        counted(cli, name)
-    for name in ("_scalar_green_banded", "_scalar_green_frequency",
-                 "delta_op_field"):
-        counted(linear, name)
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    monkeypatch.setattr(linear, "delta_op_field",
+                        counted(linear.delta_op_field))
+    # the backends are called through their table
+    for kind, solve in linear.SCALAR_GREENS.items():
+        monkeypatch.setitem(linear.SCALAR_GREENS, kind, counted(solve))
     cfg = load_config(None, ["draws=3"], None, "greens-verify")
     cli.SUITES["greens-verify"](cfg)
     assert calls == {"ScalarStack": 2, "DualJet": 3,
@@ -922,23 +922,20 @@ def test_greens_verify_solves_the_support_columns_only(monkeypatch):
     # in for the other 314 of each draw
     widths = collections.defaultdict(list)
 
-    def recorded(name):
-        real = getattr(linear, name)
-
+    def recorded(kind, real):
         def wrapper(b, p):
-            widths[name].append(b.shape[1])
+            widths[kind].append(b.shape[1])
             return real(b, p)
-        monkeypatch.setattr(linear, name, wrapper)
+        monkeypatch.setitem(linear.SCALAR_GREENS, kind, wrapper)
 
-    recorded("_scalar_green_banded")
-    recorded("_scalar_green_frequency")
+    for kind, solve in linear.SCALAR_GREENS.items():
+        recorded(kind, solve)
     cfg = load_config(None, ["draws=3", *_window_overrides(-160, 160, -160,
                                                            160)],
                       None, "greens-verify")
     cli.SUITES["greens-verify"](cfg)
     width = 3 * (2 * cli.SUPPORT_HALF + 1) + 1
-    assert widths == {"_scalar_green_banded": [width],
-                      "_scalar_green_frequency": [width]}
+    assert widths == {"banded_solve": [width], "frequency": [width]}
 
 
 def record_engine_calls(monkeypatch):

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
-                     Region, UnsupportedOrderError, Window, jets, past_region,
-                     stencil_pairs)
+from surflat import (MAX_ORDER, InvalidJetError, LatticePoint, ModelParams,
+                     RangeError, Region, UnsupportedOrderError, Window, jets,
+                     past_region, stencil_pairs)
 from surflat.jets import (PAIR_CLASSES, DualValue, Jet, PointDeriv,
                           delta_ell, delta_ell_field, delta_op,
                           delta_op_field, live_pairs, nabla_L,
@@ -244,7 +244,7 @@ def test_delta_ell_multilinear():
 def test_delta_ell_validation():
     u = random_jet(60)
     with pytest.raises(UnsupportedOrderError):
-        delta_ell(5, [u] * 5, pt(0, 0), P)
+        delta_ell(MAX_ORDER + 1, [u] * (MAX_ORDER + 1), pt(0, 0), P)
     with pytest.raises(InvalidJetError):
         delta_ell(2, [u], pt(0, 0), P)
     with pytest.raises(RangeError):

@@ -346,10 +346,20 @@ def test_edge_check_passes_for_clear_sources():
 
 
 def test_greens_choice_validation():
-    with pytest.raises(InvalidJetError):
+    with pytest.raises(InvalidJetError,
+                       match="vector_kind must be retarded or advanced"):
         GreensChoice(vector_kind="sideways")
     with pytest.raises(InvalidJetError):
         GreensChoice(scalar_kind="dense")
+    with pytest.raises(InvalidJetError):
+        GreensChoice(scalar_kind=["frequency"])
+    # the operators themselves reject an unknown kind, rather than running
+    # another kind in its place
+    w = Window(-6, 6, -3, 3)
+    with pytest.raises(InvalidJetError, match="scalar_kind"):
+        ScalarStack("fft", [w.zeros()], P)
+    with pytest.raises(InvalidJetError, match="vector_kind"):
+        wave_green(w.zeros(), "sideways")
 
 
 def test_rank_one_modifier():

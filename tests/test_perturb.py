@@ -194,7 +194,7 @@ def test_second_coefficient_is_greens_image(hier, seeds):
 def test_build_rejects_bad_inputs(seeds):
     u, v = seeds
     with pytest.raises(UnsupportedOrderError):
-        build_hierarchy(u, v, 5, CHOICE, PARAMS)
+        build_hierarchy(u, v, MAX_ORDER + 1, CHOICE, PARAMS)
     with pytest.raises(UnsupportedOrderError):
         build_hierarchy(u, v, 0, CHOICE, PARAMS)
     bump = Jet(WIN, np.zeros(WIN.shape), np.zeros(WIN.shape))
@@ -211,7 +211,29 @@ def test_hierarchy_window_is_its_seeds(hier, seeds):
     assert hier.window is seeds[0].window
     shifted = Window(-5, 15, -10, 10)  # same shape, five rows later
     with pytest.raises(RangeError, match="different windows"):
-        Hierarchy(PARAMS, 3, hier.coeffs | {(2, 0): Jet.zero(shifted)})
+        Hierarchy(PARAMS, hier.coeffs | {(2, 0): Jet.zero(shifted)})
+
+
+def test_hierarchy_order_is_its_top_degree(seeds):
+    # the order is read from the coefficients: those of an order-2 build
+    # make an order-2 hierarchy, which has no fourth-order integral
+    u, v = seeds
+    hier = Hierarchy(PARAMS, build_hierarchy(u, v, 2, CHOICE, PARAMS).coeffs)
+    assert hier.order == 2
+    omega = past_region(WIN, 0)
+    with pytest.raises(UnsupportedOrderError):
+        family_taylor_I(hier, omega, 4, 4)
+    assert len(taylor_oracle_I(hier, omega)) == 2
+
+
+def test_hierarchy_rejects_malformed_coefficients(hier):
+    # a package error, not a KeyError in the routes that read the hierarchy
+    top = (0, MAX_ORDER + 1)
+    with pytest.raises(UnsupportedOrderError, match="hierarchy order"):
+        Hierarchy(PARAMS, hier.coeffs | {top: Jet.zero(WIN)})
+    unseeded = {key: jet for key, jet in hier.coeffs.items() if key != (1, 0)}
+    with pytest.raises(InvalidJetError, match="seed"):
+        Hierarchy(PARAMS, unseeded)
 
 
 def test_family_arg_validation(hier):
@@ -515,9 +537,9 @@ def test_oracle_volume_blocks_bitwise(monkeypatch, half, choice, kind):
     full = build_hierarchy(u, v, MAX_ORDER, choice, PARAMS)
     for order in range(1, MAX_ORDER + 1):
         # a build stops at its order, so lower orders are truncations
-        hier = Hierarchy(PARAMS, order,
-                         {key: jet for key, jet in full.coeffs.items()
-                          if sum(key) <= order})
+        hier = Hierarchy(PARAMS, {key: jet for key, jet in full.coeffs.items()
+                                  if sum(key) <= order})
+        assert hier.order == order
         for block, region in BLOCK_REGIONS.items():
             omega = region(window)
             with monkeypatch.context() as patch:

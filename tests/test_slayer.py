@@ -6,7 +6,7 @@ import pytest
 from surflat import perturb, slayer
 from surflat.errors import InvalidJetError, RangeError, UnsupportedOrderError
 from surflat.jets import DualJet, Jet, delta_ell_field
-from surflat.lagrangian import ModelParams
+from surflat.lagrangian import MAX_ORDER, ModelParams
 from surflat.linear import (GreensChoice, RankOneModifier, scalar_solution,
                             wave_solution)
 from surflat.slayer import (SlayerReport, SliceValues, greens_dependence_check,
@@ -243,7 +243,7 @@ def test_i_m_order_bounds(movers):
     with pytest.raises(UnsupportedOrderError):
         i_m(u, v, omega, 0, CHOICE, PARAMS)
     with pytest.raises(UnsupportedOrderError):
-        i_m(u, v, omega, 5, CHOICE, PARAMS)
+        i_m(u, v, omega, MAX_ORDER + 1, CHOICE, PARAMS)
 
 
 def test_i_m_first_order_reduces_to_i1(movers):
