@@ -31,11 +31,12 @@ import numpy.random  # noqa: F401
 
 from .errors import (ConfigError, InvalidJetError, RangeError,
                      TruncationError, UnsupportedOrderError)
-from .jets import DualJet, Jet
+from .jets import GATHER_MIN_SITES, DualJet, Jet
 from .lagrangian import MAX_ORDER, ModelParams, el_check
 from .linear import (SCALAR_GREENS, WAVE_STEPS, GreensChoice,
-                     RankOneModifier, ScalarStack, check_scalar_symbol,
-                     greens_defects, linear_residual, scalar_roots,
+                     RankOneModifier, ScalarStack, box_defect,
+                     check_scalar_symbol, cone_defect, greens_defects,
+                     linear_residual, scalar_roots,
                      scalar_solution, wave_green, wave_solution)
 from .perturb import build_hierarchy, family_taylor_I, taylor_oracle_I
 from .slayer import greens_dependence_check, slayer_sweep
@@ -500,36 +501,75 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
     of its backend's scalar and its wave kind's angular defect, is bitwise
     its own greens_residual. The box values of every draw are drawn first;
     each backend then solves the scalar parts of all draws in one stack
-    (ScalarStack), and the draws are checked one at a time. Each check
-    applies the operator to each component on the box of that component's
-    support (greens_defects): the live columns for the scalar output, the
-    wave kind's cone for the angle, or the whole window once on a small
-    window.
+    (ScalarStack), and the draws are checked one at a time, each draw's
+    full-window fields built only while it is checked.
+
+    On a window under jets.GATHER_MIN_SITES sites each check is one
+    greens_defects call. On a larger one each component is checked where
+    the draw lives, with no scan of the window (linear.box_defect): the
+    scalar output on the stack's live columns of the draw framed by one
+    stand-in column on each side (ScalarStack.framed), and the angle on the
+    light cone of the source box (linear.cone_defect), three row bands from
+    the row before the box in stepping order, each as wide as the cone at
+    its widest row plus one column on each side. The operator runs on these
+    boxes only, and the jets it builds there know their zero component, so
+    only the D-series coefficients that can be nonzero are computed
+    (jets' "Dead coefficients").
     """
     p, window = cfg.params, cfg.window
-    box = Region.from_box(window, -SUPPORT_HALF, SUPPORT_HALF, -SUPPORT_HALF,
-                          SUPPORT_HALF)
+    n_t, n_x = window.shape
+    (t0, x0), (t1, x1) = (window.index(-SUPPORT_HALF, -SUPPORT_HALF),
+                          window.index(SUPPORT_HALF, SUPPORT_HALF))
+    box_rows, box_cols = slice(t0, t1 + 1), slice(x0, x1 + 1)
+    shape = (t1 - t0 + 1, x1 - x0 + 1)
     rng = np.random.default_rng(cfg.seed)
-    n_sites = box.site_count()
-    values = [(0.05 * rng.standard_normal(n_sites),
-               0.05 * rng.standard_normal(n_sites)) for _ in range(cfg.draws)]
-    sites = np.flatnonzero(box.mask)
+    values = [(0.05 * rng.standard_normal(shape),
+               0.05 * rng.standard_normal(shape)) for _ in range(cfg.draws)]
 
-    def field(vals):
-        out = window.zeros()
-        out.flat[sites] = vals
+    def field(vals, cols=slice(0, n_x)):
+        # the box values as a field over every row and the window's columns
+        # cols; box columns outside cols must hold no set bit, as outside
+        # the stack's live columns
+        out = np.zeros((n_t, cols.stop - cols.start))
+        lo, hi = max(x0, cols.start), min(x1 + 1, cols.stop)
+        out[box_rows, lo - cols.start:hi - cols.start] = \
+            vals[:, lo - x0:hi - x0]
         return out
 
     stacks = {sk: ScalarStack(sk, (field(b) for b, _ in values), p)
               for sk in SCALAR_GREENS}
-    rows = []
-    for draw, (b, w_phi) in enumerate(values):
+
+    # two applications pair each wave kind with one backend
+    def whole_window(draw, b, w_phi):
         w = DualJet(window, field(b), field(w_phi))
         scalar, angular = {}, {}
-        # two applications pair each wave kind with one backend
         for vk, sk in zip(WAVE_STEPS, SCALAR_GREENS):
             out = Jet(window, stacks[sk].field(draw), wave_green(w.w_phi, vk))
             scalar[sk], angular[vk] = greens_defects(out, w, p)
+        return scalar, angular
+
+    def on_support(draw, b, w_phi):
+        phi = field(w_phi)
+        scalar, angular, b_strip = {}, {}, None
+        for vk, sk in zip(WAVE_STEPS, SCALAR_GREENS):
+            framed = stacks[sk].framed(draw)
+            if framed is None:
+                scalar[sk] = 0.0
+            else:
+                cols, out = framed
+                if b_strip is None:
+                    # the stacks share their columns
+                    b_strip = field(b, cols)
+                scalar[sk] = box_defect(window, 0, out, b_strip,
+                                        (slice(0, n_t), cols), p)
+            angular[vk] = cone_defect(window, wave_green(phi, vk), phi, vk,
+                                      (box_rows, box_cols), p)
+        return scalar, angular
+
+    check = whole_window if n_t * n_x < GATHER_MIN_SITES else on_support
+    rows = []
+    for draw, (b, w_phi) in enumerate(values):
+        scalar, angular = check(draw, b, w_phi)
         for vk in WAVE_STEPS:
             for sk in SCALAR_GREENS:
                 rows.append(Row("greens-verify", None,

@@ -52,7 +52,26 @@ then gathers the live pairs (live_pairs) and runs the series on those
 sites. The guard keeps whole blocks when a field holds inf or NaN or the
 factors' product could overflow, since inf or NaN times zero is NaN, not
 zero. Two constants pick the path, GATHER_MIN_SITES and GATHER_MAX_SHARE,
-set at the crossovers that README's "live pairs only" note gives.
+set at the crossovers that README's "live pairs only" note gives. A jet's
+fields are read-only, so what live_pairs and the guard read of a jet (its
+support and its facts) is computed once per jet and kept.
+
+Dead coefficients. Some factors lack a part at every site: a factor whose
+jet's a holds only +-0 has base +-0 (pure slope), one whose u_phi does has
+slope +-0 (pure base), and on the self class (0, 0) every factor is pure
+base, since phi(x) - phi(x) = +0 for finite phi. With k pure-slope and j
+pure-base factors, every term of c_n for n < k takes a +-0 base and every
+term for n > ell - j a +-0 slope, so those c_n are +-0 at every site, and
+so is the counterterm when k > 0. slot_factor_maps computes no such row
+(it returns None there) and _contract and delta_ell_field skip it. That
+leaves one coefficient of a wave jet's order-1 series on its two neighbour
+classes and none on the self class, c_0 of a scalar one, and c_2 of the
+wave pairs of the symplectic and symmetric forms. A live coefficient may
+then differ from the full expansion in the sign of a zero only, and every
+output is a sum that starts at +0.0, where adding +-0 changes no bit (the
+live-pairs argument). This holds under the same guard, finite fields and
+every partial product within PRODUCT_BOUND, since +-0 times inf or NaN is
+NaN; when it fails every coefficient is computed.
 
 Each call works in one workspace (series_workspace): the rows c_0..c_ell
 plus the scratch rows its order needs, and four rows that hold the far-end
@@ -78,6 +97,7 @@ heap's size; that is why the workspace covers one band and not the window.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -92,18 +112,36 @@ from .space import (LatticePoint, Region, STENCIL_OFFSETS, Window,
 
 
 def _as_field(window: Window, values) -> np.ndarray:
+    # a read-only view, so that what a jet caches about its fields stays
+    # valid for its lifetime
     if values is None:
-        return window.zeros()
-    arr = np.asarray(values, dtype=float)
+        values = window.zeros()
+    arr = np.asarray(values, dtype=float).view()
     if arr.shape != window.shape:
         raise RangeError(
             f"field shape {arr.shape} does not match window {window.shape}")
+    arr.flags.writeable = False
     return arr
+
+
+class JetFacts(NamedTuple):
+    """What a jet's extremes tell: its size, the largest |value| (inf when
+    a value is not finite), and whether a and u_phi hold anything but +-0
+    (NaN counts)."""
+
+    size: float
+    has_scalar: bool
+    has_angle: bool
 
 
 @dataclass(frozen=True, eq=False)
 class Jet:
-    """A linearized variation (a, u_phi) over a window."""
+    """A linearized variation (a, u_phi) over a window.
+
+    Its fields are read-only views, and what is known about them is
+    computed on first use and kept, cheapest first: facts (from the four
+    extremes), then support.
+    """
 
     window: Window
     a: np.ndarray
@@ -112,6 +150,24 @@ class Jet:
     def __post_init__(self):
         object.__setattr__(self, "a", _as_field(self.window, self.a))
         object.__setattr__(self, "u_phi", _as_field(self.window, self.u_phi))
+
+    @functools.cached_property
+    def facts(self) -> JetFacts:
+        """What the extremes of a and u_phi tell, computed once."""
+        extremes = (float(self.a.max()), -float(self.a.min()),
+                    float(self.u_phi.max()), -float(self.u_phi.min()))
+        finite = all(map(math.isfinite, extremes))
+        return JetFacts(max(extremes) if finite else math.inf,
+                        extremes[0] != 0.0 or extremes[1] != 0.0,
+                        extremes[2] != 0.0 or extremes[3] != 0.0)
+
+    @functools.cached_property
+    def support(self) -> tuple[np.ndarray, int]:
+        """The read-only mask of sites where a or u_phi is not +-0, and
+        its count."""
+        mask = (self.a != 0.0) | (self.u_phi != 0.0)
+        mask.flags.writeable = False
+        return mask, int(np.count_nonzero(mask))
 
     @classmethod
     def zero(cls, window: Window) -> "Jet":
@@ -124,7 +180,7 @@ class Jet:
         return float(self.u_phi[self.window.index(point.t, point.x)])
 
     def has_zero_scalar(self) -> bool:
-        return not self.a.any()
+        return not self.facts.has_scalar
 
     def __add__(self, other: "Jet") -> "Jet":
         return Jet(common_window(self, other), self.a + other.a,
@@ -258,32 +314,83 @@ def slot_factor_maps(factors, x_sites, y_sites, rows):
     for the operator s1 * del_1 + s2 * del_2 applied with that jet. Slot 1
     sits at the sites x_sites selects from the jets' fields, slot 2 at the
     partner sites y_sites selects; both are numpy indices of equal shape
-    (slices of a block or arrays of site indices). Each factor acts on the
+    (slices of a block or arrays of site indices), and passing one object
+    as both marks the self pairs (x, x). Each factor acts on the
     interaction as base + slope * D, where D is the derivative in the angle
     difference phi_x - phi_y, base = s1 a(x) + s2 a(y) and
     slope = s1 phi(x) - s2 phi(y). rows are the workspace_rows of a
     series_workspace for len(factors) factors, shaped like the selected
     sites; the return value is the list of its leading rows c_0..c_ell, the
-    coefficient fields of D^0..D^ell in the product. The product grows from
-    the top coefficient down, so each update reads coefficients not yet
-    overwritten.
+    coefficient fields of D^0..D^ell in the product, with None for each
+    dead coefficient (see the module notes), which is never computed. The
+    product grows from the top coefficient down, so each update reads
+    coefficients not yet overwritten.
     """
     n_coeffs = len(factors) + 1
     scratch = rows[n_coeffs:]
-    for k, (jet, s1, s2) in enumerate(factors):
+    parts = _factor_parts(factors, x_sites is y_sites)
+    # the coefficients lo..hi of the product so far may be nonzero; the
+    # empty product is c_0 = 1
+    lo, hi = 0, 0
+    for k, ((jet, s1, s2), (has_base, has_slope)) in enumerate(
+            zip(factors, parts)):
+        if not (has_base or has_slope):
+            hi = -1
+        if lo > hi:
+            break
         base, slope = (rows[0], rows[1]) if k == 0 else scratch[:2]
-        _signed_sum(s1, jet.a[x_sites], s2, jet.a[y_sites], base)
-        _signed_sum(s1, jet.u_phi[x_sites], -s2, jet.u_phi[y_sites], slope)
-        if k == 0:
-            continue
-        part = scratch[2]
-        np.multiply(rows[k], slope, out=rows[k + 1])
-        for n in range(k, 0, -1):
-            np.multiply(rows[n], base, out=rows[n])
-            np.multiply(rows[n - 1], slope, out=part)
-            np.add(rows[n], part, out=rows[n])
-        np.multiply(rows[0], base, out=rows[0])
-    return rows[:n_coeffs]
+        if has_base:
+            _signed_sum(s1, jet.a[x_sites], s2, jet.a[y_sites], base)
+        if has_slope:
+            _signed_sum(s1, jet.u_phi[x_sites], -s2, jet.u_phi[y_sites],
+                        slope)
+        if k > 0:
+            part = scratch[2]
+            for n in range(hi + has_slope, lo + (not has_base) - 1, -1):
+                # c_n = c_n base + c_(n-1) slope, each term only where its
+                # coefficient and its part of the factor are live
+                times_base = has_base and n <= hi
+                times_slope = has_slope and n > lo
+                if times_base:
+                    np.multiply(rows[n], base, out=rows[n])
+                if times_slope and times_base:
+                    np.multiply(rows[n - 1], slope, out=part)
+                    np.add(rows[n], part, out=rows[n])
+                elif times_slope:
+                    np.multiply(rows[n - 1], slope, out=rows[n])
+        lo, hi = lo + (not has_base), hi + has_slope
+    return [rows[n] if lo <= n <= hi else None for n in range(n_coeffs)]
+
+
+def _guarded(factors) -> bool:
+    """The live-pairs guard: finite fields, and every partial product of the
+    factors within PRODUCT_BOUND.
+
+    Each factor's bound is taken at least 1, so that a subset's product is
+    within the whole product's and a zero jet cannot cancel an overflow.
+    """
+    bound = 1.0
+    for jet, s1, s2 in factors:
+        # base s1 a(x) + s2 a(y) and slope s1 phi(x) - s2 phi(y) are each
+        # at most (|s1| + |s2|) times the jet's size, which is inf unless
+        # the fields are finite
+        bound *= max(1.0, 2.0 * (abs(s1) + abs(s2)) * jet.facts.size)
+    return bound <= PRODUCT_BOUND
+
+
+def _factor_parts(factors, self_pairs: bool) -> list[tuple[bool, bool]]:
+    """(has_base, has_slope) of each factor: False where that part is +-0.
+
+    A factor's base is +-0 when its jet's a holds only +-0 (pure slope),
+    its slope when its u_phi does (pure base) or, on self pairs, when
+    s1 == s2, since phi(x) - phi(x) = +0. Every part is kept when the guard
+    fails.
+    """
+    if not _guarded(factors):
+        return [(True, True)] * len(factors)
+    return [(jet.facts.has_scalar,
+             jet.facts.has_angle and not (self_pairs and s1 == s2))
+            for jet, s1, s2 in factors]
 
 
 def _signed_sum(s1: float, x: np.ndarray, s2: float, y: np.ndarray,
@@ -310,12 +417,15 @@ def _contract(coeffs, table, offset, shift: int, total, term):
     The sum is built in the row total, each product in the row term; both
     are scratch rows of the coefficients' workspace. The interaction enters
     at base offset x - y = -offset (the stencil data is even, so this only
-    matters for bookkeeping). Vanishing derivatives, such as every odd order
-    on the base configuration, are skipped; None is returned if all vanish.
+    matters for bookkeeping). Dead coefficients (None) and vanishing
+    derivatives, such as every odd order on the base configuration, are
+    skipped; None is returned if nothing is left.
     """
     idx = STENCIL_OFFSETS.index((-offset[0], -offset[1]))
     started = False
     for n, coeff in enumerate(coeffs):
+        if coeff is None:
+            continue
         d = table[(n + shift, 0)][idx]
         if d != 0.0:
             if started:
@@ -335,43 +445,27 @@ def live_pairs(jets: Sequence[Jet]):
     to (ix, iy), the row-major indices of the live x and of their partners,
     or None when the call should evaluate whole blocks: on a window under
     GATHER_MIN_SITES sites, when no jet is nonzero on at most
-    GATHER_MAX_SHARE of the window, or when the guard fails. The checks run
-    cheapest first: the size, then the supports and their counts, then the
-    guard, then the pair masks.
+    GATHER_MAX_SHARE of the window, or when the guard (_guarded) fails. The
+    checks run cheapest first: the size, then the supports and their counts,
+    then the guard, then the pair masks; each jet's support and facts are
+    computed once and kept by the jet.
     """
     window = jets[0].window
     n_t, n_x = window.shape
     if n_t * n_x < GATHER_MIN_SITES:
         return None
-    distinct = {id(jet): jet for jet in jets}
-    support = {key: (jet.a != 0.0) | (jet.u_phi != 0.0)
-               for key, jet in distinct.items()}
-    if (min(map(np.count_nonzero, support.values()))
+    distinct = list({id(jet): jet for jet in jets}.values())
+    if (min(jet.support[1] for jet in distinct)
             > GATHER_MAX_SHARE * n_t * n_x):
         return None
-    # the guard: finite fields, and every partial product of the factors
-    # within PRODUCT_BOUND. Each factor's bound is taken at least 1, so that
-    # a subset's product is within the whole product's and a zero jet
-    # cannot cancel an overflow
-    sizes = {}
-    for key, jet in distinct.items():
-        extremes = (jet.a.max(), -jet.a.min(),
-                    jet.u_phi.max(), -jet.u_phi.min())
-        if not all(map(math.isfinite, extremes)):
-            return None
-        sizes[key] = float(max(extremes))
-    bound = 1.0
-    for jet in jets:
-        # a factor del_1 + del_2 has base a(x) + a(y) and slope
-        # phi(x) - phi(y), each at most twice the jet's size
-        bound *= max(1.0, 4.0 * sizes[id(jet)])
-    if bound > PRODUCT_BOUND:
+    if not _guarded([(jet, 1.0, 1.0) for jet in jets]):
         return None
     pairs = {}
     for dt, dx in PAIR_CLASSES:
         x_block, y_block = window.shift_blocks(dt, dx)
         live = None
-        for mask in support.values():
+        for jet in distinct:
+            mask = jet.support[0]
             part = mask[x_block] | mask[y_block]
             live = part if live is None else live & part
         # flat indices within the block, then within the window
@@ -424,8 +518,8 @@ def stencil_contraction(p: ModelParams, jets: Sequence[Jet]):
     if pairs is not None:
         ws = series_workspace(len(jets), max(ix.size for ix, _
                                              in pairs.values()), n_held=4)
-        _contract_classes(table, [_FlatJet(jet.a.ravel(), jet.u_phi.ravel())
-                                  for jet in jets],
+        _contract_classes(table, [_FlatJet(jet.a.ravel(), jet.u_phi.ravel(),
+                                           jet.facts) for jet in jets],
                           [(offset, ix, iy, ix.shape)
                            for offset, (ix, iy) in pairs.items()],
                           (scalar.ravel(), angular.ravel()), ws)
@@ -451,9 +545,11 @@ def stencil_contraction(p: ModelParams, jets: Sequence[Jet]):
 
 
 class _FlatJet(NamedTuple):
-    # a jet's fields as flat views, read by slot_factor_maps at flat indices
+    # a jet's fields as flat views, read by slot_factor_maps at flat indices,
+    # and the jet's facts
     a: np.ndarray
     u_phi: np.ndarray
+    facts: JetFacts
 
 
 def _contract_classes(table, jets, classes, outputs, ws):
@@ -467,6 +563,9 @@ def _contract_classes(table, jets, classes, outputs, ws):
     held = []
     for offset, x_sites, y_sites, shape in classes:
         rows = workspace_rows(ws, shape)
+        if offset == (0, 0):
+            # one object for both ends marks the self pairs
+            y_sites = x_sites
         coeffs = slot_factor_maps(factors, x_sites, y_sites, rows[:n_series])
         n = len(coeffs)
         if offset == (0, 0):
@@ -560,12 +659,16 @@ def delta_ell_field(ell_order: int, jets: Sequence[Jet],
     scalar, phi = stencil_contraction(p, jets)
     # in place on fresh arrays, in the order of
     # scale * (scalar - 0.5 * nu * prod(a)); 1.0 * a is a, so the product
-    # starts from a copy of the first weight, and scale 1 is skipped
-    weights = jets[0].a.copy()
-    for jet in jets[1:]:
-        np.multiply(weights, jet.a, out=weights)
-    np.multiply(0.5 * p.nu, weights, out=weights)
-    np.subtract(scalar, weights, out=scalar)
+    # starts from a copy of the first weight, and scale 1 is skipped. The
+    # counterterm is +-0 when some jet's a is, and scalar never holds -0.0,
+    # so then it is skipped (the module's dead coefficients)
+    factors = [(jet, 1.0, 1.0) for jet in jets]
+    if all(has_base for has_base, _ in _factor_parts(factors, False)):
+        weights = jets[0].a.copy()
+        for jet in jets[1:]:
+            np.multiply(weights, jet.a, out=weights)
+        np.multiply(0.5 * p.nu, weights, out=weights)
+        np.subtract(scalar, weights, out=scalar)
     if ell_order > 1:
         scale = 1.0 / math.factorial(ell_order)
         np.multiply(scale, scalar, out=scalar)

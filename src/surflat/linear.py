@@ -53,6 +53,8 @@ from .space import Region, Window, common_window
 
 RESIDUAL_TOLERANCE = 1e-10
 EDGE_TOLERANCE = 1e-12
+# cone_defect splits a wave output's cone into this many row bands
+CONE_BANDS = 3
 
 
 def scalar_roots(p: ModelParams) -> tuple[float, float]:
@@ -343,8 +345,28 @@ class ScalarStack:
 
     def field(self, k: int) -> np.ndarray:
         """The scalar Green's output of field k over the full window."""
-        where = np.full(self.shape[1], self.stand_in)
-        where[self.columns[k]] = np.arange(self.starts[k], self.starts[k + 1])
+        return self._on(k, slice(0, self.shape[1]))
+
+    def framed(self, k: int):
+        """Field k's output on the span of its live columns framed by one.
+
+        Returns (cols, values): the span as a slice of the window's
+        columns, clipped to it, and the output there. None when field k has
+        no live column.
+        """
+        live = self.columns[k]
+        if live.size == 0:
+            return None
+        cols = slice(max(int(live[0]) - 1, 0),
+                     min(int(live[-1]) + 2, self.shape[1]))
+        return cols, self._on(k, cols)
+
+    def _on(self, k: int, cols: slice) -> np.ndarray:
+        # field k's output on the columns cols, which hold all its live
+        # ones: the stand-in's column everywhere else
+        where = np.full(cols.stop - cols.start, self.stand_in)
+        where[self.columns[k] - cols.start] = np.arange(self.starts[k],
+                                                        self.starts[k + 1])
         # take keeps the row-major layout of a full solve; scalar[:, where]
         # would be column-major
         return np.take(self.scalar, where, axis=1)
@@ -427,54 +449,113 @@ def greens_defects(out: Jet, w: DualJet, p: ModelParams
 
     Each defect is evaluated on the box of its own support: the rows and
     columns where the output component or its source is nonzero, framed by
-    one site and clipped to the window. The operator runs on that
-    sub-window with the other component set to zero. This is exact, bit
-    for bit: outside the framed box every stencil partner of a site holds
-    +-0 and the source is 0, so the operator there is +0.0 (the live-pairs
-    argument of stencil_contraction) and the defect 0 cannot raise the
-    maximum; inside it the engine runs the same operations in the same
-    order, and a partner cut off by the sub-window's edge would only have
-    added +-0. The maximum runs over the box sites in the window interior;
-    a component with no such site (an empty box, or a window without
-    interior) gives 0.0.
-
-    A window under jets.GATHER_MIN_SITES sites is evaluated whole in one
-    call instead, since there the fixed cost of a second call outweighs the
-    smaller boxes.
+    one site and clipped to the window (box_defect). A component with no
+    such site gives 0.0. A window under jets.GATHER_MIN_SITES sites is
+    evaluated whole in one call instead, since there the fixed cost of a
+    second call outweighs the smaller boxes.
     """
     window = common_window(w, out)
     n_t, n_x = window.shape
     parts = ((out.a, w.b), (out.u_phi, w.w_phi))
-    dual = None
     if n_t * n_x < GATHER_MIN_SITES:
         dual = delta_op_field(out, p)
-        boxes = [(slice(0, n_t), slice(0, n_x))] * 2
-    else:
-        boxes = [_support_box(*part) for part in parts]
+        whole = (slice(0, n_t), slice(0, n_x))
+        return (_largest(window, dual.b, w.b, whole),
+                _largest(window, dual.w_phi, w.w_phi, whole))
     res = []
-    for k, ((field, source), box) in enumerate(zip(parts, boxes)):
-        if box is None:
-            res.append(0.0)
-            continue
-        rows, cols = box
-        if dual is None:
-            sub = Window(window.t_min + rows.start,
-                         window.t_min + rows.stop - 1,
-                         window.x_min + cols.start,
-                         window.x_min + cols.stop - 1)
-            zeros = sub.zeros()
-            op = delta_op_field(Jet(sub, field[box], zeros) if k == 0
-                                else Jet(sub, zeros, field[box]), p)
-        else:
-            op = dual
-        # in place: the operator output is a fresh array of this call
-        defect = op.b if k == 0 else op.w_phi
-        np.abs(np.add(defect, source[box], out=defect), out=defect)
-        # the box sites in the window interior
-        inner = defect[max(1 - rows.start, 0):n_t - 1 - rows.start,
-                       max(1 - cols.start, 0):n_x - 1 - cols.start]
-        res.append(float(inner.max()) if inner.size else 0.0)
+    for k, (field, source) in enumerate(parts):
+        box = _support_box(field, source)
+        res.append(0.0 if box is None else
+                   box_defect(window, k, field[box], source[box], box, p))
     return tuple(res)
+
+
+def box_defect(window: Window, k: int, field: np.ndarray,
+               source: np.ndarray, box, p: ModelParams,
+               read: slice | None = None) -> float:
+    """Largest defect of one component of the Green's property on a box.
+
+    k is 0 for the scalar component, 1 for the angle; field and source are
+    that component of the output and of its source on the box, a pair of
+    slices (rows, cols) of the window. The operator runs on the box as a
+    sub-window, with the other component zero, and the defect
+    |operator + source| is read on the box sites in the window interior and
+    in the window rows read (all rows when None); with no such site it is
+    0.0.
+
+    This is the whole window's value, bit for bit, when the box holds the
+    component's support framed by one site on the rows read and their
+    neighbours: outside the frame every stencil partner of a site holds
+    +-0 and the source is 0, so the operator there is +0.0 (the live-pairs
+    argument of jets.stencil_contraction) and the defect 0 cannot raise the
+    maximum; inside it the engine runs the same operations in the same
+    order, and a partner cut off by the sub-window's edge would only have
+    added +-0. Rows of the box outside read and its neighbours are
+    evaluated with a clipped stencil and not read.
+    """
+    rows, cols = box
+    sub = Window(window.t_min + rows.start, window.t_min + rows.stop - 1,
+                 window.x_min + cols.start, window.x_min + cols.stop - 1)
+    zeros = sub.zeros()
+    op = delta_op_field(Jet(sub, field, zeros) if k == 0
+                        else Jet(sub, zeros, field), p)
+    return _largest(window, op.w_phi if k else op.b, source, box, read)
+
+
+def _largest(window: Window, op: np.ndarray, source: np.ndarray, box,
+             read: slice | None = None) -> float:
+    # max |op + source| over the box sites in the window interior and in
+    # the window rows read (all when None), 0.0 when there are none
+    rows, cols = box
+    n_t, n_x = window.shape
+    lo, hi = (1, n_t - 1) if read is None else (max(read.start, 1),
+                                                min(read.stop, n_t - 1))
+    inner = (slice(max(lo - rows.start, 0), max(hi - rows.start, 0)),
+             slice(max(1 - cols.start, 0), n_x - 1 - cols.start))
+    defect = np.add(op[inner], source[inner])
+    if not defect.size:
+        return 0.0
+    return float(np.abs(defect, out=defect).max())
+
+
+def cone_defect(window: Window, sv: np.ndarray, w_phi: np.ndarray,
+                kind: str, box, p: ModelParams) -> float:
+    """Largest interior angular defect of a wave Green's output on its cone.
+
+    sv is wave_green(w_phi, kind) and w_phi vanishes off box, a pair of
+    slices (rows, cols) of the window. The output is +-0 on and before the
+    first source row in stepping order, and the stepping widens it by one
+    column per row; so the rows from the one before the source box in
+    stepping order to the window's end, on the columns of that cone framed
+    by one, hold the support framed by one. Those rows are split into
+    CONE_BANDS row bands, each evaluated by box_defect on the columns of its
+    widest row, with one extra row on each side, and read on its own rows
+    only. Bit for bit the value greens_defects gives, with about two thirds
+    of the sites of its one box.
+    """
+    step = _kind(WAVE_STEPS, kind, "vector_kind")
+    n_t, n_x = window.shape
+    rows, cols = box
+    # the row before the source in stepping order, the rows [lo, hi) from
+    # it on, and how far the cone reaches past the box's columns at row t
+    first = rows.start - 1 if step > 0 else rows.stop
+    lo, hi = (max(first, 0), n_t) if step > 0 else (0, min(first + 1, n_t))
+
+    def excess(t):
+        return max(0, step * (t - first) - 2)
+
+    edges = [lo + (hi - lo) * i // CONE_BANDS for i in range(CONE_BANDS + 1)]
+    defects = [0.0]
+    for top, end in zip(edges, edges[1:]):
+        if top == end:
+            continue
+        m = max(excess(top), excess(end - 1)) + 1
+        band = (slice(max(top - 1, 0), min(end + 1, n_t)),
+                slice(max(cols.start - m, 0), min(cols.stop + m, n_x)))
+        defects.append(box_defect(window, 1, sv[band], w_phi[band], band, p,
+                                  read=slice(top, end)))
+    # numpy's max, which keeps a NaN as the single box's maximum does
+    return float(np.max(defects))
 
 
 def greens_residual(out: Jet, w: DualJet, p: ModelParams) -> float:

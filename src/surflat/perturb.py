@@ -28,6 +28,8 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,15 +64,19 @@ def compositions(total: int, parts: int, minimum: int = 0):
 class Hierarchy:
     """Coefficient jets of the two-parameter perturbation family.
 
-    coeffs holds at least the seed coefficient (1, 0), and every jet lives
-    on the seed's window, the hierarchy's window. The order is read from
+    coeffs, a read-only mapping, holds at least the seed coefficient
+    (1, 0), and every jet lives on the seed's window, the hierarchy's
+    window. The order is read from
     the coefficients, so it cannot disagree with them.
     """
 
     params: ModelParams
-    coeffs: dict
+    coeffs: Mapping
 
     def __post_init__(self):
+        # a read-only copy, so the checks below hold for its lifetime
+        object.__setattr__(self, "coeffs",
+                           types.MappingProxyType(dict(self.coeffs)))
         if (1, 0) not in self.coeffs:
             raise InvalidJetError("a hierarchy needs its seed (1, 0)")
         require_order(self.order, "hierarchy order")
@@ -131,17 +137,16 @@ def _degree_sources(coeffs: dict, keys: list, p: ModelParams):
     """
     window = coeffs[(1, 0)].window
     for i, j in keys:
-        source = DualJet.zero(window)
+        # summed in place on fresh arrays, wrapped (read-only) at the end
+        source = (window.zeros(), window.zeros())
         for ell in range(2, i + j + 1):
             for parts, count in _multisets(i, j, ell):
                 jets = [coeffs[key] for key in parts]
                 term = delta_ell_field(ell, jets, p)
-                if count != 1:
-                    np.multiply(term.b, count, out=term.b)
-                    np.multiply(term.w_phi, count, out=term.w_phi)
-                np.add(source.b, term.b, out=source.b)
-                np.add(source.w_phi, term.w_phi, out=source.w_phi)
-        yield (i, j), source
+                for total, field in zip(source, (term.b, term.w_phi)):
+                    np.add(total, field if count == 1 else field * count,
+                           out=total)
+        yield (i, j), DualJet(window, *source)
 
 
 def _multisets(i: int, j: int, ell: int):

@@ -9,6 +9,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -893,11 +894,12 @@ def test_greens_verify_applies_two_choices_per_draw(monkeypatch):
 
 
 def test_greens_verify_w160_checks_each_component_on_its_box(monkeypatch):
-    # above jets.GATHER_MIN_SITES each defect check applies the operator
-    # twice, on the framed box of each component's support: the 7 live
-    # columns of the scalar output on every row, and the angle's cone, the
-    # rows from the source box on for the retarded kind and up to it for
-    # the advanced kind
+    # above jets.GATHER_MIN_SITES each component is checked where the draw
+    # lives: the scalar output on the 7 live columns framed by one stand-in
+    # column on each side, on every row, and the angle on its cone in three
+    # row bands, from the row before the source box on for the retarded
+    # kind and up to the row after it for the advanced kind, each with one
+    # extra row on each side
     windows = []
     real = linear.delta_op_field
 
@@ -910,10 +912,35 @@ def test_greens_verify_w160_checks_each_component_on_its_box(monkeypatch):
                       None, "greens-verify")
     cli.SUITES["greens-verify"](cfg)
     scalar = space.Window(-160, 160, -4, 4)
-    retarded = space.Window(-4, 160, -160, 160)
-    advanced = space.Window(-160, 4, -160, 160)
-    assert windows == 2 * [scalar, retarded, scalar, advanced]
-    assert scalar.shape == (321, 9) and retarded.shape == (165, 321)
+    retarded = [space.Window(-5, 51, -56, 56),
+                space.Window(50, 106, -111, 111),
+                space.Window(105, 160, -160, 160)]
+    advanced = [space.Window(-160, -105, -160, 160),
+                space.Window(-106, -50, -111, 111),
+                space.Window(-51, 5, -56, 56)]
+    assert windows == 2 * [scalar, *retarded, scalar, *advanced]
+    assert scalar.shape == (321, 9)
+    # the single box of each angle check was 165 x 321
+    assert sum(w.shape[0] * w.shape[1] for w in retarded) < 0.72 * 165 * 321
+
+
+def test_greens_verify_w160_peak_memory():
+    # tracemalloc sees numpy's buffers; one field is 824 KB at W=160. The
+    # 20 draws' fields are built one draw at a time, so the peak stays at
+    # or below that of the previous whole-window checks (6.03 MiB, measured
+    # the same way); holding every draw's fields would take 33 MB
+    cfg = load_config(None, ["draws=20", *_window_overrides(-160, 160, -160,
+                                                            160)],
+                      None, "greens-verify")
+    cli.SUITES["greens-verify"](cfg)  # the derivative table is cached
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cli.SUITES["greens-verify"](cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.03 * 2 ** 20
 
 
 def test_greens_verify_solves_the_support_columns_only(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from surflat import (MAX_ORDER, InvalidJetError, LatticePoint, ModelParams,
                      RangeError, Region, UnsupportedOrderError, Window, jets,
                      past_region, stencil_pairs)
-from surflat.jets import (PAIR_CLASSES, DualValue, Jet, PointDeriv,
+from surflat.jets import (PAIR_CLASSES, DualJet, DualValue, Jet, PointDeriv,
                           delta_ell, delta_ell_field, delta_op,
                           delta_op_field, live_pairs, nabla_L,
                           pair_product_sum,
@@ -65,6 +65,41 @@ def edge_sites(window, margin):
     xs = (window.x_min + margin, (window.x_min + window.x_max) // 2,
           window.x_max - margin)
     return [(t, x) for t in ts for x in xs if t != ts[1] or x != xs[1]]
+
+
+# --- jets: read-only fields and their cached facts ---
+
+def test_jet_fields_are_read_only():
+    # the fields are read-only views; the caller's arrays stay writable
+    a, u_phi = np.ones(W.shape), np.zeros(W.shape)
+    for jet in (Jet(W, a, u_phi), DualJet(W, a, u_phi)):
+        for field in vars(jet).values():
+            if isinstance(field, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    field[0, 0] = 2.0
+                with pytest.raises(ValueError, match="read-only"):
+                    np.add(field, 1.0, out=field)
+    assert a.flags.writeable and u_phi.flags.writeable
+
+
+def test_jet_facts_are_computed_once():
+    # facts, then support, each on first use and kept by the jet
+    rng = np.random.default_rng(3)
+    a = np.where(rng.random(W.shape) < 0.3, rng.normal(size=W.shape), -0.0)
+    jet = Jet(W, a, np.zeros(W.shape))
+    assert "facts" not in vars(jet) and "support" not in vars(jet)
+    assert not jet.has_zero_scalar()
+    assert jet.facts == (np.abs(a).max(), True, False)
+    assert vars(jet)["facts"] is jet.facts and "support" not in vars(jet)
+    mask, count = jet.support
+    assert jet.support[0] is mask and not mask.flags.writeable
+    assert np.array_equal(mask, a != 0.0) and count == np.count_nonzero(a)
+    assert Jet(W, np.full(W.shape, -0.0), a).has_zero_scalar()
+    for bad in (np.nan, -np.inf):
+        field = a.copy()
+        field[2, 3] = bad
+        assert Jet(W, field, field).facts == (math.inf, True, True)
+    assert not Jet(W, np.full(W.shape, np.nan), a).has_zero_scalar()
 
 
 # --- nabla_L ---
@@ -536,7 +571,9 @@ def test_region_product_sum_bitwise_pin():
     # t = 4, which only the cuts at and above it see
     wide = PIN_WINDOWS["15x27"]
     jets = [signed_zero_jet(600 + k, wide) for k in range(4)]
-    jets[1].a[wide.index(4, 2)] = np.nan
+    a = jets[1].a.copy()
+    a[wide.index(4, 2)] = np.nan
+    jets[1] = Jet(wide, a, jets[1].u_phi)
     seen_nan = False
     for n in range(5):
         for cut in (-7, -3, 0, 3, 4, 6):
@@ -643,10 +680,11 @@ def guard_case(name, window):
         box[6:9, 4:7] = True
     u = Jet(window, *(np.where(box, rng.normal(size=window.shape), 0.0)
                       for _ in range(2)))
-    w = Jet(window, *(rng.normal(size=window.shape) for _ in range(2)))
+    a, u_phi = (rng.normal(size=window.shape) for _ in range(2))
     if name in ("nan", "inf"):
-        w.a[1, -2] = math.nan if name == "nan" else math.inf
-        return box, [w, u]
+        a[1, -2] = math.nan if name == "nan" else math.inf
+        return box, [Jet(window, a, u_phi), u]
+    w = Jet(window, a, u_phi)
     big = Jet(window, 1e200 * w.a, 1e200 * w.u_phi)
     return box, [big, big, u]
 
@@ -667,6 +705,178 @@ def test_gathered_guard_keeps_the_blocks(gathered, name):
     for got, want in outputs:
         assert got.tobytes() == want.tobytes()
         assert np.isnan(want[~near]).any()
+
+
+# --- dead coefficients ---
+#
+# A factor whose jet's a holds only +-0 has base +-0 (pure slope), one whose
+# u_phi does has slope +-0 (pure base); with k of the first and j of the
+# second, c_n is never computed for n < k or n > ell - j. The outputs are
+# pinned bit for bit against the full expansion of the references above.
+
+# the kinds of jet: both fields live; a +0.0 or -0.0; u_phi +0.0 or -0.0;
+# both +0.0
+PART_KINDS = ("full", "slope", "slope-", "base", "base-", "null")
+
+
+def part_jet(kind, window, seed, sparse):
+    """A jet of one PART_KINDS kind, with -0.0 planted in its live fields.
+
+    sparse puts the live values on a box of about a quarter of each side,
+    so that the gathered path has dead pairs to skip.
+    """
+    rng = np.random.default_rng(seed)
+    n_t, n_x = window.shape
+    support = np.ones(window.shape, dtype=bool)
+    if sparse:
+        support[:] = False
+        i, j = rng.integers(0, n_t), rng.integers(0, n_x)
+        support[i:i + 1 + n_t // 4, j:j + 1 + n_x // 4] = True
+    fields = []
+    for live in (kind not in ("slope", "slope-", "null"),
+                 kind not in ("base", "base-", "null")):
+        if live:
+            f = np.where(support, rng.normal(size=window.shape), 0.0)
+            f[rng.random(window.shape) < 0.25] = -0.0
+        else:
+            f = np.full(window.shape, -0.0 if kind.endswith("-") else 0.0)
+        fields.append(f)
+    return Jet(window, *fields)
+
+
+def part_pools(order, window, sparse):
+    # every kind in every slot, then runs through the kinds that mix them
+    n = len(PART_KINDS)
+    combos = [[kind] * order for kind in PART_KINDS]
+    combos += [[PART_KINDS[(first + k) % n] for k in range(order)]
+               for first in range(n)]
+    combos += [[PART_KINDS[(first + 2 * k) % n] for k in range(order)]
+               for first in range(n)]
+    return [[part_jet(kind, window, 1000 * order + 10 * c + k, sparse)
+             for k, kind in enumerate(combo)]
+            for c, combo in enumerate(combos)]
+
+
+@pytest.mark.parametrize("path", ["blocks", "gathered"])
+@pytest.mark.parametrize("window", PIN_WINDOWS.values(), ids=PIN_WINDOWS)
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_dead_coefficients_stencil_contraction_bitwise(monkeypatch, order,
+                                                       window, path):
+    if path == "gathered":
+        monkeypatch.setattr(jets, "GATHER_MIN_SITES", 0)
+        monkeypatch.setattr(jets, "GATHER_MAX_SHARE", 1.0)
+    for pool in part_pools(order, window, sparse=path == "gathered"):
+        assert (live_pairs(pool) is not None) == (path == "gathered")
+        for got, want in zip(stencil_contraction(P, pool),
+                             ref_stencil_contraction(P, window, pool)):
+            assert_bitwise(got, want)
+        dual = delta_ell_field(order, pool, P)
+        want_b, want_phi = ref_delta_ell_field(order, pool, P, window)
+        assert_bitwise(dual.b, want_b)
+        assert_bitwise(dual.w_phi, want_phi)
+
+
+@pytest.mark.parametrize("signs", PIN_SIGNS, ids=str)
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_dead_coefficients_pair_product_sum_bitwise(order, signs):
+    wide = PIN_WINDOWS["15x27"]
+    first = PIN_SIGNS.index(signs)
+    regions = (past_region(wide, 0), Region.from_box(wide, -7, -3, 2, 8))
+    for pool in part_pools(order, wide, sparse=False):
+        factors = [(jet, *PIN_SIGNS[(first + k) % len(PIN_SIGNS)])
+                   for k, jet in enumerate(pool)]
+        for omega in regions:
+            got = pair_product_sum(P, omega, factors)
+            want = ref_pair_product_sum(P, omega, factors)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_dead_coefficients_are_skipped(order):
+    # the rule itself: c_n is None exactly for n < k and n > ell - j, and
+    # for every n when some factor is +-0 in both parts; the full expansion
+    # holds +-0 there, and a live coefficient equals it up to the sign of a
+    # zero. On the self pairs (one index object for both ends) every factor
+    # with s1 == s2 is pure base
+    window = PIN_WINDOWS["15x27"]
+    ws = series_workspace(order, window.shape[0] * window.shape[1])
+    for pool in part_pools(order, window, sparse=False):
+        factors = [(jet, 1.0, 1.0) for jet in pool]
+        slope_only = sum(kind_of(jet) in ("slope", "null") for jet in pool)
+        base_only = sum(kind_of(jet) in ("base", "null") for jet in pool)
+        for offset in STENCIL_OFFSETS:
+            x_block, y_block = window.shift_blocks(*offset)
+            if offset == (0, 0):
+                y_block, base_only_here = x_block, order
+            else:
+                base_only_here = base_only
+            rows = workspace_rows(ws, window.zeros()[x_block].shape)
+            got = slot_factor_maps(factors, x_block, y_block, rows)
+            want = ref_slot_factor_maps(factors, x_block, y_block)
+            for n, (g, w) in enumerate(zip(got, want)):
+                dead = (n < slope_only or n > order - base_only_here
+                        or any(kind_of(jet) == "null" for jet in pool))
+                assert (g is None) == dead
+                if dead:
+                    assert not w.any()
+                else:
+                    assert np.array_equal(g, w)
+    # on the self pairs a factor with s1 != s2 keeps its slope s1 phi(x)
+    jet = part_jet("full", window, 7, sparse=False)
+    block = window.shift_blocks(0, 0)[0]
+    rows = workspace_rows(ws, window.zeros()[block].shape)
+    got = slot_factor_maps([(jet, 1.0, 0.0)], block, block, rows)
+    want = ref_slot_factor_maps([(jet, 1.0, 0.0)], block, block)
+    assert got[1] is not None and np.array_equal(got[1], want[1])
+    assert want[1].any()
+
+
+def kind_of(jet):
+    # "slope", "base", "null" or "full" by the fields' values
+    has_a, has_phi = jet.a.any(), jet.u_phi.any()
+    return {(False, True): "slope", (True, False): "base",
+            (False, False): "null"}.get((has_a, has_phi), "full")
+
+
+@pytest.mark.parametrize("name", ["nan", "inf", "huge"])
+@pytest.mark.parametrize("path", ["blocks", "gathered"])
+def test_dead_coefficients_need_the_guard(monkeypatch, path, name):
+    # a pure slope factor next to a non-finite field, or behind two factors
+    # whose product overflows: its +-0 base times inf or NaN is NaN, so the
+    # full expansion must run, and does, on every path
+    if path == "gathered":
+        monkeypatch.setattr(jets, "GATHER_MIN_SITES", 0)
+        monkeypatch.setattr(jets, "GATHER_MAX_SHARE", 1.0)
+    window = PIN_WINDOWS["15x27"]
+    slope = part_jet("slope", window, 41, sparse=True)
+    dense = part_jet("full", window, 42, sparse=False)
+    if name == "huge":
+        big = Jet(window, 1e200 * dense.a, 1e200 * dense.u_phi)
+        pool = [big, big, slope]
+    else:
+        a = dense.a.copy()
+        a[1, -2] = math.nan if name == "nan" else math.inf
+        pool = [Jet(window, a, dense.u_phi), slope]
+    assert live_pairs(pool) is None
+    factors = [(jet, 1.0, 1.0) for jet in pool]
+    x_block, y_block = window.shift_blocks(-1, 0)
+    ws = series_workspace(len(pool), window.shape[0] * window.shape[1])
+    rows = workspace_rows(ws, window.zeros()[x_block].shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert all(c is not None
+                   for c in slot_factor_maps(factors, x_block, y_block, rows))
+        for got, want in zip(stencil_contraction(P, pool),
+                             ref_stencil_contraction(P, window, pool)):
+            assert got.tobytes() == want.tobytes()
+            assert np.isnan(want).any()
+        dual = delta_ell_field(len(pool), pool, P)
+        want_b, _ = ref_delta_ell_field(len(pool), pool, P, window)
+        assert dual.b.tobytes() == want_b.tobytes()
+        omega = past_region(window, 0)
+        factors = [(jet, 1.0, -1.0) for jet in pool]
+        got = pair_product_sum(P, omega, factors)
+        want = ref_pair_product_sum(P, omega, factors)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # --- inputs stay untouched, outputs own their memory ---

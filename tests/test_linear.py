@@ -13,7 +13,8 @@ from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
 from surflat.jets import DualJet, Jet, delta_op, delta_op_field
 from surflat.linear import (GreensChoice, RankOneModifier, ScalarStack,
                             _scalar_green_banded, _scalar_green_frequency,
-                            greens_apply, greens_defects, greens_residual,
+                            box_defect, cone_defect, greens_apply,
+                            greens_defects, greens_residual,
                             linear_residual, scalar_diag, scalar_roots,
                             scalar_solution, wave_green, wave_solution)
 
@@ -741,6 +742,72 @@ def test_greens_defects_on_boxes_equal_whole_window_bitwise(shape, name):
         # the other component stays finite: nothing leaks across
         assert [np.isnan(v) for v in got] == [name == "nan_scalar",
                                               name == "inf_angle"]
+
+
+def box_source(window, rows, cols, seed):
+    # both components random on the box (rows, cols) of the window
+    rng = np.random.default_rng(seed)
+    b, w_phi = window.zeros(), window.zeros()
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
+    b[rows, cols], w_phi[rows, cols] = 0.05 * rng.standard_normal((2, *shape))
+    return DualJet(window, b, w_phi)
+
+
+def source_boxes(window):
+    """Named 7 x 7 source boxes: centred, and one site from each corner."""
+    n_t, n_x = window.shape
+    t0, x0 = window.index(-3, -3)
+    return {"centred": (slice(t0, t0 + 7), slice(x0, x0 + 7)),
+            "first_corner": (slice(1, 8), slice(1, 8)),
+            "last_corner": (slice(n_t - 8, n_t - 1), slice(n_x - 8, n_x - 1))}
+
+
+@pytest.mark.parametrize("where", ["centred", "first_corner", "last_corner"])
+@pytest.mark.parametrize("kind", ["retarded", "advanced"])
+@pytest.mark.parametrize("shape", [(161, 161), (321, 321), (200, 120)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_support_defects_equal_greens_defects_bitwise(shape, kind, where):
+    # greens-verify's checks on the support: the scalar output on the
+    # stack's framed live columns, the angle on its cone's row bands, each
+    # bitwise the value of greens_defects' single box
+    window = centred_window(*shape)
+    n_t = window.shape[0]
+    box = source_boxes(window)[where]
+    w = box_source(window, *box, sum(shape))
+    sk = "banded_solve" if kind == "retarded" else "frequency"
+    stack = ScalarStack(sk, (w.b,), P)
+    sv = wave_green(w.w_phi, kind)
+    out = Jet(window, stack.field(0), sv)
+    want = greens_defects(out, w, P)
+    assert want == greens_defects_whole_window(out, w, P)
+    cols, framed = stack.framed(0)
+    got = (box_defect(window, 0, framed, w.b[:, cols], (slice(0, n_t), cols),
+                      P),
+           cone_defect(window, sv, w.w_phi, kind, box, P))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert got[1] > 0.0
+
+
+@pytest.mark.parametrize("kind", ["retarded", "advanced"])
+def test_cone_defect_reads_three_bands(monkeypatch, kind):
+    # the rows from the one before the source box in stepping order, in
+    # three bands, each framed by one column beyond its widest cone row and
+    # evaluated with one extra row on each side: about two thirds of the
+    # sites of greens_defects' one box (165 x 321)
+    window = Window(-160, 160, -160, 160)
+    box = source_boxes(window)["centred"]
+    w = box_source(window, *box, 9)
+    sv = wave_green(w.w_phi, kind)
+    windows = count_operator_windows(monkeypatch)
+    cone_defect(window, sv, w.w_phi, kind, box, P)
+    bands = [Window(-5, 51, -56, 56), Window(50, 106, -111, 111),
+             Window(105, 160, -160, 160)]
+    if kind == "advanced":
+        bands = [Window(-w.t_max, -w.t_min, w.x_min, w.x_max)
+                 for w in reversed(bands)]
+    assert windows == bands
+    sites = sum(w.shape[0] * w.shape[1] for w in windows)
+    assert sites < 0.72 * 165 * 321
 
 
 def test_greens_defects_output_on_the_source_window():

@@ -197,8 +197,9 @@ def test_build_rejects_bad_inputs(seeds):
         build_hierarchy(u, v, MAX_ORDER + 1, CHOICE, PARAMS)
     with pytest.raises(UnsupportedOrderError):
         build_hierarchy(u, v, 0, CHOICE, PARAMS)
-    bump = Jet(WIN, np.zeros(WIN.shape), np.zeros(WIN.shape))
-    bump.u_phi[10, 10] = 1.0
+    u_phi = np.zeros(WIN.shape)
+    u_phi[10, 10] = 1.0
+    bump = Jet(WIN, np.zeros(WIN.shape), u_phi)
     with pytest.raises(InvalidJetError):
         build_hierarchy(bump, v, 2, CHOICE, PARAMS)
     other = Window(-9, 9, -9, 9)
@@ -212,6 +213,25 @@ def test_hierarchy_window_is_its_seeds(hier, seeds):
     shifted = Window(-5, 15, -10, 10)  # same shape, five rows later
     with pytest.raises(RangeError, match="different windows"):
         Hierarchy(PARAMS, hier.coeffs | {(2, 0): Jet.zero(shifted)})
+
+
+def test_hierarchy_coefficients_are_read_only(hier):
+    # a stored coefficient added would raise the order past the build, and
+    # one removed would leave no window; the hierarchy keeps its own copy.
+    # A read-only mapping has no pop at all
+    with pytest.raises(TypeError):
+        hier.coeffs[(0, 5)] = hier.coeffs[(0, 2)]
+    with pytest.raises(TypeError):
+        del hier.coeffs[(1, 0)]
+    with pytest.raises(AttributeError):
+        hier.coeffs.pop((1, 0))
+    assert hier.order == 3 and hier.window == WIN
+    coeffs = dict(hier.coeffs)
+    copy = Hierarchy(PARAMS, coeffs)
+    coeffs[(0, 4)] = coeffs[(0, 3)]
+    assert copy.order == 3
+    merged = Hierarchy(PARAMS, copy.coeffs | {(0, 4): coeffs[(0, 3)]})
+    assert merged.order == 4
 
 
 def test_hierarchy_order_is_its_top_degree(seeds):

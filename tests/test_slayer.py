@@ -387,8 +387,9 @@ def test_greens_dependence_builds_the_plain_hierarchy_once(movers):
 def test_greens_dependence_rejects_a_non_solution_seed(movers):
     # the seeds are checked once, before any source is built
     u, v = movers
-    bump = Jet(TALL, np.zeros(TALL.shape), v.u_phi.copy())
-    bump.u_phi[45, 12] += 1e-3
+    u_phi = v.u_phi.copy()
+    u_phi[45, 12] += 1e-3
+    bump = Jet(TALL, np.zeros(TALL.shape), u_phi)
     kernel = RankOneModifier(DualJet.zero(TALL), right_mover(TALL, 0, 5, 0.1))
     for seeds in ((u, bump), (bump, v)):
         with pytest.raises(InvalidJetError, match="not a solution"):
