@@ -625,13 +625,13 @@ def pair_product_sum(p: ModelParams, omega: Region, factors) -> float:
 def region_product_sum(omega: Region, jets: Sequence[Jet]) -> float:
     """Sum over the region's sites of the product of the jets' weights.
 
-    The jets must live on the region's window.
+    The sites are read through omega.flat, a view for a past region. The
+    jets must live on the region's window.
     """
     common_window(omega, *jets)
-    mask = omega.mask
-    prod = np.ones(np.count_nonzero(mask))
+    prod = np.ones(omega.site_count())
     for jet in jets:
-        np.multiply(prod, jet.a[mask], out=prod)
+        np.multiply(prod, jet.a.ravel()[omega.flat], out=prod)
     return float(prod.sum())
 
 

@@ -23,16 +23,17 @@ a retarded or advanced stepping scheme with zero data on the inflow rows.
 Green's operators work where the source lives. Both scalar back-ends treat
 each column on its own, with the same operations whatever the other
 columns hold, so equal columns give equal outputs, bit for bit: each
-column holding a set bit (-0.0 and NaN included) is solved, and one
-all-(+0.0) column stands in for every other. The wave stepping leaves every
+column holding a set bit (-0.0 and NaN included) is solved, and the output
+of one all-(+0.0) column, solved once per kind, row count and parameters
+and cached, stands in for every other. The wave stepping leaves every
 row +0.0 until it meets the first source row with a set bit, so it starts
 there, and an all-zero source is not stepped at all. Both rules are exact:
 every output is bitwise that of the full-window solve, sign of zero
 included.
 
 Many fields share one scalar solve (ScalarStack): their live columns sit
-side by side, with one stand-in column for all of them, and the backend is
-called once. greens_apply is a stack of one plus the wave stepping, and the
+side by side and the backend is called once, or not at all when no column
+is live. greens_apply is a stack of one plus the wave stepping, and the
 only place where the edge check and the kernel modifier are applied.
 """
 
@@ -315,19 +316,30 @@ def wave_green(w_phi: np.ndarray, kind: str) -> np.ndarray:
     return sv
 
 
+@functools.lru_cache(maxsize=8)
+def _stand_in(kind: str, n_t: int, p: ModelParams) -> np.ndarray:
+    # the output of one all-(+0.0) column of n_t rows, solved once for each
+    # kind, row count and parameters; every stack shares it, so read-only
+    out = SCALAR_GREENS[kind](np.zeros((n_t, 1)), p)
+    out.flags.writeable = False
+    return out
+
+
 class ScalarStack:
     """The scalar Green's part of many fields, solved in one backend call.
 
     Reads the fields once and keeps none of them: each field's columns
-    with a set bit go side by side, then one all-(+0.0) column whose output
-    every other column of every field shares (two when no column is live,
-    since numpy's in-place ufuncs run about half as fast on one-element
-    rows). Only the stacked solution is kept. The backend treats columns
-    independently, so field(k) is bitwise the full-window solve of field k.
+    with a set bit go side by side, and only their solution is kept. Every
+    other column of every field shares the output of one all-(+0.0) column,
+    which is solved once per kind, row count and parameters and cached
+    (_stand_in). A stack with no live column calls no backend. The backend
+    treats columns independently, so field(k) is bitwise the full-window
+    solve of field k.
     """
 
     def __init__(self, kind: str, bs, p: ModelParams):
         solve = _kind(SCALAR_GREENS, kind, "scalar_kind")
+        self.kind, self.p = kind, p
         self.shape, self.columns, pieces = None, [], []
         for b in bs:
             if self.shape not in (None, b.shape):
@@ -339,9 +351,8 @@ class ScalarStack:
         if self.shape is None:
             raise RangeError("a stack needs at least one field")
         self.starts = np.cumsum([0] + [c.size for c in self.columns])
-        self.stand_in = int(self.starts[-1])
-        pieces.append(np.zeros((self.shape[0], 1 if self.stand_in else 2)))
-        self.scalar = solve(np.concatenate(pieces, axis=1), p)
+        self.scalar = (solve(np.concatenate(pieces, axis=1), p)
+                       if self.starts[-1] else np.empty((self.shape[0], 0)))
 
     def field(self, k: int) -> np.ndarray:
         """The scalar Green's output of field k over the full window."""
@@ -363,13 +374,18 @@ class ScalarStack:
 
     def _on(self, k: int, cols: slice) -> np.ndarray:
         # field k's output on the columns cols, which hold all its live
-        # ones: the stand-in's column everywhere else
-        where = np.full(cols.stop - cols.start, self.stand_in)
-        where[self.columns[k] - cols.start] = np.arange(self.starts[k],
-                                                        self.starts[k + 1])
-        # take keeps the row-major layout of a full solve; scalar[:, where]
-        # would be column-major
-        return np.take(self.scalar, where, axis=1)
+        # ones: the stand-in's column everywhere else, row-major as a full
+        # solve is
+        live = self.columns[k] - cols.start
+        out = np.empty((self.shape[0], cols.stop - cols.start))
+        if live.size < out.shape[1]:
+            out[...] = _stand_in(self.kind, self.shape[0], self.p)
+        out[:, live] = self._live(k)
+        return out
+
+    def _live(self, k: int) -> np.ndarray:
+        # field k's output on its live columns, a view of the stack
+        return self.scalar[:, self.starts[k]:self.starts[k + 1]]
 
     def columns_of(self, k: int) -> np.ndarray:
         """Field k's output on its live columns, then the stand-in.
@@ -377,9 +393,9 @@ class ScalarStack:
         Every other column of its output repeats the stand-in's, so a
         columnwise maximum over these is the one over the whole window.
         """
-        picked = np.arange(self.starts[k], self.starts[k + 1] + 1)
-        picked[-1] = self.stand_in
-        return self.scalar[:, picked]
+        return np.concatenate(
+            (self._live(k), _stand_in(self.kind, self.shape[0], self.p)),
+            axis=1)
 
 
 def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams, *,

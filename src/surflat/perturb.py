@@ -203,12 +203,17 @@ def taylor_oracle_I(hier: Hierarchy, omega: Region) -> tuple[float, ...]:
     coefficients of every m = 1..hier.order are read off it, entry m-1 of
     the result; the counterterm volume is the same extraction of the
     exponentiated scalar field over the region. Other gradings vanish.
+
+    Those coefficients are linear in s, so the rings stop at degree 1 in s
+    (in s_x + s_y for the pair ring) and the coefficients s^i t^j with
+    i >= 2 are never read. Dropping that ideal is exact (polyseries): the
+    kept coefficients are bitwise those of the full rings.
     """
     _check_family_args(hier, omega)
     window, p, cap = hier.window, hier.params, hier.order
     mfacts = {m: float(math.factorial(m - 1)) for m in range(1, cap + 1)}
-    ring2 = PolyRing.create(2, cap)
-    ring4 = PolyRing.create(4, cap)
+    ring2 = PolyRing.create(2, cap, linear=(0,))
+    ring4 = PolyRing.create(4, cap, linear=(0, 2))
 
     volume = _oracle_volume(hier, omega, ring2)
 
@@ -266,10 +271,12 @@ def taylor_oracle_I(hier: Hierarchy, omega: Region) -> tuple[float, ...]:
 
 def _gather(hier: Hierarchy, ring2: PolyRing, name: str,
             cols: np.ndarray) -> np.ndarray:
-    # the series of one component ("a" or "u_phi") on the given flat sites
+    # the series of one component ("a" or "u_phi") on the given flat sites,
+    # in a ring linear in s: coefficients of s^2 and up are not read
     out = ring2.zeros(cols.size)
     for (i, j), jet in hier.coeffs.items():
-        out[ring2.index[(i, j)]] = getattr(jet, name).ravel()[cols]
+        if i < 2:
+            out[ring2.index[(i, j)]] = getattr(jet, name).ravel()[cols]
     return out
 
 

@@ -5,6 +5,15 @@ polynomial batch is a (n_monomials, width) float array, one column per site
 or pair. Multiplication fills one output row at a time from the precomputed
 (i, j) pairs of that monomial, and exp of a constant-free polynomial
 terminates after cap steps by nilpotency of the truncation ideal.
+
+A ring may also drop every monomial of degree 2 or more in a chosen set of
+variables taken together (linear). Those monomials form an ideal, so the
+quotient is again a truncated ring and dropping them is exact: a product
+lands on a kept monomial only when both factors are kept, so each kept
+row's pairs are those of the uncut ring, in the same order, and mul and exp
+give its kept rows bit for bit. This is truncated Taylor arithmetic
+(Griewank and Walther, Evaluating Derivatives, 2nd ed., ch. 13) reading
+only first derivatives in those variables.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _monomials(n_vars: int, cap: int):
+def _monomials(n_vars: int, cap: int, linear: tuple):
     out = []
     for degree in range(cap + 1):
         for combo in itertools.combinations_with_replacement(
@@ -23,7 +32,8 @@ def _monomials(n_vars: int, cap: int):
             exps = [0] * n_vars
             for v in combo:
                 exps[v] += 1
-            out.append(tuple(exps))
+            if sum(exps[v] for v in linear) <= 1:
+                out.append(tuple(exps))
     return tuple(out)
 
 
@@ -44,16 +54,18 @@ class PolyRing:
     terms: tuple
 
     @classmethod
-    def create(cls, n_vars: int, cap: int) -> "PolyRing":
-        monomials = _monomials(n_vars, cap)
+    def create(cls, n_vars: int, cap: int,
+               linear: tuple = ()) -> "PolyRing":
+        """The ring in n_vars variables, cut at total degree cap and at
+        degree 1 in the variables listed in linear, taken together."""
+        monomials = _monomials(n_vars, cap, linear)
         index = {m: i for i, m in enumerate(monomials)}
         terms = [[] for _ in monomials]
         for i, mi in enumerate(monomials):
             for j, mj in enumerate(monomials):
-                if sum(mi) + sum(mj) > cap:
-                    continue
-                terms[index[tuple(a + b for a, b in zip(mi, mj))]].append(
-                    (i, j))
+                k = index.get(tuple(a + b for a, b in zip(mi, mj)))
+                if k is not None:
+                    terms[k].append((i, j))
         return cls(n_vars, cap, monomials, index,
                    tuple(tuple(t) for t in terms))
 

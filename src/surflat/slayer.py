@@ -94,7 +94,7 @@ def _symm_surface_volume(u: Jet, v: Jet, s_jet: Jet, omega: Region,
     surface = (pair_product_sum(p, omega, [(u, 1.0, 0.0), (v, 1.0, 0.0)])
                - pair_product_sum(p, omega, [(u, 0.0, 1.0), (v, 0.0, 1.0)])
                + 2.0 * pair_product_sum(p, omega, [(s_jet, 1.0, -1.0)]))
-    volume = p.nu * float(s_jet.a[omega.mask].sum())
+    volume = p.nu * float(s_jet.a.ravel()[omega.flat].sum())
     return surface, volume
 
 

@@ -144,6 +144,21 @@ class Region:
             sites[(dt, dx)] = ((ix, jx), (ix + dt, jx + dx))
         return sites
 
+    @functools.cached_property
+    def flat(self):
+        """The region's sites as an index of its window's raveled arrays.
+
+        A slice when the sites run contiguously in row-major order, as a
+        past region's or a full-width box's do, otherwise the array of flat
+        indices; either way a.ravel()[flat] reads the sites' values in
+        row-major order, as a[mask] does, and a slice reads them as a view.
+        """
+        mask = self.mask.ravel()
+        first, count = int(mask.argmax()), int(np.count_nonzero(mask))
+        if count and mask[first:first + count].all():
+            return slice(first, first + count)
+        return np.flatnonzero(mask)
+
     @classmethod
     def from_box(cls, window: Window, t_lo: int, t_hi: int,
                  x_lo: int, x_hi: int) -> "Region":
@@ -157,7 +172,7 @@ class Region:
         return cls(window, mask)
 
     def site_count(self) -> int:
-        return int(self.mask.sum())
+        return int(np.count_nonzero(self.mask))
 
     def sites(self):
         """Sites of the region in lexicographic (t, x) order."""

@@ -22,7 +22,7 @@ from surflat.cli import (CSV_COLUMNS, DEFAULT_CONFIG, Row, _apply_override,
                          _parse_jet_spec, load_config, main, write_report)
 from surflat.errors import ConfigError
 from surflat.jets import PAIR_CLASSES
-from surflat.perturb import build_hierarchy
+from surflat.perturb import _degree_sources, build_hierarchy
 from surflat.polyseries import PolyRing
 
 
@@ -945,8 +945,9 @@ def test_greens_verify_w160_peak_memory():
 
 def test_greens_verify_solves_the_support_columns_only(monkeypatch):
     # the sources sit on the centred support box: each scalar backend gets
-    # every draw's columns side by side plus one all-zero column standing
-    # in for the other 314 of each draw
+    # every draw's columns side by side, and then, once per kind, row count
+    # and parameters, one all-zero column whose cached output stands in for
+    # the other 314 of each draw
     widths = collections.defaultdict(list)
 
     def recorded(kind, real):
@@ -960,9 +961,61 @@ def test_greens_verify_solves_the_support_columns_only(monkeypatch):
     cfg = load_config(None, ["draws=3", *_window_overrides(-160, 160, -160,
                                                            160)],
                       None, "greens-verify")
+    linear._stand_in.cache_clear()
     cli.SUITES["greens-verify"](cfg)
-    width = 3 * (2 * cli.SUPPORT_HALF + 1) + 1
+    width = 3 * (2 * cli.SUPPORT_HALF + 1)
+    assert widths == {"banded_solve": [width, 1], "frequency": [width, 1]}
+    widths.clear()
+    cli.SUITES["greens-verify"](cfg)
     assert widths == {"banded_solve": [width], "frequency": [width]}
+
+
+def test_hierarchy_w160_solves_the_degree_two_sources_only(monkeypatch):
+    # every degree-3 source of the default seeds has no scalar part, so an
+    # order-3 build calls the scalar backend for its three degree-2 sources
+    # only, each on its live columns; the stand-in comes from the cache
+    cfg = load_config(None, _window_overrides(-160, 160, -160, 160), None,
+                      "perturb-verify")
+    assert cfg.order == 3
+    args = (cfg.u, cfg.v, cfg.order, cfg.greens, cfg.params)
+    hier = build_hierarchy(*args)
+    keys = {d: [(i, d - i) for i in range(d + 1)] for d in (2, 3)}
+    live = {d: [np.flatnonzero(source.b.view(np.uint64).any(axis=0)).size
+                for _, source in _degree_sources(hier.coeffs, keys[d],
+                                                 cfg.params)]
+            for d in (2, 3)}
+    assert live[3] == [0, 0, 0, 0] and all(live[2])
+    widths = []
+    kind = cfg.greens.scalar_kind
+    solve = linear.SCALAR_GREENS[kind]
+
+    def recorded(b, p):
+        widths.append(b.shape[1])
+        return solve(b, p)
+    monkeypatch.setitem(linear.SCALAR_GREENS, kind, recorded)
+    build_hierarchy(*args)
+    assert widths == live[2]
+
+
+def test_perturb_verify_w160_peak_memory(tmp_path):
+    # tracemalloc sees numpy's buffers; one field is 824 KB at W=160. The
+    # sources are built one at a time, so the peak stays at that of the
+    # tree before the zero columns were cached and the oracle's rings cut:
+    # 21.46 MiB through cli.main, measured the same way, which moves by a
+    # few hundred bytes from run to run, hence 21.5 MiB. Building each
+    # degree's sources together raised it to 22.8 MiB
+    argv = ["perturb-verify", "--out", str(tmp_path)]
+    for override in _window_overrides(-160, 160, -160, 160):
+        argv += ["--override", override]
+    assert cli.main(argv) == 0  # the derivative table is cached
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21.5 * 2 ** 20
 
 
 def record_engine_calls(monkeypatch):

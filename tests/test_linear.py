@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
-                     Region, TruncationError, Window)
+                     Region, TruncationError, Window, linear)
 from surflat.jets import DualJet, Jet, delta_op, delta_op_field
 from surflat.linear import (GreensChoice, RankOneModifier, ScalarStack,
                             _scalar_green_banded, _scalar_green_frequency,
@@ -647,6 +647,87 @@ def test_scalar_stack_rejects_no_fields_and_mixed_shapes():
         ScalarStack("banded_solve", iter(()), P)
     with pytest.raises(RangeError, match="share a shape"):
         ScalarStack("banded_solve", [np.ones((5, 3)), np.ones((5, 4))], P)
+
+
+# --- the cached stand-in column ---
+
+def recorded_backends(monkeypatch):
+    """Per scalar kind, the widths of the backend calls made from now on.
+
+    The stacks call the backends through linear.SCALAR_GREENS, so they
+    are wrapped there.
+    """
+    widths = {kind: [] for kind in linear.SCALAR_GREENS}
+    for kind, solve in list(linear.SCALAR_GREENS.items()):
+        def wrapper(b, p, kind=kind, solve=solve):
+            widths[kind].append(b.shape[1])
+            return solve(b, p)
+        monkeypatch.setitem(linear.SCALAR_GREENS, kind, wrapper)
+    return widths
+
+
+@pytest.mark.parametrize("scalar_kind", ["banded_solve", "frequency"])
+def test_scalar_stack_without_live_columns_calls_no_backend(monkeypatch,
+                                                            scalar_kind):
+    linear._stand_in.cache_clear()
+    widths = recorded_backends(monkeypatch)
+    fields = [np.zeros((81, 81)), np.zeros((81, 81))]
+    stack = ScalarStack(scalar_kind, fields, P)
+    assert widths[scalar_kind] == []
+    # the first output that needs the stand-in solves one column, once
+    outs = [stack.field(k) for k in range(2)]
+    ScalarStack(scalar_kind, fields, P).field(0)
+    assert widths[scalar_kind] == [1]
+    for out in outs:
+        assert bitwise(out, full_scalar(scalar_kind, fields[0]))
+
+
+def columns_source(n_t, n_x, live, seed):
+    """A scalar source on `live` random columns: values, -0.0 and a NaN."""
+    rng = np.random.default_rng(seed)
+    b = np.zeros((n_t, n_x))
+    cols = np.sort(rng.choice(n_x, size=live, replace=False))
+    b[:, cols] = rng.standard_normal((n_t, live))
+    b[rng.random(b.shape) < 0.3] = 0.0
+    if live > 1:
+        b[:, cols[0]] = -0.0
+        b[n_t // 2, cols[-1]] = np.nan
+    return b
+
+
+@pytest.mark.parametrize("lives", [(0,), (1,), (40,), (81,), (0, 1, 40)],
+                         ids=lambda lives: "-".join(map(str, lives)))
+@pytest.mark.parametrize("scalar_kind", ["banded_solve", "frequency"])
+def test_scalar_stack_field_is_the_full_solve_bitwise(scalar_kind, lives):
+    # 0, 1 and many live columns, each field on its own and stacked; the
+    # stand-in may come from the cache or be solved here
+    fields = [columns_source(31, 81, live, 7 + k)
+              for k, live in enumerate(lives)]
+    for cleared in (True, False):
+        if cleared:
+            linear._stand_in.cache_clear()
+        stack = ScalarStack(scalar_kind, fields, P)
+        for k, b in enumerate(fields):
+            assert stack.columns[k].size == lives[k]
+            want = full_scalar(scalar_kind, b)
+            got = stack.field(k)
+            assert bitwise(got, want)
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert columns(want) <= columns(stack.columns_of(k))
+
+
+@pytest.mark.parametrize("scalar_kind", ["banded_solve", "frequency"])
+def test_stand_in_is_read_only(scalar_kind):
+    stand_in = linear._stand_in(scalar_kind, 21, P)
+    assert stand_in.shape == (21, 1)
+    assert not stand_in.flags.writeable
+    with pytest.raises(ValueError):
+        stand_in[0, 0] = 1.0
+    # the outputs are fresh arrays: writing one leaves the cache alone
+    before = stand_in.tobytes()
+    out = ScalarStack(scalar_kind, [np.zeros((21, 5))], P).field(0)
+    out[...] = 1.0
+    assert linear._stand_in(scalar_kind, 21, P).tobytes() == before
 
 
 # --- defects on the support box ---

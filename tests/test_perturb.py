@@ -173,8 +173,8 @@ def test_short_product_table_breaks_route_agreement(hier_mixed, monkeypatch):
     # a planted defect: every monomial's product table loses its last pair
     create = PolyRing.create.__func__
 
-    def create_short(cls, n_vars, cap):
-        ring = create(cls, n_vars, cap)
+    def create_short(cls, n_vars, cap, **kwargs):
+        ring = create(cls, n_vars, cap, **kwargs)
         return dataclasses.replace(ring, terms=tuple(
             pairs[:-1] if len(pairs) > 1 else pairs for pairs in ring.terms))
 
@@ -533,12 +533,15 @@ BLOCK_REGIONS = {1: lambda w: Region.from_box(w, -2, 2, -4, 4),
                  1000: lambda w: past_region(w, 0)}
 
 
-def full_width_volume(hier, omega, ring2):
+def full_width_volume(hier, omega, ring2=None):
     """The oracle's volumes from one exponential over all region sites.
 
     taylor_oracle_I evaluated its counterterm volumes this way before it
-    worked in site blocks; kept here as their bitwise reference.
+    worked in site blocks and in a ring linear in s; kept here as their
+    bitwise reference. It builds its own full ring and ignores the one the
+    oracle passes.
     """
+    ring2 = PolyRing.create(2, hier.order)
     cols = np.flatnonzero(omega.mask)
     series = ring2.zeros(cols.size)
     for (i, j), jet in hier.coeffs.items():
@@ -569,6 +572,44 @@ def test_oracle_volume_blocks_bitwise(monkeypatch, half, choice, kind):
                 patch.setattr(perturb, "VOLUME_BLOCK_SITES", block)
                 assert taylor_oracle_I(hier, omega) == expect, (order, block)
     # the blocks carry weight: the volumes themselves are not all zero
-    ring2 = PolyRing.create(2, MAX_ORDER)
     for region in BLOCK_REGIONS.values():
-        assert any(full_width_volume(full, region(window), ring2))
+        assert any(full_width_volume(full, region(window)))
+
+
+def full_ring_gather(hier, ring2, name, cols):
+    """_gather before the rings were cut: every stored coefficient."""
+    out = ring2.zeros(cols.size)
+    for (i, j), jet in hier.coeffs.items():
+        out[ring2.index[(i, j)]] = getattr(jet, name).ravel()[cols]
+    return out
+
+
+@pytest.mark.parametrize("choice", SUM_CHOICES.values(), ids=SUM_CHOICES)
+@pytest.mark.parametrize("kind", ["waves", "scalar"])
+def test_oracle_on_cut_rings_is_the_full_ring_oracle_bitwise(monkeypatch,
+                                                             choice, kind):
+    # the rings linear in s drop the s^2-and-up ideal; the full rings,
+    # filled with every coefficient, give the same values bit for bit
+    window, u, v = block_seeds(40, kind)
+    full = build_hierarchy(u, v, MAX_ORDER, choice, PARAMS)
+    # the dropped coefficients are live, so dropping them is tested
+    assert full.coeff(2, 0).a.any() or full.coeff(2, 0).u_phi.any()
+    create = PolyRing.create.__func__
+
+    def create_full(cls, n_vars, cap, linear=()):
+        return create(cls, n_vars, cap)
+
+    nonzero = False
+    for order in range(1, MAX_ORDER + 1):
+        hier = Hierarchy(PARAMS, {key: jet for key, jet in full.coeffs.items()
+                                  if sum(key) <= order})
+        for omega in (past_region(window, 0), BLOCK_REGIONS[7](window)):
+            got = taylor_oracle_I(hier, omega)
+            with monkeypatch.context() as patch:
+                patch.setattr(PolyRing, "create", classmethod(create_full))
+                patch.setattr(perturb, "_gather", full_ring_gather)
+                want = taylor_oracle_I(hier, omega)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (
+                order, omega.site_count())
+            nonzero |= any(want)
+    assert nonzero

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surflat.lagrangian import MAX_ORDER
 from surflat.polyseries import PolyRing
 
 
@@ -147,3 +148,81 @@ def test_mul_and_exp_match_rounds_bitwise(n_vars, cap, width):
     assert_bitwise(product, mul_by_rounds(ring, a, b))
     assert_bitwise(ring.exp(a), exp_by_rounds(ring, a))
 
+
+
+# --- rings cut to degree 1 in some variables ---
+#
+# The oracle's rings are linear in s (2 variables) and in s_x + s_y (4
+# variables). The dropped monomials form an ideal, so the cut ring's rows
+# are the full ring's kept rows, bit for bit.
+
+LINEAR = {2: (0,), 4: (0, 2)}
+
+
+def kept_rows(full, cut):
+    return np.array([full.index[m] for m in cut.monomials])
+
+
+SPECIALS = (5e-324, -2.2e-310, np.nan, np.inf, -np.inf)
+
+
+def special_batch(ring, width, rng):
+    """planted_batch with subnormals, NaN and both infinities mixed in.
+
+    Each special value sits in a non-constant row of the first columns,
+    one per column, and in about 2% of the other entries.
+    """
+    a = planted_batch(ring, width, rng)
+    for value in SPECIALS:
+        a[rng.random(a.shape) < 0.02] = value
+    for col, value in enumerate(SPECIALS):
+        a[1 + col % (len(ring.monomials) - 1), col] = value
+    a[0] = -0.0
+    return a
+
+
+def assert_bytes(got, expect):
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n_vars", [2, 4])
+@pytest.mark.parametrize("cap", range(1, MAX_ORDER + 1))
+def test_cut_ring_keeps_the_full_rings_pairs(n_vars, cap):
+    full = PolyRing.create(n_vars, cap)
+    cut = PolyRing.create(n_vars, cap, linear=LINEAR[n_vars])
+    kept = kept_rows(full, cut)
+    assert all(sum(m[v] for v in LINEAR[n_vars]) <= 1 for m in cut.monomials)
+    assert cut.monomials[0] == full.monomials[0]
+    # every kept row's pairs are the full ring's, renumbered, in order
+    for k, pairs in enumerate(cut.terms):
+        assert [(kept[i], kept[j]) for i, j in pairs] == list(
+            full.terms[kept[k]])
+
+
+@pytest.mark.parametrize("n_vars,cap,monomials,pairs",
+                         [(4, 3, (35, 22), (165, 95)),
+                          (4, 4, (70, 35), (495, 210))])
+def test_cut_ring_sizes(n_vars, cap, monomials, pairs):
+    rings = (PolyRing.create(n_vars, cap),
+             PolyRing.create(n_vars, cap, linear=LINEAR[n_vars]))
+    assert tuple(len(r.monomials) for r in rings) == monomials
+    assert tuple(sum(map(len, r.terms)) for r in rings) == pairs
+
+
+@pytest.mark.parametrize("n_vars", [2, 4])
+@pytest.mark.parametrize("cap", range(1, MAX_ORDER + 1))
+@pytest.mark.parametrize("width", [len(SPECIALS), 81])
+def test_cut_ring_mul_and_exp_are_the_full_rings_kept_rows(n_vars, cap,
+                                                           width):
+    full = PolyRing.create(n_vars, cap)
+    cut = PolyRing.create(n_vars, cap, linear=LINEAR[n_vars])
+    kept = kept_rows(full, cut)
+    rng = np.random.default_rng(1000 * n_vars + 10 * cap + width)
+    a = special_batch(full, width, rng)
+    b = special_batch(full, width, rng)
+    assert np.isnan(a).any() and np.isinf(a).any()
+    assert (np.abs(a[np.isfinite(a)]) < 2.3e-308).any()
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert_bytes(cut.mul(a[kept], b[kept]), full.mul(a, b)[kept])
+        assert_bytes(cut.exp(a[kept]), full.exp(a)[kept])

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from surflat import LatticePoint, RangeError, Region, Window, past_region, stencil_pairs
-from surflat.jets import DualJet, Jet
+from surflat.jets import DualJet, Jet, region_product_sum
+from surflat.lagrangian import ModelParams
+from surflat.slayer import _symm_surface_volume
 from surflat.space import NEIGHBOR_OFFSETS, common_window, pair_masks
 
 
@@ -171,3 +173,80 @@ def test_interface_sites_are_the_pair_masks(box):
         assert np.array_equal(np.argwhere(masks[(dt, dx)]),
                               np.stack([ix, jx], axis=1).reshape(-1, 2))
         assert np.array_equal(iy, ix + dt) and np.array_equal(jy, jx + dx)
+
+
+# --- the flat index of a region ---
+
+FLAT_WINDOW = Window(-5, 6, -4, 7)
+P = ModelParams()
+
+
+def flat_regions(window):
+    """Regions of every shape, by name, with the type of their flat index."""
+    rng = np.random.default_rng(3)
+    ragged = rng.random(window.shape) < 0.4
+    # contiguous in row-major order, but not a box: a row's tail and the
+    # next row's head
+    n_x = window.shape[1]
+    tail_head = np.zeros(window.shape, dtype=bool)
+    tail_head.ravel()[n_x - 3:n_x + 5] = True
+    regions = {f"past[{t}]": (past_region(window, t), slice)
+               for t in range(window.t_min, window.t_max)}
+    regions.update({
+        "full_width_box": (Region.from_box(window, -2, 3, window.x_min,
+                                           window.x_max), slice),
+        "one_row_box": (Region.from_box(window, 1, 1, -2, 3), slice),
+        "single_site": (Region.from_box(window, 0, 0, 0, 0), slice),
+        "tail_head": (Region(window, tail_head), slice),
+        "partial_box": (Region.from_box(window, -2, 3, -2, 3), np.ndarray),
+        "ragged": (Region(window, ragged), np.ndarray),
+        "empty": (Region(window, np.zeros(window.shape, dtype=bool)),
+                  np.ndarray),
+    })
+    return regions
+
+
+@pytest.mark.parametrize("name", list(flat_regions(FLAT_WINDOW)))
+def test_region_flat_reads_the_mask_sites(name):
+    omega, kind = flat_regions(FLAT_WINDOW)[name]
+    flat = omega.flat
+    assert isinstance(flat, kind)
+    assert omega.flat is flat  # computed once
+    a = np.random.default_rng(4).standard_normal(FLAT_WINDOW.shape)
+    a[0, :3] = (np.nan, -0.0, np.inf)
+    got, want = a.ravel()[flat], a[omega.mask]
+    assert got.tobytes() == want.tobytes()
+    assert omega.site_count() == want.size
+    if kind is slice:
+        assert np.shares_memory(got, a)
+
+
+def signed_field(window, seed):
+    """Random weights with planted -0.0, +0.0 and one NaN."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(window.shape)
+    a[rng.random(window.shape) < 0.2] = -0.0
+    a[rng.random(window.shape) < 0.1] = 0.0
+    a[window.index(2, 1)] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("name", list(flat_regions(FLAT_WINDOW)))
+def test_region_sums_by_flat_index_are_the_mask_sums_bitwise(name):
+    # region_product_sum and the symmetric form's volume read the sites
+    # through Region.flat; both equal the boolean-mask form by bytes
+    omega, _ = flat_regions(FLAT_WINDOW)[name]
+    jets = [Jet(FLAT_WINDOW, signed_field(FLAT_WINDOW, 10 + k),
+                FLAT_WINDOW.zeros()) for k in range(3)]
+    for n in range(4):
+        prod = np.ones(np.count_nonzero(omega.mask))
+        for jet in jets[:n]:
+            prod = prod * jet.a[omega.mask]
+        want = float(prod.sum())
+        got = region_product_sum(omega, jets[:n])
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    s_jet = jets[0]
+    u = v = Jet(FLAT_WINDOW, FLAT_WINDOW.zeros(), FLAT_WINDOW.zeros())
+    want = P.nu * float(s_jet.a[omega.mask].sum())
+    got = _symm_surface_volume(u, v, s_jet, omega, P)[1]
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
