@@ -8,8 +8,8 @@ from .space import (LatticePoint, NEIGHBOR_OFFSETS, Region, STENCIL_OFFSETS,
 from .lagrangian import (MAX_ORDER, ELReport, ModelParams, angular_well,
                          el_check, ell, lag_phi_deriv, lag_value,
                          stencil_deriv_table)
-from .jets import (DualJet, Jet, delta_ell, delta_ell_field, delta_op,
-                   delta_op_field, pair_product_sum, region_product_sum)
+from .jets import (DualJet, Jet, delta_ell, delta_ell_field, pair_product_sum,
+                   region_product_sum)
 from .linear import (EDGE_TOLERANCE, GreensChoice, RESIDUAL_TOLERANCE,
                      RankOneModifier, greens_apply, greens_defects,
                      greens_residual, linear_residual, scalar_roots,
@@ -27,8 +27,8 @@ __all__ = [
     "Window", "past_region", "stencil_pairs",
     "MAX_ORDER", "ELReport", "ModelParams", "angular_well",
     "el_check", "ell", "lag_phi_deriv", "lag_value", "stencil_deriv_table",
-    "DualJet", "Jet", "delta_ell", "delta_ell_field", "delta_op",
-    "delta_op_field", "pair_product_sum", "region_product_sum",
+    "DualJet", "Jet", "delta_ell", "delta_ell_field", "pair_product_sum",
+    "region_product_sum",
     "EDGE_TOLERANCE", "GreensChoice", "RESIDUAL_TOLERANCE",
     "RankOneModifier", "greens_apply", "greens_defects", "greens_residual",
     "linear_residual", "scalar_roots", "scalar_solution", "wave_solution",

@@ -428,6 +428,16 @@ def _validate(data: dict, suite: str) -> ExperimentConfig:
         raise ConfigError(
             f"window {window} cannot hold the centered support box of "
             f"half-width {SUPPORT_HALF}")
+    # greens-verify's scalar stack, rows x (a box width per draw and one),
+    # holds at most what MAX_DRAWS draws hold on the largest square window
+    width = 2 * SUPPORT_HALF + 1
+    stack = window.shape[0] * (width * fields["draws"] + 1)
+    limit = math.isqrt(MAX_WINDOW_SITES) * (width * MAX_DRAWS + 1)
+    if suite == "greens-verify" and stack > limit:
+        raise ConfigError(
+            f"greens-verify's scalar stack of {fields['draws']} draws on "
+            f"{window.shape[0]} rows, {stack} doubles, is above the limit "
+            f"of {limit}")
 
     start, stop = fields["slices"]["start"], fields["slices"]["stop"]
     try:

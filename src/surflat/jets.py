@@ -179,9 +179,6 @@ class Jet:
     def phi_at(self, point: LatticePoint) -> float:
         return float(self.u_phi[self.window.index(point.t, point.x)])
 
-    def has_zero_scalar(self) -> bool:
-        return not self.facts.has_scalar
-
     def __add__(self, other: "Jet") -> "Jet":
         return Jet(common_window(self, other), self.a + other.a,
                    self.u_phi + other.u_phi)
@@ -712,12 +709,3 @@ def delta_ell(ell_order: int, jets: Sequence[Jet], x: LatticePoint,
     scale = 1.0 / math.factorial(ell_order)
     return DualValue(scale * (scalar - counter), scale * phi)
 
-
-def delta_op(v: Jet, x: LatticePoint, p: ModelParams) -> DualValue:
-    """Linearized field operator at a point; equals delta_ell of order one."""
-    return delta_ell(1, [v], x, p)
-
-
-def delta_op_field(v: Jet, p: ModelParams) -> DualJet:
-    """Linearized field operator over v's whole window."""
-    return delta_ell_field(1, [v], p)

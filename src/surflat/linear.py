@@ -35,6 +35,8 @@ Many fields share one scalar solve (ScalarStack): their live columns sit
 side by side and the backend is called once, or not at all when no column
 is live. greens_apply is a stack of one plus the wave stepping, and the
 only place where the edge check and the kernel modifier are applied.
+greens_defects checks the Green's property on the whole window; box_defect
+and cone_defect read its defects, bit for bit, on the support framed by one.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 import numpy.fft  # noqa: F401
 
 from .errors import InvalidJetError, RangeError, TruncationError
-from .jets import GATHER_MIN_SITES, DualJet, Jet, delta_op_field
+from .jets import DualJet, Jet, delta_ell_field
 from .lagrangian import ModelParams
 from .space import Region, Window, common_window
 
@@ -146,7 +148,7 @@ def linear_residual(v: Jet, region: Region, p: ModelParams) -> float:
     common_window(region, v)
     if (region.mask & ~v.window.interior_mask()).any():
         raise RangeError("region must stay one site inside the window")
-    dual = delta_op_field(v, p)
+    dual = delta_ell_field(1, [v], p)
     if not region.mask.any():
         return 0.0
     return max(float(np.abs(dual.b[region.mask]).max()),
@@ -439,21 +441,6 @@ def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams, *,
     return result
 
 
-def _support_box(field: np.ndarray, source: np.ndarray):
-    # the rows and columns holding every nonzero of field and source (NaN
-    # and inf count, -0.0 does not), framed by one site and clipped to the
-    # array, as a pair of slices; None when both vanish
-    live = field != 0.0
-    live |= source != 0.0
-    rows = np.flatnonzero(live.any(axis=1))
-    if rows.size == 0:
-        return None
-    cols = np.flatnonzero(live.any(axis=0))
-    n_t, n_x = field.shape
-    return (slice(max(int(rows[0]) - 1, 0), min(int(rows[-1]) + 2, n_t)),
-            slice(max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, n_x)))
-
-
 def greens_defects(out: Jet, w: DualJet, p: ModelParams
                    ) -> tuple[float, float]:
     """Largest interior defects (scalar, angular) of the Green's property.
@@ -461,29 +448,14 @@ def greens_defects(out: Jet, w: DualJet, p: ModelParams
     out is the Green's operator applied to w; both live on one window. The
     components decouple on the base configuration: the scalar defect reads
     out.a only, the angular one out.u_phi only, because the odd angular
-    derivative vanishes there.
-
-    Each defect is evaluated on the box of its own support: the rows and
-    columns where the output component or its source is nonzero, framed by
-    one site and clipped to the window (box_defect). A component with no
-    such site gives 0.0. A window under jets.GATHER_MIN_SITES sites is
-    evaluated whole in one call instead, since there the fixed cost of a
-    second call outweighs the smaller boxes.
+    derivative vanishes there. The operator runs once, on the whole window:
+    the reference that box_defect and cone_defect equal bit for bit.
     """
     window = common_window(w, out)
-    n_t, n_x = window.shape
-    parts = ((out.a, w.b), (out.u_phi, w.w_phi))
-    if n_t * n_x < GATHER_MIN_SITES:
-        dual = delta_op_field(out, p)
-        whole = (slice(0, n_t), slice(0, n_x))
-        return (_largest(window, dual.b, w.b, whole),
-                _largest(window, dual.w_phi, w.w_phi, whole))
-    res = []
-    for k, (field, source) in enumerate(parts):
-        box = _support_box(field, source)
-        res.append(0.0 if box is None else
-                   box_defect(window, k, field[box], source[box], box, p))
-    return tuple(res)
+    dual = delta_ell_field(1, [out], p)
+    whole = (slice(0, window.shape[0]), slice(0, window.shape[1]))
+    return (_largest(window, dual.b, w.b, whole),
+            _largest(window, dual.w_phi, w.w_phi, whole))
 
 
 def box_defect(window: Window, k: int, field: np.ndarray,
@@ -513,8 +485,8 @@ def box_defect(window: Window, k: int, field: np.ndarray,
     sub = Window(window.t_min + rows.start, window.t_min + rows.stop - 1,
                  window.x_min + cols.start, window.x_min + cols.stop - 1)
     zeros = sub.zeros()
-    op = delta_op_field(Jet(sub, field, zeros) if k == 0
-                        else Jet(sub, zeros, field), p)
+    op = delta_ell_field(1, [Jet(sub, field, zeros) if k == 0
+                             else Jet(sub, zeros, field)], p)
     return _largest(window, op.w_phi if k else op.b, source, box, read)
 
 
@@ -546,8 +518,8 @@ def cone_defect(window: Window, sv: np.ndarray, w_phi: np.ndarray,
     by one, hold the support framed by one. Those rows are split into
     CONE_BANDS row bands, each evaluated by box_defect on the columns of its
     widest row, with one extra row on each side, and read on its own rows
-    only. Bit for bit the value greens_defects gives, with about two thirds
-    of the sites of its one box.
+    only. Bit for bit the angular value of greens_defects, with about two
+    thirds of the sites of the cone's one framed box.
     """
     step = _kind(WAVE_STEPS, kind, "vector_kind")
     n_t, n_x = window.shape

@@ -76,7 +76,7 @@ def symm_bilinear(u: Jet, v: Jet, omega: Region, greens: GreensChoice,
     """
     common_window(omega, u, v)
     for name, jet in (("u", u), ("v", v)):
-        if not jet.has_zero_scalar():
+        if jet.facts.has_scalar:
             raise InvalidJetError(
                 f"jet {name} has a scalar component; the closed-form route "
                 f"assumes it vanishes (use the hierarchy path instead)")
@@ -144,11 +144,17 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
     second-order coefficient feels the modified kernel, and the first-order
     balance is linear. The order-2 balance reads the degree-2 coefficient
     (1, 1) only, so the seeds, that one source, its plain Green's image and
-    the second variation are built once. A kernel only adds its rank-one
-    term kernel.apply(source), the pairing of the source times the kernel's
+    half the source are built once. A kernel only adds its rank-one term
+    kernel.apply(source), the pairing of the source times the kernel's
     direction, to the image: bitwise what greens_apply returns with the
     modifier installed. The kernels are read once, in order, and none is
     held after its pair is computed.
+
+    rhs reads half the source for the second variation d2, bitwise: the
+    source is +0.0 + 2 d2, so halving gives d2 (short of overflow) except
+    that -0.0 becomes +0.0. A zero's sign moves the pairing only when the
+    whole sum is zero; the kernel's term is then +-0, i1's interface sum
+    +0.0, and rhs 2.0 * (0.0 - (+-0)) = +0.0 either way.
     """
     base = choices if choices is not None else GreensChoice()
     if base.kernel_modifier is not None:
@@ -164,11 +170,11 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
         return family_taylor_I(hier, omega, 2, 2)
 
     plain = order_two(image)
-    d2 = delta_ell_field(2, [u, v], p)
+    half = 0.5 * source
     out = []
     for kernel in kernels:
         lhs = order_two(image + kernel.pairing(source) * kernel.direction)
-        surface, volume = i1(kernel.apply(d2), omega, p)
+        surface, volume = i1(kernel.apply(half), omega, p)
         out.append((lhs - plain, 2.0 * (surface - volume)))
     return out
 
@@ -186,22 +192,6 @@ class SliceValues:
     symm_surface_closed: float
     symm_volume: float
 
-    @property
-    def i1_residual(self) -> float:
-        return abs(self.i1_surface - self.i1_volume)
-
-    @property
-    def sympl_residual(self) -> float:
-        return abs(self.sympl - self.sympl_closed)
-
-    @property
-    def symm_closed_residual(self) -> float:
-        return abs(self.symm_surface - self.symm_surface_closed)
-
-    @property
-    def symm_volume_residual(self) -> float:
-        return abs(self.symm_surface - self.symm_volume)
-
 
 @dataclass(frozen=True)
 class SlayerReport:
@@ -217,11 +207,6 @@ class SlayerReport:
         if scale == 0.0:
             return 0.0
         return float((vals.max() - vals.min()) / scale)
-
-    def max_residual(self) -> float:
-        names = ("i1_residual", "sympl_residual", "symm_closed_residual",
-                 "symm_volume_residual")
-        return max(float(self.values(n).max()) for n in names)
 
 
 def slayer_sweep(u: Jet, v: Jet, slices, greens: GreensChoice,

@@ -174,11 +174,6 @@ class Region:
     def site_count(self) -> int:
         return int(np.count_nonzero(self.mask))
 
-    def sites(self):
-        """Sites of the region in lexicographic (t, x) order."""
-        for i, j in np.argwhere(self.mask):
-            yield (int(i) + self.window.t_min, int(j) + self.window.x_min)
-
 
 def common_window(*items) -> Window:
     """The window shared by jets, dual jets, regions and hierarchies.

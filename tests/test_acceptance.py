@@ -176,8 +176,9 @@ def test_criterion_5_symplectic_conservation():
 def test_criterion_6_symmetric_form_identities(movers):
     u, v = movers
     rep = slayer_sweep(u, v, range(-5, 5), CHOICE, PARAMS)
-    closed = float(rep.values("symm_closed_residual").max())
-    volume = float(rep.values("symm_volume_residual").max())
+    surface = rep.values("symm_surface")
+    closed = float(np.abs(surface - rep.values("symm_surface_closed")).max())
+    volume = float(np.abs(surface - rep.values("symm_volume")).max())
     scale = float(np.abs(rep.values("symm_surface")).max())
     ok = closed <= 1e-12 and volume <= 1e-10 and scale > 1e-6
     report(6, ok)

@@ -190,6 +190,46 @@ def _window_overrides(t_min, t_max, x_min, x_max):
             f"window.x_min={x_min}", f"window.x_max={x_max}"]
 
 
+def test_greens_verify_stack_limit(tmp_path, capsys, monkeypatch):
+    # 47,713 x 21 and (at order 1) 66,799 x 15 sites pass the site limit,
+    # but 1000 draws there would stack 47,713 or 66,799 x 7,001 doubles
+    # (2.67 and 3.74 GB). The suite is replaced, so a config that slipped
+    # through validation fails here without running
+    def never(cfg):
+        raise AssertionError("greens-verify ran past validation")
+    monkeypatch.setitem(cli.SUITES, "greens-verify", never)
+    tall = [*_window_overrides(-23856, 23856, -10, 10), "jets.probe=null"]
+    taller = [*_window_overrides(-33399, 33399, -7, 7), "jets.probe=null",
+              "order=1"]
+    for rows, overrides in ((47713, tall), (66799, taller)):
+        out = tmp_path / str(rows)
+        code = main(["greens-verify", "--out", str(out),
+                     *(arg for item in [*overrides, f"draws={cli.MAX_DRAWS}"]
+                       for arg in ("--override", item))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"scalar stack of 1000 draws on {rows} rows" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+    # the bound is the stack of MAX_DRAWS draws on the largest square
+    # window: 1001 rows hold it, one row more does not, and few draws on
+    # the tall window stay inside it
+    limit = 1001 * (7 * cli.MAX_DRAWS + 1)
+    square = _window_overrides(-500, 500, -500, 500)
+    assert load_config(None, [*square, f"draws={cli.MAX_DRAWS}"], None,
+                       "greens-verify").window.shape == (1001, 1001)
+    taller = _window_overrides(-500, 501, -499, 499)
+    with pytest.raises(ConfigError, match=f"limit of {limit}"):
+        load_config(None, [*taller, f"draws={cli.MAX_DRAWS}"], None,
+                    "greens-verify")
+    draws = (limit // 47713 - 1) // 7
+    assert load_config(None, [*tall, f"draws={draws}"], None,
+                       "greens-verify").draws == draws
+    with pytest.raises(ConfigError, match="scalar stack"):
+        load_config(None, [*tall, f"draws={draws + 1}"], None,
+                    "greens-verify")
+
+
 # u and v one site wide at the origin leave the margin rule satisfied on a
 # +-2 window at order 1, but greens-verify's +-3 support box does not fit
 SUPPORT_BOX_MISSES = ["jets.probe=null", "jets.u.width=1", "jets.u.center=0",
@@ -881,8 +921,8 @@ def test_greens_verify_applies_two_choices_per_draw(monkeypatch):
 
     for name in ("ScalarStack", "DualJet", "wave_green"):
         monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
-    monkeypatch.setattr(linear, "delta_op_field",
-                        counted(linear.delta_op_field))
+    monkeypatch.setattr(linear, "delta_ell_field",
+                        counted(linear.delta_ell_field))
     # the backends are called through their table
     for kind, solve in linear.SCALAR_GREENS.items():
         monkeypatch.setitem(linear.SCALAR_GREENS, kind, counted(solve))
@@ -890,7 +930,7 @@ def test_greens_verify_applies_two_choices_per_draw(monkeypatch):
     cli.SUITES["greens-verify"](cfg)
     assert calls == {"ScalarStack": 2, "DualJet": 3,
                      "_scalar_green_banded": 1, "_scalar_green_frequency": 1,
-                     "wave_green": 6, "delta_op_field": 6}
+                     "wave_green": 6, "delta_ell_field": 6}
 
 
 def test_greens_verify_w160_checks_each_component_on_its_box(monkeypatch):
@@ -901,12 +941,12 @@ def test_greens_verify_w160_checks_each_component_on_its_box(monkeypatch):
     # kind and up to the row after it for the advanced kind, each with one
     # extra row on each side
     windows = []
-    real = linear.delta_op_field
+    real = linear.delta_ell_field
 
-    def recorded(v, p):
-        windows.append(v.window)
-        return real(v, p)
-    monkeypatch.setattr(linear, "delta_op_field", recorded)
+    def recorded(order, jets, p):
+        windows.append(jets[0].window)
+        return real(order, jets, p)
+    monkeypatch.setattr(linear, "delta_ell_field", recorded)
     cfg = load_config(None, ["draws=2", *_window_overrides(-160, 160, -160,
                                                            160)],
                       None, "greens-verify")

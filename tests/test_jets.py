@@ -9,8 +9,7 @@ from surflat import (MAX_ORDER, InvalidJetError, LatticePoint, ModelParams,
                      RangeError, Region, UnsupportedOrderError, Window, jets,
                      past_region, stencil_pairs)
 from surflat.jets import (PAIR_CLASSES, DualJet, DualValue, Jet, PointDeriv,
-                          delta_ell, delta_ell_field, delta_op,
-                          delta_op_field, live_pairs, nabla_L,
+                          delta_ell, delta_ell_field, live_pairs, nabla_L,
                           pair_product_sum,
                           region_product_sum, series_workspace,
                           slot_factor_maps, stencil_contraction,
@@ -88,18 +87,18 @@ def test_jet_facts_are_computed_once():
     a = np.where(rng.random(W.shape) < 0.3, rng.normal(size=W.shape), -0.0)
     jet = Jet(W, a, np.zeros(W.shape))
     assert "facts" not in vars(jet) and "support" not in vars(jet)
-    assert not jet.has_zero_scalar()
+    assert jet.facts.has_scalar
     assert jet.facts == (np.abs(a).max(), True, False)
     assert vars(jet)["facts"] is jet.facts and "support" not in vars(jet)
     mask, count = jet.support
     assert jet.support[0] is mask and not mask.flags.writeable
     assert np.array_equal(mask, a != 0.0) and count == np.count_nonzero(a)
-    assert Jet(W, np.full(W.shape, -0.0), a).has_zero_scalar()
+    assert not Jet(W, np.full(W.shape, -0.0), a).facts.has_scalar
     for bad in (np.nan, -np.inf):
         field = a.copy()
         field[2, 3] = bad
         assert Jet(W, field, field).facts == (math.inf, True, True)
-    assert not Jet(W, np.full(W.shape, np.nan), a).has_zero_scalar()
+    assert Jet(W, np.full(W.shape, np.nan), a).facts.has_scalar
 
 
 # --- nabla_L ---
@@ -143,30 +142,21 @@ def test_nabla_rejects_bad_slot():
         PointDeriv(3, random_jet(0))
 
 
-# --- delta_ell and delta_op ---
+# --- delta_ell, and at order one the linearized operator ---
 
 def test_delta_op_on_unit_weight():
     ones = Jet(W, np.ones(W.shape), W.zeros())
-    val = delta_op(ones, pt(0, 0), P)
+    val = delta_ell(1, [ones], pt(0, 0), P)
     # nu/2 * b + sum_y b(y) L(x, y) = 9 + ... with the counterterm netting to
     # lambda_a + 2 lambda_i = 9 at the balanced nu
     assert val.scalar == pytest.approx(9.0, abs=1e-12)
     assert val.phi == 0.0
 
 
-def test_delta_ell_order_one_matches_delta_op():
-    v = random_jet(3)
-    for (t, x) in [(0, 0), (-2, 3), (1, -1)]:
-        dl = delta_ell(1, [v], pt(t, x), P)
-        dop = delta_op(v, pt(t, x), P)
-        assert dl.scalar == pytest.approx(dop.scalar, abs=1e-12)
-        assert dl.phi == pytest.approx(dop.phi, abs=1e-12)
-
-
 def test_delta_op_closed_form_stencil():
     v = random_jet(4)
     for (t, x) in [(0, 0), (2, 2), (-1, 3)]:
-        got = delta_op(v, pt(t, x), P)
+        got = delta_ell(1, [v], pt(t, x), P)
         b = v.a_at(pt(t, x))
         expect_scalar = P.lambda_a * b + P.lambda_i * (
             v.a_at(pt(t + 1, x)) + v.a_at(pt(t - 1, x)))
@@ -325,7 +315,7 @@ def test_delta_two_closed_form_for_wave_pairs():
 
 def test_delta_op_field_time_edges_use_clipped_stencil():
     ones = Jet(W, np.ones(W.shape), W.zeros())
-    dual = delta_op_field(ones, P)
+    dual = delta_ell_field(1, [ones], P)
     # interior value: lambda_a + 2 lambda_i; the edge rows lose one neighbor
     # both in the operator and in the windowed interaction sum
     assert dual.b[4, 4] == pytest.approx(9.0)

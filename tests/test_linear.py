@@ -2,7 +2,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 
 from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
                      Region, TruncationError, Window, linear)
-from surflat.jets import DualJet, Jet, delta_op, delta_op_field
+from surflat.jets import DualJet, Jet, delta_ell, delta_ell_field
 from surflat.linear import (GreensChoice, RankOneModifier, ScalarStack,
                             _scalar_green_banded, _scalar_green_frequency,
                             box_defect, cone_defect, greens_apply,
@@ -64,7 +63,7 @@ def test_scalar_solution_pointwise_operator_zero():
     w = Window(-6, 6, -3, 3)
     jet = scalar_solution(0.7, P, w)
     for (t, x) in [(0, 0), (3, -2), (-4, 1)]:
-        val = delta_op(jet, LatticePoint(t, x), P)
+        val = delta_ell(1, [jet], LatticePoint(t, x), P)
         assert val.scalar == 0.0
         assert val.phi == 0.0
 
@@ -104,7 +103,7 @@ def test_wave_solution_dalembert_form():
     assert jet.u_phi[w.index(1, -1)] == 0.5  # both movers overlap here
     assert jet.u_phi[w.index(-1, 3)] == 0.0
     assert linear_residual(jet, central_region(w, 1), P) <= 1e-14
-    assert jet.has_zero_scalar()
+    assert not jet.facts.has_scalar
 
 
 def test_wave_solution_random_profiles_solve():
@@ -264,7 +263,7 @@ def test_green_residual_reads_inputs_only():
     before = [arr.tobytes() for arr in arrays]
     res = greens_residual(out, dual, P)
     assert [arr.tobytes() for arr in arrays] == before
-    op = delta_op_field(out, P)
+    op = delta_ell_field(1, [out], P)
     inner = w.interior_mask()
     assert res == max(float(np.abs(op.b + dual.b)[inner].max()),
                       float(np.abs(op.w_phi + dual.w_phi)[inner].max()))
@@ -732,14 +731,6 @@ def test_stand_in_is_read_only(scalar_kind):
 
 # --- defects on the support box ---
 
-def greens_defects_whole_window(out, w, p):
-    # greens_defects with one operator call on the whole window, the pin
-    # for the box path
-    dual = delta_op_field(out, p)
-    return tuple(float(np.abs(op + source)[1:-1, 1:-1].max())
-                 for op, source in ((dual.b, w.b), (dual.w_phi, w.w_phi)))
-
-
 def centred_window(n_t, n_x):
     return Window(-(n_t // 2), n_t - 1 - n_t // 2,
                   -(n_x // 2), n_x - 1 - n_x // 2)
@@ -806,17 +797,40 @@ DEFECT_CASES = [f"green:{vk}:{sk}" for vk in ("retarded", "advanced")
     "nan_scalar", "inf_angle", "dense", "overlapping_boxes", "one_row"]
 
 
+def framed_support_box(field, source):
+    # the rows and columns holding every nonzero of field and source (NaN
+    # and inf count, -0.0 does not), framed by one site and clipped to the
+    # array, as a pair of slices; None when both vanish
+    live = (field != 0.0) | (source != 0.0)
+    rows = np.flatnonzero(live.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(live.any(axis=0))
+    n_t, n_x = field.shape
+    return (slice(max(int(rows[0]) - 1, 0), min(int(rows[-1]) + 2, n_t)),
+            slice(max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, n_x)))
+
+
 @pytest.mark.parametrize("name", DEFECT_CASES)
 @pytest.mark.parametrize("shape", [(161, 161), (321, 321), (200, 120)],
                          ids=lambda s: "x".join(map(str, s)))
-def test_greens_defects_on_boxes_equal_whole_window_bitwise(shape, name):
+def test_box_defect_on_support_boxes_equals_greens_defects_bitwise(shape,
+                                                                   name):
+    # each component on the box of its support framed by one site, where
+    # the operator is +0.0 outside, against the whole-window reference; a
+    # component with no nonzero gives 0.0
     window = centred_window(*shape)
     out, w = defect_case(window, name, sum(shape))
     arrays = (out.a, out.u_phi, w.b, w.w_phi)
     before = [arr.tobytes() for arr in arrays]
+    got = []
     with np.errstate(invalid="ignore"):  # inf - inf in the inf case
-        got = greens_defects(out, w, P)
-        want = greens_defects_whole_window(out, w, P)
+        want = greens_defects(out, w, P)
+        for k, (field, source) in enumerate(((out.a, w.b),
+                                             (out.u_phi, w.w_phi))):
+            box = framed_support_box(field, source)
+            got.append(0.0 if box is None else
+                       box_defect(window, k, field[box], source[box], box, P))
     assert [arr.tobytes() for arr in arrays] == before
     assert np.array(got).tobytes() == np.array(want).tobytes()
     if name in ("nan_scalar", "inf_angle"):
@@ -825,12 +839,22 @@ def test_greens_defects_on_boxes_equal_whole_window_bitwise(shape, name):
                                               name == "inf_angle"]
 
 
-def box_source(window, rows, cols, seed):
-    # both components random on the box (rows, cols) of the window
+def box_source(window, rows, cols, seed, draw="normal"):
+    # both components random on the box (rows, cols) of the window; draw
+    # "nan" puts one NaN in each, "negative_zero" makes the box's first
+    # column of b and its first and last rows of w_phi -0.0, live by the
+    # sign bit alone
     rng = np.random.default_rng(seed)
     b, w_phi = window.zeros(), window.zeros()
     shape = (rows.stop - rows.start, cols.stop - cols.start)
     b[rows, cols], w_phi[rows, cols] = 0.05 * rng.standard_normal((2, *shape))
+    if draw == "nan":
+        b[rows.start + 1, cols.start + 2] = np.nan
+        w_phi[rows.start + 4, cols.start + 5] = np.nan
+    elif draw == "negative_zero":
+        b[rows, cols.start] = -0.0
+        w_phi[rows.start, cols] = -0.0
+        w_phi[rows.stop - 1, cols] = -0.0
     return DualJet(window, b, w_phi)
 
 
@@ -843,30 +867,34 @@ def source_boxes(window):
             "last_corner": (slice(n_t - 8, n_t - 1), slice(n_x - 8, n_x - 1))}
 
 
+@pytest.mark.parametrize("draw", ["normal", "nan", "negative_zero"])
 @pytest.mark.parametrize("where", ["centred", "first_corner", "last_corner"])
 @pytest.mark.parametrize("kind", ["retarded", "advanced"])
 @pytest.mark.parametrize("shape", [(161, 161), (321, 321), (200, 120)],
                          ids=lambda s: "x".join(map(str, s)))
-def test_support_defects_equal_greens_defects_bitwise(shape, kind, where):
+def test_support_defects_equal_greens_defects_bitwise(shape, kind, where,
+                                                      draw):
     # greens-verify's checks on the support: the scalar output on the
     # stack's framed live columns, the angle on its cone's row bands, each
-    # bitwise the value of greens_defects' single box
+    # bitwise the whole-window value of greens_defects
     window = centred_window(*shape)
     n_t = window.shape[0]
     box = source_boxes(window)[where]
-    w = box_source(window, *box, sum(shape))
+    w = box_source(window, *box, sum(shape), draw)
     sk = "banded_solve" if kind == "retarded" else "frequency"
     stack = ScalarStack(sk, (w.b,), P)
     sv = wave_green(w.w_phi, kind)
     out = Jet(window, stack.field(0), sv)
     want = greens_defects(out, w, P)
-    assert want == greens_defects_whole_window(out, w, P)
     cols, framed = stack.framed(0)
     got = (box_defect(window, 0, framed, w.b[:, cols], (slice(0, n_t), cols),
                       P),
            cone_defect(window, sv, w.w_phi, kind, box, P))
     assert np.array(got).tobytes() == np.array(want).tobytes()
-    assert got[1] > 0.0
+    if draw == "nan":
+        assert np.isnan(got).all()
+    else:
+        assert got[1] > 0.0
 
 
 @pytest.mark.parametrize("kind", ["retarded", "advanced"])
@@ -874,7 +902,7 @@ def test_cone_defect_reads_three_bands(monkeypatch, kind):
     # the rows from the one before the source box in stepping order, in
     # three bands, each framed by one column beyond its widest cone row and
     # evaluated with one extra row on each side: about two thirds of the
-    # sites of greens_defects' one box (165 x 321)
+    # sites of the cone's one framed box (165 x 321)
     window = Window(-160, 160, -160, 160)
     box = source_boxes(window)["centred"]
     w = box_source(window, *box, 9)
@@ -899,80 +927,23 @@ def test_greens_defects_output_on_the_source_window():
 
 
 def count_operator_windows(monkeypatch):
-    # the window of each linearized operator call greens_defects makes
+    # the window of each linearized operator call made in linear
     windows = []
-    real = delta_op_field
+    real = delta_ell_field
 
-    def counted(v, p):
-        windows.append(v.window)
-        return real(v, p)
-    monkeypatch.setattr("surflat.linear.delta_op_field", counted)
+    def counted(order, jets, p):
+        windows.append(jets[0].window)
+        return real(order, jets, p)
+    monkeypatch.setattr("surflat.linear.delta_ell_field", counted)
     return windows
 
 
-def test_greens_defects_evaluates_each_component_on_its_box(monkeypatch):
-    # at W=160 the scalar output lives on the 7 live columns, the retarded
-    # angle on the forward cone: one call each, on its framed box
-    window = Window(-160, 160, -160, 160)
-    out, w = defect_case(window, "green:retarded:banded_solve", 5)
-    windows = count_operator_windows(monkeypatch)
-    greens_defects(out, w, P)
-    assert windows == [Window(-160, 160, -4, 4), Window(-4, 160, -160, 160)]
-
-
-@pytest.mark.parametrize("name", ["green:retarded:banded_solve",
-                                  "single_site"],
-                         ids=["small-green", "small-site"])
-def test_greens_defects_guards_take_one_whole_window_call(monkeypatch, name):
-    # a window under jets.GATHER_MIN_SITES sites takes one call on the
-    # whole window
-    window = centred_window(81, 81)
-    out, w = defect_case(window, name, 3)
-    windows = count_operator_windows(monkeypatch)
-    greens_defects(out, w, P)
-    assert windows == [window]
-
-
-@pytest.mark.parametrize("name, boxes", [
-    ("dense", [(-160, 160), (-160, 160)]),
-    ("overlapping_boxes", [(-160, 32), (-33, 160)])],
-    ids=["dense", "boxes-cover"])
-def test_greens_defects_large_windows_take_one_call_per_box(monkeypatch, name,
-                                                            boxes):
-    # on a larger window each component takes its own call, even where the
-    # boxes together cover the window: here every box spans the columns,
-    # and boxes lists the rows (t_min, t_max) of each
-    window = centred_window(321, 321)
-    out, w = defect_case(window, name, 3)
-    windows = count_operator_windows(monkeypatch)
-    greens_defects(out, w, P)
-    assert windows == [Window(lo, hi, -160, 160) for lo, hi in boxes]
-
-
 def test_greens_defects_without_window_interior():
-    # no interior site, so no defect: 0.0 on either path
+    # no interior site, so no defect: 0.0
     for window in (Window(0, 4, 0, 1), Window(0, 10_000, 0, 1)):
         out = Jet(window, np.ones(window.shape), np.ones(window.shape))
         assert greens_defects(out, DualJet.zero(window), P) == \
             (0.0, 0.0)
-
-
-def test_greens_defects_peak_memory_within_whole_window():
-    # tracemalloc sees numpy's buffers: the boxes of a greens-verify output
-    # at W=160 must not hold more at once than one whole-window call
-    window = Window(-160, 160, -160, 160)
-    out, w = defect_case(window, "green:retarded:banded_solve", 11)
-    peaks = []
-    for defects in (greens_defects, greens_defects_whole_window):
-        defects(out, w, P)  # the derivative table is cached
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            defects(out, w, P)
-            peaks.append(tracemalloc.get_traced_memory()[1] - start)
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] <= peaks[1]
 
 
 def test_cli_import_loads_no_scipy():

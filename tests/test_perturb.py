@@ -9,8 +9,8 @@ import pytest
 
 from surflat import perturb
 from surflat.errors import InvalidJetError, RangeError, UnsupportedOrderError
-from surflat.jets import (DualJet, Jet, delta_ell_field, delta_op_field,
-                          pair_product_sum, region_product_sum)
+from surflat.jets import (DualJet, Jet, delta_ell_field, pair_product_sum,
+                          region_product_sum)
 from surflat.lagrangian import MAX_ORDER, ModelParams, stencil_deriv_table
 from surflat.linear import (GreensChoice, greens_apply, scalar_roots,
                             scalar_solution, wave_solution)
@@ -80,7 +80,7 @@ def test_hierarchy_equation_holds(hier, seeds):
     }
     inner = WIN.interior_mask(2)
     for key, src in sources.items():
-        lhs = delta_op_field(w(*key), PARAMS)
+        lhs = delta_ell_field(1, [w(*key)], PARAMS)
         res_b = np.abs(lhs.b + src.b)[inner].max()
         res_phi = np.abs(lhs.w_phi + src.w_phi)[inner].max()
         assert res_b <= 1e-10, key
