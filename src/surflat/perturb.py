@@ -10,6 +10,17 @@ the correction solves the linearized equation against minus that source.
 A variation is symmetric in its jets, so the sum over ordered tuples of
 degrees is taken as one variation per multiset, times its count.
 
+The family is kept to first order in s. The conserved integrals are its
+(1, m-1) derivatives, and both routes read only the coefficients (1, j)
+and (0, j) with j < order, so a build stores those 2 * order - 1 keys.
+That loses nothing a route reads: the source of (i, j) draws on stored
+degrees of first component at most i, so the sources of those keys need no
+other key, and a t^order coefficient could reach an s-linear row of the
+oracle only at total degree order + 1, past its cap. Two cuts in the oracle
+stay. Its rings are linear in s because the products of s-linear factors
+have s^2 terms, which nothing reads; and _gather skips keys with i >= 2,
+which a hierarchy put together by hand may hold.
+
 Two independent evaluations of the mixed family derivatives are provided.
 family_taylor_I expands the derivative into its combinatorial sum over
 compositions, with one signed slot factor and the counterterm volume.
@@ -67,7 +78,9 @@ class Hierarchy:
     coeffs, a read-only mapping, holds at least the seed coefficient
     (1, 0), and every jet lives on the seed's window, the hierarchy's
     window. The order is read from
-    the coefficients, so it cannot disagree with them.
+    the coefficients, so it cannot disagree with them. A build stores the
+    keys linear in s that the family routes read (see the module notes);
+    a hierarchy put together by hand may hold any others.
     """
 
     params: ModelParams
@@ -103,25 +116,31 @@ def build_hierarchy(u: Jet, v: Jet, order: int, choices: GreensChoice,
 
     u enters at s^1, v at t^1. Both must share a window and solve the
     linearized equation on the window interior to within the residual
-    tolerance. For each total degree up to `order`, the source of a
-    coefficient is assembled from multilinear variations of the lower
-    coefficients and pushed through the chosen Green's operator. The
-    Green's applications run with the boundary check disabled: hierarchy
-    fields legitimately fill light cones out to the window boundary, and the
-    surface-layer regularity of the constructed family is a consequence of
-    the finite interaction stencil rather than of decay at the boundary.
+    tolerance, scaled by the seed's largest value when that exceeds 1. For
+    each total degree d up to `order`, the coefficients the family routes
+    read are built, (1, d - 1) and, below the top degree, (0, d): the
+    source of each is assembled from multilinear variations of the lower
+    coefficients and pushed through the chosen Green's operator. An order-1
+    build stores u alone. The Green's applications run with the boundary
+    check disabled: hierarchy fields legitimately fill light cones out to
+    the window boundary, and the surface-layer regularity of the constructed
+    family is a consequence of the finite interaction stencil rather than of
+    decay at the boundary.
     """
     require_order(order, "hierarchy order")
     window = common_window(u, v)
     interior = Region(window, window.interior_mask())
     for name, jet in (("u", u), ("v", v)):
         res = linear_residual(jet, interior, p)
-        if res > RESIDUAL_TOLERANCE:
+        # rounding grows with the seed's values; a seed that is not finite
+        # has no size to scale by and fails
+        tol = RESIDUAL_TOLERANCE * max(1.0, jet.facts.size)
+        if not res <= tol < math.inf:
             raise InvalidJetError(
                 f"jet {name} is not a solution: interior residual {res:.3e}")
-    coeffs = {(1, 0): u, (0, 1): v}
+    coeffs = {(1, 0): u} | ({(0, 1): v} if order > 1 else {})
     for degree in range(2, order + 1):
-        keys = [(i, degree - i) for i in range(degree + 1)]
+        keys = [(1, degree - 1)] + ([(0, degree)] if degree < order else [])
         for key, source in _degree_sources(coeffs, keys, p):
             coeffs[key] = greens_apply(choices, source, p, edge_check=False)
     return Hierarchy(p, coeffs)

@@ -161,7 +161,8 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
         raise InvalidJetError(
             "pass the kernels through the dedicated argument, not inside the "
             "baseline choices")
-    seeds = build_hierarchy(u, v, 1, base, p).coeffs
+    # an order-1 build checks the seeds and stores u alone
+    seeds = build_hierarchy(u, v, 1, base, p).coeffs | {(0, 1): v}
     [(key, source)] = _degree_sources(seeds, [(1, 1)], p)
     image = greens_apply(base, source, p, edge_check=False)
 

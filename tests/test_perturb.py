@@ -12,10 +12,11 @@ from surflat.errors import InvalidJetError, RangeError, UnsupportedOrderError
 from surflat.jets import (DualJet, Jet, delta_ell_field, pair_product_sum,
                           region_product_sum)
 from surflat.lagrangian import MAX_ORDER, ModelParams, stencil_deriv_table
-from surflat.linear import (GreensChoice, greens_apply, scalar_roots,
-                            scalar_solution, wave_solution)
-from surflat.perturb import (Hierarchy, _multisets, build_hierarchy,
-                             compositions, family_taylor_I, taylor_oracle_I)
+from surflat.linear import (GreensChoice, greens_apply, linear_residual,
+                            scalar_roots, scalar_solution, wave_solution)
+from surflat.perturb import (Hierarchy, _degree_sources, _multisets,
+                             build_hierarchy, compositions, family_taylor_I,
+                             taylor_oracle_I)
 from surflat.polyseries import PolyRing
 from surflat.space import (Region, STENCIL_OFFSETS, Window, pair_masks,
                            past_region)
@@ -46,6 +47,29 @@ def hier(seeds):
     return build_hierarchy(u, v, 3, CHOICE, PARAMS)
 
 
+def read_keys(order):
+    """The keys an order-n build stores: (1, j) and (0, j) with j < n."""
+    return {(1, j) for j in range(order)} | {(0, j) for j in range(1, order)}
+
+
+def full_hierarchy(u, v, order, choice):
+    """Every coefficient of total degree up to the order, the whole
+    two-parameter hierarchy, from the builder's own sources and Green's
+    operator. build_hierarchy keeps the keys the family routes read."""
+    coeffs = {(1, 0): u, (0, 1): v}
+    for degree in range(2, order + 1):
+        keys = [(i, degree - i) for i in range(degree + 1)]
+        for key, source in _degree_sources(coeffs, keys, PARAMS):
+            coeffs[key] = greens_apply(choice, source, PARAMS,
+                                       edge_check=False)
+    return Hierarchy(PARAMS, coeffs)
+
+
+@pytest.fixture(scope="module")
+def full_hier(seeds):
+    return full_hierarchy(*seeds, 3, CHOICE)
+
+
 def test_compositions():
     assert list(compositions(3, 2)) == [(0, 3), (1, 2), (2, 1), (3, 0)]
     assert list(compositions(3, 2, minimum=1)) == [(1, 2), (2, 1)]
@@ -54,21 +78,23 @@ def test_compositions():
 
 
 def test_hierarchy_keys(hier):
-    expect = {(1, 0), (0, 1)}
-    expect |= {(i, d - i) for d in (2, 3) for i in range(d + 1)}
-    assert set(hier.coeffs) == expect
+    assert set(hier.coeffs) == {(1, 0), (0, 1), (1, 1), (0, 2), (1, 2)}
     absent = hier.coeff(4, 4)
     assert not absent.a.any() and not absent.u_phi.any()
 
 
-def test_hierarchy_equation_holds(hier, seeds):
-    # Every stored coefficient of degree >= 2 must solve the linearized
-    # equation against minus its source, with the sources spelled out by
-    # hand rather than recycled from the builder.
+def test_hierarchy_equation_holds(hier, full_hier, seeds):
+    # Every coefficient of degree >= 2 must solve the linearized equation
+    # against minus its source, with the sources spelled out by hand rather
+    # than recycled from the builder. The build stores the keys linear in
+    # s; the others come from the full two-parameter hierarchy.
     u, v = seeds
     d2 = lambda a, b: delta_ell_field(2, [a, b], PARAMS)
     d3 = lambda a, b, c: delta_ell_field(3, [a, b, c], PARAMS)
-    w = hier.coeff
+
+    def w(i, j):
+        return hier.coeffs.get((i, j), full_hier.coeff(i, j))
+
     sources = {
         (2, 0): d2(u, u),
         (1, 1): 2.0 * d2(u, v),
@@ -78,6 +104,7 @@ def test_hierarchy_equation_holds(hier, seeds):
         (1, 2): 2.0 * d2(u, w(0, 2)) + 2.0 * d2(v, w(1, 1)) + 3.0 * d3(u, v, v),
         (0, 3): 2.0 * d2(v, w(0, 2)) + d3(v, v, v),
     }
+    assert set(hier.coeffs) - {(1, 0), (0, 1)} < set(sources)
     inner = WIN.interior_mask(2)
     for key, src in sources.items():
         lhs = delta_ell_field(1, [w(*key)], PARAMS)
@@ -228,9 +255,9 @@ def test_hierarchy_coefficients_are_read_only(hier):
     assert hier.order == 3 and hier.window == WIN
     coeffs = dict(hier.coeffs)
     copy = Hierarchy(PARAMS, coeffs)
-    coeffs[(0, 4)] = coeffs[(0, 3)]
+    coeffs[(0, 4)] = coeffs[(1, 2)]
     assert copy.order == 3
-    merged = Hierarchy(PARAMS, copy.coeffs | {(0, 4): coeffs[(0, 3)]})
+    merged = Hierarchy(PARAMS, copy.coeffs | {(0, 4): coeffs[(1, 2)]})
     assert merged.order == 4
 
 
@@ -435,11 +462,12 @@ def test_multisets_fold_the_ordered_tuples(i, j, ell):
         assert count == len(set(itertools.permutations(parts)))
 
 
-@pytest.mark.parametrize("order,per_ell", [(2, {2: 3}), (3, {2: 9, 3: 4}),
-                                          (4, {2: 23, 3: 13, 4: 5})])
+@pytest.mark.parametrize("order,per_ell", [(2, {2: 1}), (3, {2: 4, 3: 1}),
+                                          (4, {2: 8, 3: 4, 4: 1}), (1, {})])
 def test_hierarchy_varies_once_per_multiset(seeds, monkeypatch, order,
                                             per_ell):
-    # 3, 13 and 41 variations against 4, 24 and 101 ordered tuples
+    # 0, 1, 5 and 13 variations against 0, 2, 10 and 32 ordered tuples for
+    # the keys linear in s; all keys would take 3, 13 and 41 at orders 2-4
     orders = []
 
     def counting(ell, *args, **kwargs):
@@ -452,17 +480,20 @@ def test_hierarchy_varies_once_per_multiset(seeds, monkeypatch, order,
 
 
 def ordered_hierarchy(u, v, order, choice, window):
-    """Hierarchy coefficients with each source summed over ordered tuples."""
+    """Hierarchy coefficients with each source summed over ordered tuples.
+
+    It builds the keys an order-n build stores; an ordered tuple summing to
+    (i, j) has parts of first degree <= i, so those sources need no other.
+    """
     coeffs = {(1, 0): u, (0, 1): v}
-    for degree in range(2, order + 1):
-        for i in range(degree + 1):
-            source = DualJet.zero(window)
-            for ell in range(2, degree + 1):
-                for parts in ordered_tuples(i, degree - i, ell):
-                    source = source + delta_ell_field(
-                        ell, [coeffs[key] for key in parts], PARAMS)
-            coeffs[(i, degree - i)] = greens_apply(
-                choice, source, PARAMS, edge_check=False)
+    for i, j in sorted(read_keys(order) - set(coeffs), key=sum):
+        source = DualJet.zero(window)
+        for ell in range(2, i + j + 1):
+            for parts in ordered_tuples(i, j, ell):
+                source = source + delta_ell_field(
+                    ell, [coeffs[key] for key in parts], PARAMS)
+        coeffs[(i, j)] = greens_apply(choice, source, PARAMS,
+                                      edge_check=False)
     return coeffs
 
 
@@ -496,7 +527,7 @@ def test_multiset_sources_match_ordered_sum(half, choice):
     want = ordered_hierarchy(u, v, MAX_ORDER, choice, window)
     for order in range(2, MAX_ORDER + 1):
         got = build_hierarchy(u, v, order, choice, PARAMS).coeffs
-        assert set(got) == {key for key in want if sum(key) <= order}
+        assert set(got) == read_keys(order) <= set(want)
         for key, jet in got.items():
             for name in ("a", "u_phi"):
                 ref = getattr(want[key], name)
@@ -591,7 +622,7 @@ def test_oracle_on_cut_rings_is_the_full_ring_oracle_bitwise(monkeypatch,
     # the rings linear in s drop the s^2-and-up ideal; the full rings,
     # filled with every coefficient, give the same values bit for bit
     window, u, v = block_seeds(40, kind)
-    full = build_hierarchy(u, v, MAX_ORDER, choice, PARAMS)
+    full = full_hierarchy(u, v, MAX_ORDER, choice)
     # the dropped coefficients are live, so dropping them is tested
     assert full.coeff(2, 0).a.any() or full.coeff(2, 0).u_phi.any()
     create = PolyRing.create.__func__
@@ -613,3 +644,69 @@ def test_oracle_on_cut_rings_is_the_full_ring_oracle_bitwise(monkeypatch,
                 order, omega.site_count())
             nonzero |= any(want)
     assert nonzero
+
+
+# --- the build keeps the keys linear in s ---
+
+@functools.cache
+def coupled_full_hierarchy(half, choice):
+    _, u, v = coupled_seeds(half)
+    return full_hierarchy(u, v, MAX_ORDER, choice)
+
+
+@pytest.mark.parametrize("half", [40, 80])
+@pytest.mark.parametrize("choice", SUM_CHOICES.values(), ids=SUM_CHOICES)
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+def test_linear_build_is_the_full_hierarchy_bitwise(half, choice, order):
+    # an order-n build stores the 2n - 1 keys (1, j) and (0, j), j < n; each
+    # is the full hierarchy's coefficient bit for bit, and both family
+    # routes read the same bytes off either hierarchy
+    window, u, v = coupled_seeds(half)
+    full = coupled_full_hierarchy(half, choice)
+    full = Hierarchy(PARAMS, {key: jet for key, jet in full.coeffs.items()
+                              if sum(key) <= order})
+    built = build_hierarchy(u, v, order, choice, PARAMS)
+    assert set(built.coeffs) == read_keys(order)
+    assert len(built.coeffs) == 2 * order - 1
+    for key, jet in built.coeffs.items():
+        for name in ("a", "u_phi"):
+            assert (getattr(jet, name).tobytes()
+                    == getattr(full.coeffs[key], name).tobytes()), (key, name)
+    values = []
+    for omega in (past_region(window, 0), BLOCK_REGIONS[7](window)):
+        for hier in (built, full):
+            values.append(np.array(
+                [family_taylor_I(hier, omega, m, q)
+                 for m in range(1, order + 1) for q in range(1, order + 1)]
+                + list(taylor_oracle_I(hier, omega))))
+        assert values[-2].tobytes() == values[-1].tobytes(), omega
+    # the first-order balance of the wave seed u is zero; from order 2 on
+    # the compared values are not all zero
+    assert any(value.any() for value in values) == (order > 1)
+
+
+def test_seed_check_is_relative_to_the_seed_size():
+    # an exact scalar mode growing to 2.2e11 on the default W=40 window
+    # rounds to an interior residual of 1.2e-4, 5e-16 of its size; a
+    # non-solution is still refused at any size, and so is a defect above
+    # the relative tolerance in such a mode
+    window = Window(-40, 40, -40, 40)
+    wave = right_mover(window, 3, 0.2)
+    mode = scalar_solution(0.2, PARAMS, window, decay="past")
+    interior = Region(window, window.interior_mask())
+    assert linear_residual(mode, interior, PARAMS) > 1e-4
+    built = build_hierarchy(mode, wave, 2, CHOICE, PARAMS)
+    assert built.coeffs[(1, 0)] is mode
+
+    def spike(value):
+        u_phi = window.zeros()
+        u_phi[window.index(0, 0)] = value
+        return Jet(window, window.zeros(), u_phi)
+
+    for seed in (spike(1e6), mode + spike(1e-9 * mode.facts.size)):
+        with pytest.raises(InvalidJetError, match="not a solution"):
+            build_hierarchy(seed, wave, 2, CHOICE, PARAMS)
+    # a seed that is not finite has no size to scale by
+    with np.errstate(invalid="ignore"), pytest.raises(
+            InvalidJetError, match="not a solution"):
+        build_hierarchy(wave, spike(math.inf), 2, CHOICE, PARAMS)
