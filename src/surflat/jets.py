@@ -46,8 +46,8 @@ vanishes at both of its used slots: its base and slope are +-0, so is every
 coefficient, and adding +-0 to a sum that starts at +0.0 changes no bit
 (stencil_contraction has the argument). The hierarchy's variations always
 carry a seed factor, and the default seeds are wave bands on 2.2% of the
-W=160 window, so at most 2.41% of a variation's pairs are live, and 8 of
-the 13 variations of an order-3 build have under 0.1%. stencil_contraction
+W=160 window, so at most 2.5% of a variation's pairs are live, and 4 of
+the 5 variations of an order-3 build have under 0.1%. stencil_contraction
 then gathers the live pairs (live_pairs) and runs the series on those
 sites. The guard keeps whole blocks when a field holds inf or NaN or the
 factors' product could overflow, since inf or NaN times zero is NaN, not
@@ -515,8 +515,7 @@ def stencil_contraction(p: ModelParams, jets: Sequence[Jet]):
     if pairs is not None:
         ws = series_workspace(len(jets), max(ix.size for ix, _
                                              in pairs.values()), n_held=4)
-        _contract_classes(table, [_FlatJet(jet.a.ravel(), jet.u_phi.ravel(),
-                                           jet.facts) for jet in jets],
+        _contract_classes(table, [_FlatJet.of(jet) for jet in jets],
                           [(offset, ix, iy, ix.shape)
                            for offset, (ix, iy) in pairs.items()],
                           (scalar.ravel(), angular.ravel()), ws)
@@ -547,6 +546,10 @@ class _FlatJet(NamedTuple):
     a: np.ndarray
     u_phi: np.ndarray
     facts: JetFacts
+
+    @classmethod
+    def of(cls, jet: Jet) -> "_FlatJet":
+        return cls(jet.a.ravel(), jet.u_phi.ravel(), jet.facts)
 
 
 def _contract_classes(table, jets, classes, outputs, ws):
@@ -596,22 +599,24 @@ def pair_product_sum(p: ModelParams, omega: Region, factors) -> float:
     the product is applied to the interaction and summed over the pairs
     enumerated by stencil_pairs(omega). The D-series is evaluated at the
     region's interface sites only, in one workspace sized for the largest
-    offset. The sites come from omega.interface_sites, found once per
-    region: its mask is read-only, so repeated sums over one region (a
-    surface-layer sweep makes six per cut) never scan the window again.
-    The jets must live on the region's window.
+    offset, reading the jets' fields through flat views (_FlatJet) at the
+    sites' flat indices, as the live-pairs path does. The sites come from
+    omega.interface_sites, found once per region: its mask is read-only, so
+    repeated sums over one region (a surface-layer sweep makes six per cut)
+    never scan the window again. The jets must live on the region's window.
     """
     common_window(omega, *(jet for jet, _, _ in factors))
     table = stencil_deriv_table(p)
     sites = omega.interface_sites
+    flat = [(_FlatJet.of(jet), s1, s2) for jet, s1, s2 in factors]
     ws = series_workspace(len(factors),
-                          max(x[0].size for x, _ in sites.values()))
+                          max(ix.size for ix, _ in sites.values()))
     total = 0.0
-    for offset, (x_sites, y_sites) in sites.items():
-        if x_sites[0].size == 0:
+    for offset, (ix, iy) in sites.items():
+        if ix.size == 0:
             continue
-        rows = workspace_rows(ws, x_sites[0].shape)
-        coeffs = slot_factor_maps(factors, x_sites, y_sites, rows)
+        rows = workspace_rows(ws, ix.shape)
+        coeffs = slot_factor_maps(flat, ix, iy, rows)
         acc = _contract(coeffs, table, offset, 0, rows[len(coeffs)],
                         rows[len(coeffs) + 1])
         if acc is not None:

@@ -128,10 +128,9 @@ def build_hierarchy(u: Jet, v: Jet, order: int, choices: GreensChoice,
     decay at the boundary.
     """
     require_order(order, "hierarchy order")
-    window = common_window(u, v)
-    interior = Region(window, window.interior_mask())
+    common_window(u, v)
     for name, jet in (("u", u), ("v", v)):
-        res = linear_residual(jet, interior, p)
+        res = linear_residual(jet, p)
         # rounding grows with the seed's values; a seed that is not finite
         # has no size to scale by and fails
         tol = RESIDUAL_TOLERANCE * max(1.0, jet.facts.size)

@@ -39,7 +39,7 @@ def _monomials(n_vars: int, cap: int, linear: tuple):
 
 @dataclass(frozen=True, eq=False)
 class PolyRing:
-    """Truncated polynomial ring in n_vars variables, total degree <= cap.
+    """Truncated polynomial ring, total degree <= cap.
 
     terms[k] lists, in table order, the pairs (i, j) with monomial i times
     monomial j equal to monomial k; the first is always (0, k). mul sums
@@ -47,7 +47,6 @@ class PolyRing:
     with no temporary of the batch's full height.
     """
 
-    n_vars: int
     cap: int
     monomials: tuple
     index: dict
@@ -66,8 +65,7 @@ class PolyRing:
                 k = index.get(tuple(a + b for a, b in zip(mi, mj)))
                 if k is not None:
                     terms[k].append((i, j))
-        return cls(n_vars, cap, monomials, index,
-                   tuple(tuple(t) for t in terms))
+        return cls(cap, monomials, index, tuple(tuple(t) for t in terms))
 
     def zeros(self, width: int) -> np.ndarray:
         return np.zeros((len(self.monomials), width))

@@ -139,22 +139,18 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
 
     Returns one (lhs, rhs) pair per kernel. lhs evaluates the order-2 family
     derivative with the kernel modifier installed minus the plain
-    evaluation; rhs is twice the first-order balance of the modifier applied
-    to the second variation of (u, v). The two agree exactly: only the mixed
-    second-order coefficient feels the modified kernel, and the first-order
-    balance is linear. The order-2 balance reads the degree-2 coefficient
-    (1, 1) only, so the seeds, that one source, its plain Green's image and
-    half the source are built once. A kernel only adds its rank-one term
-    kernel.apply(source), the pairing of the source times the kernel's
-    direction, to the image: bitwise what greens_apply returns with the
-    modifier installed. The kernels are read once, in order, and none is
-    held after its pair is computed.
-
-    rhs reads half the source for the second variation d2, bitwise: the
-    source is +0.0 + 2 d2, so halving gives d2 (short of overflow) except
-    that -0.0 becomes +0.0. A zero's sign moves the pairing only when the
-    whole sum is zero; the kernel's term is then +-0, i1's interface sum
-    +0.0, and rhs 2.0 * (0.0 - (+-0)) = +0.0 either way.
+    evaluation; rhs is the first-order balance of the kernel's term applied
+    to the source of the mixed coefficient, which is twice the second
+    variation of (u, v). The two agree exactly: only the mixed second-order
+    coefficient feels the modified kernel, and the first-order balance is
+    linear. The order-2 balance reads the degree-2 coefficient (1, 1) only,
+    so the seeds, that one source and its plain Green's image are built
+    once. Each kernel's term shift = kernel.apply(source), the pairing of
+    the source times the kernel's direction, is computed once: added to
+    the image it is bitwise what greens_apply returns with the modifier
+    installed, and it is the jet whose first-order balance gives rhs. The
+    kernels are read once, in order, and none is held after its pair is
+    computed.
     """
     base = choices if choices is not None else GreensChoice()
     if base.kernel_modifier is not None:
@@ -171,12 +167,11 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
         return family_taylor_I(hier, omega, 2, 2)
 
     plain = order_two(image)
-    half = 0.5 * source
     out = []
     for kernel in kernels:
-        lhs = order_two(image + kernel.pairing(source) * kernel.direction)
-        surface, volume = i1(kernel.apply(half), omega, p)
-        out.append((lhs - plain, 2.0 * (surface - volume)))
+        shift = kernel.apply(source)
+        surface, volume = i1(shift, omega, p)
+        out.append((order_two(image + shift) - plain, surface - volume))
     return out
 
 

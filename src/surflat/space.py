@@ -132,16 +132,18 @@ class Region:
 
     @functools.cached_property
     def interface_sites(self) -> dict:
-        """Index arrays of the interface pairs, computed once per region.
+        """Flat site indices of the interface pairs, computed once per region.
 
-        Maps each neighbor offset to ((ix, jx), (iy, jy)): the row and
-        column indices of the sites x that pair_masks marks for it, in
-        row-major order, and of their partners y = x + offset.
+        Maps each neighbor offset (dt, dx) to (ix, iy): the row-major
+        indices, into the window's raveled arrays, of the sites x that
+        pair_masks marks for it, in order, and of their partners
+        y = x + offset, iy = ix + dt * n_x + dx.
         """
+        n_x = self.window.shape[1]
         sites = {}
         for (dt, dx), mask in pair_masks(self).items():
-            ix, jx = np.unravel_index(np.flatnonzero(mask), mask.shape)
-            sites[(dt, dx)] = ((ix, jx), (ix + dt, jx + dx))
+            ix = np.flatnonzero(mask)
+            sites[(dt, dx)] = (ix, ix + (dt * n_x + dx))
         return sites
 
     @functools.cached_property

@@ -15,14 +15,14 @@ import pytest
 
 import surflat
 from surflat import (DualJet, GreensChoice, LatticePoint, ModelParams,
-                     RangeError, RankOneModifier, Region, TruncationError,
-                     Window, build_hierarchy, delta_ell, delta_ell_field,
+                     RangeError, RankOneModifier, TruncationError, Window,
+                     build_hierarchy, delta_ell, delta_ell_field,
                      family_taylor_I, greens_apply, greens_defects,
                      greens_dependence_check, greens_residual, i1, i_m,
-                     linear_residual, pair_product_sum, past_region,
-                     region_product_sum, scalar_solution, sigma,
-                     slayer_sweep, symm_bilinear, symm_closed_form,
-                     sympl_closed_form, taylor_oracle_I, wave_solution)
+                     pair_product_sum, past_region, region_product_sum,
+                     scalar_solution, sigma, slayer_sweep, symm_bilinear,
+                     symm_closed_form, sympl_closed_form, taylor_oracle_I,
+                     wave_solution)
 
 WINDOW_INPUTS = {"past_region", "el_check", "ell", "scalar_solution",
                  "wave_solution"}
@@ -54,7 +54,6 @@ def fields_on(window):
     w = DualJet(window, *(0.1 * rng.standard_normal((2, *window.shape))))
     return {"u": u, "v": v, "probe": scalar_solution(0.01, P, window),
             "omega": past_region(window, 0),
-            "interior": Region(window, window.interior_mask()),
             "w": w, "out": greens_apply(PLAIN, w, P, edge_check=False),
             "hier": build_hierarchy(u, v, 2, PLAIN, P),
             "kernel": RankOneModifier(w, u)}
@@ -83,8 +82,6 @@ WINDOW_RULE = {
                            lambda f: region_product_sum(f.omega, [f.u, f.v])),
     "greens_defects": ("out w", lambda f: greens_defects(f.out, f.w, P)),
     "greens_residual": ("out w", lambda f: greens_residual(f.out, f.w, P)),
-    "linear_residual": ("u interior",
-                        lambda f: linear_residual(f.u, f.interior, P)),
     "build_hierarchy": ("u v",
                         lambda f: build_hierarchy(f.u, f.v, 2, PLAIN, P)),
     "family_taylor_I": ("hier omega",

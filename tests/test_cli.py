@@ -819,8 +819,13 @@ def test_config_file_merges_over_defaults(tmp_path):
         "slices": {"start": -2, "stop": 2},
     }))
     parsed = load_config(cfg, [], None, "slayer-sweep")
-    assert parsed.specs["u"]["amplitude"] == 0.1
-    assert parsed.specs["u"]["kind"] == "right_mover"  # inherited
+    default = load_config(None, [], None, "slayer-sweep")
+    # u is the default right mover (kind, center and width inherited) at
+    # half the default amplitude 0.2, exactly
+    assert not parsed.u.a.any()
+    assert parsed.u.facts.size == 0.1
+    assert np.array_equal(parsed.u.u_phi, 0.5 * default.u.u_phi)
+    assert parsed.v.u_phi.tobytes() == default.v.u_phi.tobytes()
     assert parsed.probe is None
     assert parsed.slices == range(-2, 3)
 

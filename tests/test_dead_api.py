@@ -6,6 +6,12 @@ as a name it reads, an attribute, or a name it imports. A name that only
 tests use is dead API unless ALLOWED gives the reason it stays. Methods are
 matched by name, so one that shares its name with another attribute counts
 as used: the check finds names that no module spells, not every dead one.
+
+Record fields get the same check, read only: each annotated field of a
+class that src/surflat defines (its dataclasses and NamedTuples) must be
+read as an attribute by some module of src/surflat. A field that is only
+built, or read by tests alone, is dead unless ALLOWED_FIELDS gives the
+reason it stays.
 """
 
 import ast
@@ -24,6 +30,10 @@ ALLOWED = {
     "i_m": "entry point that bench/tracer.py wraps",
     "Region.from_box": "constructor of the tests' box regions",
 }
+
+
+# Class.field entries that no module of the package reads, with reasons
+ALLOWED_FIELDS = {}
 
 
 def spelled(source: str) -> set[str]:
@@ -81,3 +91,50 @@ def test_every_public_name_has_a_caller():
     assert [name for name in missing if name not in ALLOWED] == []
     # an entry whose name gained a caller, or left the package, goes
     assert sorted(missing) == sorted(ALLOWED)
+
+
+def record_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) for each annotated field of the classes the source
+    defines, in order."""
+    return [(node.name, item.target.id)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)]
+
+
+def attributes_read(source: str) -> set[str]:
+    """Attribute names the source reads (ast.Attribute in a load)."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(sources) -> list[str]:
+    """Class.field for each record field that no source reads, in order."""
+    read = set().union(*map(attributes_read, sources))
+    return [f"{cls}.{name}" for source in sources
+            for cls, name in record_fields(source) if name not in read]
+
+
+def test_the_field_check_finds_unread_fields():
+    # kept is read, built is only passed to the constructor, and spelled
+    # is a local name and an assignment target but never read
+    source = ("class Rec(NamedTuple):\n"
+              "    kept: int\n"
+              "    built: int\n"
+              "    spelled: int\n"
+              "    limit = 3\n"
+              "spelled = Rec(1, built=2, spelled=3)\n"
+              "spelled.spelled = spelled.kept\n")
+    assert record_fields(source) == [("Rec", "kept"), ("Rec", "built"),
+                                     ("Rec", "spelled")]
+    assert unread_fields([source]) == ["Rec.built", "Rec.spelled"]
+
+
+def test_every_record_field_is_read():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert sum(len(record_fields(source)) for source in sources) > 50
+    # an entry whose field gained a reader, or left the package, goes
+    assert sorted(unread_fields(sources)) == sorted(ALLOWED_FIELDS)

@@ -548,6 +548,39 @@ def test_pair_product_sum_bitwise_pin(order):
             math.copysign(1.0, want)
 
 
+def edge_region(window, edge):
+    """A two-site stripe along one edge of the window, or a random mask."""
+    mask = np.zeros(window.shape, dtype=bool)
+    if edge == "random":
+        mask = np.random.default_rng(41).random(window.shape) < 0.5
+    else:
+        rows, cols = {"t_min": (slice(0, 2), slice(None)),
+                      "t_max": (slice(-2, None), slice(None)),
+                      "x_min": (slice(None), slice(0, 2)),
+                      "x_max": (slice(None), slice(-2, None))}[edge]
+        mask[rows, cols] = True
+    return Region(window, mask)
+
+
+@pytest.mark.parametrize("edge", ["t_min", "t_max", "x_min", "x_max",
+                                  "random"])
+def test_pair_product_sum_on_the_window_edges_bitwise(edge):
+    # flat site indices step across a row end as ix + 1 does; a region on
+    # each edge, and one with sites on every edge, sums exactly the pairs
+    # of the row and column reference, with no partner wrapped to the
+    # other side of the window; order 1 is left out, as its spatial pairs
+    # sum to zero at the base configuration
+    wide = PIN_WINDOWS["15x27"]
+    omega = edge_region(wide, edge)
+    for order in (2, 3):
+        factors = [(signed_zero_jet(600 + k, wide), *PIN_SIGNS[k])
+                   for k in range(order)]
+        got = pair_product_sum(P, omega, factors)
+        want = ref_pair_product_sum(P, omega, factors)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert got != 0.0
+
+
 def ref_region_product_sum(omega, jets):
     # the whole-window product, masked afterwards
     prod = np.ones(omega.window.shape)

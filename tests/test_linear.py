@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import subprocess
@@ -18,12 +19,6 @@ from surflat.linear import (GreensChoice, RankOneModifier, ScalarStack,
                             scalar_solution, wave_green, wave_solution)
 
 P = ModelParams()
-
-
-def central_region(window, margin=2):
-    return Region.from_box(window, window.t_min + margin,
-                           window.t_max - margin,
-                           window.x_min + margin, window.x_max - margin)
 
 
 def random_dual(window, seed, half_width=2, amplitude=1.0):
@@ -56,7 +51,7 @@ def test_scalar_solution_values_and_residual():
     assert jet.a[w.index(1, 0)] == -0.5
     assert jet.a[w.index(2, 3)] == 0.25
     assert jet.a[w.index(-1, 0)] == -2.0
-    assert linear_residual(jet, central_region(w, 1), P) == 0.0
+    assert linear_residual(jet, P) == 0.0
 
 
 def test_scalar_solution_pointwise_operator_zero():
@@ -73,7 +68,7 @@ def test_scalar_solution_past_decay():
     jet = scalar_solution(1.0, P, w, decay="past")
     assert jet.a[w.index(-1, 0)] == -0.5
     assert jet.a[w.index(1, 0)] == -2.0
-    assert linear_residual(jet, central_region(w, 1), P) == 0.0
+    assert linear_residual(jet, P) == 0.0
 
 
 def test_scalar_solution_with_spatial_profile():
@@ -83,7 +78,7 @@ def test_scalar_solution_with_spatial_profile():
     assert jet.a[w.index(0, 1)] == 1.0
     assert jet.a[w.index(0, 2)] == 0.0
     # columnwise equation: any profile still solves it
-    assert linear_residual(jet, central_region(w, 1), P) == 0.0
+    assert linear_residual(jet, P) == 0.0
     with pytest.raises(RangeError):
         scalar_solution(1.0, P, w, profile={99: 1.0})
 
@@ -102,7 +97,7 @@ def test_wave_solution_dalembert_form():
     assert jet.u_phi[w.index(3, 1)] == -0.5
     assert jet.u_phi[w.index(1, -1)] == 0.5  # both movers overlap here
     assert jet.u_phi[w.index(-1, 3)] == 0.0
-    assert linear_residual(jet, central_region(w, 1), P) <= 1e-14
+    assert linear_residual(jet, P) <= 1e-14
     assert not jet.facts.has_scalar
 
 
@@ -112,7 +107,7 @@ def test_wave_solution_random_profiles_solve():
     g = {int(k): float(rng.normal()) for k in range(-4, 5)}
     h = {int(k): float(rng.normal()) for k in range(-4, 5)}
     jet = wave_solution(g, h, w)
-    assert linear_residual(jet, central_region(w, 1), P) <= 1e-13
+    assert linear_residual(jet, P) <= 1e-13
 
 
 def test_wave_solution_range_errors():
@@ -179,22 +174,27 @@ def test_linear_residual_flags_non_solutions():
     bump = w.zeros()
     bump[w.index(0, 0)] = 1.0
     jet = Jet(w, w.zeros(), bump)
-    assert linear_residual(jet, central_region(w, 1), P) >= 1.0
+    assert linear_residual(jet, P) >= 1.0
 
 
-def test_linear_residual_region_margin():
+def test_linear_residual_reads_the_window_interior():
+    # a corner bump is seen only on the frame, so it is not read; NaN in
+    # either component is, and a window without interior sites has
+    # residual 0.0
     w = Window(-5, 5, -5, 5)
-    jet = Jet.zero(w)
-    full = Region.from_box(w, -5, 5, -5, 5)
-    with pytest.raises(RangeError):
-        linear_residual(jet, full, P)
-
-
-def test_linear_residual_region_on_the_jet_window():
-    w = Window(-5, 5, -5, 5)
-    shifted = Window(-4, 6, -5, 5)
-    with pytest.raises(RangeError, match="different windows"):
-        linear_residual(Jet.zero(w), central_region(shifted, 1), P)
+    a = w.zeros()
+    a[0, 0] = 1.0
+    assert linear_residual(Jet(w, a, w.zeros()), P) == 0.0
+    a[1, 1] = 1.0
+    assert linear_residual(Jet(w, a, w.zeros()), P) >= 1.0
+    for k in (0, 1):
+        fields = [w.zeros(), w.zeros()]
+        fields[k][5, 5] = np.nan
+        assert math.isnan(linear_residual(Jet(w, *fields), P))
+    for thin in (Window(0, 1, -5, 5), Window(-5, 5, 0, 1)):
+        bump = thin.zeros()
+        bump[0, 0] = 1.0
+        assert linear_residual(Jet(thin, bump, bump), P) == 0.0
 
 
 # --- Green's operators ---
@@ -616,8 +616,7 @@ def test_scalar_stack_equals_full_window_solves_bitwise(vector_kind,
         got = stack.field(k)
         assert bitwise(got, want)
         assert got.flags.c_contiguous
-        # every column of the output is one of the field's stack columns
-        assert columns(want) <= columns(stack.columns_of(k))
+        assert_framed(stack, k, want)
         assert bitwise(wave_green(w_phi, vector_kind),
                        vector_green_reference(w_phi, vector_kind))
 
@@ -626,19 +625,48 @@ def columns(a):
     return {a[:, j].tobytes() for j in range(a.shape[1])}
 
 
+def assert_framed(stack, k, want):
+    # framed(k) is the full solve want on the span of field k's live
+    # columns framed by one, and every column of want is one of its columns
+    framed = stack.framed(k)
+    live = stack.columns[k]
+    if framed is None:
+        assert live.size == 0
+        assert len(columns(want)) == 1
+        return
+    cols, values = framed
+    assert cols == slice(max(live[0] - 1, 0), min(live[-1] + 2, want.shape[1]))
+    assert bitwise(values, want[:, cols])
+    assert columns(want) <= columns(values)
+
+
 @pytest.mark.parametrize("shape", [(4, 2), (81, 81)],
                          ids=lambda s: "x".join(map(str, s)))
 def test_scalar_stack_backend_gap_is_the_full_window_gap(shape):
     # the backend agreement of greens-verify: the largest gap between the
-    # backends over a field's stack columns is bitwise the full window's
-    fields = [b for b, _ in batch_fields(shape, 20, "retarded", 7)]
+    # backends' framed(k), 0.0 when field k has no live column, and the one
+    # between their field(k) are bitwise the full window's; the fields hold
+    # no live column, one, and many with -0.0 and NaN planted
+    n_t, n_x = shape
+    fields = [columns_source(n_t, n_x, live, 11 + live)
+              for live in sorted({0, 1, n_x // 2, n_x})]
+    assert any(np.isnan(b).any() for b in fields)
     banded, frequency = (ScalarStack(kind, fields, P)
                          for kind in ("banded_solve", "frequency"))
     for k, b in enumerate(fields):
-        gap = np.abs(banded.columns_of(k) - frequency.columns_of(k)).max()
         full = np.abs(_scalar_green_banded(b, P)
                       - _scalar_green_frequency(b, P)).max()
+        whole = np.abs(banded.field(k) - frequency.field(k)).max()
+        framed = banded.framed(k), frequency.framed(k)
+        if framed[0] is None:
+            assert framed[1] is None
+            gap = np.float64(0.0)
+        else:
+            (cols, x), (other, y) = framed
+            assert cols == other
+            gap = np.abs(x - y).max()
         assert gap.tobytes() == full.tobytes()
+        assert whole.tobytes() == full.tobytes()
 
 
 def test_scalar_stack_rejects_no_fields_and_mixed_shapes():
@@ -712,7 +740,7 @@ def test_scalar_stack_field_is_the_full_solve_bitwise(scalar_kind, lives):
             got = stack.field(k)
             assert bitwise(got, want)
             assert got.flags.c_contiguous and got.flags.writeable
-            assert columns(want) <= columns(stack.columns_of(k))
+            assert_framed(stack, k, want)
 
 
 @pytest.mark.parametrize("scalar_kind", ["banded_solve", "frequency"])

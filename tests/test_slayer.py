@@ -331,7 +331,7 @@ def test_greens_dependence_identity(movers, seed):
 def test_greens_dependence_builds_the_plain_hierarchy_once(movers):
     # the seeds are checked once, the one degree-2 source the order-2
     # balance reads, (1, 1), is built once (one order-2 variation, whatever
-    # the number of kernels; rhs reads half of it), and the plain
+    # the number of kernels; rhs reads it too), and the plain
     # Green's operator is applied once, to that source; a kernel only adds
     # its rank-one term to the image. Each kernel's pair equals what a call
     # with that kernel alone returns, and its lhs is bitwise the difference
@@ -385,8 +385,9 @@ def test_greens_dependence_builds_the_plain_hierarchy_once(movers):
 
 
 def test_greens_dependence_rhs_equals_the_second_variation_bitwise(movers):
-    # rhs reads half the (1, 1) source, +0.0 + 2 d2, in place of d2: the
-    # same bytes, also for kernels whose pairing is a zero of either sign
+    # rhs is the balance of the kernel's term on the (1, 1) source,
+    # +0.0 + 2 d2: the bytes of twice its balance on d2, also for kernels
+    # whose pairing is a zero of either sign
     u, v = movers
     rng = np.random.default_rng(17)
     omega = past_region(TALL, 0)
@@ -409,6 +410,28 @@ def test_greens_dependence_rhs_equals_the_second_variation_bitwise(movers):
         surface, volume = i1(kernel.apply(d2), omega, PARAMS)
         want = 2.0 * (surface - volume)
         assert np.float64(rhs).tobytes() == np.float64(want).tobytes()
+
+
+def test_greens_dependence_pairs_each_kernel_once(movers, monkeypatch):
+    # one kernel term per kernel serves both sides: one pairing with the
+    # source, in kernel order
+    u, v = movers
+    rng = np.random.default_rng(19)
+    direction = scalar_solution(2.0 ** TALL.t_min, PARAMS, TALL,
+                                decay="future")
+    kernels = [RankOneModifier(
+        DualJet(TALL, 0.05 * rng.standard_normal(TALL.shape),
+                0.05 * rng.standard_normal(TALL.shape)), direction)
+        for _ in range(3)]
+    paired, real = [], RankOneModifier.pairing
+
+    def counting_pairing(kernel, w):
+        paired.append(kernel)
+        return real(kernel, w)
+
+    monkeypatch.setattr(RankOneModifier, "pairing", counting_pairing)
+    greens_dependence_check(u, v, past_region(TALL, 0), kernels, PARAMS)
+    assert [id(k) for k in paired] == [id(k) for k in kernels]
 
 
 def test_greens_dependence_rejects_a_non_solution_seed(movers):

@@ -161,18 +161,23 @@ def test_region_keeps_a_read_only_copy_of_its_mask(dtype):
         omega.mask[0, 0] = True
 
 
-@pytest.mark.parametrize("box", [(2, 4, 2, 4), (0, 0, 0, 0), (0, 6, 0, 6)])
+@pytest.mark.parametrize("box", [(2, 4, 3, 6), (0, 0, 0, 0), (0, 6, 0, 8)])
 def test_interface_sites_are_the_pair_masks(box):
-    w = Window(0, 6, 0, 6)
+    # flat row-major indices on a window that is not square, so a row step
+    # and a column step differ
+    w = Window(0, 6, 0, 8)
+    n_x = w.shape[1]
     omega = Region.from_box(w, *box)
     sites = omega.interface_sites
     assert omega.interface_sites is sites
     masks = pair_masks(omega)
     assert list(sites) == list(masks)
-    for (dt, dx), ((ix, jx), (iy, jy)) in sites.items():
-        assert np.array_equal(np.argwhere(masks[(dt, dx)]),
-                              np.stack([ix, jx], axis=1).reshape(-1, 2))
-        assert np.array_equal(iy, ix + dt) and np.array_equal(jy, jx + dx)
+    for (dt, dx), (ix, iy) in sites.items():
+        assert np.array_equal(ix, np.flatnonzero(masks[(dt, dx)]))
+        assert np.array_equal(iy, ix + dt * n_x + dx)
+        i, j = np.divmod(iy, n_x)
+        assert np.array_equal(i, ix // n_x + dt)
+        assert np.array_equal(j, ix % n_x + dx)
 
 
 # --- the flat index of a region ---
