@@ -586,7 +586,8 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
             for sk in SCALAR_GREENS:
                 rows.append(Row("greens-verify", None,
                                 f"defect[{vk},{sk},draw={draw:02d}]",
-                                max(scalar[sk], angular[vk]), 0.0,
+                                float(np.maximum(scalar[sk],
+                                                 angular[vk])), 0.0,
                                 cfg.tolerances["greens"]))
         # outputs of one wave kind share their angle field, and off the
         # draw's live columns both scalar outputs are +-0
@@ -644,19 +645,33 @@ def _run_greens_dependence(cfg: ExperimentConfig) -> list:
 
     The rank-one directions ride the future-decay scalar root, whose
     windowed first-order balance is the conserved boundary layer at the
-    bottom frame; a wave direction would shift nothing. The amplitude is
-    sized so the bottom row has unit magnitude.
+    bottom frame; a wave direction would shift nothing. The mode is built
+    on the window shifted to start at t = 0 and laid on the real one, so
+    its bottom row is 1 for every root (the scalar equation does not see
+    a shift in t) and no power of the root or of t_min overflows.
+
+    The identity reads a probe only through its pairing with the source,
+    so each probe component is a separable field 0.05 r (x) c, with r and
+    c standard normal of lengths n_t and n_x: dense, with no zero site,
+    and paired nonzero with any nonzero source with probability one. Per
+    kernel the draws are, in order, b's r, b's c, w_phi's r and w_phi's c.
     """
     p, window = cfg.params, cfg.window
+    n_t, n_x = window.shape
     rng = np.random.default_rng(cfg.seed)
-    direction = scalar_solution(2.0 ** window.t_min, p, window,
-                                decay="future")
+    mode = scalar_solution(1.0, p, dataclasses.replace(
+        window, t_min=0, t_max=n_t - 1), decay="future")
+    direction = Jet(window, mode.a, mode.u_phi)
     omega = past_region(window, 0)
+
+    def separable():
+        return np.outer(0.05 * rng.standard_normal(n_t),
+                        rng.standard_normal(n_x))
+
     # each probe is drawn when its kernel is used, so one is held at a time
-    kernels = (RankOneModifier(
-        DualJet(window, 0.05 * rng.standard_normal(window.shape),
-                0.05 * rng.standard_normal(window.shape)), direction)
-        for _ in range(cfg.modifiers))
+    kernels = (RankOneModifier(DualJet(window, separable(), separable()),
+                               direction)
+               for _ in range(cfg.modifiers))
     pairs = greens_dependence_check(cfg.u, cfg.v, omega, kernels, p,
                                     choices=cfg.greens)
     return [Row("greens-dependence", None, f"identity[k={k}]", lhs, rhs,

@@ -534,5 +534,6 @@ def cone_defect(window: Window, sv: np.ndarray, w_phi: np.ndarray,
 
 
 def greens_residual(out: Jet, w: DualJet, p: ModelParams) -> float:
-    """Largest interior residual of the defining Green's property."""
-    return max(greens_defects(out, w, p))
+    """Largest interior residual of the defining Green's property; NaN
+    when either defect is."""
+    return float(np.maximum(*greens_defects(out, w, p)))

@@ -871,8 +871,11 @@ def test_default_config_is_self_consistent():
 
 # --- determinism ---
 
-def test_reports_are_byte_identical_across_runs(tmp_path):
-    args = ["greens-verify", "--override", "draws=3", "--seed", "4"]
+@pytest.mark.parametrize("args", [
+    ["greens-verify", "--override", "draws=3", "--seed", "4"],
+    ["greens-dependence", "--override", "modifiers=3", "--seed", "9"]],
+    ids=["greens-verify", "greens-dependence"])
+def test_reports_are_byte_identical_across_runs(tmp_path, args):
     code1, out1 = run_cli(tmp_path / "a", *args)
     code2, out2 = run_cli(tmp_path / "b", *args)
     assert code1 == code2 == 0
@@ -1058,6 +1061,111 @@ def test_greens_verify_solves_the_support_columns_only(monkeypatch):
     widths.clear()
     cli.SUITES["greens-verify"](cfg)
     assert widths == {"banded_solve": [width], "frequency": [width]}
+
+
+@pytest.mark.parametrize("window", [[], _window_overrides(-160, 160, -160,
+                                                            160)],
+                         ids=["whole-window", "on-support"])
+def test_greens_verify_defect_with_a_nan_angular_defect_fails(monkeypatch,
+                                                             window):
+    # a NaN angular defect behind a finite scalar one fails its rows on
+    # both routes; Python's max kept the scalar defect and passed them
+    def nan_angle(real):
+        def wrapper(*args):
+            got = real(*args)
+            return (got[0], math.nan) if isinstance(got, tuple) else math.nan
+        return wrapper
+
+    monkeypatch.setattr(cli, "greens_defects", nan_angle(cli.greens_defects))
+    monkeypatch.setattr(cli, "cone_defect", nan_angle(cli.cone_defect))
+    cfg = load_config(None, ["draws=2", *window], None, "greens-verify")
+    rows = cli.SUITES["greens-verify"](cfg)
+    defects = [r for r in rows if r.quantity.startswith("defect[")]
+    assert len(defects) == 8
+    assert all(type(r.value) is float and math.isnan(r.value)
+               and not r.passed for r in defects)
+    assert all(r.passed for r in rows if r not in defects)
+
+
+TALL_WINDOW = _window_overrides(-1030, 10, -10, 10)
+
+
+def run_greens_dependence(tmp_path, monkeypatch, overrides):
+    """Run greens-dependence through main; return its exit code, its report
+    rows, its config and the kernels it built."""
+    kernels = []
+    real = cli.greens_dependence_check
+
+    def recorded(u, v, omega, ks, p, choices=None):
+        def kept():
+            for kernel in ks:
+                kernels.append(kernel)
+                yield kernel
+        return real(u, v, omega, kept(), p, choices=choices)
+
+    monkeypatch.setattr(cli, "greens_dependence_check", recorded)
+    argv = [arg for o in overrides for arg in ("--override", o)]
+    code, out = run_cli(tmp_path, "greens-dependence", *argv)
+    rows, _ = read_report(out)
+    cfg = load_config(None, overrides, None, "greens-dependence")
+    return code, rows[1:], cfg, kernels
+
+
+@pytest.mark.parametrize("overrides", [
+    [], _window_overrides(-80, 80, -80, 80),
+    _window_overrides(-160, 160, -160, 160),
+    ["jets.u.center=25", "jets.v.center=-25"], TALL_WINDOW,
+    ["model.lambda_a=10"], ["model.lambda_a=4.5"]],
+    ids=["W=40", "W=80", "W=160", "centres=+-25", "t_min=-1030",
+         "lambda_a=10", "lambda_a=4.5"])
+def test_greens_dependence_rows_pass_and_are_not_vacuous(
+        tmp_path, monkeypatch, overrides):
+    # the direction is built on the window shifted to t_min = 0: on the
+    # tall window 2^t_min underflowed and z^t_min overflowed (NaN rows and
+    # a RuntimeWarning), and with lambda_a = 10 the bottom row was ~1e27,
+    # so rows read 6e15 and failed by rounding. A probe that paired to
+    # zero with the source would pass as 0 = 0; the separable probes give
+    # |value| from 0.02 to 28 on these configs
+    code, rows, cfg, kernels = run_greens_dependence(tmp_path, monkeypatch,
+                                                     overrides)
+    assert code == 0
+    assert len(rows) == len(kernels) == cfg.modifiers
+    assert all(row[-1] == "true" and abs(float(row[3])) > 1e-3
+               for row in rows)
+    direction = kernels[0].direction
+    assert all(k.direction is direction for k in kernels)
+    assert direction.window == cfg.window
+    assert np.array_equal(np.abs(direction.a[0]), np.ones(cfg.window.shape[1]))
+    assert not direction.u_phi.any()
+    assert linear.linear_residual(direction, cfg.params) <= 1e-10
+
+
+def test_greens_dependence_draws_two_vectors_per_probe(monkeypatch):
+    # each probe component is the outer product of an n_t- and an
+    # n_x-vector: 2 (n_t + n_x) normals per kernel, in the order b's rows,
+    # b's columns, w_phi's rows, w_phi's columns; dense probes drew
+    # 2 n_t n_x. The stand-in generator offers nothing but standard_normal,
+    # and the 326 x 301 window tells rows from columns
+    sizes = []
+    real = np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def standard_normal(self, size):
+            out = self.rng.standard_normal(size)
+            sizes.append(out.size)
+            return out
+
+    monkeypatch.setattr(cli.np.random, "default_rng", Counted)
+    cfg = load_config(None, _window_overrides(-160, 165, -160, 140), None,
+                      "greens-dependence")
+    n_t, n_x = cfg.window.shape
+    rows = cli.SUITES["greens-dependence"](cfg)
+    assert len(rows) == cfg.modifiers == 5
+    assert all(r.passed for r in rows)
+    assert sizes == cfg.modifiers * [n_t, n_x, n_t, n_x]
 
 
 def test_hierarchy_w160_solves_the_degree_two_sources_only(monkeypatch):

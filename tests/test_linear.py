@@ -253,6 +253,21 @@ def test_green_defining_residual(vector_kind, scalar_kind):
         assert res <= 1e-10
 
 
+def test_green_residual_keeps_a_nan_in_either_defect():
+    # the two defects are combined with np.maximum: Python's max would keep
+    # the scalar defect, 0.0, ahead of a NaN angular one
+    w = Window(-5, 5, -5, 5)
+    zero = DualJet.zero(w)
+    for k in (0, 1):
+        fields = [w.zeros(), w.zeros()]
+        fields[k][5, 5] = np.nan
+        out = Jet(w, *fields)
+        assert [math.isnan(d) for d in greens_defects(out, zero, P)] == \
+            [k == 0, k == 1]
+        res = greens_residual(out, zero, P)
+        assert type(res) is float and math.isnan(res)
+
+
 def test_green_residual_reads_inputs_only():
     # the residual is formed in place in the operator's fresh output: both
     # inputs keep their bytes, and the value is the masked maximum
