@@ -40,10 +40,11 @@ DEFAULT_PHI_SAMPLES = (0.0, math.pi / 4, -math.pi / 4,
 class ModelParams:
     """Couplings of the interaction.
 
-    The invariants lambda_i >= 2 and lambda_a >= 2 * lambda_i + epsilon keep
-    the interaction nonnegative and the scalar symbol bounded away from zero.
-    nu defaults to the balanced value 2 * lambda_a + 4 * lambda_i, for which
-    the field equation holds on the base configuration.
+    Every coupling is finite, nu included. The invariants lambda_i >= 2
+    and lambda_a >= 2 * lambda_i + epsilon keep the interaction
+    nonnegative and the scalar symbol bounded away from zero. nu defaults
+    to the balanced value 2 * lambda_a + 4 * lambda_i, for which the field
+    equation holds on the base configuration.
     """
 
     lambda_a: float = 5.0
@@ -63,6 +64,11 @@ class ModelParams:
                 f"lambda_a={self.lambda_a}, lambda_i={self.lambda_i}")
         if self.nu is None:
             object.__setattr__(self, "nu", self.balanced_nu)
+        # after the default, so a balanced nu that overflows is caught too;
+        # the comparisons above let a NaN through
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def balanced_nu(self) -> float:

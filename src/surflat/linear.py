@@ -34,7 +34,7 @@ included.
 Many fields share one scalar solve (ScalarStack): their live columns sit
 side by side and the backend is called once, or not at all when no column
 is live. greens_apply is a stack of one plus the wave stepping, and the
-only place where the edge check and the kernel modifier are applied.
+only place where the edge check is applied.
 greens_defects checks the Green's property on the whole window; box_defect
 and cone_defect read its defects, bit for bit, on the support framed by one.
 """
@@ -180,7 +180,6 @@ class GreensChoice:
 
     vector_kind: str = "retarded"
     scalar_kind: str = "banded_solve"
-    kernel_modifier: RankOneModifier | None = None
 
     def __post_init__(self):
         _kind(WAVE_STEPS, self.vector_kind, "vector_kind")
@@ -213,38 +212,30 @@ def check_scalar_symbol(p: ModelParams):
     lets the banded solve run without pivoting.
     """
     lam, diag = p.lambda_i, scalar_diag(p)
-    if abs(diag) <= 2.0 * lam:
+    if not abs(diag) > 2.0 * lam:  # also true for NaN
         raise InvalidJetError(
             f"scalar operator ({lam}, {diag}, {lam}) is not diagonally "
             f"dominant, so the scalar symbol {diag} + {2.0 * lam} "
             f"cos(omega) vanishes at some frequency")
 
 
-@functools.lru_cache(maxsize=8)
-def _elimination(n_t: int, lam: float, diag: float
-                 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # multipliers l_t = lam / d_t and pivots d_{t+1} = diag - l_t * lam of
-    # the matrix (lam, diag, lam), in dgtsv's order; no row is interchanged
-    # because dominance keeps every |d_t| above lam
-    mults, pivots = [], [diag]
-    for _ in range(n_t - 1):
-        mults.append(lam / pivots[-1])
-        pivots.append(diag - mults[-1] * lam)
-    return tuple(mults), tuple(pivots)
-
-
 def _scalar_green_banded(b: np.ndarray, p: ModelParams) -> np.ndarray:
     check_scalar_symbol(p)
     lam, diag = p.lambda_i, scalar_diag(p)
     n_t = b.shape[0]
-    mults, pivots = _elimination(n_t, lam, diag)
     x = np.negative(b)
     # row views made once, outputs passed positionally: each row step is
     # just its ufunc calls, with no temporary but the one scratch row
     rows = list(x)
     tmp = np.empty_like(rows[0])
+    # multipliers mult = lam / d_t and pivots d_{t+1} = diag - mult * lam of
+    # the matrix (lam, diag, lam), in dgtsv's order; no row is interchanged
+    # because dominance keeps every |d_t| above lam
+    pivots = [diag]
     for t in range(n_t - 1):
-        np.multiply(rows[t], mults[t], tmp)
+        mult = lam / pivots[t]
+        pivots.append(diag - mult * lam)
+        np.multiply(rows[t], mult, tmp)
         np.subtract(rows[t + 1], tmp, rows[t + 1])
     np.divide(rows[-1], pivots[-1], rows[-1])
     for t in range(n_t - 2, -1, -1):
@@ -410,22 +401,19 @@ def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams, *,
 
     if edge_check:
         hot = float(np.abs(sb[~w.window.interior_mask()]).max())
-        if hot > EDGE_TOLERANCE:
+        if not hot <= EDGE_TOLERANCE:  # also true for NaN
             raise TruncationError(
                 f"scalar Green output reaches {hot:.3e} on the window "
                 f"frame (tolerance {EDGE_TOLERANCE:.1e})")
         inflow = w.w_phi[::WAVE_STEPS[choice.vector_kind]][:2]
         src = float(np.abs(inflow).max())
-        if src > EDGE_TOLERANCE:
+        if not src <= EDGE_TOLERANCE:  # also true for NaN
             raise TruncationError(
                 f"wave source reaches {src:.3e} on the "
                 f"{choice.vector_kind} inflow rows (tolerance "
                 f"{EDGE_TOLERANCE:.1e})")
 
-    result = Jet(w.window, sb, sv)
-    if choice.kernel_modifier is not None:
-        result = result + choice.kernel_modifier.apply(w)
-    return result
+    return Jet(w.window, sb, sv)
 
 
 def greens_defects(out: Jet, w: DualJet, p: ModelParams

@@ -60,14 +60,14 @@ from .space import (Region, STENCIL_OFFSETS, Window, common_window,
 VOLUME_BLOCK_SITES = 8_192
 
 
-def compositions(total: int, parts: int, minimum: int = 0):
-    """Ordered tuples of `parts` integers >= minimum summing to total."""
+def compositions(total: int, parts: int):
+    """Ordered tuples of `parts` nonnegative integers summing to total."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in compositions(total - first, parts - 1, minimum):
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
             yield (first, *rest)
 
 

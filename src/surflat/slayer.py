@@ -138,25 +138,21 @@ def greens_dependence_check(u: Jet, v: Jet, omega: Region,
     """How the second-order balance shifts under Green's-kernel changes.
 
     Returns one (lhs, rhs) pair per kernel. lhs evaluates the order-2 family
-    derivative with the kernel modifier installed minus the plain
-    evaluation; rhs is the first-order balance of the kernel's term applied
-    to the source of the mixed coefficient, which is twice the second
-    variation of (u, v). The two agree exactly: only the mixed second-order
-    coefficient feels the modified kernel, and the first-order balance is
-    linear. The order-2 balance reads the degree-2 coefficient (1, 1) only,
-    so the seeds, that one source and its plain Green's image are built
-    once. Each kernel's term shift = kernel.apply(source), the pairing of
-    the source times the kernel's direction, is computed once: added to
-    the image it is bitwise what greens_apply returns with the modifier
-    installed, and it is the jet whose first-order balance gives rhs. The
-    kernels are read once, in order, and none is held after its pair is
-    computed.
+    derivative under the modified Green's operator, the plain one plus the
+    kernel's rank-one term, minus the plain evaluation; rhs is the
+    first-order balance of the kernel's term applied to the source of the
+    mixed coefficient, which is twice the second variation of (u, v). The
+    two agree exactly: only the mixed second-order coefficient feels the
+    modified kernel, and the first-order balance is linear. The order-2
+    balance reads the degree-2 coefficient (1, 1) only, so the seeds, that
+    one source and its plain Green's image are built once. Each kernel's
+    term shift = kernel.apply(source), the pairing of the source times the
+    kernel's direction, is computed once: added to the image it is the
+    modified operator's output, and it is the jet whose first-order balance
+    gives rhs. The kernels are read once, in order, and none is held after
+    its pair is computed.
     """
     base = choices if choices is not None else GreensChoice()
-    if base.kernel_modifier is not None:
-        raise InvalidJetError(
-            "pass the kernels through the dedicated argument, not inside the "
-            "baseline choices")
     # an order-1 build checks the seeds and stores u alone
     seeds = build_hierarchy(u, v, 1, base, p).coeffs | {(0, 1): v}
     [(key, source)] = _degree_sources(seeds, [(1, 1)], p)

@@ -82,12 +82,10 @@ class Window:
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
 
-    def interior_mask(self, margin: int = 1) -> np.ndarray:
-        """Boolean mask of sites at least `margin` sites from every edge."""
+    def interior_mask(self) -> np.ndarray:
+        """Boolean mask of the sites off every edge of the window."""
         mask = np.zeros(self.shape, dtype=bool)
-        n_t, n_x = self.shape
-        if 2 * margin < n_t and 2 * margin < n_x:
-            mask[margin:n_t - margin, margin:n_x - margin] = True
+        mask[1:-1, 1:-1] = True
         return mask
 
     def shift_blocks(self, dt: int, dx: int):

@@ -12,13 +12,24 @@ class that src/surflat defines (its dataclasses and NamedTuples) must be
 read as an attribute by some module of src/surflat. A field that is only
 built, or read by tests alone, is dead unless ALLOWED_FIELDS gives the
 reason it stays.
+
+Parameters with a default are switches, and a switch that only tests turn
+is dead too: each such parameter of a function or method that src/surflat
+defines must be passed, by position or by name, by some call in
+src/surflat to a function of that name. A call inside the function's own
+body counts only when it passes something other than the parameter itself,
+so a recursion that hands a switch on unchanged does not turn it.
+ALLOWED_DEFAULTS gives the reasons for the ones that stay.
 """
 
 import ast
+import dataclasses
 import inspect
 import pathlib
 
 import surflat
+from surflat import cli
+from surflat.linear import GreensChoice
 
 PACKAGE = pathlib.Path(surflat.__file__).parent
 
@@ -34,6 +45,16 @@ ALLOWED = {
 
 # Class.field entries that no module of the package reads, with reasons
 ALLOWED_FIELDS = {}
+
+# function.parameter defaults that no call in the package passes, with
+# reasons
+ALLOWED_DEFAULTS = {
+    "main.argv": "the entry point; tests and the bench pass argv",
+    "el_check.phi_samples": "the pointwise-oracle test samples angles "
+                            "outside the defaults",
+    "symm_bilinear.edge_check": "a safety switch that tests turn off on "
+                                "windows too small to clear the frame",
+}
 
 
 def spelled(source: str) -> set[str]:
@@ -138,3 +159,110 @@ def test_every_record_field_is_read():
     assert sum(len(record_fields(source)) for source in sources) > 50
     # an entry whose field gained a reader, or left the package, goes
     assert sorted(unread_fields(sources)) == sorted(ALLOWED_FIELDS)
+
+
+def defaulted_parameters(tree):
+    """(def node, qualified name, parameter, position) for each parameter
+    with a default of the functions and methods the tree defines, in order.
+    position is the index of a positional argument in a call, self or cls
+    not counted, and None for a keyword-only parameter. A method's name is
+    qualified by its class, and __init__ takes the class's name."""
+    owner = {id(item): node.name for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) for item in node.body}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(node))
+        name = node.name if cls is None else f"{cls}.{node.name}"
+        if node.name == "__init__":
+            name = cls
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = cls is not None
+        first = len(positional) - len(args.defaults)
+        found += [(node, name, arg.arg, index - skip)
+                  for index, arg in enumerate(positional) if index >= first]
+        found += [(node, name, arg.arg, None)
+                  for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None]
+    return found
+
+
+def called_name(call):
+    """The name a call reaches its function by: a name or an attribute."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def argument_for(call, parameter, position):
+    """The expression a call passes for the parameter, or None; a starred
+    or double-starred argument may pass any parameter it reaches."""
+    for keyword in call.keywords:
+        if keyword.arg in (parameter, None):
+            return keyword.value
+    if position is not None:
+        for index, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred) or index == position:
+                return arg
+    return None
+
+
+def unpassed_defaults(sources) -> list[str]:
+    """function.parameter for each parameter with a default that no call
+    in the sources passes, in order."""
+    trees = [ast.parse(source) for source in sources]
+    calls = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    missing = []
+    for tree in trees:
+        for node, name, parameter, position in defaulted_parameters(tree):
+            own = {id(call) for call in ast.walk(node)}
+            short = name.rsplit(".", 1)[-1]
+            for call in calls:
+                if called_name(call) != short:
+                    continue
+                arg = argument_for(call, parameter, position)
+                if arg is None or (id(call) in own and isinstance(arg, ast.Name)
+                                   and arg.id == parameter):
+                    continue
+                break
+            else:
+                missing.append(f"{name}.{parameter}")
+    return missing
+
+
+def test_the_default_check_finds_switches_no_call_turns():
+    # walk's path accumulates, so its recursion turns it; depth is only
+    # handed on; scale is passed by position, mode by name, flag and
+    # strict by no call, and self does not count as a position
+    source = ("def walk(node, path=(), depth=0):\n"
+              "    walk(node, path + (1,), depth)\n"
+              "    walk(node, path, depth=depth)\n"
+              "def show(x, scale=1.0, *, mode='a', flag=False):\n"
+              "    return x\n"
+              "class Box:\n"
+              "    def __init__(self, size=1):\n"
+              "        self.size = size\n"
+              "    def grow(self, by=1, strict=False):\n"
+              "        return Box(self.size + by)\n"
+              "show(1, 2.0, mode='b')\n"
+              "Box(3).grow(2)\n")
+    assert unpassed_defaults([source]) == [
+        "walk.depth", "show.flag", "Box.grow.strict"]
+
+
+def test_every_default_is_passed_by_some_call():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert sum(len(defaulted_parameters(ast.parse(source)))
+               for source in sources) > 15
+    # an entry whose parameter gained a caller, or left the package, goes
+    assert sorted(unpassed_defaults(sources)) == sorted(ALLOWED_DEFAULTS)
+
+
+def test_greens_choice_is_the_config_greens_section():
+    # GreensChoice carries what a config can choose, and nothing else
+    fields = [field.name for field in dataclasses.fields(GreensChoice)]
+    assert fields == list(cli.SCHEMA["greens"])

@@ -64,6 +64,17 @@ def test_custom_params_reject_bad_couplings():
         ModelParams(epsilon=0.3)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("lambda_a", math.nan), ("lambda_i", math.nan), ("delta", math.nan),
+    ("nu", math.nan), ("lambda_a", math.inf), ("delta", -math.inf),
+    ("nu", math.inf),
+    # a finite coupling whose balanced nu overflows
+    ("lambda_a", 1e308)])
+def test_custom_params_reject_non_finite_couplings(name, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        ModelParams(**{name: value})
+
+
 def test_nu_defaults_to_balanced():
     assert P.nu == 18.0
     assert ModelParams(nu=0.0).nu == 0.0

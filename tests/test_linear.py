@@ -352,6 +352,28 @@ def test_edge_check_flags_inflow_wave_source():
     greens_apply(GreensChoice("advanced"), DualJet(w, w.zeros(), src), P)
 
 
+@pytest.mark.parametrize("component, site", [("b", (10, 10)),
+                                             ("w_phi", (0, 5))],
+                         ids=["nan-scalar-source", "nan-inflow-source"])
+def test_edge_check_flags_a_nan(component, site):
+    # a NaN source spreads NaN onto the scalar frame, or sits on an inflow
+    # row; the check fails on it as on any value above the tolerance
+    w = Window(-10, 10, -10, 10)
+    fields = {"b": w.zeros(), "w_phi": w.zeros()}
+    fields[component][site] = math.nan
+    with pytest.raises(TruncationError):
+        greens_apply(GreensChoice(), DualJet(w, **fields), P)
+
+
+def test_check_scalar_symbol_rejects_a_nan_symbol():
+    # ModelParams takes finite couplings only, so the NaN is planted past it
+    p = ModelParams()
+    object.__setattr__(p, "nu", math.nan)
+    assert math.isnan(scalar_diag(p))
+    with pytest.raises(InvalidJetError, match="not diagonally dominant"):
+        linear.check_scalar_symbol(p)
+
+
 def test_edge_check_passes_for_clear_sources():
     # the scalar kernel decays like 2^-distance, so ~45 sites of clearance
     # push the frame values below the check tolerance
@@ -390,8 +412,7 @@ def test_rank_one_modifier():
     np.testing.assert_allclose(jet.u_phi, weight * direction.u_phi)
     # a modified Green's operator still inverts the linearized equation,
     # because the direction is a solution
-    choice = GreensChoice(kernel_modifier=mod)
-    out = greens_apply(choice, dual, P, edge_check=False)
+    out = greens_apply(GreensChoice(), dual, P, edge_check=False) + jet
     assert greens_residual(out, dual, P) <= 1e-10
 
 

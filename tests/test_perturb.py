@@ -70,11 +70,20 @@ def full_hier(seeds):
     return full_hierarchy(*seeds, 3, CHOICE)
 
 
+def lexicographic_compositions(total, parts):
+    """Every tuple of `parts` nonnegative integers summing to total, in
+    lexicographic order, by brute force."""
+    return [ks for ks in itertools.product(range(total + 1), repeat=parts)
+            if sum(ks) == total]
+
+
 def test_compositions():
     assert list(compositions(3, 2)) == [(0, 3), (1, 2), (2, 1), (3, 0)]
-    assert list(compositions(3, 2, minimum=1)) == [(1, 2), (2, 1)]
     assert list(compositions(0, 0)) == [()]
     assert list(compositions(2, 0)) == []
+    for total, parts in itertools.product(range(5), range(5)):
+        assert (list(compositions(total, parts))
+                == lexicographic_compositions(total, parts))
 
 
 def test_hierarchy_keys(hier):
@@ -105,7 +114,7 @@ def test_hierarchy_equation_holds(hier, full_hier, seeds):
         (0, 3): 2.0 * d2(v, w(0, 2)) + d3(v, v, v),
     }
     assert set(hier.coeffs) - {(1, 0), (0, 1)} < set(sources)
-    inner = WIN.interior_mask(2)
+    inner = (slice(2, -2), slice(2, -2))
     for key, src in sources.items():
         lhs = delta_ell_field(1, [w(*key)], PARAMS)
         res_b = np.abs(lhs.b + src.b)[inner].max()
@@ -207,6 +216,64 @@ def test_short_product_table_breaks_route_agreement(hier_mixed, monkeypatch):
 
     monkeypatch.setattr(PolyRing, "create", classmethod(create_short))
     assert routes_agree_on_mixed_box(hier_mixed) == [False, False]
+
+
+# --- the two family routes on a generic hierarchy ---
+
+GENERIC_WIN = Window(-12, 12, -12, 12)
+GENERIC_REGIONS = {
+    "past": lambda: past_region(GENERIC_WIN, 0),
+    "box": lambda: Region.from_box(GENERIC_WIN, -4, 3, -5, 2),
+    "ragged": lambda: Region(GENERIC_WIN, np.random.default_rng(5).random(
+        GENERIC_WIN.shape) < 0.5),
+}
+
+
+def generic_routes_agree(order, region):
+    """Per m = 1..order, whether the two family routes agree to 1e-13
+    relative on random coefficient fields of scale 0.3 on the keys an
+    order-n build stores. The fields solve nothing, so only the
+    combinatorics the two routes share in meaning, not in code, can make
+    them agree."""
+    rng = np.random.default_rng(order)
+    hier = Hierarchy(PARAMS, {
+        key: Jet(GENERIC_WIN,
+                 *0.3 * rng.standard_normal((2, *GENERIC_WIN.shape)))
+        for key in sorted(read_keys(order))})
+    omega = GENERIC_REGIONS[region]()
+    oracle = taylor_oracle_I(hier, omega)
+    agree = []
+    for m in range(1, order + 1):
+        value = family_taylor_I(hier, omega, m, m)
+        assert oracle[m - 1] != 0.0
+        agree.append(abs(value - oracle[m - 1]) <= 1e-13 * abs(oracle[m - 1]))
+    return agree
+
+
+def test_generic_regions_cover_every_offset():
+    # the past region's interface is one offset; the box and the ragged
+    # region pair across all four
+    offsets = {name: sum(mask.any() for mask in pair_masks(build()).values())
+               for name, build in GENERIC_REGIONS.items()}
+    assert offsets == {"past": 1, "box": 4, "ragged": 4}
+
+
+@pytest.mark.parametrize("region", GENERIC_REGIONS)
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_routes_agree_on_a_generic_hierarchy(order, region):
+    assert generic_routes_agree(order, region) == [True] * order
+
+
+@pytest.mark.parametrize("region", GENERIC_REGIONS)
+def test_a_dropped_composition_breaks_generic_route_agreement(monkeypatch,
+                                                              region):
+    # a planted defect: the family route loses the first composition,
+    # (0, ..., 0, total), of every slot count
+    def all_but_the_first(total, parts):
+        return lexicographic_compositions(total, parts)[1:]
+
+    monkeypatch.setattr(perturb, "compositions", all_but_the_first)
+    assert generic_routes_agree(4, region) == [False] * 4
 
 
 def test_second_coefficient_is_greens_image(hier, seeds):

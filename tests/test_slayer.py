@@ -356,7 +356,7 @@ def test_greens_dependence_builds_the_plain_hierarchy_once(movers):
             return real_variation(order, *args, **kwargs)
 
         def counting_apply(choice, source, *args, **kwargs):
-            applications.append((choice.kernel_modifier, source))
+            applications.append(source)
             return real_apply(choice, source, *args, **kwargs)
 
         def counting_residual(*args, **kwargs):
@@ -373,12 +373,17 @@ def test_greens_dependence_builds_the_plain_hierarchy_once(movers):
             pairs = greens_dependence_check(u, v, omega, iter(some), PARAMS)
         assert variations == [2]
         assert residuals == [u, v]
-        assert len({id(source) for _, source in applications}) == 1
-        assert [m for m, _ in applications] == [None]
+        assert len(applications) == 1
     plain = i_m(u, v, omega, 2, CHOICE, PARAMS)
     for kernel, (lhs, _) in zip(kernels, pairs):
-        full = i_m(u, v, omega, 2, GreensChoice(kernel_modifier=kernel),
-                   PARAMS)
+        # the modified operator built on its own: each Green's image of the
+        # build plus the kernel's term on its source
+        def modified_apply(choice, w, *args, kernel=kernel, **kwargs):
+            return real_apply(choice, w, *args, **kwargs) + kernel.apply(w)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perturb, "greens_apply", modified_apply)
+            full = i_m(u, v, omega, 2, CHOICE, PARAMS)
         assert lhs == full - plain
     for kernel, pair in zip(kernels, pairs):
         assert greens_dependence_check(u, v, omega, [kernel], PARAMS) == [pair]
@@ -456,15 +461,6 @@ def test_greens_dependence_zero_scalar_direction_has_no_volume(movers):
     moved = kernel.apply(delta_ell_field(2, [u, v], PARAMS))
     _, volume = i1(moved, past_region(TALL, 0), PARAMS)
     assert volume == 0.0
-
-
-def test_greens_dependence_rejects_preinstalled_kernel(movers):
-    u, v = movers
-    kernel = RankOneModifier(DualJet.zero(TALL), right_mover(TALL, 0, 5, 0.1))
-    base = GreensChoice(kernel_modifier=kernel)
-    with pytest.raises(InvalidJetError):
-        greens_dependence_check(u, v, past_region(TALL, 0), [kernel],
-                                PARAMS, choices=base)
 
 
 # --- sweep report ---
