@@ -31,12 +31,12 @@ import numpy.random  # noqa: F401
 
 from .errors import (ConfigError, InvalidJetError, RangeError,
                      TruncationError, UnsupportedOrderError)
-from .jets import GATHER_MIN_SITES, DualJet, Jet
+from .jets import GATHER_MIN_SITES, DualJet, Jet, delta_ell_field
 from .lagrangian import MAX_ORDER, ModelParams, el_check
 from .linear import (SCALAR_GREENS, WAVE_STEPS, GreensChoice,
                      RankOneModifier, ScalarStack, box_defect,
-                     check_scalar_symbol, cone_defect, greens_defects,
-                     linear_residual, scalar_roots,
+                     check_scalar_symbol, cone_defect, linear_residual,
+                     scalar_roots,
                      scalar_solution, wave_green, wave_solution)
 from .perturb import build_hierarchy, family_taylor_I, taylor_oracle_I
 from .slayer import greens_dependence_check, slayer_sweep
@@ -504,27 +504,20 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
     Each draw is checked against every combination of vector kind and scalar
     backend; the two scalar backends are also compared against each other.
     The edge check is off: this suite judges the interior property only.
-    Scalar backend and wave kind never mix (greens_defects), so two
-    applications run every backend, and a combination's defect, the larger
-    of its backend's scalar and its wave kind's angular defect, is bitwise
-    its own greens_residual. The box values of every draw are drawn first;
-    each backend then solves the scalar parts of all draws in one stack
-    (ScalarStack), and the draws are checked one at a time, each draw's
-    full-window fields built only while it is checked. The backend gap is
-    read off the two scalar outputs the check already holds: the largest
-    |banded - frequency| over them, 0.0 when the draw has no live column.
+    Scalar backend and wave kind never mix (linear.greens_defects), so a
+    combination's defect, the larger of its backend's scalar and its wave
+    kind's angular defect, is bitwise its own greens_residual. The box
+    values of every draw are drawn first. Each backend solves the scalar
+    parts of all draws in one stack (ScalarStack), and the scalar defects
+    (_scalar_defects) and the backend gap, the largest |banded - frequency|,
+    are read off the stacks' live columns; a draw with none has 0.0.
 
-    On a window under jets.GATHER_MIN_SITES sites each check is one
-    greens_defects call. On a larger one each component is checked where
-    the draw lives, with no scan of the window (linear.box_defect): the
-    scalar output on the stack's live columns of the draw framed by one
-    stand-in column on each side (ScalarStack.framed), and the angle on the
-    light cone of the source box (linear.cone_defect), three row bands from
-    the row before the box in stepping order, each as wide as the cone at
-    its widest row plus one column on each side. The operator runs on these
-    boxes only, and the jets it builds there know their zero component, so
-    only the D-series coefficients that can be nonzero are computed
-    (jets' "Dead coefficients").
+    The angle is checked one draw at a time, its source built only then: by
+    box_defect on a window under jets.GATHER_MIN_SITES sites, on a larger
+    one by cone_defect on three row bands of the source box's light cone.
+    The jets the operator runs on know their zero component, so only the
+    D-series coefficients that can be nonzero are computed (jets' "Dead
+    coefficients").
     """
     p, window = cfg.params, cfg.window
     n_t, n_x = window.shape
@@ -536,67 +529,83 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
     values = [(0.05 * rng.standard_normal(shape),
                0.05 * rng.standard_normal(shape)) for _ in range(cfg.draws)]
 
-    def field(vals, cols=slice(0, n_x)):
-        # the box values as a field over every row and the window's columns
-        # cols; box columns outside cols must hold no set bit, as outside
-        # the stack's live columns
-        out = np.zeros((n_t, cols.stop - cols.start))
-        lo, hi = max(x0, cols.start), min(x1 + 1, cols.stop)
-        out[box_rows, lo - cols.start:hi - cols.start] = \
-            vals[:, lo - x0:hi - x0]
+    def field(vals):
+        # the box values as a field over the window
+        out = window.zeros()
+        out[box_rows, box_cols] = vals
         return out
 
-    stacks = {sk: ScalarStack(sk, (field(b) for b, _ in values), p)
-              for sk in SCALAR_GREENS}
-
-    # two applications pair each wave kind with one backend
-    def whole_window(draw, b, w_phi):
-        w = DualJet(window, field(b), field(w_phi))
-        scalar, angular, outs = {}, {}, []
-        for vk, sk in zip(WAVE_STEPS, SCALAR_GREENS):
-            outs.append(stacks[sk].field(draw))
-            out = Jet(window, outs[-1], wave_green(w.w_phi, vk))
-            scalar[sk], angular[vk] = greens_defects(out, w, p)
-        return scalar, angular, outs
-
-    def on_support(draw, b, w_phi):
-        phi = field(w_phi)
-        scalar, angular, outs = {}, {}, []
-        for vk, sk in zip(WAVE_STEPS, SCALAR_GREENS):
-            framed = stacks[sk].framed(draw)
-            if framed is None:
-                scalar[sk] = 0.0
-            else:
-                # the stacks share their columns
-                cols, out = framed
-                if not outs:
-                    b_strip = field(b, cols)
-                outs.append(out)
-                scalar[sk] = box_defect(window, 0, out, b_strip,
-                                        (slice(0, n_t), cols), p)
-            angular[vk] = cone_defect(window, wave_green(phi, vk), phi, vk,
-                                      (box_rows, box_cols), p)
-        return scalar, angular, outs
-
-    check = whole_window if n_t * n_x < GATHER_MIN_SITES else on_support
+    stacks = [ScalarStack(sk, (field(b) for b, _ in values), p)
+              for sk in SCALAR_GREENS]
+    # the stacks share their live columns, and a draw's source on them
+    # lies on the box rows
+    starts, columns = stacks[0].starts, stacks[0].columns
+    sources = np.concatenate([b[:, cols - x0] for (b, _), cols
+                              in zip(values, columns)], axis=1)
+    scalar = [_scalar_defects(stack, box_rows, sources, p)
+              for stack in stacks]
+    whole = (slice(0, n_t), slice(0, n_x))
     rows = []
-    for draw, (b, w_phi) in enumerate(values):
-        scalar, angular, outs = check(draw, b, w_phi)
+    for draw, (_, w_phi) in enumerate(values):
+        phi = field(w_phi)
         for vk in WAVE_STEPS:
-            for sk in SCALAR_GREENS:
+            sv = wave_green(phi, vk)
+            angle = (box_defect(window, 1, sv, phi, whole, p)
+                     if n_t * n_x < GATHER_MIN_SITES else
+                     cone_defect(window, sv, phi, vk, (box_rows, box_cols), p))
+            for k, sk in enumerate(SCALAR_GREENS):
                 rows.append(Row("greens-verify", None,
                                 f"defect[{vk},{sk},draw={draw:02d}]",
-                                float(np.maximum(scalar[sk],
-                                                 angular[vk])), 0.0,
-                                cfg.tolerances["greens"]))
+                                float(np.maximum(scalar[k][draw], angle)),
+                                0.0, cfg.tolerances["greens"]))
+        live = slice(starts[draw], starts[draw + 1])
         # outputs of one wave kind share their angle field, and off the
         # draw's live columns both scalar outputs are +-0
-        gap = float(np.abs(outs[0] - outs[1]).max()) if outs else 0.0
+        gap = (float(np.abs(stacks[0].scalar[:, live]
+                            - stacks[1].scalar[:, live]).max())
+               if live.stop > live.start else 0.0)
         for vk in WAVE_STEPS:
             rows.append(Row("greens-verify", None,
                             f"backend_agreement[{vk},draw={draw:02d}]",
                             gap, 0.0, cfg.tolerances["backend_agreement"]))
     return rows
+
+
+def _scalar_defects(stack: ScalarStack, rows: slice, sources: np.ndarray,
+                    p: ModelParams) -> list[float]:
+    """Each field's largest interior scalar defect of the Green's property,
+    bitwise the scalar value of linear.greens_defects.
+
+    sources holds the sources of the stack's live columns, side by side as
+    in stack.scalar, on the window rows `rows`; they vanish on other rows.
+    The order-1 operator of a jet with no angle part couples no two columns
+    (its order-0 derivative at the offsets (0, +-1) is exactly 0.0, which
+    jets._contract skips, and the odd orders vanish), so a live column's
+    output is its whole-window one wherever it runs, and every other
+    column's defect is 0: the stand-in's +-0 against a +0.0 source. The
+    live columns run at most a window's width per call, so that no call
+    holds more than a whole-window one. A field's defect is the largest
+    |operator + source| on its columns and rows inside the window's
+    interior, 0.0 when none of its columns is.
+    """
+    n_t, n_x = stack.shape
+    total = stack.scalar.shape[1]
+    peaks = np.empty(total)
+    for lo in range(0, total, n_x):
+        part = slice(lo, min(lo + n_x, total))
+        sub = Window(0, n_t - 1, 0, part.stop - part.start - 1)
+        op = delta_ell_field(1, [Jet(sub, stack.scalar[:, part],
+                                     sub.zeros())], p)
+        defect = op.b.copy()
+        defect[rows] += sources[:, part]
+        inner = np.abs(defect[1:n_t - 1], out=defect[1:n_t - 1])
+        peaks[part] = inner.max(axis=0)
+    defects = []
+    for k, cols in enumerate(stack.columns):
+        inside = peaks[stack.starts[k]:stack.starts[k + 1]][
+            (cols >= 1) & (cols <= n_x - 2)]
+        defects.append(float(inside.max()) if inside.size else 0.0)
+    return defects
 
 
 def _run_slayer_sweep(cfg: ExperimentConfig) -> list:

@@ -183,9 +183,6 @@ class Jet:
         return Jet(common_window(self, other), self.a + other.a,
                    self.u_phi + other.u_phi)
 
-    def __sub__(self, other: "Jet") -> "Jet":
-        return self + (-1.0) * other
-
     def __rmul__(self, c: float) -> "Jet":
         return Jet(self.window, c * self.a, c * self.u_phi)
 
@@ -205,13 +202,6 @@ class DualJet:
     @classmethod
     def zero(cls, window: Window) -> "DualJet":
         return cls(window, window.zeros(), window.zeros())
-
-    def __add__(self, other: "DualJet") -> "DualJet":
-        return DualJet(common_window(self, other), self.b + other.b,
-                       self.w_phi + other.w_phi)
-
-    def __rmul__(self, c: float) -> "DualJet":
-        return DualJet(self.window, c * self.b, c * self.w_phi)
 
 
 class DualValue(NamedTuple):

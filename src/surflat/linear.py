@@ -37,6 +37,8 @@ is live. greens_apply is a stack of one plus the wave stepping, and the
 only place where the edge check is applied.
 greens_defects checks the Green's property on the whole window; box_defect
 and cone_defect read its defects, bit for bit, on the support framed by one.
+greens-verify reads the scalar defect off a stack's live columns instead,
+as the scalar operator of a jet with no angle part couples no two columns.
 """
 
 from __future__ import annotations
@@ -325,10 +327,11 @@ class ScalarStack:
     which is solved once per kind, row count and parameters and cached
     (_stand_in). A stack with no live column calls no backend. The backend
     treats columns independently, so field(k) is bitwise the full-window
-    solve of field k. An all-(+0.0) column's output is +-0 under either
-    backend, so two stacks of the same fields differ only on live columns:
-    the largest gap between their framed(k), or their field(k), is the
-    gap over the whole window.
+    solve of field k, which scalar[:, starts[k]:starts[k + 1]] holds on
+    its live columns, columns[k]. An all-(+0.0) column's output is +-0
+    under either backend, so the largest gap between two stacks of the
+    same fields on field k's live columns is the whole window's, 0.0 when
+    it has none.
     """
 
     def __init__(self, kind: str, bs, p: ModelParams):
@@ -350,29 +353,11 @@ class ScalarStack:
 
     def field(self, k: int) -> np.ndarray:
         """The scalar Green's output of field k over the full window."""
-        return self._on(k, slice(0, self.shape[1]))
-
-    def framed(self, k: int):
-        """Field k's output on the span of its live columns framed by one.
-
-        Returns (cols, values): the span as a slice of the window's
-        columns, clipped to it, and the output there. None when field k has
-        no live column.
-        """
+        # the stand-in's column everywhere but on field k's live columns,
+        # row-major as a full solve is
         live = self.columns[k]
-        if live.size == 0:
-            return None
-        cols = slice(max(int(live[0]) - 1, 0),
-                     min(int(live[-1]) + 2, self.shape[1]))
-        return cols, self._on(k, cols)
-
-    def _on(self, k: int, cols: slice) -> np.ndarray:
-        # field k's output on the columns cols, which hold all its live
-        # ones: the stand-in's column everywhere else, row-major as a full
-        # solve is
-        live = self.columns[k] - cols.start
-        out = np.empty((self.shape[0], cols.stop - cols.start))
-        if live.size < out.shape[1]:
+        out = np.empty(self.shape)
+        if live.size < self.shape[1]:
             out[...] = _stand_in(self.kind, self.shape[0], self.p)
         out[:, live] = self.scalar[:, self.starts[k]:self.starts[k + 1]]
         return out

@@ -948,71 +948,81 @@ def greens_verify_four_applications(cfg):
     return rows
 
 
-@pytest.mark.parametrize("window", [[], _window_overrides(-20, 30, -14, 18),
-                                    _window_overrides(-80, 80, -80, 80)],
-                         ids=["81x81", "51x33", "161x161"])
+@pytest.mark.parametrize("overrides", [
+    ["draws=3"], ["draws=3", *_window_overrides(-20, 30, -14, 18)],
+    ["draws=3", *_window_overrides(-80, 80, -80, 80)],
+    ["draws=7", *_window_overrides(-20, 30, -14, 18)]],
+    ids=["81x81", "51x33", "161x161", "51x33-draws7"])
 @pytest.mark.parametrize("seed", [5, 77])
-def test_greens_verify_rows_equal_four_applications(seed, window):
-    cfg = load_config(None, ["draws=3", *window], seed,
-                      "greens-verify")
+def test_greens_verify_rows_equal_four_applications(seed, overrides):
+    # with 7 draws the 49 stacked live columns take two operator calls on
+    # the 33 columns wide window, split within the fifth draw
+    cfg = load_config(None, overrides, seed, "greens-verify")
     got = cli.SUITES["greens-verify"](cfg)
-    assert len(got) == 3 * 6
+    assert len(got) == cfg.draws * 6
     assert got == greens_verify_four_applications(cfg)
 
 
 def test_greens_verify_applies_two_choices_per_draw(monkeypatch):
-    # one stack per backend: one scalar solve for all draws, then one wave
-    # stepping and one defect check per draw and choice. Each draw's dual
-    # jet is built once, for the check; the stacks read only its b field
+    # one stack per backend: one scalar solve for all draws, and one scalar
+    # check of the 21 stacked live columns; then one wave stepping and one
+    # angle check per draw and wave kind. No dual jet is built
     calls = collections.Counter()
 
-    def counted(real):
+    def counted(real, name):
         def wrapper(*args, **kwargs):
-            calls[real.__name__] += 1
+            calls[name] += 1
             return real(*args, **kwargs)
         return wrapper
 
     for name in ("ScalarStack", "DualJet", "wave_green"):
-        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name), name))
+    monkeypatch.setattr(cli, "delta_ell_field",
+                        counted(cli.delta_ell_field, "scalar check"))
     monkeypatch.setattr(linear, "delta_ell_field",
-                        counted(linear.delta_ell_field))
+                        counted(linear.delta_ell_field, "angle check"))
     # the backends are called through their table
     for kind, solve in linear.SCALAR_GREENS.items():
-        monkeypatch.setitem(linear.SCALAR_GREENS, kind, counted(solve))
+        monkeypatch.setitem(linear.SCALAR_GREENS, kind,
+                            counted(solve, kind))
     cfg = load_config(None, ["draws=3"], None, "greens-verify")
     cli.SUITES["greens-verify"](cfg)
-    assert calls == {"ScalarStack": 2, "DualJet": 3,
-                     "_scalar_green_banded": 1, "_scalar_green_frequency": 1,
-                     "wave_green": 6, "delta_ell_field": 6}
+    assert calls == {"ScalarStack": 2, "banded_solve": 1, "frequency": 1,
+                     "scalar check": 2, "wave_green": 6, "angle check": 6}
 
 
 def test_greens_verify_w160_checks_each_component_on_its_box(monkeypatch):
-    # above jets.GATHER_MIN_SITES each component is checked where the draw
-    # lives: the scalar output on the 7 live columns framed by one stand-in
-    # column on each side, on every row, and the angle on its cone in three
-    # row bands, from the row before the source box on for the retarded
-    # kind and up to the row after it for the advanced kind, each with one
-    # extra row on each side
-    windows = []
-    real = linear.delta_ell_field
+    # the scalar check of all 20 draws is one operator call per backend, on
+    # the 140 stacked live columns over every row (the whole-window route
+    # made one 321 x 321 call per draw and backend, the framed one 321 x 9).
+    # Above jets.GATHER_MIN_SITES the angle is checked where the draw
+    # lives, on its cone in three row bands, from the row before the source
+    # box on for the retarded kind and up to the row after it for the
+    # advanced kind, each with one extra row on each side
+    windows = {"scalar": [], "angle": []}
 
-    def recorded(order, jets, p):
-        windows.append(jets[0].window)
-        return real(order, jets, p)
-    monkeypatch.setattr(linear, "delta_ell_field", recorded)
-    cfg = load_config(None, ["draws=2", *_window_overrides(-160, 160, -160,
-                                                           160)],
+    def recorded(module, name):
+        real = module.delta_ell_field
+
+        def wrapper(order, jets, p):
+            windows[name].append(jets[0].window)
+            return real(order, jets, p)
+        monkeypatch.setattr(module, "delta_ell_field", wrapper)
+
+    recorded(cli, "scalar")
+    recorded(linear, "angle")
+    cfg = load_config(None, ["draws=20", *_window_overrides(-160, 160, -160,
+                                                            160)],
                       None, "greens-verify")
     cli.SUITES["greens-verify"](cfg)
-    scalar = space.Window(-160, 160, -4, 4)
+    assert [w.shape for w in windows["scalar"]] == 2 * [(321, 140)]
     retarded = [space.Window(-5, 51, -56, 56),
                 space.Window(50, 106, -111, 111),
                 space.Window(105, 160, -160, 160)]
     advanced = [space.Window(-160, -105, -160, 160),
                 space.Window(-106, -50, -111, 111),
                 space.Window(-51, 5, -56, 56)]
-    assert windows == 2 * [scalar, *retarded, scalar, *advanced]
-    assert scalar.shape == (321, 9)
+    assert windows["angle"] == 20 * [*retarded, *advanced]
     # the single box of each angle check was 165 x 321
     assert sum(w.shape[0] * w.shape[1] for w in retarded) < 0.72 * 165 * 321
 
@@ -1038,9 +1048,9 @@ def test_greens_verify_w160_peak_memory():
 
 def test_greens_verify_solves_the_support_columns_only(monkeypatch):
     # the sources sit on the centred support box: each scalar backend gets
-    # every draw's columns side by side, and then, once per kind, row count
-    # and parameters, one all-zero column whose cached output stands in for
-    # the other 314 of each draw
+    # every draw's columns side by side, and nothing else; the check reads
+    # the live columns only, so no all-zero column is solved for the other
+    # 314 of each draw, not even with the stand-in cache cleared
     widths = collections.defaultdict(list)
 
     def recorded(kind, real):
@@ -1057,7 +1067,7 @@ def test_greens_verify_solves_the_support_columns_only(monkeypatch):
     linear._stand_in.cache_clear()
     cli.SUITES["greens-verify"](cfg)
     width = 3 * (2 * cli.SUPPORT_HALF + 1)
-    assert widths == {"banded_solve": [width, 1], "frequency": [width, 1]}
+    assert widths == {"banded_solve": [width], "frequency": [width]}
     widths.clear()
     cli.SUITES["greens-verify"](cfg)
     assert widths == {"banded_solve": [width], "frequency": [width]}
@@ -1069,14 +1079,16 @@ def test_greens_verify_solves_the_support_columns_only(monkeypatch):
 def test_greens_verify_defect_with_a_nan_angular_defect_fails(monkeypatch,
                                                              window):
     # a NaN angular defect behind a finite scalar one fails its rows on
-    # both routes; Python's max kept the scalar defect and passed them
+    # both angle routes, box_defect on the whole window below
+    # jets.GATHER_MIN_SITES and cone_defect above; Python's max kept the
+    # scalar defect and passed them
     def nan_angle(real):
         def wrapper(*args):
-            got = real(*args)
-            return (got[0], math.nan) if isinstance(got, tuple) else math.nan
+            real(*args)
+            return math.nan
         return wrapper
 
-    monkeypatch.setattr(cli, "greens_defects", nan_angle(cli.greens_defects))
+    monkeypatch.setattr(cli, "box_defect", nan_angle(cli.box_defect))
     monkeypatch.setattr(cli, "cone_defect", nan_angle(cli.cone_defect))
     cfg = load_config(None, ["draws=2", *window], None, "greens-verify")
     rows = cli.SUITES["greens-verify"](cfg)

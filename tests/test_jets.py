@@ -950,3 +950,73 @@ def test_delta_ell_field_memory_budget():
             finally:
                 tracemalloc.stop()
             assert (peak - start) / field <= 3.5
+
+
+# --- the scalar operator of a jet with no angle part, column by column ---
+
+COLUMN_PARAMS = [P, ModelParams(lambda_a=9.0, lambda_i=3.0, delta=0.5,
+                                epsilon=0.1),
+                 ModelParams(lambda_a=4.3, lambda_i=2.0, delta=2.0,
+                             epsilon=0.24, nu=3.0)]
+
+
+def columns_field(window, live, seed):
+    """A scalar field on `live` random columns, the others +0.0: normal
+    values, one column of -0.0 only and one NaN when there are three or
+    more."""
+    rng = np.random.default_rng(seed)
+    n_t, n_x = window.shape
+    a = window.zeros()
+    cols = rng.choice(n_x, size=live, replace=False)
+    a[:, cols] = rng.standard_normal((n_t, live))
+    if live >= 3:
+        a[:, cols[0]] = -0.0
+        a[n_t // 2, cols[1]] = np.nan
+    return a
+
+
+def split_equals_whole(p, a, seed):
+    """Whether the order-1 operator on the scalar jet a gives bitwise its
+    scalar output on every group of a's columns when those columns run on
+    their own, in a permuted order, and +0.0 angular outputs."""
+    n_t, n_x = a.shape
+    window = Window(0, n_t - 1, 0, n_x - 1)
+    whole = delta_ell_field(1, [Jet(window, a, window.zeros())], p)
+    perm = np.random.default_rng(seed).permutation(n_x)
+    same = not whole.w_phi.view(np.uint64).any()
+    for group in np.split(perm, [1, 4, n_x // 2]):
+        sub = Window(0, n_t - 1, 0, group.size - 1)
+        part = delta_ell_field(1, [Jet(sub, a[:, group], sub.zeros())], p)
+        same &= np.array_equal(part.b.view(np.uint64),
+                               whole.b[:, group].view(np.uint64))
+        same &= not part.w_phi.view(np.uint64).any()
+    return same
+
+
+@pytest.mark.parametrize("window,live,gathers",
+                         [(Window(-15, 15, -11, 11), 23, False),
+                          (Window(-15, 15, -11, 11), 3, False),
+                          (Window(-80, 80, -80, 80), 5, False),
+                          (Window(-80, 80, -80, 80), 2, True)],
+                         ids=["dense", "nan", "wide-nan", "gathered"])
+@pytest.mark.parametrize("p", COLUMN_PARAMS, ids=["default", "p1", "p2"])
+def test_scalar_operator_couples_no_columns(monkeypatch, p, window, live,
+                                            gathers):
+    # what cli._scalar_defects rests on: on the base configuration the
+    # order-0 derivative at the spatial offsets (0, +-1) is exactly 0.0,
+    # which jets._contract skips, and the odd orders vanish, so a jet with
+    # no angle part gets the same scalar output on a column wherever the
+    # column runs, bit for bit, NaN and -0.0 included. The whole window of
+    # the gathered case runs on its live pairs, the others on blocks
+    table = stencil_deriv_table(p)
+    spatial = [STENCIL_OFFSETS.index(o) for o in ((0, -1), (0, 1))]
+    assert table[(0, 0)][spatial].tolist() == [0.0, 0.0]
+    a = columns_field(window, live, live)
+    assert (live_pairs([Jet(window, a, window.zeros())]) is not None) == \
+        gathers
+    assert split_equals_whole(p, a, live)
+    # a nonzero spatial order-0 entry couples the columns: the check sees it
+    coupled = dict(table)
+    coupled[(0, 0)] = table[(0, 0)] + np.isin(range(5), spatial)
+    monkeypatch.setattr(jets, "stencil_deriv_table", lambda p: coupled)
+    assert not split_equals_whole(p, a, live)

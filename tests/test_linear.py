@@ -10,6 +10,7 @@ import pytest
 
 from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
                      Region, TruncationError, Window, linear)
+from surflat.cli import _scalar_defects
 from surflat.jets import DualJet, Jet, delta_ell, delta_ell_field
 from surflat.linear import (GreensChoice, RankOneModifier, ScalarStack,
                             _scalar_green_banded, _scalar_green_frequency,
@@ -652,7 +653,7 @@ def test_scalar_stack_equals_full_window_solves_bitwise(vector_kind,
         got = stack.field(k)
         assert bitwise(got, want)
         assert got.flags.c_contiguous
-        assert_framed(stack, k, want)
+        assert_live(stack, k, b, want)
         assert bitwise(wave_green(w_phi, vector_kind),
                        vector_green_reference(w_phi, vector_kind))
 
@@ -661,28 +662,25 @@ def columns(a):
     return {a[:, j].tobytes() for j in range(a.shape[1])}
 
 
-def assert_framed(stack, k, want):
-    # framed(k) is the full solve want on the span of field k's live
-    # columns framed by one, and every column of want is one of its columns
-    framed = stack.framed(k)
+def assert_live(stack, k, b, want):
+    # field k's live columns are the columns of b with a set bit (-0.0 and
+    # NaN count), its stacked columns are the full solve want there, and
+    # every other column of want is one column of +-0
     live = stack.columns[k]
-    if framed is None:
-        assert live.size == 0
-        assert len(columns(want)) == 1
-        return
-    cols, values = framed
-    assert cols == slice(max(live[0] - 1, 0), min(live[-1] + 2, want.shape[1]))
-    assert bitwise(values, want[:, cols])
-    assert columns(want) <= columns(values)
+    assert np.array_equal(live, np.flatnonzero(b.view(np.uint64).any(axis=0)))
+    stacked = stack.scalar[:, stack.starts[k]:stack.starts[k + 1]]
+    assert bitwise(stacked, want[:, live])
+    rest = np.delete(want, live, axis=1)
+    assert len(columns(rest)) <= 1 and not rest.any()
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (81, 81)],
                          ids=lambda s: "x".join(map(str, s)))
 def test_scalar_stack_backend_gap_is_the_full_window_gap(shape):
     # the backend agreement of greens-verify: the largest gap between the
-    # backends' framed(k), 0.0 when field k has no live column, and the one
-    # between their field(k) are bitwise the full window's; the fields hold
-    # no live column, one, and many with -0.0 and NaN planted
+    # backends' stacked live columns of field k, 0.0 when it has none, and
+    # the one between their field(k) are bitwise the full window's; the
+    # fields hold no live column, one, and many with -0.0 and NaN planted
     n_t, n_x = shape
     fields = [columns_source(n_t, n_x, live, 11 + live)
               for live in sorted({0, 1, n_x // 2, n_x})]
@@ -693,14 +691,11 @@ def test_scalar_stack_backend_gap_is_the_full_window_gap(shape):
         full = np.abs(_scalar_green_banded(b, P)
                       - _scalar_green_frequency(b, P)).max()
         whole = np.abs(banded.field(k) - frequency.field(k)).max()
-        framed = banded.framed(k), frequency.framed(k)
-        if framed[0] is None:
-            assert framed[1] is None
-            gap = np.float64(0.0)
-        else:
-            (cols, x), (other, y) = framed
-            assert cols == other
-            gap = np.abs(x - y).max()
+        assert np.array_equal(banded.columns[k], frequency.columns[k])
+        live = slice(banded.starts[k], banded.starts[k + 1])
+        assert live == slice(frequency.starts[k], frequency.starts[k + 1])
+        gap = (np.abs(banded.scalar[:, live] - frequency.scalar[:, live]).max()
+               if live.stop > live.start else np.float64(0.0))
         assert gap.tobytes() == full.tobytes()
         assert whole.tobytes() == full.tobytes()
 
@@ -776,7 +771,7 @@ def test_scalar_stack_field_is_the_full_solve_bitwise(scalar_kind, lives):
             got = stack.field(k)
             assert bitwise(got, want)
             assert got.flags.c_contiguous and got.flags.writeable
-            assert_framed(stack, k, want)
+            assert_live(stack, k, b, want)
 
 
 @pytest.mark.parametrize("scalar_kind", ["banded_solve", "frequency"])
@@ -905,9 +900,9 @@ def test_box_defect_on_support_boxes_equals_greens_defects_bitwise(shape,
 
 def box_source(window, rows, cols, seed, draw="normal"):
     # both components random on the box (rows, cols) of the window; draw
-    # "nan" puts one NaN in each, "negative_zero" makes the box's first
-    # column of b and its first and last rows of w_phi -0.0, live by the
-    # sign bit alone
+    # "nan" puts one NaN in each, "nan_first_column" one in the box's first
+    # column of b, "negative_zero" makes that column and the first and last
+    # rows of w_phi -0.0, live by the sign bit alone
     rng = np.random.default_rng(seed)
     b, w_phi = window.zeros(), window.zeros()
     shape = (rows.stop - rows.start, cols.stop - cols.start)
@@ -915,6 +910,8 @@ def box_source(window, rows, cols, seed, draw="normal"):
     if draw == "nan":
         b[rows.start + 1, cols.start + 2] = np.nan
         w_phi[rows.start + 4, cols.start + 5] = np.nan
+    elif draw == "nan_first_column":
+        b[rows.start + 1, cols.start] = np.nan
     elif draw == "negative_zero":
         b[rows, cols.start] = -0.0
         w_phi[rows.start, cols] = -0.0
@@ -938,27 +935,71 @@ def source_boxes(window):
                          ids=lambda s: "x".join(map(str, s)))
 def test_support_defects_equal_greens_defects_bitwise(shape, kind, where,
                                                       draw):
-    # greens-verify's checks on the support: the scalar output on the
-    # stack's framed live columns, the angle on its cone's row bands, each
-    # bitwise the whole-window value of greens_defects
     window = centred_window(*shape)
-    n_t = window.shape[0]
-    box = source_boxes(window)[where]
-    w = box_source(window, *box, sum(shape), draw)
+    assert_support_defects(window, [source_boxes(window)[where]], kind, draw,
+                           sum(shape))
+
+
+def assert_support_defects(window, boxes, kind, draw, seed):
+    # greens-verify's checks on the support, each bitwise the whole-window
+    # value of greens_defects: the scalar defect of every field from the
+    # stack's live columns side by side (cli._scalar_defects), with the
+    # sources on the rows their boxes span, and the angle on the cone's row
+    # bands of its box
+    ws = [box_source(window, *box, seed + k, draw)
+          for k, box in enumerate(boxes)]
     sk = "banded_solve" if kind == "retarded" else "frequency"
-    stack = ScalarStack(sk, (w.b,), P)
-    sv = wave_green(w.w_phi, kind)
-    out = Jet(window, stack.field(0), sv)
-    want = greens_defects(out, w, P)
-    cols, framed = stack.framed(0)
-    got = (box_defect(window, 0, framed, w.b[:, cols], (slice(0, n_t), cols),
-                      P),
-           cone_defect(window, sv, w.w_phi, kind, box, P))
-    assert np.array(got).tobytes() == np.array(want).tobytes()
-    if draw == "nan":
-        assert np.isnan(got).all()
-    else:
-        assert got[1] > 0.0
+    stack = ScalarStack(sk, (w.b for w in ws), P)
+    rows = slice(min(box[0].start for box in boxes),
+                 max(box[0].stop for box in boxes))
+    sources = np.concatenate([w.b[rows, cols]
+                              for w, cols in zip(ws, stack.columns)], axis=1)
+    scalar = _scalar_defects(stack, rows, sources, P)
+    for k, (w, box) in enumerate(zip(ws, boxes)):
+        sv = wave_green(w.w_phi, kind)
+        want = greens_defects(Jet(window, stack.field(k), sv), w, P)
+        got = (scalar[k], cone_defect(window, sv, w.w_phi, kind, box, P))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        if draw == "nan":
+            assert np.isnan(got).all()
+        else:
+            assert got[1] > 0.0
+        if draw == "nan_first_column":
+            # the NaN column is the window's first, and no other is NaN
+            assert not np.isnan(got[0])
+    return stack
+
+
+@pytest.mark.parametrize("draw", ["normal", "nan", "negative_zero"])
+@pytest.mark.parametrize("kind", ["retarded", "advanced"])
+def test_stacked_scalar_defects_split_a_field_bitwise(kind, draw):
+    # five fields of 7 live columns on a window 33 columns wide: the
+    # operator takes 33 stacked columns, then 2, and the split runs through
+    # the fifth field
+    window = centred_window(51, 33)
+    where = ["centred", "first_corner", "last_corner", "centred",
+             "first_corner"]
+    boxes = [source_boxes(window)[name] for name in where]
+    stack = assert_support_defects(window, boxes, kind, draw, 5)
+    assert stack.starts[4] < 33 < stack.starts[5] == 35
+
+
+@pytest.mark.parametrize("draw", ["normal", "nan", "negative_zero",
+                                  "nan_first_column"])
+@pytest.mark.parametrize("kind", ["retarded", "advanced"])
+@pytest.mark.parametrize("window", [Window(-20, 20, -3, 3),
+                                    Window(-20, 20, -3, 50)],
+                         ids=["x-3..3", "x-3..50"])
+def test_stacked_scalar_defects_skip_the_edge_columns(window, kind, draw):
+    # live columns on the window's first (and, 7 columns wide, last)
+    # column: outside the interior, so no defect is read there, not even a
+    # NaN; the negative_zero draw makes the first column live by the sign
+    # bit alone
+    box = (slice(17, 24), slice(0, 7))
+    stack = assert_support_defects(window, [box, box], kind, draw, 7)
+    assert stack.columns[0][0] == 0
+    assert (stack.columns[0][-1] == window.shape[1] - 1) == \
+        (window.shape[1] == 7)
 
 
 @pytest.mark.parametrize("kind", ["retarded", "advanced"])

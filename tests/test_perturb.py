@@ -98,27 +98,29 @@ def test_hierarchy_equation_holds(hier, full_hier, seeds):
     # than recycled from the builder. The build stores the keys linear in
     # s; the others come from the full two-parameter hierarchy.
     u, v = seeds
-    d2 = lambda a, b: delta_ell_field(2, [a, b], PARAMS)
-    d3 = lambda a, b, c: delta_ell_field(3, [a, b, c], PARAMS)
+
+    def d(*jets):
+        # the variation's components (b, w_phi) as one array, so that the
+        # sources are sums of fields
+        out = delta_ell_field(len(jets), list(jets), PARAMS)
+        return np.stack([out.b, out.w_phi])
 
     def w(i, j):
         return hier.coeffs.get((i, j), full_hier.coeff(i, j))
 
     sources = {
-        (2, 0): d2(u, u),
-        (1, 1): 2.0 * d2(u, v),
-        (0, 2): d2(v, v),
-        (3, 0): 2.0 * d2(u, w(2, 0)) + d3(u, u, u),
-        (2, 1): 2.0 * d2(u, w(1, 1)) + 2.0 * d2(v, w(2, 0)) + 3.0 * d3(u, u, v),
-        (1, 2): 2.0 * d2(u, w(0, 2)) + 2.0 * d2(v, w(1, 1)) + 3.0 * d3(u, v, v),
-        (0, 3): 2.0 * d2(v, w(0, 2)) + d3(v, v, v),
+        (2, 0): d(u, u),
+        (1, 1): 2.0 * d(u, v),
+        (0, 2): d(v, v),
+        (3, 0): 2.0 * d(u, w(2, 0)) + d(u, u, u),
+        (2, 1): 2.0 * d(u, w(1, 1)) + 2.0 * d(v, w(2, 0)) + 3.0 * d(u, u, v),
+        (1, 2): 2.0 * d(u, w(0, 2)) + 2.0 * d(v, w(1, 1)) + 3.0 * d(u, v, v),
+        (0, 3): 2.0 * d(v, w(0, 2)) + d(v, v, v),
     }
     assert set(hier.coeffs) - {(1, 0), (0, 1)} < set(sources)
-    inner = (slice(2, -2), slice(2, -2))
+    inner = (slice(None), slice(2, -2), slice(2, -2))
     for key, src in sources.items():
-        lhs = delta_ell_field(1, [w(*key)], PARAMS)
-        res_b = np.abs(lhs.b + src.b)[inner].max()
-        res_phi = np.abs(lhs.w_phi + src.w_phi)[inner].max()
+        res_b, res_phi = np.abs(d(w(*key)) + src)[inner].max(axis=(1, 2))
         assert res_b <= 1e-10, key
         assert res_phi <= 1e-10, key
 
@@ -279,7 +281,8 @@ def test_a_dropped_composition_breaks_generic_route_agreement(monkeypatch,
 def test_second_coefficient_is_greens_image(hier, seeds):
     u, v = seeds
     src = delta_ell_field(2, [u, v], PARAMS)
-    direct = greens_apply(CHOICE, 2.0 * src, PARAMS, edge_check=False)
+    twice = DualJet(src.window, 2.0 * src.b, 2.0 * src.w_phi)
+    direct = greens_apply(CHOICE, twice, PARAMS, edge_check=False)
     got = hier.coeff(1, 1)
     assert np.allclose(got.a, direct.a, atol=1e-13)
     assert np.allclose(got.u_phi, direct.u_phi, atol=1e-13)
@@ -554,13 +557,14 @@ def ordered_hierarchy(u, v, order, choice, window):
     """
     coeffs = {(1, 0): u, (0, 1): v}
     for i, j in sorted(read_keys(order) - set(coeffs), key=sum):
-        source = DualJet.zero(window)
+        b, w_phi = window.zeros(), window.zeros()
         for ell in range(2, i + j + 1):
             for parts in ordered_tuples(i, j, ell):
-                source = source + delta_ell_field(
+                term = delta_ell_field(
                     ell, [coeffs[key] for key in parts], PARAMS)
-        coeffs[(i, j)] = greens_apply(choice, source, PARAMS,
-                                      edge_check=False)
+                b, w_phi = b + term.b, w_phi + term.w_phi
+        coeffs[(i, j)] = greens_apply(choice, DualJet(window, b, w_phi),
+                                      PARAMS, edge_check=False)
     return coeffs
 
 

@@ -65,7 +65,7 @@ def test_common_window_of_fields_and_regions():
         with pytest.raises(RangeError, match="different windows"):
             Jet.zero(w) + Jet.zero(other)
         with pytest.raises(RangeError, match="different windows"):
-            DualJet.zero(w) + DualJet.zero(other)
+            common_window(DualJet.zero(w), DualJet.zero(other))
 
 
 def test_require_interior_and_cut_row():
