@@ -31,13 +31,13 @@ import numpy.random  # noqa: F401
 
 from .errors import (ConfigError, InvalidJetError, RangeError,
                      TruncationError, UnsupportedOrderError)
-from .jets import GATHER_MIN_SITES, DualJet, Jet, delta_ell_field
+from .jets import GATHER_MIN_SITES, DualJet, Jet
 from .lagrangian import MAX_ORDER, ModelParams, el_check
 from .linear import (SCALAR_GREENS, WAVE_STEPS, GreensChoice,
                      RankOneModifier, ScalarStack, box_defect,
                      check_scalar_symbol, cone_defect, linear_residual,
-                     scalar_roots,
-                     scalar_solution, wave_green, wave_solution)
+                     scalar_roots, scalar_solution, wave_green,
+                     wave_solution)
 from .perturb import build_hierarchy, family_taylor_I, taylor_oracle_I
 from .slayer import greens_dependence_check, slayer_sweep
 from .space import Window, past_region
@@ -64,9 +64,9 @@ SCALAR_MODE_LIMIT = 1e150
 # greens-verify draws its sources on the centered box of this half-width
 SUPPORT_HALF = 3
 # greens-verify holds every draw and solves their scalar parts in one stack
-# of 2 * SUPPORT_HALF + 1 columns per draw and one more, over the window's
-# rows: at most this many draws, so that on a 1001 x 1001 window
-# (MAX_WINDOW_SITES) the stack holds 1001 x 7001 doubles, about 56 MB
+# of 2 * SUPPORT_HALF + 1 columns per draw over the window's rows: at most
+# this many draws, so that on a 1001 x 1001 window (MAX_WINDOW_SITES) the
+# stack holds 1001 x 7000 doubles, about 56 MB
 MAX_DRAWS = 1000
 
 # glibc's malloc parameters (mallopt(3)) and the values main pins them to:
@@ -427,11 +427,11 @@ def _validate(data: dict, suite: str) -> ExperimentConfig:
         raise ConfigError(
             f"window {window} cannot hold the centered support box of "
             f"half-width {SUPPORT_HALF}")
-    # greens-verify's scalar stack, rows x (a box width per draw and one),
-    # holds at most what MAX_DRAWS draws hold on the largest square window
+    # greens-verify's scalar stack, rows x (a box width per draw), holds at
+    # most what MAX_DRAWS draws hold on the largest square window
     width = 2 * SUPPORT_HALF + 1
-    stack = window.shape[0] * (width * fields["draws"] + 1)
-    limit = math.isqrt(MAX_WINDOW_SITES) * (width * MAX_DRAWS + 1)
+    stack = window.shape[0] * width * fields["draws"]
+    limit = math.isqrt(MAX_WINDOW_SITES) * width * MAX_DRAWS
     if suite == "greens-verify" and stack > limit:
         raise ConfigError(
             f"greens-verify's scalar stack of {fields['draws']} draws on "
@@ -509,8 +509,9 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
     kind's angular defect, is bitwise its own greens_residual. The box
     values of every draw are drawn first. Each backend solves the scalar
     parts of all draws in one stack (ScalarStack), and the scalar defects
-    (_scalar_defects) and the backend gap, the largest |banded - frequency|,
-    are read off the stacks' live columns; a draw with none has 0.0.
+    (ScalarStack.defects) and the backend gap, the largest
+    |banded - frequency|, are read off the stacks' live columns; a draw
+    with none has 0.0.
 
     The angle is checked one draw at a time, its source built only then: by
     box_defect on a window under jets.GATHER_MIN_SITES sites, on a larger
@@ -542,15 +543,14 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
     starts, columns = stacks[0].starts, stacks[0].columns
     sources = np.concatenate([b[:, cols - x0] for (b, _), cols
                               in zip(values, columns)], axis=1)
-    scalar = [_scalar_defects(stack, box_rows, sources, p)
-              for stack in stacks]
+    scalar = [stack.defects(box_rows, sources) for stack in stacks]
     whole = (slice(0, n_t), slice(0, n_x))
     rows = []
     for draw, (_, w_phi) in enumerate(values):
         phi = field(w_phi)
         for vk in WAVE_STEPS:
             sv = wave_green(phi, vk)
-            angle = (box_defect(window, 1, sv, phi, whole, p)
+            angle = (box_defect(window, sv, phi, whole, p)
                      if n_t * n_x < GATHER_MIN_SITES else
                      cone_defect(window, sv, phi, vk, (box_rows, box_cols), p))
             for k, sk in enumerate(SCALAR_GREENS):
@@ -569,43 +569,6 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
                             f"backend_agreement[{vk},draw={draw:02d}]",
                             gap, 0.0, cfg.tolerances["backend_agreement"]))
     return rows
-
-
-def _scalar_defects(stack: ScalarStack, rows: slice, sources: np.ndarray,
-                    p: ModelParams) -> list[float]:
-    """Each field's largest interior scalar defect of the Green's property,
-    bitwise the scalar value of linear.greens_defects.
-
-    sources holds the sources of the stack's live columns, side by side as
-    in stack.scalar, on the window rows `rows`; they vanish on other rows.
-    The order-1 operator of a jet with no angle part couples no two columns
-    (its order-0 derivative at the offsets (0, +-1) is exactly 0.0, which
-    jets._contract skips, and the odd orders vanish), so a live column's
-    output is its whole-window one wherever it runs, and every other
-    column's defect is 0: the stand-in's +-0 against a +0.0 source. The
-    live columns run at most a window's width per call, so that no call
-    holds more than a whole-window one. A field's defect is the largest
-    |operator + source| on its columns and rows inside the window's
-    interior, 0.0 when none of its columns is.
-    """
-    n_t, n_x = stack.shape
-    total = stack.scalar.shape[1]
-    peaks = np.empty(total)
-    for lo in range(0, total, n_x):
-        part = slice(lo, min(lo + n_x, total))
-        sub = Window(0, n_t - 1, 0, part.stop - part.start - 1)
-        op = delta_ell_field(1, [Jet(sub, stack.scalar[:, part],
-                                     sub.zeros())], p)
-        defect = op.b.copy()
-        defect[rows] += sources[:, part]
-        inner = np.abs(defect[1:n_t - 1], out=defect[1:n_t - 1])
-        peaks[part] = inner.max(axis=0)
-    defects = []
-    for k, cols in enumerate(stack.columns):
-        inside = peaks[stack.starts[k]:stack.starts[k + 1]][
-            (cols >= 1) & (cols <= n_x - 2)]
-        defects.append(float(inside.max()) if inside.size else 0.0)
-    return defects
 
 
 def _run_slayer_sweep(cfg: ExperimentConfig) -> list:

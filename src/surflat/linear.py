@@ -36,9 +36,10 @@ side by side and the backend is called once, or not at all when no column
 is live. greens_apply is a stack of one plus the wave stepping, and the
 only place where the edge check is applied.
 greens_defects checks the Green's property on the whole window; box_defect
-and cone_defect read its defects, bit for bit, on the support framed by one.
-greens-verify reads the scalar defect off a stack's live columns instead,
-as the scalar operator of a jet with no angle part couples no two columns.
+and cone_defect read its angular defect, bit for bit, on the support framed
+by one, and ScalarStack.defects its scalar defects off a stack's live
+columns, as the scalar operator of a jet with no angle part couples no two
+columns.
 """
 
 from __future__ import annotations
@@ -331,7 +332,8 @@ class ScalarStack:
     its live columns, columns[k]. An all-(+0.0) column's output is +-0
     under either backend, so the largest gap between two stacks of the
     same fields on field k's live columns is the whole window's, 0.0 when
-    it has none.
+    it has none. defects reads every field's scalar defect on the live
+    columns too.
     """
 
     def __init__(self, kind: str, bs, p: ModelParams):
@@ -361,6 +363,41 @@ class ScalarStack:
             out[...] = _stand_in(self.kind, self.shape[0], self.p)
         out[:, live] = self.scalar[:, self.starts[k]:self.starts[k + 1]]
         return out
+
+    def defects(self, rows: slice, sources: np.ndarray) -> list[float]:
+        """Each field's largest interior scalar defect of the Green's
+        property, bitwise the scalar value of greens_defects.
+
+        sources holds the sources of the live columns, side by side as in
+        scalar, on the window rows `rows`; they vanish on other rows. The
+        order-1 operator of a jet with no angle part couples no two columns
+        (its order-0 derivative at the offsets (0, +-1) is exactly 0.0,
+        which jets._contract skips, and the odd orders vanish), so a live
+        column's output is its whole-window one wherever it runs, and every
+        other column's defect is 0: the stand-in's +-0 against a +0.0
+        source. The live columns run at most a window's width per call, so
+        that no call holds more than a whole-window one. A field's defect
+        is the largest |operator + source| on its columns and rows inside
+        the window's interior, 0.0 when none of its columns is.
+        """
+        n_t, n_x = self.shape
+        total = self.scalar.shape[1]
+        peaks = np.empty(total)
+        for lo in range(0, total, n_x):
+            part = slice(lo, min(lo + n_x, total))
+            sub = Window(0, n_t - 1, 0, part.stop - part.start - 1)
+            op = delta_ell_field(1, [Jet(sub, self.scalar[:, part],
+                                         sub.zeros())], self.p)
+            defect = op.b.copy()
+            defect[rows] += sources[:, part]
+            inner = np.abs(defect[1:n_t - 1], out=defect[1:n_t - 1])
+            peaks[part] = inner.max(axis=0)
+        defects = []
+        for k, cols in enumerate(self.columns):
+            inside = peaks[self.starts[k]:self.starts[k + 1]][
+                (cols >= 1) & (cols <= n_x - 2)]
+            defects.append(float(inside.max()) if inside.size else 0.0)
+        return defects
 
 
 def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams, *,
@@ -418,15 +455,13 @@ def greens_defects(out: Jet, w: DualJet, p: ModelParams
             _largest(window, dual.w_phi, w.w_phi, whole))
 
 
-def box_defect(window: Window, k: int, field: np.ndarray,
-               source: np.ndarray, box, p: ModelParams,
-               read: slice | None = None) -> float:
-    """Largest defect of one component of the Green's property on a box.
+def box_defect(window: Window, field: np.ndarray, source: np.ndarray, box,
+               p: ModelParams, read: slice | None = None) -> float:
+    """Largest angular defect of the Green's property on a box.
 
-    k is 0 for the scalar component, 1 for the angle; field and source are
-    that component of the output and of its source on the box, a pair of
-    slices (rows, cols) of the window. The operator runs on the box as a
-    sub-window, with the other component zero, and the defect
+    field and source are the angle part of the output and of its source on
+    the box, a pair of slices (rows, cols) of the window. The operator runs
+    on the box as a sub-window, with the scalar part zero, and the defect
     |operator + source| is read on the box sites in the window interior and
     in the window rows read (all rows when None); with no such site it is
     0.0.
@@ -444,10 +479,8 @@ def box_defect(window: Window, k: int, field: np.ndarray,
     rows, cols = box
     sub = Window(window.t_min + rows.start, window.t_min + rows.stop - 1,
                  window.x_min + cols.start, window.x_min + cols.stop - 1)
-    zeros = sub.zeros()
-    op = delta_ell_field(1, [Jet(sub, field, zeros) if k == 0
-                             else Jet(sub, zeros, field)], p)
-    return _largest(window, op.w_phi if k else op.b, source, box, read)
+    op = delta_ell_field(1, [Jet(sub, sub.zeros(), field)], p)
+    return _largest(window, op.w_phi, source, box, read)
 
 
 def _largest(window: Window, op: np.ndarray, source: np.ndarray, box,
@@ -500,7 +533,7 @@ def cone_defect(window: Window, sv: np.ndarray, w_phi: np.ndarray,
         m = max(excess(top), excess(end - 1)) + 1
         band = (slice(max(top - 1, 0), min(end + 1, n_t)),
                 slice(max(cols.start - m, 0), min(cols.stop + m, n_x)))
-        defects.append(box_defect(window, 1, sv[band], w_phi[band], band, p,
+        defects.append(box_defect(window, sv[band], w_phi[band], band, p,
                                   read=slice(top, end)))
     # numpy's max, which keeps a NaN as the single box's maximum does
     return float(np.max(defects))

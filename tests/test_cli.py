@@ -192,7 +192,7 @@ def _window_overrides(t_min, t_max, x_min, x_max):
 
 def test_greens_verify_stack_limit(tmp_path, capsys, monkeypatch):
     # 47,713 x 21 and (at order 1) 66,799 x 15 sites pass the site limit,
-    # but 1000 draws there would stack 47,713 or 66,799 x 7,001 doubles
+    # but 1000 draws there would stack 47,713 or 66,799 x 7,000 doubles
     # (2.67 and 3.74 GB). The suite is replaced, so a config that slipped
     # through validation fails here without running
     def never(cfg):
@@ -214,7 +214,7 @@ def test_greens_verify_stack_limit(tmp_path, capsys, monkeypatch):
     # the bound is the stack of MAX_DRAWS draws on the largest square
     # window: 1001 rows hold it, one row more does not, and few draws on
     # the tall window stay inside it
-    limit = 1001 * (7 * cli.MAX_DRAWS + 1)
+    limit = 1001 * 7 * cli.MAX_DRAWS
     square = _window_overrides(-500, 500, -500, 500)
     assert load_config(None, [*square, f"draws={cli.MAX_DRAWS}"], None,
                        "greens-verify").window.shape == (1001, 1001)
@@ -222,7 +222,7 @@ def test_greens_verify_stack_limit(tmp_path, capsys, monkeypatch):
     with pytest.raises(ConfigError, match=f"limit of {limit}"):
         load_config(None, [*taller, f"draws={cli.MAX_DRAWS}"], None,
                     "greens-verify")
-    draws = (limit // 47713 - 1) // 7
+    draws = limit // (47713 * 7)
     assert load_config(None, [*tall, f"draws={draws}"], None,
                        "greens-verify").draws == draws
     with pytest.raises(ConfigError, match="scalar stack"):
@@ -963,6 +963,28 @@ def test_greens_verify_rows_equal_four_applications(seed, overrides):
     assert got == greens_verify_four_applications(cfg)
 
 
+def record_operator_calls(monkeypatch, record):
+    """Pass the route ("scalar" inside ScalarStack.defects, else "angle")
+    and the jets of every operator call greens-verify's checks make to
+    record."""
+    routes = []
+    real_defects, real_op = linear.ScalarStack.defects, linear.delta_ell_field
+
+    def defects(self, *args):
+        routes.append("scalar")
+        try:
+            return real_defects(self, *args)
+        finally:
+            routes.pop()
+
+    def op(order, jets, p):
+        record(routes[-1] if routes else "angle", jets)
+        return real_op(order, jets, p)
+
+    monkeypatch.setattr(linear.ScalarStack, "defects", defects)
+    monkeypatch.setattr(linear, "delta_ell_field", op)
+
+
 def test_greens_verify_applies_two_choices_per_draw(monkeypatch):
     # one stack per backend: one scalar solve for all draws, and one scalar
     # check of the 21 stacked live columns; then one wave stepping and one
@@ -977,10 +999,8 @@ def test_greens_verify_applies_two_choices_per_draw(monkeypatch):
 
     for name in ("ScalarStack", "DualJet", "wave_green"):
         monkeypatch.setattr(cli, name, counted(getattr(cli, name), name))
-    monkeypatch.setattr(cli, "delta_ell_field",
-                        counted(cli.delta_ell_field, "scalar check"))
-    monkeypatch.setattr(linear, "delta_ell_field",
-                        counted(linear.delta_ell_field, "angle check"))
+    record_operator_calls(
+        monkeypatch, lambda route, jets: calls.update([f"{route} check"]))
     # the backends are called through their table
     for kind, solve in linear.SCALAR_GREENS.items():
         monkeypatch.setitem(linear.SCALAR_GREENS, kind,
@@ -1000,17 +1020,8 @@ def test_greens_verify_w160_checks_each_component_on_its_box(monkeypatch):
     # box on for the retarded kind and up to the row after it for the
     # advanced kind, each with one extra row on each side
     windows = {"scalar": [], "angle": []}
-
-    def recorded(module, name):
-        real = module.delta_ell_field
-
-        def wrapper(order, jets, p):
-            windows[name].append(jets[0].window)
-            return real(order, jets, p)
-        monkeypatch.setattr(module, "delta_ell_field", wrapper)
-
-    recorded(cli, "scalar")
-    recorded(linear, "angle")
+    record_operator_calls(
+        monkeypatch, lambda route, jets: windows[route].append(jets[0].window))
     cfg = load_config(None, ["draws=20", *_window_overrides(-160, 160, -160,
                                                             160)],
                       None, "greens-verify")

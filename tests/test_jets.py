@@ -1002,7 +1002,7 @@ def split_equals_whole(p, a, seed):
 @pytest.mark.parametrize("p", COLUMN_PARAMS, ids=["default", "p1", "p2"])
 def test_scalar_operator_couples_no_columns(monkeypatch, p, window, live,
                                             gathers):
-    # what cli._scalar_defects rests on: on the base configuration the
+    # what ScalarStack.defects rests on: on the base configuration the
     # order-0 derivative at the spatial offsets (0, +-1) is exactly 0.0,
     # which jets._contract skips, and the odd orders vanish, so a jet with
     # no angle part gets the same scalar output on a column wherever the

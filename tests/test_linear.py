@@ -10,7 +10,6 @@ import pytest
 
 from surflat import (InvalidJetError, LatticePoint, ModelParams, RangeError,
                      Region, TruncationError, Window, linear)
-from surflat.cli import _scalar_defects
 from surflat.jets import DualJet, Jet, delta_ell, delta_ell_field
 from surflat.linear import (GreensChoice, RankOneModifier, ScalarStack,
                             _scalar_green_banded, _scalar_green_frequency,
@@ -875,27 +874,25 @@ def framed_support_box(field, source):
                          ids=lambda s: "x".join(map(str, s)))
 def test_box_defect_on_support_boxes_equals_greens_defects_bitwise(shape,
                                                                    name):
-    # each component on the box of its support framed by one site, where
-    # the operator is +0.0 outside, against the whole-window reference; a
-    # component with no nonzero gives 0.0
+    # the angle on the box of its support framed by one site, where the
+    # operator is +0.0 outside, against the whole-window reference; an
+    # angle with no nonzero gives 0.0. The scalar defect is read off a
+    # stack's live columns instead, and checked there by
+    # test_support_defects_equal_greens_defects_bitwise
     window = centred_window(*shape)
     out, w = defect_case(window, name, sum(shape))
     arrays = (out.a, out.u_phi, w.b, w.w_phi)
     before = [arr.tobytes() for arr in arrays]
-    got = []
     with np.errstate(invalid="ignore"):  # inf - inf in the inf case
-        want = greens_defects(out, w, P)
-        for k, (field, source) in enumerate(((out.a, w.b),
-                                             (out.u_phi, w.w_phi))):
-            box = framed_support_box(field, source)
-            got.append(0.0 if box is None else
-                       box_defect(window, k, field[box], source[box], box, P))
+        want = greens_defects(out, w, P)[1]
+        box = framed_support_box(out.u_phi, w.w_phi)
+        got = (0.0 if box is None else
+               box_defect(window, out.u_phi[box], w.w_phi[box], box, P))
     assert [arr.tobytes() for arr in arrays] == before
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
     if name in ("nan_scalar", "inf_angle"):
-        # the other component stays finite: nothing leaks across
-        assert [np.isnan(v) for v in got] == [name == "nan_scalar",
-                                              name == "inf_angle"]
+        # a NaN in the scalar part does not leak into the angle
+        assert np.isnan(got) == (name == "inf_angle")
 
 
 def box_source(window, rows, cols, seed, draw="normal"):
@@ -943,7 +940,7 @@ def test_support_defects_equal_greens_defects_bitwise(shape, kind, where,
 def assert_support_defects(window, boxes, kind, draw, seed):
     # greens-verify's checks on the support, each bitwise the whole-window
     # value of greens_defects: the scalar defect of every field from the
-    # stack's live columns side by side (cli._scalar_defects), with the
+    # stack's live columns side by side (ScalarStack.defects), with the
     # sources on the rows their boxes span, and the angle on the cone's row
     # bands of its box
     ws = [box_source(window, *box, seed + k, draw)
@@ -954,7 +951,7 @@ def assert_support_defects(window, boxes, kind, draw, seed):
                  max(box[0].stop for box in boxes))
     sources = np.concatenate([w.b[rows, cols]
                               for w, cols in zip(ws, stack.columns)], axis=1)
-    scalar = _scalar_defects(stack, rows, sources, P)
+    scalar = stack.defects(rows, sources)
     for k, (w, box) in enumerate(zip(ws, boxes)):
         sv = wave_green(w.w_phi, kind)
         want = greens_defects(Jet(window, stack.field(k), sv), w, P)
