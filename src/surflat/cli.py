@@ -31,13 +31,12 @@ import numpy.random  # noqa: F401
 
 from .errors import (ConfigError, InvalidJetError, RangeError,
                      TruncationError, UnsupportedOrderError)
-from .jets import GATHER_MIN_SITES, DualJet, Jet
+from .jets import DualJet, Jet
 from .lagrangian import MAX_ORDER, ModelParams, el_check
 from .linear import (SCALAR_GREENS, WAVE_STEPS, GreensChoice,
-                     RankOneModifier, ScalarStack, box_defect,
-                     check_scalar_symbol, cone_defect, linear_residual,
-                     scalar_roots, scalar_solution, wave_green,
-                     wave_solution)
+                     RankOneModifier, ScalarStack, check_scalar_symbol,
+                     cone_defect, linear_residual, scalar_roots,
+                     scalar_solution, wave_green, wave_solution)
 from .perturb import build_hierarchy, family_taylor_I, taylor_oracle_I
 from .slayer import greens_dependence_check, slayer_sweep
 from .space import Window, past_region
@@ -509,22 +508,21 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
     kind's angular defect, is bitwise its own greens_residual. The box
     values of every draw are drawn first. Each backend solves the scalar
     parts of all draws in one stack (ScalarStack), and the scalar defects
-    (ScalarStack.defects) and the backend gap, the largest
-    |banded - frequency|, are read off the stacks' live columns; a draw
-    with none has 0.0.
+    (ScalarStack.defects) and the backend gap (ScalarStack.gap), the
+    largest |banded - frequency|, are read off the stacks' live columns; a
+    draw with none has 0.0.
 
-    The angle is checked one draw at a time, its source built only then: by
-    box_defect on a window under jets.GATHER_MIN_SITES sites, on a larger
-    one by cone_defect on three row bands of the source box's light cone.
-    The jets the operator runs on know their zero component, so only the
-    D-series coefficients that can be nonzero are computed (jets' "Dead
-    coefficients").
+    The angle is checked one draw at a time, its source built only then,
+    by cone_defect on the source box's light cone at every window size, in
+    as many row bands as the cone's size asks for (one up to W=80, three at
+    W=160). The jets the operator runs on know their zero component, so
+    only the D-series coefficients that can be nonzero are computed (jets'
+    "Dead coefficients").
     """
     p, window = cfg.params, cfg.window
-    n_t, n_x = window.shape
     (t0, x0), (t1, x1) = (window.index(-SUPPORT_HALF, -SUPPORT_HALF),
                           window.index(SUPPORT_HALF, SUPPORT_HALF))
-    box_rows, box_cols = slice(t0, t1 + 1), slice(x0, x1 + 1)
+    box = (slice(t0, t1 + 1), slice(x0, x1 + 1))
     shape = (t1 - t0 + 1, x1 - x0 + 1)
     rng = np.random.default_rng(cfg.seed)
     values = [(0.05 * rng.standard_normal(shape),
@@ -533,37 +531,25 @@ def _run_greens_verify(cfg: ExperimentConfig) -> list:
     def field(vals):
         # the box values as a field over the window
         out = window.zeros()
-        out[box_rows, box_cols] = vals
+        out[box] = vals
         return out
 
     stacks = [ScalarStack(sk, (field(b) for b, _ in values), p)
               for sk in SCALAR_GREENS]
-    # the stacks share their live columns, and a draw's source on them
-    # lies on the box rows
-    starts, columns = stacks[0].starts, stacks[0].columns
-    sources = np.concatenate([b[:, cols - x0] for (b, _), cols
-                              in zip(values, columns)], axis=1)
-    scalar = [stack.defects(box_rows, sources) for stack in stacks]
-    whole = (slice(0, n_t), slice(0, n_x))
+    scalar = [stack.defects(box, [b for b, _ in values]) for stack in stacks]
     rows = []
     for draw, (_, w_phi) in enumerate(values):
         phi = field(w_phi)
         for vk in WAVE_STEPS:
             sv = wave_green(phi, vk)
-            angle = (box_defect(window, sv, phi, whole, p)
-                     if n_t * n_x < GATHER_MIN_SITES else
-                     cone_defect(window, sv, phi, vk, (box_rows, box_cols), p))
+            angle = cone_defect(window, sv, phi, vk, box, p)
             for k, sk in enumerate(SCALAR_GREENS):
                 rows.append(Row("greens-verify", None,
                                 f"defect[{vk},{sk},draw={draw:02d}]",
                                 float(np.maximum(scalar[k][draw], angle)),
                                 0.0, cfg.tolerances["greens"]))
-        live = slice(starts[draw], starts[draw + 1])
-        # outputs of one wave kind share their angle field, and off the
-        # draw's live columns both scalar outputs are +-0
-        gap = (float(np.abs(stacks[0].scalar[:, live]
-                            - stacks[1].scalar[:, live]).max())
-               if live.stop > live.start else 0.0)
+        # outputs of one wave kind share their angle field
+        gap = stacks[0].gap(stacks[1], draw)
         for vk in WAVE_STEPS:
             rows.append(Row("greens-verify", None,
                             f"backend_agreement[{vk},draw={draw:02d}]",

@@ -52,9 +52,10 @@ then gathers the live pairs (live_pairs) and runs the series on those
 sites. The guard keeps whole blocks when a field holds inf or NaN or the
 factors' product could overflow, since inf or NaN times zero is NaN, not
 zero. Two constants pick the path, GATHER_MIN_SITES and GATHER_MAX_SHARE,
-set at the crossovers that README's "live pairs only" note gives. A jet's
-fields are read-only, so what live_pairs and the guard read of a jet (its
-support and its facts) is computed once per jet and kept.
+set on the blocks' side of the crossovers that README's "live pairs only"
+note gives. A jet's fields are read-only, so what live_pairs and the guard
+read of a jet (its support and its facts) is computed once per jet and
+kept.
 
 Dead coefficients. Some factors lack a part at every site: a factor whose
 jet's a holds only +-0 has base +-0 (pure slope), one whose u_phi does has
@@ -251,11 +252,14 @@ def nabla_L(derivs: Sequence[PointDeriv], x: LatticePoint, y: LatticePoint,
 
 # --- the D-series engine ---
 
-# stencil_contraction evaluates whole blocks on windows of fewer sites, where
-# finding the live pairs costs more than it saves (README, "live pairs only")
+# stencil_contraction evaluates whole blocks on windows of fewer sites. A
+# sparse order-1 call gathers faster from between W=50 and W=60 on; the limit
+# sits above that, where no workload call is sparse, and keeps every call of
+# the W=40 suites on the blocks (README, "live pairs only")
 GATHER_MIN_SITES = 20_000
 # ... and unless some factor's jet is nonzero, in a or u_phi, on at most this
-# share of the window
+# share of the window; order 1 at W=160 gathers faster at 13.5% and slower at
+# 19.2%, orders 2 and 3 faster at both
 GATHER_MAX_SHARE = 1 / 10
 # the block path runs over bands of whole rows of about this many sites, at
 # least one row, so its workspace and held rows cover one band, not the

@@ -35,11 +35,11 @@ Many fields share one scalar solve (ScalarStack): their live columns sit
 side by side and the backend is called once, or not at all when no column
 is live. greens_apply is a stack of one plus the wave stepping, and the
 only place where the edge check is applied.
-greens_defects checks the Green's property on the whole window; box_defect
-and cone_defect read its angular defect, bit for bit, on the support framed
-by one, and ScalarStack.defects its scalar defects off a stack's live
-columns, as the scalar operator of a jet with no angle part couples no two
-columns.
+greens_defects checks the Green's property on the whole window. Its
+angular defect is read, bit for bit, by cone_defect on the rows of a wave
+output's light cone, in as many row bands as the cone's size asks for,
+and its scalar defects by ScalarStack.defects off a stack's live columns,
+as the scalar operator of a jet with no angle part couples no two columns.
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ from .space import Window, common_window
 
 RESIDUAL_TOLERANCE = 1e-10
 EDGE_TOLERANCE = 1e-12
-# cone_defect splits a wave output's cone into this many row bands
-CONE_BANDS = 3
+# cone_defect splits a wave output's cone rows into row bands of about this
+# many sites of the window's width each: one band up to W=80, three at W=160
+CONE_BAND_SITES = 20_000
 
 
 def scalar_roots(p: ModelParams) -> tuple[float, float]:
@@ -329,11 +330,8 @@ class ScalarStack:
     (_stand_in). A stack with no live column calls no backend. The backend
     treats columns independently, so field(k) is bitwise the full-window
     solve of field k, which scalar[:, starts[k]:starts[k + 1]] holds on
-    its live columns, columns[k]. An all-(+0.0) column's output is +-0
-    under either backend, so the largest gap between two stacks of the
-    same fields on field k's live columns is the whole window's, 0.0 when
-    it has none. defects reads every field's scalar defect on the live
-    columns too.
+    its live columns, columns[k]. defects and gap read every field's
+    scalar defect and backend gap off the live columns too.
     """
 
     def __init__(self, kind: str, bs, p: ModelParams):
@@ -364,23 +362,28 @@ class ScalarStack:
         out[:, live] = self.scalar[:, self.starts[k]:self.starts[k + 1]]
         return out
 
-    def defects(self, rows: slice, sources: np.ndarray) -> list[float]:
+    def defects(self, box, values) -> list[float]:
         """Each field's largest interior scalar defect of the Green's
         property, bitwise the scalar value of greens_defects.
 
-        sources holds the sources of the live columns, side by side as in
-        scalar, on the window rows `rows`; they vanish on other rows. The
-        order-1 operator of a jet with no angle part couples no two columns
-        (its order-0 derivative at the offsets (0, +-1) is exactly 0.0,
-        which jets._contract skips, and the odd orders vanish), so a live
-        column's output is its whole-window one wherever it runs, and every
-        other column's defect is 0: the stand-in's +-0 against a +0.0
-        source. The live columns run at most a window's width per call, so
-        that no call holds more than a whole-window one. A field's defect
-        is the largest |operator + source| on its columns and rows inside
-        the window's interior, 0.0 when none of its columns is.
+        Every field's source vanishes off box, a pair of slices (rows, cols)
+        of the window, and values holds each field's source on box, in the
+        stack's order. The order-1 operator of a jet with no angle part
+        couples no two columns (its order-0 derivative at the offsets
+        (0, +-1) is exactly 0.0, which jets._contract skips, and the odd
+        orders vanish), so a live column's output is its whole-window one
+        wherever it runs, and every other column's defect is 0: the
+        stand-in's +-0 against a +0.0 source. The live columns run at most
+        a window's width per call, so that no call holds more than a
+        whole-window one. A field's defect is the largest
+        |operator + source| on its columns and rows inside the window's
+        interior, 0.0 when none of its columns is.
         """
+        rows, cols = box
         n_t, n_x = self.shape
+        # the sources of the live columns, side by side as in scalar
+        sources = np.concatenate([v[:, live - cols.start] for v, live
+                                  in zip(values, self.columns)], axis=1)
         total = self.scalar.shape[1]
         peaks = np.empty(total)
         for lo in range(0, total, n_x):
@@ -393,11 +396,24 @@ class ScalarStack:
             inner = np.abs(defect[1:n_t - 1], out=defect[1:n_t - 1])
             peaks[part] = inner.max(axis=0)
         defects = []
-        for k, cols in enumerate(self.columns):
+        for k, live in enumerate(self.columns):
             inside = peaks[self.starts[k]:self.starts[k + 1]][
-                (cols >= 1) & (cols <= n_x - 2)]
+                (live >= 1) & (live <= n_x - 2)]
             defects.append(float(inside.max()) if inside.size else 0.0)
         return defects
+
+    def gap(self, other: ScalarStack, k: int) -> float:
+        """The largest |self - other| between field k's outputs, other a
+        stack of the same fields; bitwise the full window's.
+
+        An all-(+0.0) column's output is +-0 under either backend, so the
+        gap is read on field k's live columns, 0.0 when it has none.
+        """
+        live = slice(self.starts[k], self.starts[k + 1])
+        if live.stop == live.start:
+            return 0.0
+        return float(np.abs(self.scalar[:, live]
+                            - other.scalar[:, live]).max())
 
 
 def greens_apply(choice: GreensChoice, w: DualJet, p: ModelParams, *,
@@ -456,15 +472,14 @@ def greens_defects(out: Jet, w: DualJet, p: ModelParams
 
 
 def box_defect(window: Window, field: np.ndarray, source: np.ndarray, box,
-               p: ModelParams, read: slice | None = None) -> float:
+               p: ModelParams, read: slice) -> float:
     """Largest angular defect of the Green's property on a box.
 
     field and source are the angle part of the output and of its source on
     the box, a pair of slices (rows, cols) of the window. The operator runs
     on the box as a sub-window, with the scalar part zero, and the defect
     |operator + source| is read on the box sites in the window interior and
-    in the window rows read (all rows when None); with no such site it is
-    0.0.
+    in the window rows read; with no such site it is 0.0.
 
     This is the whole window's value, bit for bit, when the box holds the
     component's support framed by one site on the rows read and their
@@ -509,10 +524,12 @@ def cone_defect(window: Window, sv: np.ndarray, w_phi: np.ndarray,
     column per row; so the rows from the one before the source box in
     stepping order to the window's end, on the columns of that cone framed
     by one, hold the support framed by one. Those rows are split into
-    CONE_BANDS row bands, each evaluated by box_defect on the columns of its
-    widest row, with one extra row on each side, and read on its own rows
-    only. Bit for bit the angular value of greens_defects, with about two
-    thirds of the sites of the cone's one framed box.
+    ceil(rows * n_x / CONE_BAND_SITES) row bands, at most one a row, each
+    evaluated by box_defect on the columns of its widest row, with one
+    extra row on each side, and read on its own rows only. Bit for bit the
+    angular value of greens_defects. One band is the cone's one framed box;
+    more bands hold fewer sites (about two thirds of it with three), but
+    each costs an operator call, which only a large cone repays.
     """
     step = _kind(WAVE_STEPS, kind, "vector_kind")
     n_t, n_x = window.shape
@@ -525,11 +542,11 @@ def cone_defect(window: Window, sv: np.ndarray, w_phi: np.ndarray,
     def excess(t):
         return max(0, step * (t - first) - 2)
 
-    edges = [lo + (hi - lo) * i // CONE_BANDS for i in range(CONE_BANDS + 1)]
-    defects = [0.0]
+    # at most one band a row, so that no band is empty
+    bands = min(hi - lo, -(-(hi - lo) * n_x // CONE_BAND_SITES))
+    edges = [lo + (hi - lo) * i // bands for i in range(bands + 1)]
+    defects = []
     for top, end in zip(edges, edges[1:]):
-        if top == end:
-            continue
         m = max(excess(top), excess(end - 1)) + 1
         band = (slice(max(top - 1, 0), min(end + 1, n_t)),
                 slice(max(cols.start - m, 0), min(cols.stop + m, n_x)))

@@ -1015,10 +1015,10 @@ def test_greens_verify_w160_checks_each_component_on_its_box(monkeypatch):
     # the scalar check of all 20 draws is one operator call per backend, on
     # the 140 stacked live columns over every row (the whole-window route
     # made one 321 x 321 call per draw and backend, the framed one 321 x 9).
-    # Above jets.GATHER_MIN_SITES the angle is checked where the draw
-    # lives, on its cone in three row bands, from the row before the source
-    # box on for the retarded kind and up to the row after it for the
-    # advanced kind, each with one extra row on each side
+    # The angle is checked where the draw lives, on its cone, which at
+    # W=160 is large enough for three row bands: from the row before the
+    # source box on for the retarded kind and up to the row after it for
+    # the advanced kind, each with one extra row on each side
     windows = {"scalar": [], "angle": []}
     record_operator_calls(
         monkeypatch, lambda route, jets: windows[route].append(jets[0].window))
@@ -1086,21 +1086,19 @@ def test_greens_verify_solves_the_support_columns_only(monkeypatch):
 
 @pytest.mark.parametrize("window", [[], _window_overrides(-160, 160, -160,
                                                             160)],
-                         ids=["whole-window", "on-support"])
+                         ids=["w40", "w160"])
 def test_greens_verify_defect_with_a_nan_angular_defect_fails(monkeypatch,
                                                              window):
-    # a NaN angular defect behind a finite scalar one fails its rows on
-    # both angle routes, box_defect on the whole window below
-    # jets.GATHER_MIN_SITES and cone_defect above; Python's max kept the
+    # a NaN angular defect behind a finite scalar one fails its rows, on
+    # one cone band (W=40) and on three (W=160); Python's max kept the
     # scalar defect and passed them
-    def nan_angle(real):
-        def wrapper(*args):
-            real(*args)
-            return math.nan
-        return wrapper
+    real = cli.cone_defect
 
-    monkeypatch.setattr(cli, "box_defect", nan_angle(cli.box_defect))
-    monkeypatch.setattr(cli, "cone_defect", nan_angle(cli.cone_defect))
+    def nan_angle(*args):
+        real(*args)
+        return math.nan
+
+    monkeypatch.setattr(cli, "cone_defect", nan_angle)
     cfg = load_config(None, ["draws=2", *window], None, "greens-verify")
     rows = cli.SUITES["greens-verify"](cfg)
     defects = [r for r in rows if r.quantity.startswith("defect[")]
@@ -1309,9 +1307,8 @@ def test_hierarchy_w160_takes_the_live_pairs(monkeypatch):
     ids=["all-w40", "greens-verify-w160"])
 def test_dense_and_small_calls_keep_the_blocks(monkeypatch, suites, window):
     # every call of the W=40 suites, and greens-verify's defect calls on
-    # the boxes of the Green's images at W=160 (the scalar box is under
-    # jets.GATHER_MIN_SITES sites, the angle's cone about half live)
-    # evaluate whole blocks
+    # the Green's images at W=160 (the scalar check's stacked columns are
+    # all nonzero, the angle's cone bands 75-86%) evaluate whole blocks
     calls = record_engine_calls(monkeypatch)
     for suite in suites:
         cli.SUITES[suite](load_config(None, window, None, suite))

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or spells a path
+threshold of another module.
 
 No linter ships with the project, so this is its unused-import check. An
 import statement marked `# noqa` is skipped (an import kept for its side
@@ -6,6 +7,7 @@ effect), and a name listed in the module's __all__ counts as used.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -74,3 +76,54 @@ def test_the_check_finds_unused_names():
                          ids=lambda path: path.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# each path threshold, a constant that picks between exact evaluation
+# routes, by the module that owns the choice
+THRESHOLDS = {
+    "jets": ("GATHER_MIN_SITES", "GATHER_MAX_SHARE", "BAND_SITES",
+             "PRODUCT_BOUND"),
+    "linear": ("CONE_BAND_SITES",),
+    "perturb": ("VOLUME_BLOCK_SITES",),
+}
+
+
+def foreign_thresholds(source: str, module: str) -> list[str]:
+    """Thresholds of other modules that the source's code spells, as a name,
+    an attribute or an import (strings and comments do not count), sorted."""
+    spelled = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            spelled.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            spelled.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            spelled.update(alias.name for alias in node.names)
+    return sorted(name for owner, names in THRESHOLDS.items()
+                  if owner != module for name in names if name in spelled)
+
+
+def test_the_threshold_check_finds_foreign_names():
+    source = ("from .jets import GATHER_MIN_SITES as limit\n"
+              "from . import perturb\n"
+              "CONE_BAND_SITES = 1\n"
+              "small = perturb.VOLUME_BLOCK_SITES < limit\n"
+              "'''BAND_SITES in a docstring'''  # and PRODUCT_BOUND here\n")
+    assert foreign_thresholds(source, "linear") == ["GATHER_MIN_SITES",
+                                                    "VOLUME_BLOCK_SITES"]
+    assert foreign_thresholds(source, "cli") == [
+        "CONE_BAND_SITES", "GATHER_MIN_SITES", "VOLUME_BLOCK_SITES"]
+
+
+@pytest.mark.parametrize("owner", sorted(THRESHOLDS))
+def test_thresholds_live_in_their_module(owner):
+    module = importlib.import_module(f"surflat.{owner}")
+    assert all(hasattr(module, name) for name in THRESHOLDS[owner])
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_spells_only_its_own_thresholds(path):
+    # a route chosen by another module's threshold is a decision known by
+    # two modules; tests may still patch the thresholds
+    assert foreign_thresholds(path.read_text(), path.stem) == []

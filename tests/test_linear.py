@@ -676,9 +676,9 @@ def assert_live(stack, k, b, want):
 @pytest.mark.parametrize("shape", [(4, 2), (81, 81)],
                          ids=lambda s: "x".join(map(str, s)))
 def test_scalar_stack_backend_gap_is_the_full_window_gap(shape):
-    # the backend agreement of greens-verify: the largest gap between the
-    # backends' stacked live columns of field k, 0.0 when it has none, and
-    # the one between their field(k) are bitwise the full window's; the
+    # the backend agreement of greens-verify: the gap between the backends'
+    # stacks on field k (ScalarStack.gap, 0.0 when it has no live column)
+    # and the one between their field(k) are bitwise the full window's; the
     # fields hold no live column, one, and many with -0.0 and NaN planted
     n_t, n_x = shape
     fields = [columns_source(n_t, n_x, live, 11 + live)
@@ -691,12 +691,11 @@ def test_scalar_stack_backend_gap_is_the_full_window_gap(shape):
                       - _scalar_green_frequency(b, P)).max()
         whole = np.abs(banded.field(k) - frequency.field(k)).max()
         assert np.array_equal(banded.columns[k], frequency.columns[k])
-        live = slice(banded.starts[k], banded.starts[k + 1])
-        assert live == slice(frequency.starts[k], frequency.starts[k + 1])
-        gap = (np.abs(banded.scalar[:, live] - frequency.scalar[:, live]).max()
-               if live.stop > live.start else np.float64(0.0))
-        assert gap.tobytes() == full.tobytes()
+        gap = banded.gap(frequency, k)
+        assert type(gap) is float
+        assert np.float64(gap).tobytes() == full.tobytes()
         assert whole.tobytes() == full.tobytes()
+    assert banded.columns[0].size == 0
 
 
 def test_scalar_stack_rejects_no_fields_and_mixed_shapes():
@@ -887,7 +886,8 @@ def test_box_defect_on_support_boxes_equals_greens_defects_bitwise(shape,
         want = greens_defects(out, w, P)[1]
         box = framed_support_box(out.u_phi, w.w_phi)
         got = (0.0 if box is None else
-               box_defect(window, out.u_phi[box], w.w_phi[box], box, P))
+               box_defect(window, out.u_phi[box], w.w_phi[box], box, P,
+                          read=slice(0, shape[0])))
     assert [arr.tobytes() for arr in arrays] == before
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
     if name in ("nan_scalar", "inf_angle"):
@@ -925,10 +925,19 @@ def source_boxes(window):
             "last_corner": (slice(n_t - 8, n_t - 1), slice(n_x - 8, n_x - 1))}
 
 
+# the cone's rows times the window's width for the centred box:
+# 45 x 81 (W=40), 65 x 121 (W=60), 85 x 161 (W=80) and 104 x 120 take one
+# band, 125 x 241 (W=120) two and 165 x 321 (W=160) three; 100 x 200 is
+# linear.CONE_BAND_SITES exactly, one band, and 101 x 200 just over, two;
+# 15 x 20001 would take 16, and takes one band a row
+CONE_SHAPES = [(81, 81), (121, 121), (161, 161), (241, 241), (321, 321),
+               (200, 120), (191, 200), (193, 200), (21, 20001)]
+
+
 @pytest.mark.parametrize("draw", ["normal", "nan", "negative_zero"])
 @pytest.mark.parametrize("where", ["centred", "first_corner", "last_corner"])
 @pytest.mark.parametrize("kind", ["retarded", "advanced"])
-@pytest.mark.parametrize("shape", [(161, 161), (321, 321), (200, 120)],
+@pytest.mark.parametrize("shape", CONE_SHAPES,
                          ids=lambda s: "x".join(map(str, s)))
 def test_support_defects_equal_greens_defects_bitwise(shape, kind, where,
                                                       draw):
@@ -940,18 +949,17 @@ def test_support_defects_equal_greens_defects_bitwise(shape, kind, where,
 def assert_support_defects(window, boxes, kind, draw, seed):
     # greens-verify's checks on the support, each bitwise the whole-window
     # value of greens_defects: the scalar defect of every field from the
-    # stack's live columns side by side (ScalarStack.defects), with the
-    # sources on the rows their boxes span, and the angle on the cone's row
-    # bands of its box
+    # stack's live columns side by side (ScalarStack.defects), given the
+    # sources on the full-width rows their boxes span, and the angle on the
+    # cone's row bands of its box
     ws = [box_source(window, *box, seed + k, draw)
           for k, box in enumerate(boxes)]
     sk = "banded_solve" if kind == "retarded" else "frequency"
     stack = ScalarStack(sk, (w.b for w in ws), P)
     rows = slice(min(box[0].start for box in boxes),
                  max(box[0].stop for box in boxes))
-    sources = np.concatenate([w.b[rows, cols]
-                              for w, cols in zip(ws, stack.columns)], axis=1)
-    scalar = stack.defects(rows, sources)
+    scalar = stack.defects((rows, slice(0, window.shape[1])),
+                           [w.b[rows] for w in ws])
     for k, (w, box) in enumerate(zip(ws, boxes)):
         sv = wave_green(w.w_phi, kind)
         want = greens_defects(Jet(window, stack.field(k), sv), w, P)
@@ -999,26 +1007,56 @@ def test_stacked_scalar_defects_skip_the_edge_columns(window, kind, draw):
         (window.shape[1] == 7)
 
 
-@pytest.mark.parametrize("kind", ["retarded", "advanced"])
-def test_cone_defect_reads_three_bands(monkeypatch, kind):
-    # the rows from the one before the source box in stepping order, in
-    # three bands, each framed by one column beyond its widest cone row and
-    # evaluated with one extra row on each side: about two thirds of the
-    # sites of the cone's one framed box (165 x 321)
-    window = Window(-160, 160, -160, 160)
-    box = source_boxes(window)["centred"]
+# the retarded cone's row bands of the centred box: the rows from the one
+# before the source box on, each band framed by one column beyond its
+# widest cone row and evaluated with one extra row on each side
+RETARDED_BANDS = {
+    40: [Window(-5, 40, -40, 40)],
+    80: [Window(-5, 80, -80, 80)],
+    160: [Window(-5, 51, -56, 56), Window(50, 106, -111, 111),
+          Window(105, 160, -160, 160)]}
+
+
+def cone_windows(monkeypatch, window, where, kind):
+    # the windows of cone_defect's operator calls on a draw on the named box
+    box = source_boxes(window)[where]
     w = box_source(window, *box, 9)
     sv = wave_green(w.w_phi, kind)
     windows = count_operator_windows(monkeypatch)
     cone_defect(window, sv, w.w_phi, kind, box, P)
-    bands = [Window(-5, 51, -56, 56), Window(50, 106, -111, 111),
-             Window(105, 160, -160, 160)]
+    return windows
+
+
+@pytest.mark.parametrize("kind", ["retarded", "advanced"])
+@pytest.mark.parametrize("half", sorted(RETARDED_BANDS))
+def test_cone_defect_bands(monkeypatch, half, kind):
+    # one band, the cone's one framed box, up to W=80; three at W=160,
+    # about two thirds of the sites of its one framed box (165 x 321)
+    windows = cone_windows(monkeypatch, Window(-half, half, -half, half),
+                           "centred", kind)
+    bands = RETARDED_BANDS[half]
     if kind == "advanced":
         bands = [Window(-w.t_max, -w.t_min, w.x_min, w.x_max)
                  for w in reversed(bands)]
     assert windows == bands
-    sites = sum(w.shape[0] * w.shape[1] for w in windows)
-    assert sites < 0.72 * 165 * 321
+    if half == 160:
+        sites = sum(w.shape[0] * w.shape[1] for w in windows)
+        assert sites < 0.72 * 165 * 321
+
+
+@pytest.mark.parametrize("kind", ["retarded", "advanced"])
+@pytest.mark.parametrize("shape, where, bands", [
+    ((121, 121), "centred", (1, 1)), ((241, 241), "centred", (2, 2)),
+    ((191, 200), "centred", (1, 1)), ((193, 200), "centred", (2, 2)),
+    ((191, 200), "first_corner", (2, 1)),
+    ((191, 200), "last_corner", (1, 2)),
+    ((21, 20001), "centred", (15, 15))],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_cone_defect_band_count(monkeypatch, shape, where, bands, kind):
+    # ceil(cone rows * n_x / linear.CONE_BAND_SITES) bands, (retarded,
+    # advanced); a corner box's cone is long in one stepping direction only
+    windows = cone_windows(monkeypatch, centred_window(*shape), where, kind)
+    assert len(windows) == bands[kind == "advanced"]
 
 
 def test_greens_defects_output_on_the_source_window():
