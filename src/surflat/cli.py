@@ -398,8 +398,10 @@ def _validate(data: dict, suite: str) -> ExperimentConfig:
             f"window {window} has {window.shape[0] * window.shape[1]} sites, "
             f"more than the limit of {MAX_WINDOW_SITES}")
 
+    # only slayer-sweep reads the probe, so only it builds and checks one
     specs = {name: spec for name, spec in fields["jets"].items()
-             if spec is not None}
+             if spec is not None
+             and (name != "probe" or suite == "slayer-sweep")}
     for name in ("u", "v"):
         kind = specs[name]["kind"]
         if suite == "slayer-sweep" and kind not in WAVE_KINDS:

@@ -74,26 +74,27 @@ live-pairs argument). This holds under the same guard, finite fields and
 every partial product within PRODUCT_BOUND, since +-0 times inf or NaN is
 NaN; when it fails every coefficient is computed.
 
-Each call works in one workspace (series_workspace): the rows c_0..c_ell
-plus the scratch rows its order needs, and four rows that hold the far-end
-terms of the two neighbour classes, viewed per block as contiguous arrays
-and written with numpy's out= arguments, so the series allocates nothing
-per operation. Every operation keeps the operands and the order of the
-allocate-per-op form, so each field is bitwise unchanged, sign of zero
-included. The block path runs band by band, each band about BAND_SITES
-sites of whole rows, and within a band class by class; every output site
-still receives its terms in STENCIL_OFFSETS order, so neither the bands nor
-the held terms change a bit. The workspace covers one band: at W=160 that
-is 31 of the 321 rows, 0.51 MB for a dense order-1 call instead of 3.3 MB.
+Temporaries. Each operation of the series returns its own array, and a
+call updates in place (*=, +=) only arrays it created itself, never a jet's
+read-only field. The operands and the order of operations are those of the
+plain one-array-per-operation form, so each field is bitwise that form's,
+sign of zero included. The block path runs band by band, each band about
+BAND_SITES sites of whole rows, and within a band class by class; every
+output site still receives its terms in STENCIL_OFFSETS order, so neither
+the bands nor the held terms (each neighbour class's S and A) change a bit.
+A class's coefficients and a factor's base and slope are released before
+the next ones are built, so besides its two outputs a call holds about
+ell + 6 arrays of one band: at W=160 a band is 31 of the 321 rows.
 
 Page faults rest on the allocator. A 321 x 321 field is 824 KB. Left to
 its defaults, glibc serves blocks that large from fresh mappings and
 unmaps them on free, raising that threshold only after the process has
 freed a larger mapped block, so each new field came back as newly zeroed
 pages. cli.main pins the thresholds once (cli._pin_heap), after which
-freed fields are reused (README's "recycled memory" note). Whatever a call
+freed arrays are reused (README's "recycled memory" note). Whatever a call
 frees then stays in the heap, and the largest block it ever held sets the
-heap's size; that is why the workspace covers one band and not the window.
+heap's size; that is why the bands bound the temporaries and the held
+terms, and not the window.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ GATHER_MIN_SITES = 20_000
 # 19.2%, orders 2 and 3 faster at both
 GATHER_MAX_SHARE = 1 / 10
 # the block path runs over bands of whole rows of about this many sites, at
-# least one row, so its workspace and held rows cover one band, not the
+# least one row, so its temporaries and held terms cover one band, not the
 # window (README, "each pair once, one sweep for all draws")
 BAND_SITES = 10_240
 # the guard: live pairs are used only while every partial product of the
@@ -274,31 +275,7 @@ PRODUCT_BOUND = 1e300
 PAIR_CLASSES = ((-1, 0), (0, -1), (0, 0))
 
 
-def series_workspace(n_factors: int, n_sites: int,
-                     n_held: int = 0) -> np.ndarray:
-    """Flat workspace for the D-series of n_factors factors on n_sites sites.
-
-    Rows 0..n_factors hold the coefficients c_0..c_ell, and scratch rows
-    follow. While the series grows they hold a later factor's base and
-    slope and one partial product; the first factor's base and slope are
-    c_0 and c_1 themselves. While it is contracted the first two hold the
-    running sum and one term. One factor thus needs two scratch rows, more
-    factors three. n_held rows for the caller come last.
-    """
-    n_scratch = 2 if n_factors == 1 else 3
-    return np.empty((n_factors + 1 + n_scratch + n_held, n_sites))
-
-
-def workspace_rows(ws: np.ndarray, shape) -> list[np.ndarray]:
-    """The workspace's rows viewed as contiguous blocks of the given shape.
-
-    A list of views, made once per block: the series update indexes rows
-    often, and a list hands out the same view each time.
-    """
-    return list(ws[:, :math.prod(shape)].reshape(len(ws), *shape))
-
-
-def slot_factor_maps(factors, x_sites, y_sites, rows):
+def slot_factor_maps(factors, x_sites, y_sites):
     """D-series of a product of signed slot derivatives.
 
     factors is a non-empty sequence of (jet, s1, s2) triples, each standing
@@ -309,16 +286,14 @@ def slot_factor_maps(factors, x_sites, y_sites, rows):
     as both marks the self pairs (x, x). Each factor acts on the
     interaction as base + slope * D, where D is the derivative in the angle
     difference phi_x - phi_y, base = s1 a(x) + s2 a(y) and
-    slope = s1 phi(x) - s2 phi(y). rows are the workspace_rows of a
-    series_workspace for len(factors) factors, shaped like the selected
-    sites; the return value is the list of its leading rows c_0..c_ell, the
-    coefficient fields of D^0..D^ell in the product, with None for each
-    dead coefficient (see the module notes), which is never computed. The
-    product grows from the top coefficient down, so each update reads
-    coefficients not yet overwritten.
+    slope = s1 phi(x) - s2 phi(y). Returns the list c_0..c_ell of the
+    coefficient fields of D^0..D^ell in the product, shaped like the
+    selected sites, with None for each dead coefficient (see the module
+    notes), which is never computed. The first factor's base and slope are
+    c_0 and c_1; each later factor updates the coefficients in place, from
+    the top one down, so each update reads coefficients not yet updated.
     """
-    n_coeffs = len(factors) + 1
-    scratch = rows[n_coeffs:]
+    coeffs = [None] * (len(factors) + 1)
     parts = _factor_parts(factors, x_sites is y_sites)
     # the coefficients lo..hi of the product so far may be nonzero; the
     # empty product is c_0 = 1
@@ -329,28 +304,28 @@ def slot_factor_maps(factors, x_sites, y_sites, rows):
             hi = -1
         if lo > hi:
             break
-        base, slope = (rows[0], rows[1]) if k == 0 else scratch[:2]
+        # the previous factor's are released before this one's are built
+        base = slope = None
         if has_base:
-            _signed_sum(s1, jet.a[x_sites], s2, jet.a[y_sites], base)
+            base = _signed_sum(s1, jet.a[x_sites], s2, jet.a[y_sites])
         if has_slope:
-            _signed_sum(s1, jet.u_phi[x_sites], -s2, jet.u_phi[y_sites],
-                        slope)
-        if k > 0:
-            part = scratch[2]
+            slope = _signed_sum(s1, jet.u_phi[x_sites], -s2,
+                                jet.u_phi[y_sites])
+        if k == 0:
+            coeffs[:2] = base, slope
+        else:
             for n in range(hi + has_slope, lo + (not has_base) - 1, -1):
                 # c_n = c_n base + c_(n-1) slope, each term only where its
-                # coefficient and its part of the factor are live
-                times_base = has_base and n <= hi
-                times_slope = has_slope and n > lo
-                if times_base:
-                    np.multiply(rows[n], base, out=rows[n])
-                if times_slope and times_base:
-                    np.multiply(rows[n - 1], slope, out=part)
-                    np.add(rows[n], part, out=rows[n])
-                elif times_slope:
-                    np.multiply(rows[n - 1], slope, out=rows[n])
+                # coefficient and its part of the factor are live; the
+                # slope term is live wherever the base term is not
+                if has_base and n <= hi:
+                    coeffs[n] *= base
+                    if has_slope and n > lo:
+                        coeffs[n] += coeffs[n - 1] * slope
+                else:
+                    coeffs[n] = coeffs[n - 1] * slope
         lo, hi = lo + (not has_base), hi + has_slope
-    return [rows[n] if lo <= n <= hi else None for n in range(n_coeffs)]
+    return [c if lo <= n <= hi else None for n, c in enumerate(coeffs)]
 
 
 def _guarded(factors) -> bool:
@@ -384,47 +359,43 @@ def _factor_parts(factors, self_pairs: bool) -> list[tuple[bool, bool]]:
             for jet, s1, s2 in factors]
 
 
-def _signed_sum(s1: float, x: np.ndarray, s2: float, y: np.ndarray,
-                out: np.ndarray):
-    # an unused slot is skipped, so its partner sites are never read; equal
-    # or opposite signs, the only ones in use, take one add or subtract, and
-    # a unit scale no multiply, since 1.0 * x is bitwise x, -0.0 included
+def _signed_sum(s1: float, x: np.ndarray, s2: float, y: np.ndarray):
+    # a new array, which the caller may update in place. An unused slot is
+    # skipped, so its partner sites are never read; equal or opposite
+    # signs, the only ones in use, take one add or subtract; a unit scale
+    # takes a copy, not a multiply, since 1.0 * x is bitwise x, -0.0
+    # included, and x may be a view of a jet's read-only field
     if s1 == 0.0 or s2 == 0.0:
         scale, total = (s1, x) if s2 == 0.0 else (s2, y)
-    elif s2 == s1 or s2 == -s1:
-        scale, total = s1, (np.add if s2 == s1 else np.subtract)(x, y, out=out)
-    else:
-        np.add(s1 * x, s2 * y, out=out)
-        return
-    if scale != 1.0:
-        np.multiply(scale, total, out=out)
-    elif total is not out:
-        np.copyto(out, total)
+        return total.copy() if scale == 1.0 else scale * total
+    if s2 != s1 and s2 != -s1:
+        return s1 * x + s2 * y
+    total = x + y if s2 == s1 else x - y
+    if s1 != 1.0:
+        total *= s1
+    return total
 
 
-def _contract(coeffs, table, offset, shift: int, total, term):
+def _contract(coeffs, table, offset, shift: int):
     """Sum of c_n times the (n + shift)-th angular derivative at offset.
 
-    The sum is built in the row total, each product in the row term; both
-    are scratch rows of the coefficients' workspace. The interaction enters
-    at base offset x - y = -offset (the stencil data is even, so this only
-    matters for bookkeeping). Dead coefficients (None) and vanishing
-    derivatives, such as every odd order on the base configuration, are
-    skipped; None is returned if nothing is left.
+    The interaction enters at base offset x - y = -offset (the stencil data
+    is even, so this only matters for bookkeeping). Dead coefficients (None)
+    and vanishing derivatives, such as every odd order on the base
+    configuration, are skipped; None is returned if nothing is left.
     """
     idx = STENCIL_OFFSETS.index((-offset[0], -offset[1]))
-    started = False
+    total = None
     for n, coeff in enumerate(coeffs):
         if coeff is None:
             continue
         d = table[(n + shift, 0)][idx]
         if d != 0.0:
-            if started:
-                np.add(total, np.multiply(coeff, d, out=term), out=total)
+            if total is None:
+                total = coeff * d
             else:
-                np.multiply(coeff, d, out=total)
-                started = True
-    return total if started else None
+                total += coeff * d
+    return total
 
 
 def live_pairs(jets: Sequence[Jet]):
@@ -488,10 +459,10 @@ def stencil_contraction(p: ModelParams, jets: Sequence[Jet]):
     series runs on the gathered sites and is added into the outputs there.
     Otherwise, and on windows under GATHER_MIN_SITES sites, it runs on the
     block of sites whose partner lies in the window, one band of about
-    BAND_SITES sites of whole rows at a time, so the workspace and the held
-    terms cover one band. A (1, 0) partner lies one row before its end x,
-    so a band's last row receives its (1, 0) terms from the next band,
-    still last. Both paths give the same bits, sign of zero included. The
+    BAND_SITES sites of whole rows at a time, so the temporaries and the
+    held terms cover one band. A (1, 0) partner lies one row before its
+    end x, so a band's last row receives its (1, 0) terms from the next
+    band, still last. Both paths give the same bits, sign of zero included. The
     outputs start at +0.0. At a pair where some jet is +-0 at both ends,
     every coefficient is +-0, provided the values are finite and no partial
     product overflows, which the guard in live_pairs ensures (inf or NaN
@@ -507,16 +478,11 @@ def stencil_contraction(p: ModelParams, jets: Sequence[Jet]):
     angular = window.zeros()
     pairs = live_pairs(jets)
     if pairs is not None:
-        ws = series_workspace(len(jets), max(ix.size for ix, _
-                                             in pairs.values()), n_held=4)
         _contract_classes(table, [_FlatJet.of(jet) for jet in jets],
-                          [(offset, ix, iy, ix.shape)
-                           for offset, (ix, iy) in pairs.items()],
-                          (scalar.ravel(), angular.ravel()), ws)
+                          pairs.items(), (scalar.ravel(), angular.ravel()))
         return scalar, angular
     n_t, n_x = window.shape
     band = min(n_t, max(1, BAND_SITES // n_x))
-    ws = series_workspace(len(jets), band * n_x, n_held=4)
     blocks = [(offset, *window.shift_blocks(*offset))
               for offset in PAIR_CLASSES]
     for first in range(0, n_t, band):
@@ -526,11 +492,10 @@ def stencil_contraction(p: ModelParams, jets: Sequence[Jet]):
             lo = max(first, x_rows.start)
             hi = min(first + band, x_rows.stop)
             if lo < hi:
-                classes.append((offset, (slice(lo, hi), x_cols),
-                                (slice(lo + offset[0], hi + offset[0]),
-                                 y_cols),
-                                (hi - lo, x_cols.stop - x_cols.start)))
-        _contract_classes(table, jets, classes, (scalar, angular), ws)
+                classes.append((offset, ((slice(lo, hi), x_cols),
+                                         (slice(lo + offset[0],
+                                                hi + offset[0]), y_cols))))
+        _contract_classes(table, jets, classes, (scalar, angular))
     return scalar, angular
 
 
@@ -546,38 +511,27 @@ class _FlatJet(NamedTuple):
         return cls(jet.a.ravel(), jet.u_phi.ravel(), jet.facts)
 
 
-def _contract_classes(table, jets, classes, outputs, ws):
+def _contract_classes(table, jets, classes, outputs):
     # the terms of one band's (or the gathered sites') pair classes, in
-    # STENCIL_OFFSETS order per site: classes lists (offset, x_sites,
-    # y_sites, shape) in PAIR_CLASSES order, the sites as numpy indices into
-    # the outputs (scalar, angular); ws is a series_workspace for the jets
-    # with 4 held rows, at least as wide as the largest class
+    # STENCIL_OFFSETS order per site: classes yields (offset, (x_sites,
+    # y_sites)) in PAIR_CLASSES order, the sites as numpy indices into the
+    # outputs (scalar, angular)
     factors = [(jet, 1.0, 1.0) for jet in jets]
-    n_series = len(ws) - 4
     held = []
-    for offset, x_sites, y_sites, shape in classes:
-        rows = workspace_rows(ws, shape)
+    for offset, (x_sites, y_sites) in classes:
         if offset == (0, 0):
             # one object for both ends marks the self pairs
             y_sites = x_sites
-        coeffs = slot_factor_maps(factors, x_sites, y_sites, rows[:n_series])
-        n = len(coeffs)
-        if offset == (0, 0):
-            # the site's own terms, added at once
-            for out, shift in zip(outputs, (0, 1)):
-                part = _contract(coeffs, table, offset, shift, rows[n],
-                                 rows[n + 1])
-                if part is not None:
-                    out[x_sites] += part
-            continue
-        # S and A contracted straight into the class's two held rows
-        hold = rows[n_series + 2 * len(held):][:2]
-        parts = [_contract(coeffs, table, offset, shift, total, rows[n])
-                 for shift, total in enumerate(hold)]
+        coeffs = slot_factor_maps(factors, x_sites, y_sites)
+        # S and A; the coefficients are released before the next class's
+        # are built
+        parts = [_contract(coeffs, table, offset, shift) for shift in (0, 1)]
+        del coeffs
         for out, part in zip(outputs, parts):
             if part is not None:
                 out[x_sites] += part
-        held.append((y_sites, parts))
+        if offset != (0, 0):
+            held.append((y_sites, parts))
     # then the partner ends, the (0, -1) class first: S added, A subtracted
     for y_sites, (s, a) in reversed(held):
         if s is not None:
@@ -592,27 +546,22 @@ def pair_product_sum(p: ModelParams, omega: Region, factors) -> float:
     factors is a sequence of (jet, s1, s2) triples as in slot_factor_maps;
     the product is applied to the interaction and summed over the pairs
     enumerated by stencil_pairs(omega). The D-series is evaluated at the
-    region's interface sites only, in one workspace sized for the largest
-    offset, reading the jets' fields through flat views (_FlatJet) at the
-    sites' flat indices, as the live-pairs path does. The sites come from
-    omega.interface_sites, found once per region: its mask is read-only, so
-    repeated sums over one region (a surface-layer sweep makes six per cut)
-    never scan the window again. The jets must live on the region's window.
+    region's interface sites only, one offset at a time, reading the jets'
+    fields through flat views (_FlatJet) at the sites' flat indices, as the
+    live-pairs path does. The sites come from omega.interface_sites, found
+    once per region: its mask is read-only, so repeated sums over one region
+    (a surface-layer sweep makes six per cut) never scan the window again.
+    The jets must live on the region's window.
     """
     common_window(omega, *(jet for jet, _, _ in factors))
     table = stencil_deriv_table(p)
     sites = omega.interface_sites
     flat = [(_FlatJet.of(jet), s1, s2) for jet, s1, s2 in factors]
-    ws = series_workspace(len(factors),
-                          max(ix.size for ix, _ in sites.values()))
     total = 0.0
     for offset, (ix, iy) in sites.items():
         if ix.size == 0:
             continue
-        rows = workspace_rows(ws, ix.shape)
-        coeffs = slot_factor_maps(flat, ix, iy, rows)
-        acc = _contract(coeffs, table, offset, 0, rows[len(coeffs)],
-                        rows[len(coeffs) + 1])
+        acc = _contract(slot_factor_maps(flat, ix, iy), table, offset, 0)
         if acc is not None:
             total += float(acc.sum())
     return total

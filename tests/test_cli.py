@@ -809,6 +809,21 @@ def test_order_above_the_top_order_rejected(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("suite", ["check-el", "greens-verify",
+                                   "perturb-verify", "greens-dependence",
+                                   "slayer-sweep"])
+def test_only_slayer_sweep_checks_the_probe(tmp_path, capsys, suite):
+    # under this model the default probe reaches about 1e226 on the window
+    # rows; only slayer-sweep reads it, so only slayer-sweep refuses it
+    code, _ = run_cli(tmp_path, suite, "--override", "model.lambda_a=1000000")
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if suite == "slayer-sweep":
+        assert code == 2 and "jets.probe" in err
+    else:
+        assert code != 2 and "jets.probe" not in err
+
+
 # --- config assembly ---
 
 def test_config_file_merges_over_defaults(tmp_path):
@@ -1265,11 +1280,13 @@ def record_engine_calls(monkeypatch):
         finally:
             inside.pop()
 
-    def maps(factors, x_sites, y_sites, rows):
+    def maps(factors, x_sites, y_sites):
         if inside:
-            calls[-1][1].append((isinstance(x_sites, np.ndarray),
-                                 rows[0].size))
-        return real_maps(factors, x_sites, y_sites, rows)
+            gathered = isinstance(x_sites, np.ndarray)
+            sites = x_sites.size if gathered else math.prod(
+                part.stop - part.start for part in x_sites)
+            calls[-1][1].append((gathered, sites))
+        return real_maps(factors, x_sites, y_sites)
 
     monkeypatch.setattr(jets, "stencil_contraction", contraction)
     monkeypatch.setattr(jets, "slot_factor_maps", maps)

@@ -7,6 +7,12 @@ tests use is dead API unless ALLOWED gives the reason it stays. Methods are
 matched by name, so one that shares its name with another attribute counts
 as used: the check finds names that no module spells, not every dead one.
 
+The package's modules get the same check for what they define outside
+__all__: each public function and class a module of src/surflat defines at
+its top level must be spelled somewhere in src/surflat outside its own
+definition, so a helper that only tests call is dead unless
+ALLOWED_DEFINITIONS gives the reason it stays.
+
 Record fields get the same check, read only: each annotated field of a
 class that src/surflat defines (its dataclasses and NamedTuples) must be
 read as an attribute by some module of src/surflat. A field that is only
@@ -23,6 +29,7 @@ ALLOWED_DEFAULTS gives the reasons for the ones that stay.
 """
 
 import ast
+import collections
 import dataclasses
 import inspect
 import pathlib
@@ -42,6 +49,11 @@ ALLOWED = {
     "Region.from_box": "constructor of the tests' box regions",
 }
 
+# module.name of the definitions outside __all__ that no module of the
+# package spells, each with its reason
+ALLOWED_DEFINITIONS = {
+    "jets.nabla_L": "pointwise oracle of the D-series engine",
+}
 
 # Class.field entries that no module of the package reads, with reasons
 ALLOWED_FIELDS = {}
@@ -57,17 +69,23 @@ ALLOWED_DEFAULTS = {
 }
 
 
-def spelled(source: str) -> set[str]:
-    """Names the source reads, attributes it names and names it imports."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
+def spellings(nodes) -> collections.Counter:
+    """How often the nodes read each name, name it as an attribute or
+    import it."""
+    found = collections.Counter()
+    for node in nodes:
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            found.add(node.id)
+            found[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            found[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             found.update(alias.name for alias in node.names)
     return found
+
+
+def spelled(source: str) -> set[str]:
+    """Names the source reads, attributes it names and names it imports."""
+    return set(spellings(ast.walk(ast.parse(source))))
 
 
 def public_methods(cls) -> list[str]:
@@ -112,6 +130,44 @@ def test_every_public_name_has_a_caller():
     assert [name for name in missing if name not in ALLOWED] == []
     # an entry whose name gained a caller, or left the package, goes
     assert sorted(missing) == sorted(ALLOWED)
+
+
+def unspelled_definitions(sources: dict[str, str], exported) -> list[str]:
+    """module.name for each public function and class that a module
+    defines at its top level, outside exported, and that no source spells
+    outside that definition, in order."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum((spellings(ast.walk(tree)) for tree in trees.values()),
+                collections.Counter())
+    return [f"{module}.{node.name}" for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in exported
+            and total[node.name] == spellings(ast.walk(node))[node.name]]
+
+
+def test_the_definition_check_finds_unspelled_definitions():
+    # Kept is read by called, called is imported by the other module and
+    # exported is in __all__; recursive only calls itself, alone is never
+    # named, and _private is not public
+    sources = {"one": "class Kept:\n    pass\n"
+                      "def called():\n    return Kept()\n"
+                      "def recursive(n):\n    return recursive(n - 1)\n"
+                      "def exported():\n    pass\n"
+                      "def _private():\n    pass\n",
+               "two": "from .one import called\n"
+                      "def alone():\n    return called()\n"}
+    assert unspelled_definitions(sources, ["exported"]) == [
+        "one.recursive", "two.alone"]
+
+
+def test_every_definition_outside_all_has_a_caller():
+    sources = {path.stem: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    missing = unspelled_definitions(sources, surflat.__all__)
+    # an entry whose name gained a caller, or left the package, goes
+    assert sorted(missing) == sorted(ALLOWED_DEFINITIONS)
 
 
 def record_fields(source: str) -> list[tuple[str, str]]:

@@ -10,10 +10,8 @@ from surflat import (MAX_ORDER, InvalidJetError, LatticePoint, ModelParams,
                      past_region, stencil_pairs)
 from surflat.jets import (PAIR_CLASSES, DualJet, DualValue, Jet, PointDeriv,
                           delta_ell, delta_ell_field, live_pairs, nabla_L,
-                          pair_product_sum,
-                          region_product_sum, series_workspace,
-                          slot_factor_maps, stencil_contraction,
-                          workspace_rows)
+                          pair_product_sum, region_product_sum,
+                          slot_factor_maps, stencil_contraction)
 from surflat.lagrangian import stencil_deriv_table
 from surflat.linear import wave_solution
 from surflat.space import STENCIL_OFFSETS, pair_masks
@@ -328,12 +326,14 @@ def test_dual_value_named_fields():
     assert val.scalar == 1.0 and val.phi == 2.0
 
 
-# --- the workspace engine against the allocate-per-op engine ---
+# --- the engine against the plain allocate-per-op engine ---
 #
-# The reference below is the engine as it was before the kernels got one
-# workspace per call: every numpy operation returns a fresh array. The
-# workspace engine performs the same operations on the same operands in the
-# same order, so every field must agree bit for bit, sign of zero included.
+# The reference below evaluates every offset from each end, every
+# coefficient and the whole window at once, and builds each coefficient
+# list afresh per factor. The engine evaluates each pair once, band by band,
+# skips dead coefficients and updates the arrays it made in place, but
+# performs the same operations on the same operands in the same order, so
+# every field must agree bit for bit, sign of zero included.
 
 def ref_signed_sum(s1, x, s2, y):
     if s2 == 0.0:
@@ -435,9 +435,10 @@ def signed_zero_jet(seed, window):
 PIN_WINDOWS = {"3x3": Window(-1, 1, -1, 1), "15x27": Window(-7, 7, -13, 13),
                "41x41": Window(-20, 20, -20, 20)}
 # the four signs in use, then three whose sums and differences are scaled by
-# a factor other than 1, so the signed sum still multiplies
+# a factor other than 1, so the signed sum still multiplies, and two nonzero
+# signs of unequal size, which take its general branch
 PIN_SIGNS = ((1.0, 1.0), (1.0, -1.0), (1.0, 0.0), (0.0, 1.0),
-             (-1.0, -1.0), (-1.0, 1.0), (2.0, 2.0))
+             (-1.0, -1.0), (-1.0, 1.0), (2.0, 2.0), (2.0, -0.5))
 
 
 @pytest.mark.parametrize("window", PIN_WINDOWS.values(), ids=PIN_WINDOWS)
@@ -451,12 +452,10 @@ def test_slot_factor_maps_bitwise_pin(order, signs, window):
     factors = [(signed_zero_jet(300 + k, window),
                 *PIN_SIGNS[(first + k) % len(PIN_SIGNS)])
                for k in range(order)]
-    ws = series_workspace(order, window.shape[0] * window.shape[1])
     planted = False
     for offset in STENCIL_OFFSETS:
         x_block, y_block = window.shift_blocks(*offset)
-        rows = workspace_rows(ws, window.zeros()[x_block].shape)
-        got = slot_factor_maps(factors, x_block, y_block, rows)
+        got = slot_factor_maps(factors, x_block, y_block)
         want = ref_slot_factor_maps(factors, x_block, y_block)
         assert len(got) == len(want) == order + 1
         for g, w in zip(got, want):
@@ -822,7 +821,6 @@ def test_dead_coefficients_are_skipped(order):
     # zero. On the self pairs (one index object for both ends) every factor
     # with s1 == s2 is pure base
     window = PIN_WINDOWS["15x27"]
-    ws = series_workspace(order, window.shape[0] * window.shape[1])
     for pool in part_pools(order, window, sparse=False):
         factors = [(jet, 1.0, 1.0) for jet in pool]
         slope_only = sum(kind_of(jet) in ("slope", "null") for jet in pool)
@@ -833,8 +831,7 @@ def test_dead_coefficients_are_skipped(order):
                 y_block, base_only_here = x_block, order
             else:
                 base_only_here = base_only
-            rows = workspace_rows(ws, window.zeros()[x_block].shape)
-            got = slot_factor_maps(factors, x_block, y_block, rows)
+            got = slot_factor_maps(factors, x_block, y_block)
             want = ref_slot_factor_maps(factors, x_block, y_block)
             for n, (g, w) in enumerate(zip(got, want)):
                 dead = (n < slope_only or n > order - base_only_here
@@ -847,8 +844,7 @@ def test_dead_coefficients_are_skipped(order):
     # on the self pairs a factor with s1 != s2 keeps its slope s1 phi(x)
     jet = part_jet("full", window, 7, sparse=False)
     block = window.shift_blocks(0, 0)[0]
-    rows = workspace_rows(ws, window.zeros()[block].shape)
-    got = slot_factor_maps([(jet, 1.0, 0.0)], block, block, rows)
+    got = slot_factor_maps([(jet, 1.0, 0.0)], block, block)
     want = ref_slot_factor_maps([(jet, 1.0, 0.0)], block, block)
     assert got[1] is not None and np.array_equal(got[1], want[1])
     assert want[1].any()
@@ -883,11 +879,9 @@ def test_dead_coefficients_need_the_guard(monkeypatch, path, name):
     assert live_pairs(pool) is None
     factors = [(jet, 1.0, 1.0) for jet in pool]
     x_block, y_block = window.shift_blocks(-1, 0)
-    ws = series_workspace(len(pool), window.shape[0] * window.shape[1])
-    rows = workspace_rows(ws, window.zeros()[x_block].shape)
     with np.errstate(over="ignore", invalid="ignore"):
         assert all(c is not None
-                   for c in slot_factor_maps(factors, x_block, y_block, rows))
+                   for c in slot_factor_maps(factors, x_block, y_block))
         for got, want in zip(stencil_contraction(P, pool),
                              ref_stencil_contraction(P, window, pool)):
             assert got.tobytes() == want.tobytes()
@@ -929,11 +923,13 @@ def test_field_kernels_leave_inputs_unchanged(order):
 def test_delta_ell_field_memory_budget():
     # tracemalloc sees numpy's array buffers; at W=160 one field is 824 KB,
     # so the peak counts fields: the two outputs, then the counterterm's
-    # weights or a workspace of ell + 3 rows (ell + 4 beyond one factor)
-    # and 4 held rows over one band of 31 of the 321 rows. That is 3.00 to
-    # 3.32 fields at orders 1 to 4 (3.43 to 4.07 over bands of 51 rows,
-    # 6.16 to 10.16 with a workspace over the whole window). Sparse wave
-    # bands, which take the live pairs, stay within the same budget
+    # weights or the series' temporaries, about ell + 6 arrays over one band
+    # of 31 of the 321 rows, the held terms included. That is 3.00, 3.13,
+    # 3.13 and 3.13 fields at orders 1 to 4, the first call of each order
+    # included; kept while the next class's or factor's arrays are built,
+    # the previous ones lift orders 2 to 4 to 3.19, 3.45 and 3.64. Sparse
+    # wave bands, which take the live pairs, stay within the same budget
+    # (2.5 fields)
     wide = Window(-160, 160, -160, 160)
     field = wide.zeros().nbytes
     dense = [random_jet(700 + k, wide) for k in range(4)]
